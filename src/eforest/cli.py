@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, data, metrics, persistence, training
-from .errors import EForestError
+from .errors import ConfigError, EForestError, FormatError
 from .forest import depth_stats
 
 MODE_NAMES = {"sup": "supervised", "unsup": "unsupervised"}
@@ -61,8 +61,11 @@ def _load_dataset(args) -> data.Dataset:
     if args.csv_kinds:
         kinds = data.parse_kind_spec(args.csv_kinds)
     else:
-        with open(args.data) as fh:
-            first = fh.readline()
+        try:
+            with open(args.data) as fh:
+                first = fh.readline()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FormatError(f"cannot read csv file {args.data}: {exc}") from None
         width = len(first.rstrip("\n").split(",")) if first.strip() else 0
         if label_col is not None:
             width -= 1
@@ -92,8 +95,11 @@ def _default_threads() -> int:
 def _build_train_config(args) -> training.TrainConfig:
     base = {}
     if args.config:
-        with open(args.config) as fh:
-            base = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                base = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(base, dict):
             raise EForestError(f"{args.config}: config file must hold a JSON object")
     merged = {

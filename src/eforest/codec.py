@@ -21,10 +21,10 @@ from .errors import (
     ModelMismatchError,
     SchemaMismatchError,
 )
-from .forest import Forest, get_path, path_to_rule
+from .forest import Forest, Tree, get_path, path_to_rule
 from .persistence import forest_hex_id
 from .rng import permutation
-from .rules import Rule, calculate_mcr, pick_interval_batch, representative
+from .rules import NEG_INF, POS_INF, Rule, calculate_mcr, pick_interval_batch, representative
 
 
 @dataclass(frozen=True)
@@ -162,44 +162,83 @@ def decode(
     return representative(decode_region(forest, encoding, mask), strategy)
 
 
-def _decode_batch_numeric(
-    forest: Forest, leaf_ids: np.ndarray, strategy: str, keep: tuple[int, ...]
-) -> np.ndarray:
-    """Vectorized all-numeric decode; exactly equivalent to per-row decode().
+def _leaf_constraints(tree: Tree, leaf: int, cat_attrs: frozenset[int]):
+    """Raw path rule of one leaf as (attrs, lo, hi, cats).
 
-    Rows are grouped by leaf per tree so each distinct path rule is extracted
-    once and applied to its whole group.
+    ``attrs``/``lo``/``hi`` give, per numeric attribute the path tests, the
+    closed lower and open upper end of its span (infinite where the path sets
+    none). ``cats`` lists every test on an attribute in ``cat_attrs``, the
+    schema's categorical ones, as (attr, category, taken). Nothing is clamped
+    to the training bounds.
+    """
+    spans: dict[int, list[float]] = {}
+    cats: list[tuple[int, int, bool]] = []
+    parent, branch, attr, param = tree.parent, tree.parent_branch, tree.attr, tree.param
+    node = int(tree.leaf_nodes[leaf])
+    while node != 0:
+        par = int(parent[node])
+        a = int(attr[par])
+        t = float(param[par])
+        if a in cat_attrs:
+            cats.append((a, int(t), bool(branch[node])))
+        else:
+            span = spans.get(a)
+            if span is None:
+                span = [NEG_INF, POS_INF]
+                spans[a] = span
+            if branch[node]:
+                if t > span[0]:
+                    span[0] = t
+            elif t < span[1]:
+                span[1] = t
+        node = par
+    attrs = np.fromiter(spans.keys(), dtype=np.int64, count=len(spans))
+    lo = np.fromiter((s[0] for s in spans.values()), dtype=np.float64, count=len(spans))
+    hi = np.fromiter((s[1] for s in spans.values()), dtype=np.float64, count=len(spans))
+    return attrs, lo, hi, cats
+
+
+def _decode_rows(forest: Forest, leaf_ids: np.ndarray, strategy: str, keep) -> np.ndarray:
+    """Vectorized decode of every row; exactly equivalent to per-row decode().
+
+    Numeric attributes carry per-row lower and upper ends, categorical ones
+    an (n, size) allowed-value mask. Rows are grouped by leaf per tree so
+    each distinct path rule is extracted once and applied to its whole group.
     """
     n = leaf_ids.shape[0]
-    d = forest.d
-    lo = np.full((n, d), -np.inf)
-    hi = np.full((n, d), np.inf)
+    schema = forest.schema
+    lo = np.full((n, schema.d), -np.inf)
+    hi = np.full((n, schema.d), np.inf)
+    allowed = {
+        j: np.ones((n, schema.category_count(j)), dtype=bool)
+        for j in range(schema.d)
+        if schema.is_categorical(j)
+    }
+    cat_attrs = frozenset(allowed)
     for t in keep:
-        tree = forest.trees[t]
-        col = leaf_ids[:, t]
-        order = np.argsort(col, kind="stable")
-        sorted_leaves = col[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_leaves[1:] != sorted_leaves[:-1]))
-        )
-        ends = np.append(starts[1:], n)
-        for s, e in zip(starts, ends):
-            attrs, glo, ghi = tree.leaf_interval_arrays(int(sorted_leaves[s]))
-            if not len(attrs):
-                continue
-            idx = (order[s:e, None], attrs[None, :])
+        order = np.argsort(leaf_ids[:, t], kind="stable")
+        leaves, starts = np.unique(leaf_ids[order, t], return_index=True)
+        for leaf, rows in zip(leaves, np.split(order, starts[1:])):
+            attrs, glo, ghi, cats = _leaf_constraints(forest.trees[t], int(leaf), cat_attrs)
+            idx = (rows[:, None], attrs[None, :])
             lo[idx] = np.maximum(lo[idx], glo)
             hi[idx] = np.minimum(hi[idx], ghi)
+            for a, v, taken in cats:
+                allow = allowed[a]
+                allow[rows] &= (np.arange(allow.shape[1]) == v) == taken
     hi_open = hi != np.inf
     lo = np.where(lo == -np.inf, forest.bounds.lo, lo)
     hi = np.where(hi_open, hi, forest.bounds.hi)
     empty = (lo > hi) | ((lo == hi) & hi_open)
+    for j, allow in allowed.items():
+        empty[:, j] = ~allow.any(axis=1)
     if empty.any():
         i, j = np.argwhere(empty)[0]
-        raise EmptyMCRError(
-            f"row {i}, attribute {forest.schema.names[j]}: rule intersection is empty"
-        )
-    return pick_interval_batch(lo, hi, hi_open, strategy)
+        raise EmptyMCRError(f"row {i}, attribute {schema.names[j]}: rule intersection is empty")
+    X = pick_interval_batch(lo, hi, hi_open, strategy)
+    for j, allow in allowed.items():
+        X[:, j] = allow.argmax(axis=1)
+    return X
 
 
 def decode_batch(
@@ -223,13 +262,5 @@ def decode_batch(
         col = leaf_ids[:, t]
         if len(col) and (col.min() < 0 or col.max() >= tree.leaf_count):
             raise LeafIndexError(f"tree {t}: leaf ordinal out of range")
-    keep = _resolve_mask(mask, forest.T)
-    if matrix.n == 0:
-        X = np.zeros((0, forest.d))
-    elif forest.schema.all_numeric:
-        X = _decode_batch_numeric(forest, leaf_ids, strategy, keep)
-    else:
-        X = np.stack(
-            [decode(forest, leaf_ids[i], strategy, mask) for i in range(matrix.n)]
-        )
+    X = _decode_rows(forest, leaf_ids, strategy, _resolve_mask(mask, forest.T))
     return Dataset(forest.schema, X)

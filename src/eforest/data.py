@@ -208,7 +208,10 @@ _IDX_UBYTE = 0x08
 
 
 def _read_idx(path: Path, expect_ndim: int) -> tuple[tuple[int, ...], np.ndarray]:
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read idx file {path}: {exc}") from None
     if len(blob) < 4:
         raise FormatError(f"{path}: too short for an idx header")
     zero, dtype, ndim = struct.unpack(">HBB", blob[:4])
@@ -303,9 +306,11 @@ def load_csv(
     """
     path = Path(path)
     kinds = tuple(kinds)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read csv file {path}: {exc}") from None
     header: list[str] | None = None
     if has_header:
         if not rows:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Bounds, Categorical, Numeric, Schema
 from .errors import InvalidModelError, LeafIndexError
-from .rules import NEG_INF, POS_INF, Rule, predicate_to_constraint, simplify
+from .rules import Rule, predicate_to_constraint, simplify
 
 LEAF = 0
 NUM = 1
@@ -36,12 +36,6 @@ class NodeTest:
     @property
     def is_categorical(self) -> bool:
         return self.category is not None
-
-    def passes(self, x: np.ndarray) -> bool:
-        v = x[self.attr]
-        if self.category is not None:
-            return v == self.category
-        return v >= self.threshold
 
 
 class Tree:
@@ -101,19 +95,6 @@ class Tree:
             return NodeTest(int(self.attr[i]), category=int(self.param[i]))
         raise ValueError(f"node {i} is a leaf")
 
-    def encode(self, x: np.ndarray) -> int:
-        """Leaf ordinal the instance is routed to; reference scalar walk."""
-        i = 0
-        kind = self.kind
-        while kind[i] != LEAF:
-            v = x[self.attr[i]]
-            if kind[i] == NUM:
-                go = v >= self.param[i]
-            else:
-                go = v == self.param[i]
-            i = self.true_child[i] if go else self.false_child[i]
-        return int(self.leaf_ordinal[i])
-
     def encode_batch(self, X: np.ndarray) -> np.ndarray:
         """Leaf ordinals for every row, walking all rows level by level."""
         n = len(X)
@@ -147,34 +128,6 @@ class Tree:
 
     def leaf_depths(self) -> np.ndarray:
         return self.depth[self.leaf_nodes]
-
-    def leaf_interval_arrays(self, leaf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-attribute (attrs, lo, hi) of the leaf's path rule, numeric trees only.
-
-        Lower ends are closed, upper ends open, absent ends infinite; this is
-        the raw path rule before any clamping to training bounds.
-        """
-        spans: dict[int, list[float]] = {}
-        node = int(self.leaf_nodes[leaf])
-        while node != 0:
-            par = int(self.parent[node])
-            a = int(self.attr[par])
-            t = float(self.param[par])
-            span = spans.get(a)
-            if span is None:
-                span = [NEG_INF, POS_INF]
-                spans[a] = span
-            if self.parent_branch[node]:
-                if t > span[0]:
-                    span[0] = t
-            else:
-                if t < span[1]:
-                    span[1] = t
-            node = par
-        attrs = np.fromiter(spans.keys(), dtype=np.int64, count=len(spans))
-        lo = np.fromiter((s[0] for s in spans.values()), dtype=np.float64, count=len(spans))
-        hi = np.fromiter((s[1] for s in spans.values()), dtype=np.float64, count=len(spans))
-        return attrs, lo, hi
 
     def node_records(self) -> list[dict]:
         """Nodes in storage order using the persisted record forms."""
@@ -343,19 +296,6 @@ class Forest:
     @property
     def d(self) -> int:
         return self.schema.d
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        return forest_encode(self, x)
-
-
-def tree_encode(tree: Tree, x: np.ndarray) -> int:
-    """Leaf ordinal one tree assigns to one instance."""
-    return tree.encode(x)
-
-
-def forest_encode(forest: Forest, x: np.ndarray) -> np.ndarray:
-    """Per-tree leaf ordinals for one instance."""
-    return np.asarray([t.encode(x) for t in forest.trees], dtype=np.int32)
 
 
 def get_path(tree: Tree, leaf: int) -> list[tuple[NodeTest, bool]]:

@@ -266,7 +266,7 @@ def load_encodings(path):
             raise ShapeError(f"{path}: row {i} has {len(parts)} entries, expected {T}")
         try:
             leaf_ids[i] = [int(p) for p in parts]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: row {i}: {exc}") from None
     if (leaf_ids < 0).any():
         raise FormatError(f"{path}: negative leaf ordinal")

@@ -11,6 +11,7 @@ from one splitmix64 stream per tree, so a seed fixes the forest exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Categorical, Dataset, Schema
-from .errors import ConfigError, EmptyDataError, MissingLabelsError
+from .errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
 from .forest import CAT, Forest, LEAF, NUM, NodeTest, Tree
 from .rng import SplitMix64, tree_stream
 
@@ -38,6 +39,14 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("n_trees", "seed", "min_node_size", "max_depth_cap", "threads"):
+            value = getattr(self, name)
+            if name == "max_depth_cap" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.bootstrap is not None and not isinstance(self.bootstrap, bool):
+            raise ConfigError(f"bootstrap must be a boolean, got {self.bootstrap!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_trees < 1:
@@ -157,10 +166,8 @@ def build_unsupervised_node(
     X: np.ndarray, rows: np.ndarray, rng: SplitMix64, schema: Schema, min_node_size: int = 2
 ) -> NodeTest | None:
     """Completely random node test for a row subset, or None to declare a leaf."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) <= min_node_size:
-        return None
-    picked = _unsup_split(np.asarray(X, dtype=np.float64).T, rows, rng, schema)
+    XT = np.asarray(X, dtype=np.float64).T
+    picked = _split_node(XT, np.asarray(rows, dtype=np.int64), rng, schema, min_node_size)
     return picked[0] if picked else None
 
 
@@ -289,18 +296,29 @@ def build_supervised_node(
     """
     rows = np.asarray(rows, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
+    XT = np.asarray(X, dtype=np.float64).T
+    picked = _split_node(XT, rows, rng, schema, min_node_size, labels, int(labels.max()) + 1,
+                         _xlogx_table(len(rows)), attribute_sample_size(XT.shape[0]))
+    return picked[0] if picked else None
+
+
+def _split_node(
+    XT, rows, stream, schema, min_node_size, labels=None, n_classes=0, xlogx=None, n_sample=0
+):
+    """(split, true-branch mask) for one node, or None to declare a leaf.
+
+    The split is a random NodeTest without labels, else the best-gain
+    SplitCandidate. A node is a leaf when it holds at most ``min_node_size``
+    rows, when its labels are all equal, or when no split is found.
+    """
     if len(rows) <= min_node_size:
         return None
+    if labels is None:
+        return _unsup_split(XT, rows, stream, schema)
     y = labels[rows]
     if (y == y[0]).all():
         return None
-    XT = np.asarray(X, dtype=np.float64).T
-    n_classes = int(labels.max()) + 1
-    xlogx = _xlogx_table(len(rows))
-    picked = _sup_split(
-        XT, rows, y, rng, schema, n_classes, xlogx, attribute_sample_size(XT.shape[0])
-    )
-    return picked[0] if picked else None
+    return _sup_split(XT, rows, y, stream, schema, n_classes, xlogx, n_sample)
 
 
 # -- tree growth --------------------------------------------------------------
@@ -369,28 +387,22 @@ class _TreeBuilder:
 
 def _grow_tree(XT, labels, rows0, stream, schema, cfg: TrainConfig, xlogx, n_classes) -> Tree:
     supervised = cfg.mode == "supervised"
-    n_sample = attribute_sample_size(XT.shape[0]) if supervised else 0
+    labels = labels if supervised else None
+    n_sample = attribute_sample_size(XT.shape[0])
     b = _TreeBuilder()
     stack = [(rows0, 0, -1, False)]
     while stack:
         rows, depth, parent, branch = stack.pop()
         idx = b.add(parent, branch, depth)
-        picked = None
         at_cap = cfg.max_depth_cap is not None and depth >= cfg.max_depth_cap
-        if len(rows) > cfg.min_node_size and not at_cap:
-            if supervised:
-                y = labels[rows]
-                if not (y == y[0]).all():
-                    found = _sup_split(XT, rows, y, stream, schema, n_classes, xlogx, n_sample)
-                    if found is not None:
-                        picked = (found[0].test, found[1])
-            else:
-                picked = _unsup_split(XT, rows, stream, schema)
+        picked = None if at_cap else _split_node(
+            XT, rows, stream, schema, cfg.min_node_size, labels, n_classes, xlogx, n_sample
+        )
         if picked is None:
             b.set_leaf(idx)
             continue
-        test, mask = picked
-        b.set_test(idx, test)
+        split, mask = picked
+        b.set_test(idx, split.test if supervised else split)
         stack.append((rows[mask], depth + 1, idx, True))
         stack.append((rows[~mask], depth + 1, idx, False))
     return b.build()
@@ -429,6 +441,10 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
     if config.mode == "supervised":
         if labels is None:
             raise MissingLabelsError("supervised training requires labels")
+        if labels.min() < 0:
+            raise UnknownCategoryError(
+                f"supervised training needs class labels >= 0, got {labels.min()}"
+            )
         n_classes = int(labels.max()) + 1
     XT = np.ascontiguousarray(dataset.X.T)
     xlogx = _xlogx_table(dataset.n) if config.mode == "supervised" else np.zeros(1)

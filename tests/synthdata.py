@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from eforest.data import Bounds, Categorical, Dataset, Numeric, Schema
-from eforest.forest import Forest, NodeTest, Tree
+from eforest.forest import CAT, LEAF, Forest, NodeTest, Tree
 
 SIDE = 28
 
@@ -186,6 +186,26 @@ def write_idx_labels(path, labels) -> None:
 
 
 # -- hand-built trees -----------------------------------------------------------
+
+
+def walk_leaf(tree: Tree, x: np.ndarray) -> int:
+    """Leaf ordinal of one instance by a plain root-to-leaf walk.
+
+    The reference that ``Tree.encode_batch`` is checked against: a numeric
+    node sends ``x[attr] >= threshold`` to its true child, a categorical node
+    ``x[attr] == category``.
+    """
+    i = 0
+    while tree.kind[i] != LEAF:
+        v = x[tree.attr[i]]
+        go = v == tree.param[i] if tree.kind[i] == CAT else v >= tree.param[i]
+        i = tree.true_child[i] if go else tree.false_child[i]
+    return int(tree.leaf_ordinal[i])
+
+
+def walk_codes(forest: Forest, x: np.ndarray) -> np.ndarray:
+    """Per-tree leaf ordinals of one instance by ``walk_leaf``."""
+    return np.asarray([walk_leaf(t, x) for t in forest.trees], dtype=np.int32)
 
 
 def tree_from_path(steps: list[tuple[NodeTest, bool]], schema: Schema) -> tuple[Tree, int]:

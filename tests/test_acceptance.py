@@ -32,6 +32,7 @@ from synthdata import (
     random_mixed,
     rule_axis_masks,
     tfidf_like,
+    walk_codes,
     worked_example,
     write_idx_images,
     write_idx_labels,
@@ -186,7 +187,7 @@ def test_03_worked_example():
     """The documented hand-built forest reproduces its region and decoding."""
     ex = worked_example()
     forest, instance = ex["forest"], ex["instance"]
-    codes = np.array([tree.encode(instance) for tree in forest.trees])
+    codes = walk_codes(forest, instance)
     assert (codes == ex["leaf_ordinals"]).all()
 
     region = decode_region(forest, codes)

@@ -208,6 +208,44 @@ class TestTrain:
         assert code == 1
         assert "JSON object" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--data", "absent.idx"],
+            ["--data", "absent.csv", "--format", "csv", "--csv-kinds", "num*2"],
+            ["--data", "absent.csv", "--format", "csv"],  # width peek, no kinds
+        ],
+        ids=["idx", "csv", "csv-width-peek"],
+    )
+    def test_missing_data_file_exits_1(self, workdir, capsys, flags):
+        flags = [str(workdir / f) if f.startswith("absent") else f for f in flags]
+        code, _, err = run_cli(
+            capsys,
+            ["train", *flags, "--mode", "unsup", "--trees", "3",
+             "--out", str(workdir / "nope.json")],
+        )
+        assert code == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"mode": "unsupervised", "n_trees": 3',
+            '{"mode": "unsupervised", "n_trees": "3"}',
+        ],
+        ids=["malformed-json", "string-tree-count"],
+    )
+    def test_bad_config_exits_1(self, workdir, capsys, text):
+        cfg = workdir / "bad.cfg.json"
+        cfg.write_text(text)
+        code, _, err = run_cli(
+            capsys,
+            ["train", "--data", str(workdir / "images.idx"), "--config", str(cfg),
+             "--out", str(workdir / "nope.json")],
+        )
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_threads_env_default_keeps_hash(self, workdir, capsys, monkeypatch):
         argv = ["train", "--data", str(workdir / "images.idx"), "--mode",
                 "unsup", "--trees", "5", "--seed", "3"]

@@ -25,7 +25,7 @@ from eforest.persistence import forest_hex_id
 from eforest.rules import Interval, contains
 from eforest.training import TrainConfig, train_forest
 
-from synthdata import random_mixed, tree_from_path
+from synthdata import random_mixed, tree_from_path, walk_codes
 
 NUM1 = Schema.numeric(["x"])
 
@@ -107,8 +107,8 @@ class TestEncodeBatch:
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=5, seed=1))
         matrix = encode_batch(forest, ds)
         assert matrix.n == ds.n and matrix.T == 5
-        for i in range(0, ds.n, 7):
-            assert matrix.leaf_ids[i].tolist() == forest.encode(ds.X[i]).tolist()
+        for i in range(ds.n):
+            assert matrix.leaf_ids[i].tolist() == walk_codes(forest, ds.X[i]).tolist()
 
     def test_strict_schema_equality(self):
         ds = numeric_dataset()
@@ -156,19 +156,19 @@ class TestDecodeRegion:
         for mode in ("supervised", "unsupervised"):
             forest = train_forest(ds, TrainConfig(mode=mode, n_trees=7, seed=2))
             for x in ds.X[:25]:
-                region = decode_region(forest, forest.encode(x))
+                region = decode_region(forest, walk_codes(forest, x))
                 assert contains(region, x)
 
     def test_region_is_complete(self):
         ds = random_mixed(44)
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=0))
-        region = decode_region(forest, forest.encode(ds.X[0]))
+        region = decode_region(forest, walk_codes(forest, ds.X[0]))
         assert sorted(region.keys()) == list(range(ds.d))
 
     def test_masked_region_is_wider(self):
         ds = numeric_dataset(seed=5)
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=10, seed=3))
-        enc = forest.encode(ds.X[0])
+        enc = walk_codes(forest, ds.X[0])
         full = decode_region(forest, enc)
         part = decode_region(forest, enc, mask=TreeMask((0, 1, 2)))
         for j in range(ds.d):
@@ -179,7 +179,7 @@ class TestDecodeRegion:
         ds = numeric_dataset()
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=0))
         with pytest.raises(ConfigError):
-            decode_region(forest, forest.encode(ds.X[0]), mask=TreeMask((3,)))
+            decode_region(forest, walk_codes(forest, ds.X[0]), mask=TreeMask((3,)))
 
     def test_bad_encoding_shape(self):
         ds = numeric_dataset()
@@ -190,7 +190,7 @@ class TestDecodeRegion:
     def test_bad_leaf_ordinal(self):
         ds = numeric_dataset()
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=0))
-        enc = forest.encode(ds.X[0]).copy()
+        enc = walk_codes(forest, ds.X[0]).copy()
         enc[1] = forest.trees[1].leaf_count
         with pytest.raises(LeafIndexError):
             decode_region(forest, enc)
@@ -210,14 +210,14 @@ class TestDecode:
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=6, seed=4))
         for strategy in ("min", "mean", "max"):
             for x in ds.X[:15]:
-                enc = forest.encode(x)
+                enc = walk_codes(forest, x)
                 region = decode_region(forest, enc)
                 assert contains(region, decode(forest, enc, strategy))
 
     def test_median_of_bounds_alias(self):
         ds = numeric_dataset()
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=4, seed=1))
-        enc = forest.encode(ds.X[3])
+        enc = walk_codes(forest, ds.X[3])
         alias = decode(forest, enc, "median-of-bounds")
         assert alias.tolist() == decode(forest, enc, "mean").tolist()
 
@@ -295,13 +295,17 @@ class TestDecodeBatch:
             assert batch.X[i].tolist() == row.tolist()
 
     def test_mixed_schema_route(self):
-        ds = random_mixed(49)
+        ds = random_mixed(49, d=8)
+        assert not ds.schema.all_numeric
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=5, seed=7))
         matrix = encode_batch(forest, ds)
-        batch = decode_batch(forest, matrix, "mean")
-        assert batch.n == ds.n
-        for i in range(0, ds.n, 9):
-            assert batch.X[i].tolist() == decode(forest, matrix.leaf_ids[i], "mean").tolist()
+        for mask in (None, TreeMask.from_fraction(5, 0.4, 2)):
+            for strategy in ("min", "mean", "max"):
+                batch = decode_batch(forest, matrix, strategy, mask=mask)
+                assert batch.n == ds.n
+                for i in range(ds.n):
+                    row = decode(forest, matrix.leaf_ids[i], strategy, mask=mask)
+                    assert batch.X[i].tobytes() == row.tobytes()
 
     def test_batch_empty_region_raises(self):
         bounds = Bounds(np.zeros(1), np.full(1, 10.0))
@@ -313,6 +317,24 @@ class TestDecodeBatch:
         )
         with pytest.raises(EmptyMCRError):
             decode_batch(forest, matrix, "min")
+
+    def test_batch_empty_category_set_raises(self):
+        # one tree demands color == green, the other refuses green
+        schema = Schema(("x", "color"), (Numeric(), Categorical(("red", "green"))))
+        bounds = Bounds(np.zeros(2), np.array([10.0, 1.0]))
+        green, e_green = tree_from_path([(NodeTest(1, category=1), True)], schema)
+        other, e_other = tree_from_path([(NodeTest(1, category=1), False)], schema)
+        forest = Forest((green, other), schema, bounds, "unsupervised", 0)
+        matrix = EncodingMatrix(
+            np.array([[e_green, e_other]], dtype=np.int32), forest_hex_id(forest)
+        )
+        with pytest.raises(EmptyMCRError):
+            decode_region(forest, matrix.leaf_ids[0])
+        with pytest.raises(EmptyMCRError):
+            decode_batch(forest, matrix, "min")
+        # each tree alone leaves a non-empty set
+        assert decode_batch(forest, matrix, mask=TreeMask((0,))).X[0, 1] == 1.0
+        assert decode_batch(forest, matrix, mask=TreeMask((1,))).X[0, 1] == 0.0
 
     def test_model_mismatch(self):
         ds = numeric_dataset(seed=17)

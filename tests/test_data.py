@@ -275,6 +275,14 @@ class TestCsv:
         with pytest.raises(ParseError):
             load_csv(p, (Numeric(),), label_column=1)
 
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(FormatError):
+            load_csv(tmp_path / "absent.csv", (Numeric(),))
+        p = tmp_path / "binary.csv"
+        p.write_bytes(b"\xff\xfe1.0\n")
+        with pytest.raises(FormatError):
+            load_csv(p, (Numeric(),))
+
     def test_label_name_requires_header(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("1.0,0\n")

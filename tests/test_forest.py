@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from eforest.codec import _leaf_constraints
 from eforest.data import Bounds, Categorical, Numeric, Schema, compute_bounds
 from eforest.errors import InvalidModelError, LeafIndexError
 from eforest.forest import (
@@ -13,15 +14,13 @@ from eforest.forest import (
     NodeTest,
     Tree,
     depth_stats,
-    forest_encode,
     get_path,
     path_to_rule,
-    tree_encode,
 )
 from eforest.rules import CategorySet, Interval, contains
 from eforest.training import TrainConfig, train_forest
 
-from synthdata import random_mixed, tree_from_path
+from synthdata import random_mixed, tree_from_path, walk_codes, walk_leaf
 
 NUM2 = Schema.numeric(["a", "b"])
 MIXED = Schema(
@@ -67,38 +66,38 @@ class TestNodeTest:
             NodeTest(0, threshold=1.0, category=1)
 
     def test_numeric_passes_at_threshold(self):
-        t = NodeTest(0, threshold=2.0)
-        assert t.passes(np.array([2.0]))
-        assert not t.passes(np.array([1.9999]))
+        tree, taken = tree_from_path([(NodeTest(0, threshold=2.0), True)], NUM2)
+        X = np.array([[2.0, 0.0], [1.9999, 0.0]])
+        assert tree.encode_batch(X).tolist() == [taken, 1 - taken]
 
     def test_categorical_passes_on_equality(self):
-        t = NodeTest(0, category=1)
+        t = NodeTest(1, category=1)
         assert t.is_categorical
-        assert t.passes(np.array([1.0]))
-        assert not t.passes(np.array([0.0]))
+        tree, taken = tree_from_path([(t, True)], MIXED)
+        X = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
+        assert tree.encode_batch(X).tolist() == [taken, 1 - taken, 1 - taken]
 
 
 class TestEncode:
     def test_routing(self):
         tree = small_tree()
-        assert tree.encode(np.array([4.0, 9.0])) == 0
-        assert tree.encode(np.array([5.0, 2.0])) == 1
-        assert tree.encode(np.array([6.0, 3.0])) == 2
+        X = np.array([[4.0, 9.0], [5.0, 2.0], [6.0, 3.0]])
+        assert tree.encode_batch(X).tolist() == [0, 1, 2]
+        assert [walk_leaf(tree, x) for x in X] == [0, 1, 2]
 
     def test_single_leafy(self):
         tree = leaf_only_tree()
-        assert tree.encode(np.array([1.0, 2.0])) == 0
+        assert walk_leaf(tree, np.array([1.0, 2.0])) == 0
         assert tree.leaf_count == 1 and tree.max_depth == 0
 
     def test_batch_matches_scalar_on_trained_trees(self):
         ds = random_mixed(5)
-        forest = train_forest(
-            ds, TrainConfig(mode="unsupervised", n_trees=6, seed=3)
-        )
-        for tree in forest.trees:
-            batch = tree.encode_batch(ds.X)
-            scalar = [tree.encode(x) for x in ds.X]
-            assert batch.tolist() == scalar
+        for mode in ("supervised", "unsupervised"):
+            forest = train_forest(ds, TrainConfig(mode=mode, n_trees=6, seed=3))
+            for tree in forest.trees:
+                batch = tree.encode_batch(ds.X)
+                scalar = [walk_leaf(tree, x) for x in ds.X]
+                assert batch.tolist() == scalar
 
     def test_batch_empty_input(self):
         got = small_tree().encode_batch(np.empty((0, 2)))
@@ -115,9 +114,9 @@ class TestEncode:
             {"t": "leaf", "id": 1},
         ]
         tree = Tree.from_records(records, MIXED)
-        assert tree.encode(np.array([0.0, 2.0])) == 1
-        assert tree.encode(np.array([0.0, 1.0])) == 0
-        assert tree.encode_batch(np.array([[0.0, 2.0], [0.0, 0.0]])).tolist() == [1, 0]
+        X = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 0.0]])
+        assert tree.encode_batch(X).tolist() == [1, 0, 0]
+        assert [walk_leaf(tree, x) for x in X] == [1, 0, 0]
 
 
 class TestFromRecordsValidation:
@@ -243,7 +242,7 @@ class TestPaths:
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=5, seed=9))
         for tree in forest.trees[:3]:
             for x in ds.X[:20]:
-                leaf = tree.encode(x)
+                leaf = walk_leaf(tree, x)
                 rule = path_to_rule(get_path(tree, leaf), ds.schema)
                 assert contains(rule, x)
 
@@ -254,24 +253,30 @@ class TestPaths:
         assert rule[1] == Interval(-math.inf, 3.0, hi_closed=False)
 
     def test_leaf_interval_arrays_match_rule(self):
-        rng = np.random.default_rng(4)
-        schema = Schema.numeric([f"v{j}" for j in range(5)])
-        from eforest.data import Dataset
-
-        ds = Dataset(schema, rng.normal(0, 1, (80, 5)))
+        # the decode engine's per-leaf path rule against the rule algebra
+        ds = random_mixed(12, n=120, d=6)
+        assert not ds.schema.all_numeric
         forest = train_forest(
             ds, TrainConfig(mode="unsupervised", n_trees=4, seed=2)
         )
+        cat_attrs = frozenset(j for j in range(ds.d) if ds.schema.is_categorical(j))
         for tree in forest.trees:
             for leaf in range(tree.leaf_count):
                 rule = path_to_rule(get_path(tree, leaf), ds.schema)
-                attrs, lo, hi = tree.leaf_interval_arrays(leaf)
-                assert set(attrs.tolist()) == set(rule.keys())
+                attrs, lo, hi, cats = _leaf_constraints(tree, leaf, cat_attrs)
+                tested = {a for a, _, _ in cats}
+                assert set(attrs.tolist()) | tested == set(rule.keys())
                 for a, l, h in zip(attrs.tolist(), lo.tolist(), hi.tolist()):
                     assert rule[a].lo == l
                     assert rule[a].hi == h
                     assert rule[a].lo_closed or l == -math.inf
                     assert not rule[a].hi_closed
+                for a in tested:
+                    allowed = set(range(ds.schema.category_count(a)))
+                    for b, v, taken in cats:
+                        if b == a:
+                            allowed &= {v} if taken else allowed - {v}
+                    assert rule[a] == CategorySet(frozenset(allowed))
 
 
 class TestTreeFromPath:
@@ -284,7 +289,7 @@ class TestTreeFromPath:
         tree, end_leaf = tree_from_path(steps, NUM2)
         assert get_path(tree, end_leaf) == steps
         x = np.array([1.0, 1.5])
-        assert tree.encode(x) == end_leaf
+        assert walk_leaf(tree, x) == end_leaf
 
 
 class TestForest:
@@ -306,10 +311,8 @@ class TestForest:
         )
         assert forest.T == 2 and forest.d == 2
         x = np.array([6.0, 3.0])
-        codes = forest.encode(x)
-        assert codes.tolist() == [tree.encode(x), other.encode(x)]
-        assert codes.tolist() == forest_encode(forest, x).tolist()
-        assert tree_encode(tree, x) == tree.encode(x)
+        assert walk_codes(forest, x).tolist() == [2, 3]
+        assert [t.encode_batch(x[None, :])[0] for t in forest.trees] == [2, 3]
 
 
 class TestDepthStats:

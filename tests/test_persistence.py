@@ -377,6 +377,12 @@ class TestEncodingsFile:
         with pytest.raises(FormatError):
             load_encodings(p)
 
+    def test_ordinal_beyond_int32(self, tmp_path):
+        p = tmp_path / "enc.txt"
+        p.write_text("eforest-enc v1 n=1 T=2 forest=" + "a" * 16 + "\n1,99999999999\n")
+        with pytest.raises(FormatError):
+            load_encodings(p)
+
     def test_negative_ordinal(self, tmp_path):
         p = tmp_path / "enc.txt"
         p.write_text("eforest-enc v1 n=1 T=2 forest=" + "a" * 16 + "\n0,-1\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eforest.data import Categorical, Dataset, Numeric, Schema
-from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError
+from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
 from eforest.forest import NodeTest, Tree
 from eforest.rng import SplitMix64
 from eforest.training import (
@@ -49,6 +49,15 @@ class TestTrainConfig:
             TrainConfig(mode="supervised", n_trees=1, max_depth_cap=-1)
         with pytest.raises(ConfigError):
             TrainConfig(mode="supervised", n_trees=1, threads=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_trees", "3"), ("n_trees", 3.0), ("seed", None), ("min_node_size", True),
+         ("max_depth_cap", "4"), ("threads", [2]), ("bootstrap", "no")],
+    )
+    def test_rejects_wrong_types(self, field, value):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{"mode": "supervised", "n_trees": 1, field: value})
 
     def test_bootstrap_defaults(self):
         assert TrainConfig(mode="supervised", n_trees=1).resolved_bootstrap is True
@@ -297,6 +306,13 @@ class TestTrainForest:
         unlabeled = Dataset(ds.schema, ds.X)
         with pytest.raises(MissingLabelsError):
             train_forest(unlabeled, TrainConfig(mode="supervised", n_trees=1))
+
+    def test_supervised_rejects_negative_labels(self):
+        ds = Dataset(Schema.numeric(["a"]), np.arange(4.0)[:, None], labels=[-1, 0, 1, 2])
+        with pytest.raises(UnknownCategoryError):
+            train_forest(ds, TrainConfig(mode="supervised", n_trees=1))
+        # unsupervised training ignores labels
+        assert train_forest(ds, TrainConfig(mode="unsupervised", n_trees=1)).T == 1
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     def test_deterministic_per_seed(self, mode):
