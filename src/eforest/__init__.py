@@ -39,14 +39,7 @@ from .errors import (
     UnknownCategoryError,
     VersionError,
 )
-from .forest import (
-    Forest,
-    NodeTest,
-    Tree,
-    depth_stats,
-    get_path,
-    path_to_rule,
-)
+from .forest import Forest, NodeTest, Tree
 from .metrics import ReconReport, cosine_distance, damage_curve, mse, reconstruction_report
 from .persistence import load_encodings, load_model, save_encodings, save_model
 from .rules import (
@@ -55,12 +48,10 @@ from .rules import (
     Rule,
     calculate_mcr,
     contains,
-    predicate_to_constraint,
     representative,
     rule_to_json,
-    simplify,
 )
-from .training import SplitCandidate, TrainConfig, build_supervised_node, build_unsupervised_node, information_gain, train_forest
+from .training import TrainConfig, train_forest
 
 __version__ = "0.1.0"
 
@@ -93,7 +84,6 @@ __all__ = [
     "Schema",
     "SchemaMismatchError",
     "ShapeError",
-    "SplitCandidate",
     "TrainConfig",
     "Tree",
     "TreeMask",
@@ -106,27 +96,19 @@ __all__ = [
     "decode",
     "decode_batch",
     "decode_region",
-    "depth_stats",
     "encode_batch",
-    "get_path",
-    "information_gain",
     "load_csv",
     "load_encodings",
     "load_idx",
     "load_model",
     "merge_channels",
     "mse",
-    "path_to_rule",
-    "predicate_to_constraint",
     "reconstruction_report",
     "representative",
     "rule_to_json",
     "save_csv",
     "save_encodings",
     "save_model",
-    "simplify",
     "split_channels",
     "train_forest",
-    "build_supervised_node",
-    "build_unsupervised_node",
 ]

@@ -173,25 +173,34 @@ def _leaf_constraints(tree: Tree, leaf: int, cat_attrs: frozenset[int]):
     """
     spans: dict[int, list[float]] = {}
     cats: list[tuple[int, int, bool]] = []
-    parent, branch, attr, param = tree.parent, tree.parent_branch, tree.attr, tree.param
-    node = int(tree.leaf_nodes[leaf])
-    while node != 0:
-        par = int(parent[node])
-        a = int(attr[par])
-        t = float(param[par])
+    true_child, attr, param = tree.true_child, tree.attr, tree.param
+    # walk down from the root; the false subtree of node i holds (true_child[i] - i) // 2 leaves
+    node, below = 0, tree.leaf_count
+    while below > 1:
+        a = int(attr[node])
+        t = float(param[node])
+        tr = int(true_child[node])
+        in_false = (tr - node) // 2
+        taken = leaf >= in_false
+        if taken:
+            leaf -= in_false
+            below -= in_false
+            node = tr
+        else:
+            below = in_false
+            node += 1
         if a in cat_attrs:
-            cats.append((a, int(t), bool(branch[node])))
+            cats.append((a, int(t), taken))
         else:
             span = spans.get(a)
             if span is None:
                 span = [NEG_INF, POS_INF]
                 spans[a] = span
-            if branch[node]:
+            if taken:
                 if t > span[0]:
                     span[0] = t
             elif t < span[1]:
                 span[1] = t
-        node = par
     attrs = np.fromiter(spans.keys(), dtype=np.int64, count=len(spans))
     lo = np.fromiter((s[0] for s in spans.values()), dtype=np.float64, count=len(spans))
     hi = np.fromiter((s[1] for s in spans.values()), dtype=np.float64, count=len(spans))

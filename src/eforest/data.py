@@ -404,7 +404,10 @@ def save_csv(dataset: Dataset, path, header: bool = True, label_name: str | None
         if with_labels:
             cells.append(str(int(dataset.labels[i])))
         lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 def split_channels(dataset: Dataset) -> tuple[Dataset, Dataset, Dataset]:

@@ -1,9 +1,9 @@
 """Tree and forest structures, instance encoding, and decision-path extraction.
 
-Trees are stored as flat parallel arrays. Node 0 is the root. Leaves are
-numbered 0..L-1 in depth-first pre-order with the false branch visited first,
-and an instance's encoding under a forest is the vector of those leaf
-ordinals, one per tree.
+Trees are stored as flat parallel arrays in depth-first pre-order with the
+false branch visited first. Node 0 is the root. Leaves are numbered 0..L-1 in
+that order, and an instance's encoding under a forest is the vector of those
+leaf ordinals, one per tree.
 """
 
 from __future__ import annotations
@@ -39,46 +39,30 @@ class NodeTest:
 
 
 class Tree:
-    """One decision tree as flat node arrays plus derived navigation arrays."""
+    """One decision tree as four flat node arrays in depth-first pre-order.
 
-    __slots__ = (
-        "kind",
-        "attr",
-        "param",
-        "false_child",
-        "true_child",
-        "leaf_ordinal",
-        "parent",
-        "parent_branch",
-        "depth",
-        "leaf_nodes",
-        "max_depth",
-    )
+    Node 0 is the root and nodes are stored in pre-order with the false branch
+    visited first, so the false child of internal node ``i`` is ``i + 1`` and
+    only ``true_child`` is stored (-1 on leaves). Leaf ordinals count leaves in
+    storage order. Ordinals, paths and depths are derived, never stored, and
+    the arrays are read-only so a forest's cached content hash cannot go stale.
+    """
+
+    __slots__ = ("kind", "attr", "param", "true_child")
 
     def __init__(
         self,
         kind: np.ndarray,
         attr: np.ndarray,
         param: np.ndarray,
-        false_child: np.ndarray,
         true_child: np.ndarray,
-        leaf_ordinal: np.ndarray,
-        parent: np.ndarray,
-        parent_branch: np.ndarray,
-        depth: np.ndarray,
-        leaf_nodes: np.ndarray,
     ):
+        for arr in (kind, attr, param, true_child):
+            arr.flags.writeable = False
         self.kind = kind
         self.attr = attr
         self.param = param
-        self.false_child = false_child
         self.true_child = true_child
-        self.leaf_ordinal = leaf_ordinal
-        self.parent = parent
-        self.parent_branch = parent_branch
-        self.depth = depth
-        self.leaf_nodes = leaf_nodes
-        self.max_depth = int(depth.max()) if len(depth) else 0
 
     @property
     def n_nodes(self) -> int:
@@ -86,7 +70,11 @@ class Tree:
 
     @property
     def leaf_count(self) -> int:
-        return len(self.leaf_nodes)
+        return (len(self.kind) + 1) // 2
+
+    @property
+    def max_depth(self) -> int:
+        return int(self.leaf_depths().max())
 
     def node_test(self, i: int) -> NodeTest:
         if self.kind[i] == NUM:
@@ -97,52 +85,77 @@ class Tree:
 
     def encode_batch(self, X: np.ndarray) -> np.ndarray:
         """Leaf ordinals for every row, walking all rows level by level."""
-        n = len(X)
-        cur = np.zeros(n, dtype=np.int32)
-        if n == 0 or self.n_nodes == 1:
-            return self.leaf_ordinal[cur] if n else cur
-        pending = np.nonzero(self.kind[cur] != LEAF)[0]
+        is_leaf = self.kind == LEAF
+        cur = np.zeros(len(X), dtype=np.int32)
+        pending = np.nonzero(~is_leaf[cur])[0]
         while len(pending):
             nodes = cur[pending]
             v = X[pending, self.attr[nodes]]
             p = self.param[nodes]
             go = np.where(self.kind[nodes] == CAT, v == p, v >= p)
-            cur[pending] = np.where(go, self.true_child[nodes], self.false_child[nodes])
-            pending = pending[self.kind[cur[pending]] != LEAF]
-        return self.leaf_ordinal[cur]
+            cur[pending] = np.where(go, self.true_child[nodes], nodes + 1)
+            pending = pending[~is_leaf[cur[pending]]]
+        # a leaf's ordinal is the number of leaves stored before it
+        return (np.cumsum(is_leaf, dtype=np.int32) - 1)[cur]
 
     def path_steps(self, leaf: int) -> list[tuple[int, bool]]:
-        """(internal node index, branch taken) pairs from root to the leaf."""
-        if not 0 <= leaf < self.leaf_count:
+        """(internal node index, branch taken) pairs from root to the leaf.
+
+        Walks down from the root: the false subtree of node ``i`` holds
+        ``(true_child[i] - i) // 2`` leaves.
+        """
+        below = self.leaf_count
+        if not 0 <= leaf < below:
             raise LeafIndexError(
-                f"leaf ordinal {leaf} out of range for a tree with {self.leaf_count} leaves"
+                f"leaf ordinal {leaf} out of range for a tree with {below} leaves"
             )
+        leaf = int(leaf)
+        true_child = self.true_child
         steps = []
-        node = int(self.leaf_nodes[leaf])
-        while node != 0:
-            par = int(self.parent[node])
-            steps.append((par, bool(self.parent_branch[node])))
-            node = par
-        steps.reverse()
+        node = 0
+        while below > 1:
+            tr = int(true_child[node])
+            in_false = (tr - node) // 2
+            if leaf < in_false:
+                steps.append((node, False))
+                below = in_false
+                node += 1
+            else:
+                steps.append((node, True))
+                leaf -= in_false
+                below -= in_false
+                node = tr
         return steps
 
     def leaf_depths(self) -> np.ndarray:
-        return self.depth[self.leaf_nodes]
+        """Depth of every leaf in ordinal order, derived level by level."""
+        depth = np.zeros(self.n_nodes, dtype=np.int32)
+        internal = self.kind != LEAF
+        level = np.nonzero(internal[:1])[0]
+        d = 0
+        while len(level):
+            d += 1
+            children = np.concatenate([level + 1, self.true_child[level]])
+            depth[children] = d
+            level = children[internal[children]]
+        return depth[~internal]
 
     def node_records(self) -> list[dict]:
         """Nodes in storage order using the persisted record forms."""
         records = []
+        leaf = 0
         for i in range(self.n_nodes):
             k = self.kind[i]
             if k == LEAF:
-                records.append({"t": "leaf", "id": int(self.leaf_ordinal[i])})
+                records.append({"t": "leaf", "id": leaf})
+                leaf += 1
             elif k == NUM:
                 records.append(
                     {
                         "t": "num",
                         "attr": int(self.attr[i]),
                         "thr": float(self.param[i]),
-                        "f": int(self.false_child[i]),
+                        "f": i + 1,
                         "tr": int(self.true_child[i]),
                     }
                 )
@@ -152,7 +165,7 @@ class Tree:
                         "t": "cat",
                         "attr": int(self.attr[i]),
                         "val": int(self.param[i]),
-                        "f": int(self.false_child[i]),
+                        "f": i + 1,
                         "tr": int(self.true_child[i]),
                     }
                 )
@@ -162,9 +175,10 @@ class Tree:
     def from_records(cls, records: list[dict], schema: Schema) -> "Tree":
         """Build and fully validate a tree from persisted node records.
 
-        Checks reachability, single-parent structure, attribute ranges, kind
-        agreement with the schema, and that leaf ids follow depth-first
-        pre-order (false branch first).
+        Checks attribute ranges, kind agreement with the schema, and that the
+        nodes are stored in depth-first pre-order (false branch first): every
+        node is reachable from the root exactly once, each false child is the
+        next node, and leaf ids count the leaves in storage order.
         """
         n = len(records)
         if n == 0:
@@ -172,17 +186,25 @@ class Tree:
         kind = np.zeros(n, dtype=np.int8)
         attr = np.full(n, -1, dtype=np.int32)
         param = np.zeros(n, dtype=np.float64)
-        false_child = np.full(n, -1, dtype=np.int32)
         true_child = np.full(n, -1, dtype=np.int32)
-        leaf_ordinal = np.full(n, -1, dtype=np.int32)
+        pending = [0]  # subtree roots still to be stored, the next one on top
+        next_leaf = 0
         for i, rec in enumerate(records):
+            if not pending:
+                raise InvalidModelError(f"{n - i} nodes unreachable from the root")
+            _check_position(pending.pop(), i, n)
             if not isinstance(rec, dict) or "t" not in rec:
                 raise InvalidModelError(f"node {i}: not a node record")
             t = rec["t"]
             try:
                 if t == "leaf":
                     kind[i] = LEAF
-                    leaf_ordinal[i] = int(rec["id"])
+                    leaf_id = int(rec["id"])
+                    if leaf_id != next_leaf:
+                        raise InvalidModelError(
+                            f"leaf at node {i} has id {leaf_id}, expected {next_leaf} in pre-order"
+                        )
+                    next_leaf += 1
                 elif t in ("num", "cat"):
                     a = int(rec["attr"])
                     if not 0 <= a < schema.d:
@@ -209,55 +231,31 @@ class Tree:
                             raise InvalidModelError(f"node {i}: category {v} out of range")
                         param[i] = float(v)
                     attr[i] = a
-                    false_child[i] = int(rec["f"])
-                    true_child[i] = int(rec["tr"])
+                    false_child = int(rec["f"])
+                    if false_child != i + 1:
+                        raise InvalidModelError(
+                            f"node {i}: false child {false_child}, expected {i + 1} in pre-order"
+                        )
+                    tr = int(rec["tr"])
+                    true_child[i] = tr
+                    pending += (tr, i + 1)
                 else:
                     raise InvalidModelError(f"node {i}: unknown node type {t!r}")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InvalidModelError(f"node {i}: malformed record: {exc}") from None
+        if pending:
+            _check_position(pending[-1], n, n)
+        return cls(kind, attr, param, true_child)
 
-        parent = np.full(n, -1, dtype=np.int32)
-        parent_branch = np.zeros(n, dtype=np.bool_)
-        depth = np.zeros(n, dtype=np.int32)
-        seen = np.zeros(n, dtype=np.bool_)
-        leaf_nodes: list[int] = []
-        next_leaf = 0
-        stack = [(0, -1, False, 0)]
-        while stack:
-            node, par, branch, dep = stack.pop()
-            if not 0 <= node < n:
-                raise InvalidModelError(f"child index {node} out of range")
-            if seen[node]:
-                raise InvalidModelError(f"node {node} reached twice")
-            seen[node] = True
-            parent[node] = par
-            parent_branch[node] = branch
-            depth[node] = dep
-            if kind[node] == LEAF:
-                if leaf_ordinal[node] != next_leaf:
-                    raise InvalidModelError(
-                        f"leaf at node {node} has id {leaf_ordinal[node]}, "
-                        f"expected {next_leaf} in pre-order"
-                    )
-                leaf_nodes.append(node)
-                next_leaf += 1
-            else:
-                stack.append((int(true_child[node]), node, True, dep + 1))
-                stack.append((int(false_child[node]), node, False, dep + 1))
-        if not seen.all():
-            raise InvalidModelError(f"{int((~seen).sum())} nodes unreachable from the root")
-        return cls(
-            kind,
-            attr,
-            param,
-            false_child,
-            true_child,
-            leaf_ordinal,
-            parent,
-            parent_branch,
-            depth,
-            np.asarray(leaf_nodes, dtype=np.int32),
-        )
+
+def _check_position(node: int, i: int, n: int) -> None:
+    """Refuse a child index that is not the ``i``-th node of a pre-order layout."""
+    if not 0 <= node < n:
+        raise InvalidModelError(f"child index {node} out of range")
+    if node < i:
+        raise InvalidModelError(f"node {node} reached twice")
+    if node > i:
+        raise InvalidModelError(f"node {i} is not stored in pre-order (next is node {node})")
 
 
 class Forest:
@@ -310,6 +308,5 @@ def path_to_rule(path: list[tuple[NodeTest, bool]], schema: Schema) -> Rule:
 
 def depth_stats(forest: Forest) -> tuple[int, float]:
     """(max leaf depth over all trees, mean per-tree average leaf depth)."""
-    max_depth = max(t.max_depth for t in forest.trees)
-    avg = float(np.mean([t.leaf_depths().mean() for t in forest.trees]))
-    return max_depth, avg
+    depths = [t.leaf_depths() for t in forest.trees]
+    return max(int(d.max()) for d in depths), float(np.mean([d.mean() for d in depths]))

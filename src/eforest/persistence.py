@@ -77,16 +77,20 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def atomic_write_bytes(path: Path, blob: bytes) -> None:
+    """Write a file through a temporary sibling; an OSError becomes a FormatError."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _schema_record(schema: Schema) -> dict:
@@ -145,10 +149,7 @@ def save_model(forest: Forest, path) -> str:
     record = forest_record(forest)
     content_hash = forest_hex_id(forest)
     record["hash"] = content_hash
-    try:
-        atomic_write_bytes(Path(path), canonical_json_bytes(record) + b"\n")
-    except OSError as exc:
-        raise FormatError(f"cannot write model file {path}: {exc}") from exc
+    atomic_write_bytes(Path(path), canonical_json_bytes(record) + b"\n")
     return content_hash
 
 

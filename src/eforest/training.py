@@ -325,41 +325,27 @@ def _split_node(
 
 
 class _TreeBuilder:
-    """Accumulates node records in depth-first pre-order, false branch first."""
+    """Accumulates nodes in depth-first pre-order, false branch first.
+
+    The false child of node ``i`` is therefore ``i + 1``; only true children
+    are recorded.
+    """
 
     def __init__(self):
         self.kind: list[int] = []
         self.attr: list[int] = []
         self.param: list[float] = []
-        self.false_child: list[int] = []
         self.true_child: list[int] = []
-        self.leaf_ordinal: list[int] = []
-        self.parent: list[int] = []
-        self.parent_branch: list[bool] = []
-        self.depth: list[int] = []
-        self.leaf_nodes: list[int] = []
 
-    def add(self, parent: int, branch: bool, depth: int) -> int:
+    def add(self, parent: int, branch: bool) -> int:
         idx = len(self.kind)
         self.kind.append(LEAF)
         self.attr.append(-1)
         self.param.append(0.0)
-        self.false_child.append(-1)
         self.true_child.append(-1)
-        self.leaf_ordinal.append(-1)
-        self.parent.append(parent)
-        self.parent_branch.append(branch)
-        self.depth.append(depth)
-        if parent >= 0:
-            if branch:
-                self.true_child[parent] = idx
-            else:
-                self.false_child[parent] = idx
+        if branch:
+            self.true_child[parent] = idx
         return idx
-
-    def set_leaf(self, idx: int) -> None:
-        self.leaf_ordinal[idx] = len(self.leaf_nodes)
-        self.leaf_nodes.append(idx)
 
     def set_test(self, idx: int, test: NodeTest) -> None:
         if test.is_categorical:
@@ -375,13 +361,7 @@ class _TreeBuilder:
             np.asarray(self.kind, dtype=np.int8),
             np.asarray(self.attr, dtype=np.int32),
             np.asarray(self.param, dtype=np.float64),
-            np.asarray(self.false_child, dtype=np.int32),
             np.asarray(self.true_child, dtype=np.int32),
-            np.asarray(self.leaf_ordinal, dtype=np.int32),
-            np.asarray(self.parent, dtype=np.int32),
-            np.asarray(self.parent_branch, dtype=np.bool_),
-            np.asarray(self.depth, dtype=np.int32),
-            np.asarray(self.leaf_nodes, dtype=np.int32),
         )
 
 
@@ -393,13 +373,12 @@ def _grow_tree(XT, labels, rows0, stream, schema, cfg: TrainConfig, xlogx, n_cla
     stack = [(rows0, 0, -1, False)]
     while stack:
         rows, depth, parent, branch = stack.pop()
-        idx = b.add(parent, branch, depth)
+        idx = b.add(parent, branch)
         at_cap = cfg.max_depth_cap is not None and depth >= cfg.max_depth_cap
         picked = None if at_cap else _split_node(
             XT, rows, stream, schema, cfg.min_node_size, labels, n_classes, xlogx, n_sample
         )
         if picked is None:
-            b.set_leaf(idx)
             continue
         split, mask = picked
         b.set_test(idx, split.test if supervised else split)
@@ -425,7 +404,7 @@ def _train_worker(t: int) -> list:
     tree = _train_one(
         t, p["XT"], p["labels"], p["n"], p["cfg"], p["schema"], p["xlogx"], p["n_classes"]
     )
-    return [getattr(tree, name) for name in Tree.__slots__ if name != "max_depth"]
+    return [getattr(tree, name) for name in Tree.__slots__]
 
 
 def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:

@@ -193,14 +193,16 @@ def walk_leaf(tree: Tree, x: np.ndarray) -> int:
 
     The reference that ``Tree.encode_batch`` is checked against: a numeric
     node sends ``x[attr] >= threshold`` to its true child, a categorical node
-    ``x[attr] == category``.
+    ``x[attr] == category``. Nodes are stored in pre-order, so the false child
+    of node ``i`` is ``i + 1`` and a leaf's ordinal is the number of leaves
+    stored before it.
     """
     i = 0
     while tree.kind[i] != LEAF:
         v = x[tree.attr[i]]
         go = v == tree.param[i] if tree.kind[i] == CAT else v >= tree.param[i]
-        i = tree.true_child[i] if go else tree.false_child[i]
-    return int(tree.leaf_ordinal[i])
+        i = int(tree.true_child[i]) if go else i + 1
+    return int((tree.kind[:i] == LEAF).sum())
 
 
 def walk_codes(forest: Forest, x: np.ndarray) -> np.ndarray:

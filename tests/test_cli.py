@@ -296,6 +296,26 @@ class TestEncodeDecode:
         assert code == 0
         assert line["kept_trees"] == 3  # ceil(0.5 * 5)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decode", "--model", "{model}", "--encodings", "{codes}",
+             "--out", "{dir}/nodir/r.csv"],
+            ["encode", "--data", "{dir}/images.idx", "--model", "{model}",
+             "--out", "{dir}/nodir/e.txt"],
+            ["reconstruct", "--data", "{dir}/images.idx", "--model", "{model}",
+             "--report", "{dir}/nodir/report.json"],
+        ],
+        ids=["decode-out", "encode-out", "reconstruct-report"],
+    )
+    def test_output_into_missing_directory_exits_1(self, workdir, model_path,
+                                                   encodings_path, capsys, argv):
+        argv = [a.format(dir=workdir, model=model_path, codes=encodings_path) for a in argv]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.startswith("error:")
+        assert not (workdir / "nodir").exists()
+
     def test_encode_strict_rejects_renamed_schema(self, workdir, model_path, capsys):
         code, _, err = run_cli(
             capsys,

@@ -10,6 +10,7 @@ from eforest.codec import _leaf_constraints
 from eforest.data import Bounds, Categorical, Numeric, Schema, compute_bounds
 from eforest.errors import InvalidModelError, LeafIndexError
 from eforest.forest import (
+    LEAF,
     Forest,
     NodeTest,
     Tree,
@@ -205,11 +206,44 @@ class TestFromRecordsValidation:
                 NUM2,
             )
 
+    def test_false_child_must_be_next_node(self):
+        # the same tree with its leaves swapped in storage: not pre-order
+        with pytest.raises(InvalidModelError):
+            Tree.from_records(
+                [{"t": "num", "attr": 0, "thr": 0.0, "f": 2, "tr": 1},
+                 {"t": "leaf", "id": 1}, {"t": "leaf", "id": 0}],
+                NUM2,
+            )
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [{"t": "num", "attr": 0, "thr": 0.0, "f": 1, "tr": 2**40},
+             {"t": "leaf", "id": 0}, {"t": "leaf", "id": 1}],
+            [{"t": "leaf", "id": math.inf}],
+        ],
+        ids=["child-beyond-int32", "infinite-leaf-id"],
+    )
+    def test_unrepresentable_numbers(self, records):
+        with pytest.raises(InvalidModelError):
+            Tree.from_records(records, NUM2)
+
     def test_round_trip_through_records(self):
         tree = complete_depth2_tree()
         again = Tree.from_records(tree.node_records(), NUM2)
         assert again.node_records() == tree.node_records()
-        assert again.leaf_nodes.tolist() == tree.leaf_nodes.tolist()
+        for name in Tree.__slots__:
+            assert getattr(again, name).tolist() == getattr(tree, name).tolist()
+
+    def test_arrays_are_read_only(self):
+        trained = train_forest(
+            random_mixed(5), TrainConfig(mode="unsupervised", n_trees=1, seed=0)
+        ).trees[0]
+        for tree in (small_tree(), trained):
+            with pytest.raises(ValueError):
+                tree.param[0] = 1.0
+            with pytest.raises(ValueError):
+                tree.true_child[0] = 0
 
 
 class TestPaths:
@@ -219,8 +253,9 @@ class TestPaths:
             node = 0
             for idx, branch in tree.path_steps(leaf):
                 assert idx == node
-                node = int(tree.true_child[node] if branch else tree.false_child[node])
-            assert node == int(tree.leaf_nodes[leaf])
+                node = int(tree.true_child[node]) if branch else node + 1
+            assert tree.kind[node] == LEAF
+            assert (tree.kind[:node] == LEAF).sum() == leaf
 
     def test_path_steps_bad_leaf(self):
         tree = small_tree()
@@ -338,3 +373,12 @@ class TestDepthStats:
 
     def test_leaf_depths(self):
         assert small_tree().leaf_depths().tolist() == [1, 2, 2]
+
+    def test_leaf_depths_match_path_lengths(self):
+        ds = random_mixed(5)
+        for mode in ("supervised", "unsupervised"):
+            forest = train_forest(ds, TrainConfig(mode=mode, n_trees=3, seed=3))
+            for tree in forest.trees:
+                lengths = [len(tree.path_steps(leaf)) for leaf in range(tree.leaf_count)]
+                assert tree.leaf_depths().tolist() == lengths
+                assert tree.max_depth == max(lengths)

@@ -1,6 +1,7 @@
 """Model and encoding files: canonical bytes, content hashing, damage
 detection and tolerance, and every file-format error path."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from eforest.errors import (
     ShapeError,
     VersionError,
 )
+from eforest.forest import CAT
 from eforest.persistence import (
     MODEL_VERSION,
     _fnv1a64_py,
@@ -31,7 +33,7 @@ from eforest.persistence import (
 )
 from eforest.training import TrainConfig, train_forest
 
-from synthdata import random_mixed
+from synthdata import mnist_like, random_mixed, tfidf_like
 
 # Published FNV-1a 64-bit reference digests.
 FNV_VECTORS = {
@@ -157,6 +159,40 @@ class TestModelRoundTrip:
         )
         record = forest_record(forest)
         assert record["trees"] == [{"nodes": [{"t": "leaf", "id": 0}]}]
+
+
+# Fixed-seed forests and their content ids and model-file sha256 digests.
+# The model format is byte-stable: any change to these values changes every
+# saved model and every encodings file tied to one.
+GOLDEN_MODELS = {
+    "mnist-unsup": (
+        lambda: mnist_like(200, seed=0), "unsupervised", 8, 1,
+        "0701e9d15f3a3b86",
+        "f6dad85cb352d5884bef9f4580c86c09ae1b61783f8d2455ee800911661bb572",
+    ),
+    "tfidf-sup": (
+        lambda: tfidf_like(200, 100, seed=0), "supervised", 6, 2,
+        "5ee039459152c0f2",
+        "2f3d5c1f2d03701630a8d711c98dbbfb70831968aad390b5b868d6a659cd7222",
+    ),
+    "mixed-sup": (
+        lambda: random_mixed(49, d=8), "supervised", 6, 3,
+        "ee9511aa0b9ff731",
+        "f68e33ccf1455ac3c4f8eb0c4d600261a7b59adc89af00a19420d0dc7ca4bbf9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_golden_model_bytes(tmp_path, name):
+    make, mode, n_trees, seed, hex_id, sha256 = GOLDEN_MODELS[name]
+    ds = make()
+    forest = train_forest(ds, TrainConfig(mode=mode, n_trees=n_trees, seed=seed))
+    if name == "mixed-sup":
+        assert any((t.kind == CAT).any() for t in forest.trees)
+    p = tmp_path / "m.json"
+    assert save_model(forest, p) == hex_id
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == sha256
 
 
 def rewrite_with_fresh_hash(path, mutate):
