@@ -4,6 +4,12 @@ Encoding is the forward pass of every tree. Decoding intersects the decision
 path rules of the leaves named by an encoding into the maximal compatible
 rule and returns a representative point of that region. Decoding under a
 tree mask uses only the kept trees, which models operating a damaged model.
+
+Both batch directions walk all rows down a tree level by level through
+``Tree.descend``: encoding steers each row by its attribute values, batch
+decoding by the stored position of the leaf its ordinal names. The per-row
+``decode_region``/``decode`` build the same region with the rule algebra of
+``rules.py`` and are the reference the batch engine is tested against.
 """
 
 from __future__ import annotations
@@ -21,10 +27,10 @@ from .errors import (
     ModelMismatchError,
     SchemaMismatchError,
 )
-from .forest import Forest, Tree, get_path, path_to_rule
+from .forest import LEAF, NUM, Forest, get_path, path_to_rule
 from .persistence import forest_hex_id
 from .rng import permutation
-from .rules import NEG_INF, POS_INF, Rule, calculate_mcr, pick_interval_batch, representative
+from .rules import Rule, calculate_mcr, pick_interval_batch, representative
 
 
 @dataclass(frozen=True)
@@ -162,57 +168,16 @@ def decode(
     return representative(decode_region(forest, encoding, mask), strategy)
 
 
-def _leaf_constraints(tree: Tree, leaf: int, cat_attrs: frozenset[int]):
-    """Raw path rule of one leaf as (attrs, lo, hi, cats).
-
-    ``attrs``/``lo``/``hi`` give, per numeric attribute the path tests, the
-    closed lower and open upper end of its span (infinite where the path sets
-    none). ``cats`` lists every test on an attribute in ``cat_attrs``, the
-    schema's categorical ones, as (attr, category, taken). Nothing is clamped
-    to the training bounds.
-    """
-    spans: dict[int, list[float]] = {}
-    cats: list[tuple[int, int, bool]] = []
-    true_child, attr, param = tree.true_child, tree.attr, tree.param
-    # walk down from the root; the false subtree of node i holds (true_child[i] - i) // 2 leaves
-    node, below = 0, tree.leaf_count
-    while below > 1:
-        a = int(attr[node])
-        t = float(param[node])
-        tr = int(true_child[node])
-        in_false = (tr - node) // 2
-        taken = leaf >= in_false
-        if taken:
-            leaf -= in_false
-            below -= in_false
-            node = tr
-        else:
-            below = in_false
-            node += 1
-        if a in cat_attrs:
-            cats.append((a, int(t), taken))
-        else:
-            span = spans.get(a)
-            if span is None:
-                span = [NEG_INF, POS_INF]
-                spans[a] = span
-            if taken:
-                if t > span[0]:
-                    span[0] = t
-            elif t < span[1]:
-                span[1] = t
-    attrs = np.fromiter(spans.keys(), dtype=np.int64, count=len(spans))
-    lo = np.fromiter((s[0] for s in spans.values()), dtype=np.float64, count=len(spans))
-    hi = np.fromiter((s[1] for s in spans.values()), dtype=np.float64, count=len(spans))
-    return attrs, lo, hi, cats
-
-
 def _decode_rows(forest: Forest, leaf_ids: np.ndarray, strategy: str, keep) -> np.ndarray:
     """Vectorized decode of every row; exactly equivalent to per-row decode().
 
     Numeric attributes carry per-row lower and upper ends, categorical ones
-    an (n, size) allowed-value mask. Rows are grouped by leaf per tree so
-    each distinct path rule is extracted once and applied to its whole group.
+    an (n, size) allowed-value mask. Each kept tree walks all rows down to
+    the leaves their ordinals name, level by level, and applies every test
+    on the way. In pre-order the true subtree of node ``i`` starts at
+    ``true_child[i]``, so a row bound for leaf node ``target`` takes the true
+    branch exactly when ``target >= true_child[i]``. Within one level each
+    row sits at one node, so every (row, attribute) cell is written once.
     """
     n = leaf_ids.shape[0]
     schema = forest.schema
@@ -223,18 +188,38 @@ def _decode_rows(forest: Forest, leaf_ids: np.ndarray, strategy: str, keep) -> n
         for j in range(schema.d)
         if schema.is_categorical(j)
     }
-    cat_attrs = frozenset(allowed)
     for t in keep:
-        order = np.argsort(leaf_ids[:, t], kind="stable")
-        leaves, starts = np.unique(leaf_ids[order, t], return_index=True)
-        for leaf, rows in zip(leaves, np.split(order, starts[1:])):
-            attrs, glo, ghi, cats = _leaf_constraints(forest.trees[t], int(leaf), cat_attrs)
-            idx = (rows[:, None], attrs[None, :])
-            lo[idx] = np.maximum(lo[idx], glo)
-            hi[idx] = np.minimum(hi[idx], ghi)
-            for a, v, taken in cats:
-                allow = allowed[a]
-                allow[rows] &= (np.arange(allow.shape[1]) == v) == taken
+        tree = forest.trees[t]
+        target = np.flatnonzero(tree.kind == LEAF)[leaf_ids[:, t]]
+
+        def go_true(rows, nodes):
+            taken = target[rows] >= tree.true_child[nodes]
+            a = tree.attr[nodes]
+            p = tree.param[nodes]
+            num = tree.kind[nodes] == NUM
+            up = num & taken
+            r, c = rows[up], a[up]
+            lo[r, c] = np.maximum(lo[r, c], p[up])
+            down = num & ~taken
+            r, c = rows[down], a[down]
+            hi[r, c] = np.minimum(hi[r, c], p[down])
+            cat = ~num
+            if cat.any():
+                r, a, v, tk = rows[cat], a[cat], p[cat].astype(np.intp), taken[cat]
+                for j in np.unique(a):
+                    allow = allowed[int(j)]
+                    on = a == j
+                    # x[j] != v removes v; x[j] == v keeps v alone, if still allowed
+                    off = on & ~tk
+                    allow[r[off], v[off]] = False
+                    on &= tk
+                    rt, vt = r[on], v[on]
+                    hit = allow[rt, vt]
+                    allow[rt] = False
+                    allow[rt, vt] = hit
+            return taken
+
+        tree.descend(n, go_true)
     hi_open = hi != np.inf
     lo = np.where(lo == -np.inf, forest.bounds.lo, lo)
     hi = np.where(hi_open, hi, forest.bounds.hi)

@@ -83,20 +83,33 @@ class Tree:
             return NodeTest(int(self.attr[i]), category=int(self.param[i]))
         raise ValueError(f"node {i} is a leaf")
 
-    def encode_batch(self, X: np.ndarray) -> np.ndarray:
-        """Leaf ordinals for every row, walking all rows level by level."""
+    def descend(self, n: int, go_true) -> np.ndarray:
+        """Leaf node reached by each of ``n`` rows, walking all rows level by level.
+
+        ``go_true(rows, nodes)`` receives the indexes of the rows still pending
+        and the internal node each one sits at (one node per row), and returns
+        which of them take the true branch.
+        """
         is_leaf = self.kind == LEAF
-        cur = np.zeros(len(X), dtype=np.int32)
+        cur = np.zeros(n, dtype=np.int32)
         pending = np.nonzero(~is_leaf[cur])[0]
         while len(pending):
             nodes = cur[pending]
-            v = X[pending, self.attr[nodes]]
-            p = self.param[nodes]
-            go = np.where(self.kind[nodes] == CAT, v == p, v >= p)
-            cur[pending] = np.where(go, self.true_child[nodes], nodes + 1)
+            cur[pending] = np.where(go_true(pending, nodes), self.true_child[nodes], nodes + 1)
             pending = pending[~is_leaf[cur[pending]]]
+        return cur
+
+    def encode_batch(self, X: np.ndarray) -> np.ndarray:
+        """Leaf ordinals for every row of ``X``."""
+
+        def go_true(rows, nodes):
+            v = X[rows, self.attr[nodes]]
+            p = self.param[nodes]
+            return np.where(self.kind[nodes] == CAT, v == p, v >= p)
+
+        leaf_nodes = self.descend(len(X), go_true)
         # a leaf's ordinal is the number of leaves stored before it
-        return (np.cumsum(is_leaf, dtype=np.int32) - 1)[cur]
+        return (np.cumsum(self.kind == LEAF, dtype=np.int32) - 1)[leaf_nodes]
 
     def path_steps(self, leaf: int) -> list[tuple[int, bool]]:
         """(internal node index, branch taken) pairs from root to the leaf.

@@ -34,39 +34,12 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
-def _fnv1a64_py(data: bytes) -> int:
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a hash."""
     h = _FNV_OFFSET
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
-
-
-def _make_fnv_kernel():
-    # optional JIT for hashing large model files; falls back to pure Python
-    try:
-        from numba import njit
-    except Exception:
-        return None
-
-    @njit(cache=True, nogil=True)
-    def kernel(buf):
-        h = np.uint64(_FNV_OFFSET)
-        p = np.uint64(_FNV_PRIME)
-        for i in range(buf.size):
-            h = (h ^ np.uint64(buf[i])) * p
-        return h
-
-    return kernel
-
-
-_fnv_kernel = _make_fnv_kernel()
-
-
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
-    if _fnv_kernel is not None and len(data) >= 65536:
-        return int(_fnv_kernel(np.frombuffer(data, dtype=np.uint8)))
-    return _fnv1a64_py(data)
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -260,13 +233,18 @@ def load_encodings(path):
     body = [ln for ln in lines[1:] if ln]
     if len(body) != n:
         raise ShapeError(f"{path}: header promises {n} rows, file has {len(body)}")
-    leaf_ids = np.zeros((n, T), dtype=np.int32)
+    # check every width before allocating from the header's promise
     for i, ln in enumerate(body):
-        parts = ln.split(",")
-        if len(parts) != T:
-            raise ShapeError(f"{path}: row {i} has {len(parts)} entries, expected {T}")
+        width = ln.count(",") + 1
+        if width != T:
+            raise ShapeError(f"{path}: row {i} has {width} entries, expected {T}")
+    try:
+        leaf_ids = np.zeros((n, T), dtype=np.int32)
+    except ValueError as exc:  # an empty body under a T too large for numpy
+        raise ShapeError(f"{path}: header shape n={n} T={T}: {exc}") from None
+    for i, ln in enumerate(body):
         try:
-            leaf_ids[i] = [int(p) for p in parts]
+            leaf_ids[i] = [int(p) for p in ln.split(",")]
         except (ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: row {i}: {exc}") from None
     if (leaf_ids < 0).any():

@@ -316,6 +316,23 @@ class TestEncodeDecode:
         assert err.startswith("error:")
         assert not (workdir / "nodir").exists()
 
+    @pytest.mark.parametrize(
+        "body",
+        ["n=1 T=4611686018427387904 forest={f}\n0\n", "n=1 T=5 forest={f}\n1,99999999999\n"],
+        ids=["oversized-header-width", "ordinal-beyond-int32"],
+    )
+    def test_bad_encodings_file_exits_1(self, workdir, model_path, capsys, body):
+        forest_id = persistence.forest_hex_id(persistence.load_model(model_path))
+        codes = workdir / "bad_codes.txt"
+        codes.write_text("eforest-enc v1 " + body.format(f=forest_id))
+        code, _, err = run_cli(
+            capsys,
+            ["decode", "--model", str(model_path), "--encodings", str(codes),
+             "--out", str(workdir / "nope.csv")],
+        )
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_encode_strict_rejects_renamed_schema(self, workdir, model_path, capsys):
         code, _, err = run_cli(
             capsys,

@@ -357,11 +357,13 @@ class TestDecodeBatch:
         ds = numeric_dataset(seed=23)
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=1))
         matrix = encode_batch(forest, ds)
-        bad_ids = matrix.leaf_ids.copy()
-        bad_ids[0, 0] = forest.trees[0].leaf_count
-        bad = EncodingMatrix(bad_ids, matrix.forest_id)
-        with pytest.raises(LeafIndexError):
-            decode_batch(forest, bad)
+        # a negative ordinal would silently wrap in the walk's leaf-node gather
+        for ordinal in (forest.trees[0].leaf_count, -1):
+            bad_ids = matrix.leaf_ids.copy()
+            bad_ids[0, 0] = ordinal
+            bad = EncodingMatrix(bad_ids, matrix.forest_id)
+            with pytest.raises(LeafIndexError):
+                decode_batch(forest, bad)
 
     def test_empty_matrix(self):
         ds = numeric_dataset(seed=29)

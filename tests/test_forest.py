@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from eforest.codec import _leaf_constraints
+from eforest.codec import EncodingMatrix, TreeMask, decode, decode_batch
 from eforest.data import Bounds, Categorical, Numeric, Schema, compute_bounds
 from eforest.errors import InvalidModelError, LeafIndexError
 from eforest.forest import (
@@ -18,7 +18,8 @@ from eforest.forest import (
     get_path,
     path_to_rule,
 )
-from eforest.rules import CategorySet, Interval, contains
+from eforest.persistence import forest_hex_id
+from eforest.rules import Interval, contains
 from eforest.training import TrainConfig, train_forest
 
 from synthdata import random_mixed, tree_from_path, walk_codes, walk_leaf
@@ -287,31 +288,32 @@ class TestPaths:
         assert rule[0] == Interval(5.0, math.inf, hi_closed=False)
         assert rule[1] == Interval(-math.inf, 3.0, hi_closed=False)
 
+    @staticmethod
+    def assert_every_leaf_decodes_as_rule(forest):
+        # the batch engine's level-wise walk against the rule algebra, leaf by leaf
+        for t, tree in enumerate(forest.trees):
+            leaf_ids = np.zeros((tree.leaf_count, forest.T), dtype=np.int32)
+            leaf_ids[:, t] = np.arange(tree.leaf_count)
+            matrix = EncodingMatrix(leaf_ids, forest_hex_id(forest))
+            mask = TreeMask((t,))
+            for strategy in ("min", "mean", "max"):
+                batch = decode_batch(forest, matrix, strategy, mask=mask)
+                for leaf in range(tree.leaf_count):
+                    row = decode(forest, leaf_ids[leaf], strategy, mask=mask)
+                    assert batch.X[leaf].tobytes() == row.tobytes()
+
     def test_leaf_interval_arrays_match_rule(self):
-        # the decode engine's per-leaf path rule against the rule algebra
         ds = random_mixed(12, n=120, d=6)
         assert not ds.schema.all_numeric
-        forest = train_forest(
-            ds, TrainConfig(mode="unsupervised", n_trees=4, seed=2)
+        for mode in ("unsupervised", "supervised"):
+            forest = train_forest(ds, TrainConfig(mode=mode, n_trees=4, seed=2))
+            assert any(t.kind[0] != LEAF for t in forest.trees)
+            self.assert_every_leaf_decodes_as_rule(forest)
+        stumps = train_forest(
+            ds, TrainConfig(mode="unsupervised", n_trees=2, seed=2, max_depth_cap=0)
         )
-        cat_attrs = frozenset(j for j in range(ds.d) if ds.schema.is_categorical(j))
-        for tree in forest.trees:
-            for leaf in range(tree.leaf_count):
-                rule = path_to_rule(get_path(tree, leaf), ds.schema)
-                attrs, lo, hi, cats = _leaf_constraints(tree, leaf, cat_attrs)
-                tested = {a for a, _, _ in cats}
-                assert set(attrs.tolist()) | tested == set(rule.keys())
-                for a, l, h in zip(attrs.tolist(), lo.tolist(), hi.tolist()):
-                    assert rule[a].lo == l
-                    assert rule[a].hi == h
-                    assert rule[a].lo_closed or l == -math.inf
-                    assert not rule[a].hi_closed
-                for a in tested:
-                    allowed = set(range(ds.schema.category_count(a)))
-                    for b, v, taken in cats:
-                        if b == a:
-                            allowed &= {v} if taken else allowed - {v}
-                    assert rule[a] == CategorySet(frozenset(allowed))
+        assert all(t.leaf_count == 1 for t in stumps.trees)
+        self.assert_every_leaf_decodes_as_rule(stumps)
 
 
 class TestTreeFromPath:
