@@ -39,7 +39,7 @@ from .errors import (
     UnknownCategoryError,
     VersionError,
 )
-from .forest import Forest, NodeTest, Tree
+from .forest import Forest, Tree
 from .metrics import ReconReport, cosine_distance, damage_curve, mse, reconstruction_report
 from .persistence import load_encodings, load_model, save_encodings, save_model
 from .rules import (
@@ -76,7 +76,6 @@ __all__ = [
     "MetricDomainError",
     "MissingLabelsError",
     "ModelMismatchError",
-    "NodeTest",
     "Numeric",
     "ParseError",
     "ReconReport",

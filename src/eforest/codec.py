@@ -27,10 +27,10 @@ from .errors import (
     ModelMismatchError,
     SchemaMismatchError,
 )
-from .forest import LEAF, NUM, Forest, get_path, path_to_rule
+from .forest import Forest, get_path, path_to_rule
 from .persistence import forest_hex_id
 from .rng import permutation
-from .rules import Rule, calculate_mcr, pick_interval_batch, representative
+from .rules import LEAF, NUM, Rule, calculate_mcr, pick_interval_batch, representative
 
 
 @dataclass(frozen=True)

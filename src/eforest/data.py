@@ -143,8 +143,6 @@ class Dataset:
         schema: Schema,
         X: np.ndarray,
         labels: np.ndarray | None = None,
-        bounds: Bounds | None = None,
-        validate: bool = True,
     ):
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != schema.d:
@@ -161,11 +159,8 @@ class Dataset:
                 )
             labels = _frozen_array(labels)
         self.labels = labels
-        if validate:
-            self._check_values()
-        self.bounds = bounds if bounds is not None else compute_bounds(schema, self.X)
-        if self.bounds.d != schema.d:
-            raise ShapeError("bounds length does not match schema")
+        self._check_values()
+        self.bounds = compute_bounds(schema, self.X)
 
     def _check_values(self) -> None:
         if not np.isfinite(self.X).all():

@@ -8,34 +8,13 @@ leaf ordinals, one per tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .data import Bounds, Categorical, Numeric, Schema
 from .errors import InvalidModelError, LeafIndexError
-from .rules import Rule, predicate_to_constraint, simplify
-
-LEAF = 0
-NUM = 1
-CAT = 2
-
-
-@dataclass(frozen=True)
-class NodeTest:
-    """One internal node's test: ``x[attr] >= threshold`` or ``x[attr] == category``."""
-
-    attr: int
-    threshold: float | None = None
-    category: int | None = None
-
-    def __post_init__(self):
-        if (self.threshold is None) == (self.category is None):
-            raise ValueError("exactly one of threshold and category must be set")
-
-    @property
-    def is_categorical(self) -> bool:
-        return self.category is not None
+from .rules import CAT, LEAF, NUM, Rule, predicate_to_constraint, simplify
 
 
 class Tree:
@@ -75,13 +54,6 @@ class Tree:
     @property
     def max_depth(self) -> int:
         return int(self.leaf_depths().max())
-
-    def node_test(self, i: int) -> NodeTest:
-        if self.kind[i] == NUM:
-            return NodeTest(int(self.attr[i]), threshold=float(self.param[i]))
-        if self.kind[i] == CAT:
-            return NodeTest(int(self.attr[i]), category=int(self.param[i]))
-        raise ValueError(f"node {i} is a leaf")
 
     def descend(self, n: int, go_true) -> np.ndarray:
         """Leaf node reached by each of ``n`` rows, walking all rows level by level.
@@ -188,18 +160,22 @@ class Tree:
     def from_records(cls, records: list[dict], schema: Schema) -> "Tree":
         """Build and fully validate a tree from persisted node records.
 
-        Checks attribute ranges, kind agreement with the schema, and that the
-        nodes are stored in depth-first pre-order (false branch first): every
-        node is reachable from the root exactly once, each false child is the
-        next node, and leaf ids count the leaves in storage order.
+        Checks that each record holds exactly the fields ``node_records``
+        writes, with the types it writes (ints for ids, attributes, categories
+        and child indexes, floats for thresholds), attribute ranges, kind agreement with the schema, and that the nodes
+        are stored in depth-first pre-order (false branch first): every node
+        is reachable from the root exactly once, each false child is the next
+        node, and leaf ids count the leaves in storage order.
         """
+        if type(records) is not list or not records:
+            raise InvalidModelError("tree nodes must be a non-empty list")
         n = len(records)
-        if n == 0:
-            raise InvalidModelError("tree has no nodes")
         kind = np.zeros(n, dtype=np.int8)
         attr = np.full(n, -1, dtype=np.int32)
         param = np.zeros(n, dtype=np.float64)
         true_child = np.full(n, -1, dtype=np.int32)
+        kinds = schema.kinds
+        d = schema.d
         pending = [0]  # subtree roots still to be stored, the next one on top
         next_leaf = 0
         for i, rec in enumerate(records):
@@ -210,51 +186,59 @@ class Tree:
                 raise InvalidModelError(f"node {i}: not a node record")
             t = rec["t"]
             try:
+                # the fields read below plus "t": no key is ever dropped on save
+                if len(rec) != (2 if t == "leaf" else 5):
+                    raise InvalidModelError(f"node {i}: unexpected fields in {rec!r}")
                 if t == "leaf":
-                    kind[i] = LEAF
-                    leaf_id = int(rec["id"])
+                    leaf_id = rec["id"]
+                    if type(leaf_id) is not int:
+                        raise InvalidModelError(f"node {i}: leaf id {leaf_id!r} is not an integer")
                     if leaf_id != next_leaf:
                         raise InvalidModelError(
                             f"leaf at node {i} has id {leaf_id}, expected {next_leaf} in pre-order"
                         )
                     next_leaf += 1
-                elif t in ("num", "cat"):
-                    a = int(rec["attr"])
-                    if not 0 <= a < schema.d:
-                        raise InvalidModelError(f"node {i}: attribute {a} out of range")
-                    akind = schema.kinds[a]
-                    if t == "num":
-                        if not isinstance(akind, Numeric):
-                            raise InvalidModelError(
-                                f"node {i}: numeric test on categorical attribute {a}"
-                            )
-                        kind[i] = NUM
-                        thr = float(rec["thr"])
-                        if not np.isfinite(thr):
-                            raise InvalidModelError(f"node {i}: non-finite threshold")
-                        param[i] = thr
-                    else:
-                        if not isinstance(akind, Categorical):
-                            raise InvalidModelError(
-                                f"node {i}: categorical test on numeric attribute {a}"
-                            )
-                        kind[i] = CAT
-                        v = int(rec["val"])
-                        if not 0 <= v < akind.size:
-                            raise InvalidModelError(f"node {i}: category {v} out of range")
-                        param[i] = float(v)
-                    attr[i] = a
-                    false_child = int(rec["f"])
-                    if false_child != i + 1:
-                        raise InvalidModelError(
-                            f"node {i}: false child {false_child}, expected {i + 1} in pre-order"
-                        )
-                    tr = int(rec["tr"])
-                    true_child[i] = tr
-                    pending += (tr, i + 1)
-                else:
+                    continue
+                if t != "num" and t != "cat":
                     raise InvalidModelError(f"node {i}: unknown node type {t!r}")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                a, f, tr = rec["attr"], rec["f"], rec["tr"]
+                if type(a) is not int or type(f) is not int or type(tr) is not int:
+                    raise InvalidModelError(
+                        f"node {i}: attr, f and tr must be integers, got {a!r}, {f!r}, {tr!r}"
+                    )
+                if not 0 <= a < d:
+                    raise InvalidModelError(f"node {i}: attribute {a} out of range")
+                akind = kinds[a]
+                if t == "num":
+                    if not isinstance(akind, Numeric):
+                        raise InvalidModelError(
+                            f"node {i}: numeric test on categorical attribute {a}"
+                        )
+                    thr = rec["thr"]
+                    if type(thr) is not float or not math.isfinite(thr):
+                        raise InvalidModelError(
+                            f"node {i}: threshold {thr!r} is not a finite float"
+                        )
+                    kind[i] = NUM
+                    param[i] = thr
+                else:
+                    if not isinstance(akind, Categorical):
+                        raise InvalidModelError(
+                            f"node {i}: categorical test on numeric attribute {a}"
+                        )
+                    v = rec["val"]
+                    if type(v) is not int or not 0 <= v < akind.size:
+                        raise InvalidModelError(f"node {i}: category {v!r} out of range")
+                    kind[i] = CAT
+                    param[i] = v
+                attr[i] = a
+                if f != i + 1:
+                    raise InvalidModelError(
+                        f"node {i}: false child {f}, expected {i + 1} in pre-order"
+                    )
+                true_child[i] = tr
+                pending += (tr, i + 1)
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise InvalidModelError(f"node {i}: malformed record: {exc}") from None
         if pending:
             _check_position(pending[-1], n, n)
@@ -309,12 +293,16 @@ class Forest:
         return self.schema.d
 
 
-def get_path(tree: Tree, leaf: int) -> list[tuple[NodeTest, bool]]:
-    """Root-to-leaf list of (node test, branch taken)."""
-    return [(tree.node_test(i), branch) for i, branch in tree.path_steps(leaf)]
+def get_path(tree: Tree, leaf: int) -> list[tuple[tuple[int, int, float], bool]]:
+    """Root-to-leaf list of ((kind, attr, param) node test, branch taken)."""
+    kind, attr, param = tree.kind, tree.attr, tree.param
+    return [
+        ((int(kind[i]), int(attr[i]), float(param[i])), branch)
+        for i, branch in tree.path_steps(leaf)
+    ]
 
 
-def path_to_rule(path: list[tuple[NodeTest, bool]], schema: Schema) -> Rule:
+def path_to_rule(path, schema: Schema) -> Rule:
     """Simplified conjunction of the constraints along one decision path."""
     return simplify(predicate_to_constraint(test, branch, schema) for test, branch in path)
 

@@ -76,20 +76,43 @@ def _schema_record(schema: Schema) -> dict:
     return {"names": list(schema.names), "kinds": kinds}
 
 
+def _strings(values) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; anything else is a TypeError."""
+    if type(values) is not list or any(type(v) is not str for v in values):
+        raise TypeError(f"expected a list of strings, got {values!r}")
+    return tuple(values)
+
+
 def _schema_from_record(rec) -> Schema:
     try:
-        names = tuple(str(n) for n in rec["names"])
+        if len(rec) != 2 or type(rec["kinds"]) is not list:
+            raise TypeError(f"expected {{'names': [...], 'kinds': [...]}}, got {rec!r}")
+        names = _strings(rec["names"])
         kinds = []
         for k in rec["kinds"]:
-            if k["kind"] == "num":
+            if k["kind"] == "num" and len(k) == 1:
                 kinds.append(Numeric())
-            elif k["kind"] == "cat":
-                kinds.append(Categorical(tuple(str(v) for v in k["values"])))
+            elif k["kind"] == "cat" and len(k) == 2:
+                kinds.append(Categorical(_strings(k["values"])))
             else:
-                raise ValueError(f"unknown attribute kind {k['kind']!r}")
+                raise ValueError(f"unknown attribute kind record {k!r}")
         return Schema(names, tuple(kinds))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidModelError(f"bad schema record: {exc}") from None
+
+
+def _bounds_from_record(rec) -> Bounds:
+    """Bounds from ``{"lo": [...], "hi": [...]}`` holding JSON floats only."""
+    try:
+        if len(rec) != 2:
+            raise TypeError(f"expected {{'lo': [...], 'hi': [...]}}, got {rec!r}")
+        ends = [rec["lo"], rec["hi"]]
+        for end in ends:
+            if type(end) is not list or any(type(v) is not float for v in end):
+                raise TypeError(f"bounds must be lists of floats, got {end!r}")
+        return Bounds(np.asarray(ends[0]), np.asarray(ends[1]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidModelError(f"bad bounds record: {exc}") from None
 
 
 def forest_record(forest: Forest) -> dict:
@@ -108,22 +131,31 @@ def forest_record(forest: Forest) -> dict:
     }
 
 
+def _content_hash(record: dict) -> str:
+    """16 hex digits of the FNV-1a hash of a record's canonical bytes."""
+    return f"{fnv1a64(canonical_json_bytes(record)):016x}"
+
+
 def forest_hex_id(forest: Forest) -> str:
     """Content hash of a forest as 16 hex digits; cached on the forest."""
-    cached = forest._hex_id
-    if cached is None:
-        cached = f"{fnv1a64(canonical_json_bytes(forest_record(forest))):016x}"
-        forest._hex_id = cached
-    return cached
+    if forest._hex_id is None:
+        forest._hex_id = _content_hash(forest_record(forest))
+    return forest._hex_id
 
 
 def save_model(forest: Forest, path) -> str:
     """Write the canonical model file atomically; returns the content hash."""
     record = forest_record(forest)
-    content_hash = forest_hex_id(forest)
-    record["hash"] = content_hash
+    if forest._hex_id is None:
+        forest._hex_id = _content_hash(record)
+    record["hash"] = forest._hex_id
     atomic_write_bytes(Path(path), canonical_json_bytes(record) + b"\n")
-    return content_hash
+    return forest._hex_id
+
+
+def _refuse_constant(name: str):
+    """``NaN`` and ``Infinity`` parse in Python's JSON but are never written."""
+    raise ValueError(f"{name} is not a JSON number")
 
 
 _TOP_KEYS = {"version", "kind", "seed", "schema", "bounds", "config", "trees", "hash"}
@@ -142,30 +174,24 @@ def load_model(path, tolerate_damage: bool = False):
     except OSError as exc:
         raise FormatError(f"cannot read model file {path}: {exc}") from exc
     try:
-        record = json.loads(blob)
+        record = json.loads(blob, parse_constant=_refuse_constant)
     except ValueError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(record, dict) or set(record.keys()) != _TOP_KEYS:
         raise FormatError(f"{path}: model file must hold exactly keys {sorted(_TOP_KEYS)}")
     version = record["version"]
-    if version != MODEL_VERSION:
+    if type(version) is not int or version != MODEL_VERSION:
         raise VersionError(f"{path}: unsupported model version {version!r}")
 
     stated_hash = record.pop("hash")
-    actual_hash = f"{fnv1a64(canonical_json_bytes(record)):016x}"
+    actual_hash = _content_hash(record)
     if not tolerate_damage and stated_hash != actual_hash:
         raise CorruptModelError(
             f"{path}: content hash {actual_hash} does not match stated {stated_hash}"
         )
 
     schema = _schema_from_record(record["schema"])
-    try:
-        bounds = Bounds(
-            np.asarray(record["bounds"]["lo"], dtype=np.float64),
-            np.asarray(record["bounds"]["hi"], dtype=np.float64),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidModelError(f"{path}: bad bounds record: {exc}") from None
+    bounds = _bounds_from_record(record["bounds"])
     if bounds.d != schema.d:
         raise InvalidModelError(f"{path}: bounds length differs from schema")
     kind = record["kind"]

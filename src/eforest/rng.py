@@ -66,10 +66,6 @@ class SplitMix64:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_2)
         return z ^ (z >> np.uint64(31))
 
-    def f01_block(self, k: int) -> np.ndarray:
-        """Next ``k`` floats in [0, 1), identical to ``k`` calls of f01()."""
-        return (self.u64_block(k) >> np.uint64(11)).astype(np.float64) * _F53
-
     def below_block(self, k: int, n: int) -> np.ndarray:
         """Next ``k`` integers in [0, n), identical to ``k`` calls of below(n)."""
         if n <= 0:

@@ -20,8 +20,9 @@ import numpy as np
 
 from .data import Categorical, Dataset, Schema
 from .errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
-from .forest import CAT, Forest, LEAF, NUM, NodeTest, Tree
+from .forest import Forest, Tree
 from .rng import SplitMix64, tree_stream
+from .rules import CAT, LEAF, NUM
 
 MODES = ("supervised", "unsupervised")
 
@@ -76,14 +77,6 @@ class TrainConfig:
         }
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
-    """A node test together with the information gain it achieves."""
-
-    test: NodeTest
-    gain: float
-
-
 def entropy(labels) -> float:
     """Shannon entropy in bits of a label multiset."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -122,7 +115,8 @@ _THRESHOLD_ROUNDS = 8
 
 
 def _unsup_split(XT, rows, stream: SplitMix64, schema: Schema):
-    """Pick (test, true-branch mask) for one node, or None if no attribute varies.
+    """Pick ((kind, attr, param), true-branch mask) for one node, or None if no
+    attribute varies.
 
     The attribute is uniform over attributes not constant within the node:
     rejection sampling over all attributes, falling back to an exact scan of
@@ -148,7 +142,7 @@ def _unsup_split(XT, rows, stream: SplitMix64, schema: Schema):
     if isinstance(kind, Categorical):
         present = np.unique(col)
         v = float(present[stream.below(len(present))])
-        return NodeTest(j, category=int(v)), col == v
+        return (CAT, j, v), col == v
     lo = float(col.min())
     hi = float(col.max())
     thr = None
@@ -159,13 +153,14 @@ def _unsup_split(XT, rows, stream: SplitMix64, schema: Schema):
             break
     if thr is None:
         thr = math.nextafter(lo, hi)
-    return NodeTest(j, threshold=thr), col >= thr
+    return (NUM, j, thr), col >= thr
 
 
 def build_unsupervised_node(
     X: np.ndarray, rows: np.ndarray, rng: SplitMix64, schema: Schema, min_node_size: int = 2
-) -> NodeTest | None:
-    """Completely random node test for a row subset, or None to declare a leaf."""
+) -> tuple[int, int, float] | None:
+    """Completely random (kind, attr, param) node test for a row subset, or None
+    to declare a leaf."""
     XT = np.asarray(X, dtype=np.float64).T
     picked = _split_node(XT, np.asarray(rows, dtype=np.int64), rng, schema, min_node_size)
     return picked[0] if picked else None
@@ -231,7 +226,8 @@ def _best_categorical_split(col, y, nn, n_classes, xlogx, size):
 
 
 def _sup_split(XT, rows, y, stream: SplitMix64, schema: Schema, n_classes, xlogx, n_sample):
-    """Best gain split over a random attribute sample, or None if no gain is positive.
+    """Best-gain ((kind, attr, param), true-branch mask) over a random attribute
+    sample, or None if no gain is positive.
 
     Ties go to the lowest attribute index, then the lowest threshold or
     category value.
@@ -241,7 +237,7 @@ def _sup_split(XT, rows, y, stream: SplitMix64, schema: Schema, n_classes, xlogx
     attrs = np.sort(stream.sample_without_replacement(d, n_sample))
     numeric_attrs = [int(a) for a in attrs if not isinstance(schema.kinds[a], Categorical)]
     best_gain = 0.0
-    best_test: NodeTest | None = None
+    best = None
 
     num_results = {}
     if numeric_attrs:
@@ -258,22 +254,17 @@ def _sup_split(XT, rows, y, stream: SplitMix64, schema: Schema, n_classes, xlogx
             if found is None:
                 continue
             gain, v = found
-            test = NodeTest(a, category=v)
+            if gain > best_gain:
+                best_gain, best = gain, (CAT, a, float(v))
         else:
             gain, i, pos, sv = num_results[a]
-            if gain == -np.inf:
-                continue
-            test = NodeTest(a, threshold=_numeric_threshold(sv[i], pos))
-        if gain > best_gain:
-            best_gain = gain
-            best_test = test
-    if best_test is None:
+            if gain > best_gain:
+                best_gain, best = gain, (NUM, a, _numeric_threshold(sv[i], pos))
+    if best is None:
         return None
-    if best_test.is_categorical:
-        mask = XT[best_test.attr][rows] == best_test.category
-    else:
-        mask = XT[best_test.attr][rows] >= best_test.threshold
-    return SplitCandidate(best_test, best_gain / nn), mask
+    k, a, p = best
+    col = XT[a][rows]
+    return best, (col == p if k == CAT else col >= p)
 
 
 def attribute_sample_size(d: int) -> int:
@@ -288,8 +279,9 @@ def build_supervised_node(
     rng: SplitMix64,
     schema: Schema,
     min_node_size: int = 2,
-) -> SplitCandidate | None:
-    """Best-gain node split for a row subset, or None to declare a leaf.
+) -> tuple[int, int, float] | None:
+    """Best-gain (kind, attr, param) node test for a row subset, or None to
+    declare a leaf.
 
     A leaf is declared when the node is label-pure, has at most
     ``min_node_size`` rows, or no sampled candidate achieves positive gain.
@@ -305,11 +297,12 @@ def build_supervised_node(
 def _split_node(
     XT, rows, stream, schema, min_node_size, labels=None, n_classes=0, xlogx=None, n_sample=0
 ):
-    """(split, true-branch mask) for one node, or None to declare a leaf.
+    """((kind, attr, param), true-branch mask) for one node, or None to declare
+    a leaf.
 
-    The split is a random NodeTest without labels, else the best-gain
-    SplitCandidate. A node is a leaf when it holds at most ``min_node_size``
-    rows, when its labels are all equal, or when no split is found.
+    The test is drawn at random without labels, else it is the best-gain
+    split. A node is a leaf when it holds at most ``min_node_size`` rows,
+    when its labels are all equal, or when no split is found.
     """
     if len(rows) <= min_node_size:
         return None
@@ -324,67 +317,46 @@ def _split_node(
 # -- tree growth --------------------------------------------------------------
 
 
-class _TreeBuilder:
-    """Accumulates nodes in depth-first pre-order, false branch first.
-
-    The false child of node ``i`` is therefore ``i + 1``; only true children
-    are recorded.
-    """
-
-    def __init__(self):
-        self.kind: list[int] = []
-        self.attr: list[int] = []
-        self.param: list[float] = []
-        self.true_child: list[int] = []
-
-    def add(self, parent: int, branch: bool) -> int:
-        idx = len(self.kind)
-        self.kind.append(LEAF)
-        self.attr.append(-1)
-        self.param.append(0.0)
-        self.true_child.append(-1)
-        if branch:
-            self.true_child[parent] = idx
-        return idx
-
-    def set_test(self, idx: int, test: NodeTest) -> None:
-        if test.is_categorical:
-            self.kind[idx] = CAT
-            self.param[idx] = float(test.category)
-        else:
-            self.kind[idx] = NUM
-            self.param[idx] = float(test.threshold)
-        self.attr[idx] = test.attr
-
-    def build(self) -> Tree:
-        return Tree(
-            np.asarray(self.kind, dtype=np.int8),
-            np.asarray(self.attr, dtype=np.int32),
-            np.asarray(self.param, dtype=np.float64),
-            np.asarray(self.true_child, dtype=np.int32),
-        )
-
-
 def _grow_tree(XT, labels, rows0, stream, schema, cfg: TrainConfig, xlogx, n_classes) -> Tree:
-    supervised = cfg.mode == "supervised"
-    labels = labels if supervised else None
+    """Grow one tree, storing nodes in depth-first pre-order, false branch first.
+
+    The false child of node ``i`` is therefore ``i + 1``; a true child sets
+    its parent's ``true_child`` when it is stored.
+    """
+    labels = labels if cfg.mode == "supervised" else None
     n_sample = attribute_sample_size(XT.shape[0])
-    b = _TreeBuilder()
-    stack = [(rows0, 0, -1, False)]
+    kind: list[int] = []
+    attr: list[int] = []
+    param: list[float] = []
+    true_child: list[int] = []
+    stack = [(rows0, 0, -1)]  # (rows, depth, parent if this is its true branch)
     while stack:
-        rows, depth, parent, branch = stack.pop()
-        idx = b.add(parent, branch)
+        rows, depth, parent = stack.pop()
+        idx = len(kind)
+        if parent >= 0:
+            true_child[parent] = idx
+        true_child.append(-1)
         at_cap = cfg.max_depth_cap is not None and depth >= cfg.max_depth_cap
         picked = None if at_cap else _split_node(
             XT, rows, stream, schema, cfg.min_node_size, labels, n_classes, xlogx, n_sample
         )
         if picked is None:
+            kind.append(LEAF)
+            attr.append(-1)
+            param.append(0.0)
             continue
-        split, mask = picked
-        b.set_test(idx, split.test if supervised else split)
-        stack.append((rows[mask], depth + 1, idx, True))
-        stack.append((rows[~mask], depth + 1, idx, False))
-    return b.build()
+        (k, a, p), mask = picked
+        kind.append(k)
+        attr.append(a)
+        param.append(p)
+        stack.append((rows[mask], depth + 1, idx))
+        stack.append((rows[~mask], depth + 1, -1))
+    return Tree(
+        np.asarray(kind, dtype=np.int8),
+        np.asarray(attr, dtype=np.int32),
+        np.asarray(param, dtype=np.float64),
+        np.asarray(true_child, dtype=np.int32),
+    )
 
 
 def _train_one(t: int, XT, labels, n, cfg: TrainConfig, schema, xlogx, n_classes) -> Tree:

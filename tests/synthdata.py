@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from eforest.data import Bounds, Categorical, Dataset, Numeric, Schema
-from eforest.forest import CAT, LEAF, Forest, NodeTest, Tree
+from eforest.forest import CAT, LEAF, NUM, Forest, Tree
 
 SIDE = 28
 
@@ -210,8 +210,8 @@ def walk_codes(forest: Forest, x: np.ndarray) -> np.ndarray:
     return np.asarray([walk_leaf(t, x) for t in forest.trees], dtype=np.int32)
 
 
-def tree_from_path(steps: list[tuple[NodeTest, bool]], schema: Schema) -> tuple[Tree, int]:
-    """Chain tree realizing one root-to-leaf decision path.
+def tree_from_path(steps: list[tuple[tuple, bool]], schema: Schema) -> tuple[Tree, int]:
+    """Chain tree realizing one root-to-leaf path of ((kind, attr, param), branch) steps.
 
     Every off-path branch ends in a leaf. Returns the tree and the ordinal of
     the leaf at the end of the path.
@@ -230,7 +230,7 @@ def tree_from_path(steps: list[tuple[NodeTest, bool]], schema: Schema) -> tuple[
             idx = new_leaf()
             state["end"] = records[idx]["id"]
             return idx
-        test, taken = steps[i]
+        (kind, attr, param), taken = steps[i]
         idx = len(records)
         records.append(None)
         if taken:
@@ -239,11 +239,11 @@ def tree_from_path(steps: list[tuple[NodeTest, bool]], schema: Schema) -> tuple[
         else:
             f = emit(i + 1)
             tr = new_leaf()
-        rec = {"attr": test.attr, "f": f, "tr": tr}
-        if test.is_categorical:
-            rec.update(t="cat", val=int(test.category))
+        rec = {"attr": attr, "f": f, "tr": tr}
+        if kind == CAT:
+            rec.update(t="cat", val=int(param))
         else:
-            rec.update(t="num", thr=float(test.threshold))
+            rec.update(t="num", thr=float(param))
         records[idx] = rec
         return idx
 
@@ -271,22 +271,22 @@ def worked_example() -> dict:
     yes, no = 0, 1
     paths = [
         [
-            (NodeTest(0, threshold=0.0), True),
-            (NodeTest(1, threshold=1.5), True),
-            (NodeTest(2, category=red), False),
-            (NodeTest(0, threshold=2.7), False),
-            (NodeTest(3, category=no), False),
+            ((NUM, 0, 0.0), True),
+            ((NUM, 1, 1.5), True),
+            ((CAT, 2, red), False),
+            ((NUM, 0, 2.7), False),
+            ((CAT, 3, no), False),
         ],
         [
-            (NodeTest(2, category=green), True),
-            (NodeTest(1, threshold=5.0), False),
-            (NodeTest(0, threshold=0.5), True),
-            (NodeTest(1, threshold=2.0), False),
+            ((CAT, 2, green), True),
+            ((NUM, 1, 5.0), False),
+            ((NUM, 0, 0.5), True),
+            ((NUM, 1, 2.0), False),
         ],
         [
-            (NodeTest(3, category=yes), True),
-            (NodeTest(1, threshold=8.0), False),
-            (NodeTest(0, threshold=1.6), False),
+            ((CAT, 3, yes), True),
+            ((NUM, 1, 8.0), False),
+            ((NUM, 0, 1.6), False),
         ],
     ]
     trees = []

@@ -519,6 +519,20 @@ class TestStats:
         assert line["input_bits"] == D * 32
         assert line["size_ratio"] == pytest.approx(5 * bits / (D * 32))
 
+    def test_int_threshold_model_exits_1(self, workdir, model_path, capsys):
+        # re-hashed, so only the type is wrong: save_model writes thresholds as floats
+        record = json.loads(model_path.read_text())
+        record.pop("hash")
+        node = next(n for t in record["trees"] for n in t["nodes"] if n["t"] == "num")
+        node["thr"] = 1
+        content = persistence.canonical_json_bytes(record)
+        record["hash"] = f"{persistence.fnv1a64(content):016x}"
+        bad = workdir / "int-threshold.json"
+        bad.write_bytes(persistence.canonical_json_bytes(record) + b"\n")
+        code, _, err = run_cli(capsys, ["stats", "--model", str(bad)])
+        assert code == 1
+        assert "error:" in err
+
     def test_single_leaf_trees_use_one_bit(self, workdir, capsys):
         model = workdir / "stumps.json"
         code, _, _ = run_cli(

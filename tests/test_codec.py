@@ -20,7 +20,7 @@ from eforest.errors import (
     ModelMismatchError,
     SchemaMismatchError,
 )
-from eforest.forest import Forest, NodeTest
+from eforest.forest import CAT, NUM, Forest
 from eforest.persistence import forest_hex_id
 from eforest.rules import Interval, contains
 from eforest.training import TrainConfig, train_forest
@@ -197,8 +197,8 @@ class TestDecodeRegion:
 
     def test_disjoint_paths_are_empty(self):
         bounds = Bounds(np.zeros(1), np.full(1, 10.0))
-        above, e_above = tree_from_path([(NodeTest(0, threshold=5.0), True)], NUM1)
-        below, e_below = tree_from_path([(NodeTest(0, threshold=5.0), False)], NUM1)
+        above, e_above = tree_from_path([((NUM, 0, 5.0), True)], NUM1)
+        below, e_below = tree_from_path([((NUM, 0, 5.0), False)], NUM1)
         forest = Forest((above, below), NUM1, bounds, "unsupervised", 0)
         with pytest.raises(EmptyMCRError):
             decode_region(forest, np.array([e_above, e_below]))
@@ -226,7 +226,7 @@ class TestDecode:
         # only infinite ends clamp to the training bounds
         bounds = Bounds(np.zeros(1), np.full(1, 10.0))
         forest, enc = single_path_forest(
-            [(NodeTest(0, threshold=-5.0), True)], NUM1, bounds
+            [((NUM, 0, -5.0), True)], NUM1, bounds
         )
         region = decode_region(forest, enc)
         assert region[0] == Interval(-5.0, 10.0)
@@ -235,7 +235,7 @@ class TestDecode:
     def test_out_of_bounds_upper_end_is_preserved(self):
         bounds = Bounds(np.zeros(1), np.full(1, 10.0))
         forest, enc = single_path_forest(
-            [(NodeTest(0, threshold=15.0), False)], NUM1, bounds
+            [((NUM, 0, 15.0), False)], NUM1, bounds
         )
         region = decode_region(forest, enc)
         assert region[0] == Interval(0.0, 15.0, lo_closed=True, hi_closed=False)
@@ -246,7 +246,7 @@ class TestDecode:
         # a path claiming x >= 15 cannot meet bounds clamped at 10
         bounds = Bounds(np.zeros(1), np.full(1, 10.0))
         forest, enc = single_path_forest(
-            [(NodeTest(0, threshold=15.0), True)], NUM1, bounds
+            [((NUM, 0, 15.0), True)], NUM1, bounds
         )
         with pytest.raises(EmptyMCRError):
             decode(forest, enc, "min")
@@ -269,11 +269,11 @@ class TestDecodeBatch:
         bounds = Bounds(np.zeros(2), np.full(2, 10.0))
         schema = Schema.numeric(["x", "y"])
         t1, e1 = tree_from_path(
-            [(NodeTest(0, threshold=-5.0), True), (NodeTest(1, threshold=20.0), False)],
+            [((NUM, 0, -5.0), True), ((NUM, 1, 20.0), False)],
             schema,
         )
         t2, e2 = tree_from_path(
-            [(NodeTest(1, threshold=-3.0), True), (NodeTest(0, threshold=4.0), True)],
+            [((NUM, 1, -3.0), True), ((NUM, 0, 4.0), True)],
             schema,
         )
         forest = Forest((t1, t2), schema, bounds, "unsupervised", 0)
@@ -309,8 +309,8 @@ class TestDecodeBatch:
 
     def test_batch_empty_region_raises(self):
         bounds = Bounds(np.zeros(1), np.full(1, 10.0))
-        above, e_above = tree_from_path([(NodeTest(0, threshold=5.0), True)], NUM1)
-        below, e_below = tree_from_path([(NodeTest(0, threshold=5.0), False)], NUM1)
+        above, e_above = tree_from_path([((NUM, 0, 5.0), True)], NUM1)
+        below, e_below = tree_from_path([((NUM, 0, 5.0), False)], NUM1)
         forest = Forest((above, below), NUM1, bounds, "unsupervised", 0)
         matrix = EncodingMatrix(
             np.array([[e_above, e_below]], dtype=np.int32), forest_hex_id(forest)
@@ -322,8 +322,8 @@ class TestDecodeBatch:
         # one tree demands color == green, the other refuses green
         schema = Schema(("x", "color"), (Numeric(), Categorical(("red", "green"))))
         bounds = Bounds(np.zeros(2), np.array([10.0, 1.0]))
-        green, e_green = tree_from_path([(NodeTest(1, category=1), True)], schema)
-        other, e_other = tree_from_path([(NodeTest(1, category=1), False)], schema)
+        green, e_green = tree_from_path([((CAT, 1, 1), True)], schema)
+        other, e_other = tree_from_path([((CAT, 1, 1), False)], schema)
         forest = Forest((green, other), schema, bounds, "unsupervised", 0)
         matrix = EncodingMatrix(
             np.array([[e_green, e_other]], dtype=np.int32), forest_hex_id(forest)

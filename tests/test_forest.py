@@ -10,9 +10,10 @@ from eforest.codec import EncodingMatrix, TreeMask, decode, decode_batch
 from eforest.data import Bounds, Categorical, Numeric, Schema, compute_bounds
 from eforest.errors import InvalidModelError, LeafIndexError
 from eforest.forest import (
+    CAT,
     LEAF,
+    NUM,
     Forest,
-    NodeTest,
     Tree,
     depth_stats,
     get_path,
@@ -60,22 +61,14 @@ def leaf_only_tree(schema=NUM2) -> Tree:
     return Tree.from_records([{"t": "leaf", "id": 0}], schema)
 
 
-class TestNodeTest:
-    def test_exactly_one_parameter(self):
-        with pytest.raises(ValueError):
-            NodeTest(0)
-        with pytest.raises(ValueError):
-            NodeTest(0, threshold=1.0, category=1)
-
+class TestNodeRouting:
     def test_numeric_passes_at_threshold(self):
-        tree, taken = tree_from_path([(NodeTest(0, threshold=2.0), True)], NUM2)
+        tree, taken = tree_from_path([((NUM, 0, 2.0), True)], NUM2)
         X = np.array([[2.0, 0.0], [1.9999, 0.0]])
         assert tree.encode_batch(X).tolist() == [taken, 1 - taken]
 
     def test_categorical_passes_on_equality(self):
-        t = NodeTest(1, category=1)
-        assert t.is_categorical
-        tree, taken = tree_from_path([(t, True)], MIXED)
+        tree, taken = tree_from_path([((CAT, 1, 1), True)], MIXED)
         X = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
         assert tree.encode_batch(X).tolist() == [taken, 1 - taken, 1 - taken]
 
@@ -269,9 +262,13 @@ class TestPaths:
         tree = small_tree()
         path = get_path(tree, 1)
         assert path == [
-            (NodeTest(0, threshold=5.0), True),
-            (NodeTest(1, threshold=3.0), False),
+            ((NUM, 0, 5.0), True),
+            ((NUM, 1, 3.0), False),
         ]
+        # read from the arrays as plain Python numbers
+        assert all(
+            (type(k), type(a), type(p)) == (int, int, float) for (k, a, p), _ in path
+        )
 
     def test_own_path_rule_contains_instance(self):
         ds = random_mixed(11)
@@ -319,9 +316,9 @@ class TestPaths:
 class TestTreeFromPath:
     def test_realizes_requested_path(self):
         steps = [
-            (NodeTest(0, threshold=1.0), True),
-            (NodeTest(1, threshold=2.0), False),
-            (NodeTest(0, threshold=0.5), True),
+            ((NUM, 0, 1.0), True),
+            ((NUM, 1, 2.0), False),
+            ((NUM, 0, 0.5), True),
         ]
         tree, end_leaf = tree_from_path(steps, NUM2)
         assert get_path(tree, end_leaf) == steps

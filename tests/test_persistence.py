@@ -1,11 +1,16 @@
 """Model and encoding files: canonical bytes, content hashing, damage
 detection and tolerance, and every file-format error path."""
 
+import functools
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eforest.codec import EncodingMatrix, encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema
@@ -256,6 +261,15 @@ class TestModelFormatErrors:
         with pytest.raises(FormatError):
             load_model(p)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant(self, tmp_path, constant):
+        # json.loads reads these, but the canonical re-dump for the hash cannot
+        p = self.make_saved(tmp_path)
+        blob = p.read_bytes()
+        p.write_bytes(blob.replace(b'"config":{', b'"config":{"x":' + constant.encode() + b",", 1))
+        with pytest.raises(FormatError):
+            load_model(p)
+
     def test_wrong_top_keys(self, tmp_path):
         p = self.make_saved(tmp_path)
         record = json.loads(p.read_text())
@@ -316,12 +330,124 @@ class TestModelFormatErrors:
         with pytest.raises(InvalidModelError):
             load_model(p)
 
+    @pytest.mark.parametrize("nodes", [5, None], ids=["int", "null"])
+    def test_nodes_not_a_list(self, tmp_path, nodes):
+        p = self.make_saved(tmp_path)
+        rewrite_with_fresh_hash(p, lambda r: r["trees"][0].update({"nodes": nodes}))
+        with pytest.raises(InvalidModelError):
+            load_model(p)
+
     def test_bad_tree_wrapper(self, tmp_path):
         p = self.make_saved(tmp_path)
         rewrite_with_fresh_hash(
             p, lambda r: r["trees"].__setitem__(0, {"nodes": [], "extra": 1})
         )
         with pytest.raises(InvalidModelError):
+            load_model(p)
+
+
+# every model field the loader types strictly: node fields, attribute names,
+# category values and bounds
+STRICT_FIELDS = ("attr", "val", "f", "tr", "id", "thr", "names", "values", "lo", "hi")
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+)
+
+
+@functools.lru_cache(maxsize=1)
+def small_mixed_model() -> bytes:
+    """Saved bytes of a two-tree model with numeric and categorical tests."""
+    ds = random_mixed(2, n=30, d=4)
+    forest = train_forest(
+        ds, TrainConfig(mode="unsupervised", n_trees=2, seed=1, max_depth_cap=3)
+    )
+    assert all((t.kind == CAT).any() for t in forest.trees)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "m.json"
+        save_model(forest, p)
+        return p.read_bytes()
+
+
+def field_places(record, field):
+    """(container, key) of every occurrence of one strictly typed field."""
+    if field in ("lo", "hi"):
+        end = record["bounds"][field]
+        return [(end, j) for j in range(len(end))]
+    if field == "names":
+        names = record["schema"]["names"]
+        return [(names, j) for j in range(len(names))]
+    if field == "values":
+        return [
+            (k["values"], v)
+            for k in record["schema"]["kinds"]
+            if k["kind"] == "cat"
+            for v in range(len(k["values"]))
+        ]
+    return [(node, field) for t in record["trees"] for node in t["nodes"] if field in node]
+
+
+class TestStrictFieldTypes:
+    @given(field=st.sampled_from(STRICT_FIELDS), pick=st.integers(0, 99), value=JSON_SCALARS)
+    @example(field="thr", pick=0, value=1)
+    @example(field="thr", pick=0, value="0.5")
+    @example(field="attr", pick=0, value=1.25)
+    @example(field="tr", pick=0, value="2")
+    @example(field="id", pick=0, value=0.5)
+    @example(field="val", pick=0, value="1")
+    @example(field="names", pick=0, value=7)
+    @example(field="hi", pick=0, value=1000)
+    @example(field="lo", pick=0, value="-1000.0")
+    @settings(max_examples=150, deadline=None)
+    def test_loads_only_what_it_would_save(self, field, pick, value):
+        # a re-hashed model with one field replaced either is refused, or
+        # saves back to exactly the bytes it was loaded from
+        record = json.loads(small_mixed_model())
+        record.pop("hash")
+        places = field_places(record, field)
+        container, key = places[pick % len(places)]
+        container[key] = value
+        record["hash"] = f"{fnv1a64(canonical_json_bytes(record)):016x}"
+        blob = canonical_json_bytes(record) + b"\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "m.json"
+            p.write_bytes(blob)
+            try:
+                forest = load_model(p)
+            except InvalidModelError:
+                return
+            save_model(forest, p)
+            assert p.read_bytes() == blob
+
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda r: r["trees"][0]["nodes"][-1],
+            lambda r: r["trees"][0]["nodes"][0],
+            lambda r: r["schema"],
+            lambda r: r["schema"]["kinds"][0],
+            lambda r: r["bounds"],
+        ],
+        ids=["leaf", "internal-node", "schema", "attribute-kind", "bounds"],
+    )
+    def test_extra_field_is_refused(self, tmp_path, place):
+        # save_model would drop the field, so the model could not be re-saved as read
+        p = tmp_path / "m.json"
+        p.write_bytes(small_mixed_model())
+        rewrite_with_fresh_hash(p, lambda r: place(r).update({"extra": 0}))
+        with pytest.raises(InvalidModelError):
+            load_model(p)
+
+    @pytest.mark.parametrize("version", [1.0, True], ids=["float", "bool"])
+    def test_version_must_be_an_integer(self, tmp_path, version):
+        p = tmp_path / "m.json"
+        p.write_bytes(small_mixed_model())
+        rewrite_with_fresh_hash(p, lambda r: r.update({"version": version}))
+        with pytest.raises(VersionError):
             load_model(p)
 
 

@@ -57,13 +57,6 @@ class TestBlocks:
             tail.u64()
         assert gen.u64() == tail.u64()
 
-    @given(seed=st.integers(0, MASK64), k=st.integers(0, 100))
-    @settings(max_examples=30, deadline=None)
-    def test_f01_block_equals_scalar(self, seed, k):
-        block = SplitMix64(seed).f01_block(k)
-        scalar = SplitMix64(seed)
-        assert [float(v) for v in block] == [scalar.f01() for _ in range(k)]
-
     @given(seed=st.integers(0, MASK64), bound=st.integers(1, 10_000), k=st.integers(0, 64))
     @settings(max_examples=30, deadline=None)
     def test_below_block_equals_scalar(self, seed, bound, k):

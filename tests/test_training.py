@@ -9,7 +9,7 @@ import pytest
 
 from eforest.data import Categorical, Dataset, Numeric, Schema
 from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
-from eforest.forest import NodeTest, Tree
+from eforest.forest import CAT, NUM, Tree
 from eforest.rng import SplitMix64
 from eforest.training import (
     TrainConfig,
@@ -133,7 +133,7 @@ class TestAttributeSampleSize:
 
 
 def brute_force_best_split(X, y, schema):
-    """Exhaustive best (gain, attr, test) sweep via the public gain function.
+    """Exhaustive best (gain, (kind, attr, param)) sweep via the public gain function.
 
     Ties resolve to the lowest attribute, then the lowest threshold or
     category, matching the documented training order.
@@ -149,7 +149,7 @@ def brute_force_best_split(X, y, schema):
                     continue
                 g = information_gain(y, y[~mask], y[mask])
                 if g > best[0] + 1e-12:
-                    best = (g, NodeTest(a, category=int(v)))
+                    best = (g, (CAT, a, float(v)))
         else:
             vals = np.unique(col)
             for lo, hi in zip(vals[:-1], vals[1:]):
@@ -158,7 +158,7 @@ def brute_force_best_split(X, y, schema):
                 mask = col >= thr
                 g = information_gain(y, y[~mask], y[mask])
                 if g > best[0] + 1e-12:
-                    best = (g, NodeTest(a, threshold=float(thr)))
+                    best = (g, (NUM, a, float(thr)))
     return best
 
 
@@ -194,14 +194,16 @@ class TestSupervisedSplit:
                 assert got is None
                 continue
             assert got is not None
-            candidate, mask = got
-            assert candidate.gain == pytest.approx(expect_gain, abs=1e-9)
-            assert candidate.test == expect_test
-            col = X[:, candidate.test.attr]
-            if candidate.test.is_categorical:
-                assert mask.tolist() == (col == candidate.test.category).tolist()
+            test, mask = got
+            assert test == expect_test
+            kind, attr, param = test
+            col = X[:, attr]
+            if kind == CAT:
+                assert mask.tolist() == (col == param).tolist()
             else:
-                assert mask.tolist() == (col >= candidate.test.threshold).tolist()
+                assert mask.tolist() == (col >= param).tolist()
+            gain = information_gain(y, y[~mask], y[mask])
+            assert gain == pytest.approx(expect_gain, abs=1e-9)
 
     def test_tie_breaks_to_lowest_attribute(self):
         # identical columns produce exactly equal gains
@@ -209,17 +211,17 @@ class TestSupervisedSplit:
         col = np.array([0.0, 1.0, 2.0, 3.0])
         X = np.column_stack([col, col])
         y = np.array([0, 0, 1, 1])
-        candidate, _ = self._split_all_attrs(X, y, schema)
-        assert candidate.test == NodeTest(0, threshold=1.5)
-        assert candidate.gain == pytest.approx(1.0)
+        test, mask = self._split_all_attrs(X, y, schema)
+        assert test == (NUM, 0, 1.5)
+        assert information_gain(y, y[~mask], y[mask]) == pytest.approx(1.0)
 
     def test_tie_breaks_to_lowest_threshold(self):
         # the label pattern is symmetric, so both outer boundaries tie
         schema = Schema.numeric(["a"])
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
-        candidate, _ = self._split_all_attrs(X, y, schema)
-        assert candidate.test == NodeTest(0, threshold=0.5)
+        test, _ = self._split_all_attrs(X, y, schema)
+        assert test == (NUM, 0, 0.5)
 
     def test_threshold_never_equals_left_value(self):
         lo = 1.0
@@ -231,8 +233,8 @@ class TestSupervisedSplit:
         schema = Schema.numeric(["a"])
         X = np.array([[1.0], [1.0], [1.0], [4.0]])
         y = np.array([0, 0, 0, 1])
-        candidate, mask = self._split_all_attrs(X, y, schema)
-        assert candidate.test == NodeTest(0, threshold=2.5)
+        test, mask = self._split_all_attrs(X, y, schema)
+        assert test == (NUM, 0, 2.5)
         assert mask.tolist() == [False, False, False, True]
 
 
@@ -246,7 +248,7 @@ class TestNodeBuilders:
         assert build_supervised_node(X, rows, pure, SplitMix64(0), schema) is None
         assert build_supervised_node(X, rows[:2], mixed[:2], SplitMix64(0), schema) is None
         got = build_supervised_node(X, rows, np.array([0, 0, 1, 1]), SplitMix64(0), schema)
-        assert got is not None and got.test == NodeTest(0, threshold=1.5)
+        assert got == (NUM, 0, 1.5)
 
     def test_supervised_no_gain_on_constant_data(self):
         schema = Schema.numeric(["a"])
@@ -265,25 +267,26 @@ class TestNodeBuilders:
         rng = np.random.default_rng(1)
         X = rng.normal(0, 1, (50, 2))
         for seed in range(30):
-            test = build_unsupervised_node(X, np.arange(50), SplitMix64(seed), schema)
-            col = X[:, test.attr]
-            assert col.min() < test.threshold <= col.max()
+            kind, attr, thr = build_unsupervised_node(X, np.arange(50), SplitMix64(seed), schema)
+            assert kind == NUM
+            col = X[:, attr]
+            assert col.min() < thr <= col.max()
 
     def test_unsupervised_never_splits_constant_attr(self):
         schema = Schema.numeric(["const", "varies"])
         X = np.column_stack([np.full(40, 5.0), np.arange(40.0)])
         for seed in range(20):
-            test = build_unsupervised_node(X, np.arange(40), SplitMix64(seed), schema)
-            assert test.attr == 1
+            _, attr, _ = build_unsupervised_node(X, np.arange(40), SplitMix64(seed), schema)
+            assert attr == 1
 
     def test_unsupervised_categorical_split(self):
         schema = Schema(("c",), (Categorical(("x", "y", "z")),))
         X = np.array([[0.0], [1.0], [1.0], [2.0]])
         seen = set()
         for seed in range(40):
-            test = build_unsupervised_node(X, np.arange(4), SplitMix64(seed), schema)
-            assert test.is_categorical
-            seen.add(test.category)
+            kind, _, value = build_unsupervised_node(X, np.arange(4), SplitMix64(seed), schema)
+            assert kind == CAT
+            seen.add(value)
         assert seen == {0, 1, 2}
 
 
