@@ -16,9 +16,7 @@ from .data import (
     Schema,
     load_csv,
     load_idx,
-    merge_channels,
     save_csv,
-    split_channels,
 )
 from .errors import (
     ConfigError,
@@ -40,17 +38,9 @@ from .errors import (
     VersionError,
 )
 from .forest import Forest, Tree
-from .metrics import ReconReport, cosine_distance, damage_curve, mse, reconstruction_report
+from .metrics import ReconReport, damage_curve, reconstruction_report
 from .persistence import load_encodings, load_model, save_encodings, save_model
-from .rules import (
-    CategorySet,
-    Interval,
-    Rule,
-    calculate_mcr,
-    contains,
-    representative,
-    rule_to_json,
-)
+from .rules import CategorySet, Interval, Rule, calculate_mcr, contains, representative
 from .training import TrainConfig, train_forest
 
 __version__ = "0.1.0"
@@ -90,7 +80,6 @@ __all__ = [
     "VersionError",
     "calculate_mcr",
     "contains",
-    "cosine_distance",
     "damage_curve",
     "decode",
     "decode_batch",
@@ -100,14 +89,10 @@ __all__ = [
     "load_encodings",
     "load_idx",
     "load_model",
-    "merge_channels",
-    "mse",
     "reconstruction_report",
     "representative",
-    "rule_to_json",
     "save_csv",
     "save_encodings",
     "save_model",
-    "split_channels",
     "train_forest",
 ]

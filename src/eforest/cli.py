@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, data, metrics, persistence, training
-from .errors import ConfigError, EForestError, FormatError
+from .errors import ConfigError, EForestError
 from .forest import depth_stats
 
 MODE_NAMES = {"sup": "supervised", "unsup": "unsupervised"}
@@ -33,7 +33,7 @@ def _emit(payload: dict) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    persistence.atomic_write_bytes(Path(path), text.encode("utf-8"))
+    data.atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -58,18 +58,7 @@ def _load_dataset(args) -> data.Dataset:
     label_col = args.label_column
     if label_col is not None and label_col.lstrip("-").isdigit():
         label_col = int(label_col)
-    if args.csv_kinds:
-        kinds = data.parse_kind_spec(args.csv_kinds)
-    else:
-        try:
-            with open(args.data) as fh:
-                first = fh.readline()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise FormatError(f"cannot read csv file {args.data}: {exc}") from None
-        width = len(first.rstrip("\n").split(",")) if first.strip() else 0
-        if label_col is not None:
-            width -= 1
-        kinds = tuple(data.Numeric() for _ in range(max(width, 0)))
+    kinds = data.parse_kind_spec(args.csv_kinds) if args.csv_kinds else None
     return data.load_csv(
         args.data, kinds, label_column=label_col, has_header=args.csv_header
     )
@@ -101,7 +90,7 @@ def _build_train_config(args) -> training.TrainConfig:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(base, dict):
-            raise EForestError(f"{args.config}: config file must hold a JSON object")
+            raise ConfigError(f"{args.config}: config file must hold a JSON object")
     merged = {
         "mode": MODE_NAMES.get(args.mode, args.mode) if args.mode else base.get("mode"),
         "n_trees": args.trees if args.trees is not None else base.get("n_trees"),
@@ -115,8 +104,11 @@ def _build_train_config(args) -> training.TrainConfig:
         "bootstrap": args.bootstrap if args.bootstrap is not None else base.get("bootstrap"),
         "threads": args.threads if args.threads is not None else base.get("threads", 0),
     }
+    unknown = sorted(set(base) - set(merged))
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config keys {unknown}")
     if merged["mode"] is None or merged["n_trees"] is None:
-        raise EForestError("--mode and --trees are required (flags or --config file)")
+        raise ConfigError("--mode and --trees are required (flags or --config file)")
     if not merged["threads"]:
         merged["threads"] = _default_threads()
     return training.TrainConfig(**merged)

@@ -8,7 +8,9 @@ single matrix carries mixed schemas without object arrays.
 from __future__ import annotations
 
 import csv
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -280,7 +282,10 @@ def parse_kind_spec(spec: str) -> tuple[AttributeKind, ...]:
             values = tuple(v for v in entry[4:].split("|") if v)
             if not values:
                 raise FormatError(f"categorical entry {entry!r} has no values")
-            kind = Categorical(values)
+            try:
+                kind = Categorical(values)
+            except ValueError as exc:
+                raise FormatError(f"categorical entry {entry!r}: {exc}") from None
         else:
             raise FormatError(f"unknown attribute kind {entry!r}")
         kinds.extend([kind] * repeat)
@@ -289,23 +294,29 @@ def parse_kind_spec(spec: str) -> tuple[AttributeKind, ...]:
 
 def load_csv(
     path,
-    kinds: Sequence[AttributeKind],
+    kinds: Sequence[AttributeKind] | None = None,
     label_column: int | str | None = None,
     has_header: bool = False,
 ) -> Dataset:
     """Load a CSV file against a declared attribute kind list.
 
     ``kinds`` covers the data columns in file order, excluding the label
-    column if one is named. ``label_column`` may be a column index, or a
-    header name when ``has_header`` is true.
+    column if one is named; ``None`` makes every data column of the first
+    row numeric. ``label_column`` may be a column index, or a header name
+    when ``has_header`` is true.
     """
     path = Path(path)
-    kinds = tuple(kinds)
     try:
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read csv file {path}: {exc}") from None
+    if kinds is None:
+        ncols = len(rows[0]) if rows else 0
+        kinds = (Numeric(),) * (ncols - (label_column is not None))
+    kinds = tuple(kinds)
+    if not kinds:
+        raise FormatError(f"{path}: no data columns")
     header: list[str] | None = None
     if has_header:
         if not rows:
@@ -330,6 +341,10 @@ def load_csv(
         raise FormatError(f"label column {label_idx} out of range for width {width}")
     data_cols = [c for c in range(width) if c != label_idx]
     if header is not None:
+        if len(header) != width:
+            raise FormatError(
+                f"{path}: header has {len(header)} fields, expected {width}"
+            )
         names = tuple(header[c] for c in data_cols)
         if len(set(names)) != len(names):
             names = tuple(f"c{c}" for c in data_cols)
@@ -375,6 +390,23 @@ def load_csv(
     return Dataset(schema, X, labels)
 
 
+def atomic_write_bytes(path: Path, blob: bytes) -> None:
+    """Write a file through a temporary sibling; an OSError becomes a FormatError."""
+    path = Path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
 def save_csv(dataset: Dataset, path, header: bool = True, label_name: str | None = None) -> None:
     """Write a dataset as CSV; categorical cells use value names, floats use repr.
 
@@ -399,37 +431,4 @@ def save_csv(dataset: Dataset, path, header: bool = True, label_name: str | None
         if with_labels:
             cells.append(str(int(dataset.labels[i])))
         lines.append(",".join(cells))
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise FormatError(f"cannot write {path}: {exc}") from exc
-
-
-def split_channels(dataset: Dataset) -> tuple[Dataset, Dataset, Dataset]:
-    """Split an all-numeric dataset whose columns interleave as d/3 blocks.
-
-    Column layout is block-wise (first d/3 columns are channel 0, and so on),
-    matching flattened planar color images. Labels are shared by reference.
-    """
-    d = dataset.d
-    if d % 3 != 0:
-        raise ShapeError(f"channel split needs d divisible by 3, got {d}")
-    if not dataset.schema.all_numeric:
-        raise ShapeError("channel split requires an all-numeric schema")
-    step = d // 3
-    parts = []
-    for c in range(3):
-        cols = slice(c * step, (c + 1) * step)
-        schema = Schema(dataset.schema.names[cols], dataset.schema.kinds[cols])
-        parts.append(Dataset(schema, dataset.X[:, cols], dataset.labels))
-    return tuple(parts)
-
-
-def merge_channels(r: Dataset, g: Dataset, b: Dataset) -> Dataset:
-    """Inverse of split_channels; requires equal row counts."""
-    if not (r.n == g.n == b.n):
-        raise ShapeError("channel datasets must have equal row counts")
-    names = r.schema.names + g.schema.names + b.schema.names
-    kinds = r.schema.kinds + g.schema.kinds + b.schema.kinds
-    X = np.hstack([r.X, g.X, b.X])
-    return Dataset(Schema(names, kinds), X, r.labels)
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -22,10 +22,8 @@ METRICS = ("mse", "cosine")
 
 def _as_rows(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2:
-        raise ShapeError(f"expected a vector or matrix, got shape {arr.shape}")
+        raise ShapeError(f"expected a matrix, got shape {arr.shape}")
     return arr
 
 
@@ -57,16 +55,6 @@ def metric_rows(metric: str, A, B) -> np.ndarray:
     if A.shape[1] == 0:
         raise ShapeError("metrics need at least one attribute")
     return _mse_rows(A, B) if metric == "mse" else _cosine_rows(A, B)
-
-
-def mse(a, b) -> float:
-    """Mean squared difference per attribute between two vectors."""
-    return float(metric_rows("mse", a, b)[0])
-
-
-def cosine_distance(a, b) -> float:
-    """1 - cos(angle) between two vectors, in [0, 2]."""
-    return float(metric_rows("cosine", a, b)[0])
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,12 @@ and equal hashes.
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .data import Bounds, Categorical, Numeric, Schema
+from .data import Bounds, Categorical, Numeric, Schema, atomic_write_bytes
 from .errors import (
     CorruptModelError,
     FormatError,
@@ -47,23 +45,6 @@ def canonical_json_bytes(obj) -> bytes:
     return json.dumps(
         obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
     ).encode("ascii")
-
-
-def atomic_write_bytes(path: Path, blob: bytes) -> None:
-    """Write a file through a temporary sibling; an OSError becomes a FormatError."""
-    path = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _schema_record(schema: Schema) -> dict:
@@ -161,13 +142,8 @@ def _refuse_constant(name: str):
 _TOP_KEYS = {"version", "kind", "seed", "schema", "bounds", "config", "trees", "hash"}
 
 
-def load_model(path, tolerate_damage: bool = False):
-    """Load and validate a model file.
-
-    With ``tolerate_damage`` the content hash is not enforced and trees whose
-    records fail validation are dropped (their indexes are listed in the
-    forest config under ``dropped_trees``); at least one tree must survive.
-    """
+def load_model(path):
+    """Load and validate a model file; its content hash must match."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -185,7 +161,7 @@ def load_model(path, tolerate_damage: bool = False):
 
     stated_hash = record.pop("hash")
     actual_hash = _content_hash(record)
-    if not tolerate_damage and stated_hash != actual_hash:
+    if stated_hash != actual_hash:
         raise CorruptModelError(
             f"{path}: content hash {actual_hash} does not match stated {stated_hash}"
         )
@@ -206,25 +182,13 @@ def load_model(path, tolerate_damage: bool = False):
         raise InvalidModelError(f"{path}: model holds no trees")
 
     trees = []
-    dropped = []
     for i, trec in enumerate(tree_records):
-        try:
-            if not isinstance(trec, dict) or set(trec.keys()) != {"nodes"}:
-                raise InvalidModelError(f"tree {i}: expected a {{'nodes': [...]}} record")
-            trees.append(Tree.from_records(trec["nodes"], schema))
-        except InvalidModelError:
-            if not tolerate_damage:
-                raise
-            dropped.append(i)
-    if not trees:
-        raise InvalidModelError(f"{path}: no valid trees survived damage-tolerant load")
+        if not isinstance(trec, dict) or set(trec.keys()) != {"nodes"}:
+            raise InvalidModelError(f"tree {i}: expected a {{'nodes': [...]}} record")
+        trees.append(Tree.from_records(trec["nodes"], schema))
 
-    config = dict(record["config"])
-    if dropped:
-        config["dropped_trees"] = dropped
-    forest = Forest(trees, schema, bounds, kind=kind, seed=record["seed"], config=config)
-    if not dropped and stated_hash == actual_hash:
-        forest._hex_id = actual_hash
+    forest = Forest(trees, schema, bounds, kind=kind, seed=record["seed"], config=record["config"])
+    forest._hex_id = actual_hash
     return forest
 
 

@@ -68,10 +68,6 @@ class Interval:
         return self._notation(self.lo, self.hi)
 
     @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    @property
     def is_finite(self) -> bool:
         return self.lo > NEG_INF and self.hi < POS_INF
 
@@ -155,8 +151,12 @@ def predicate_to_constraint(test, branch: bool, schema: Schema) -> tuple[int, Co
     return attr, CategorySet(rest)
 
 
-def simplify(constraints: Iterable[tuple[int, Constraint]]) -> Rule:
-    """Fold a constraint list into one rule, intersecting per attribute."""
+def _fold(constraints: Iterable[tuple[int, Constraint]], empty: type) -> Rule:
+    """Intersect a constraint list per attribute, in list order.
+
+    Mixed interval and category constraints raise ContradictionError; an
+    empty intersection raises ``empty``.
+    """
     rule: Rule = {}
     for attr, c in constraints:
         held = rule.get(attr)
@@ -169,11 +169,14 @@ def simplify(constraints: Iterable[tuple[int, Constraint]]) -> Rule:
             )
         merged = held.intersect(c)
         if merged is None:
-            raise ContradictionError(
-                f"attribute {attr}: {held} and {c} do not overlap"
-            )
+            raise empty(f"attribute {attr}: {held} and {c} do not overlap")
         rule[attr] = merged
     return rule
+
+
+def simplify(constraints: Iterable[tuple[int, Constraint]]) -> Rule:
+    """Fold a constraint list into one rule, intersecting per attribute."""
+    return _fold(constraints, ContradictionError)
 
 
 def calculate_mcr(rules: Sequence[Rule], bounds: Bounds, schema: Schema) -> Rule:
@@ -185,47 +188,29 @@ def calculate_mcr(rules: Sequence[Rule], bounds: Bounds, schema: Schema) -> Rule
     """
     if not rules:
         raise ValueError("calculate_mcr needs at least one rule")
+    folded = _fold((item for rule in rules for item in rule.items()), EmptyMCRError)
     mcr: Rule = {}
-    for j in range(schema.d):
-        kind = schema.kinds[j]
-        combined: Constraint | None = None
-        for rule in rules:
-            c = rule.get(j)
-            if c is None:
-                continue
-            if combined is None:
-                combined = c
-            else:
-                if type(combined) is not type(c):
-                    raise ContradictionError(
-                        f"attribute {j} mixes interval and category constraints"
-                    )
-                combined = combined.intersect(c)
-                if combined is None:
-                    raise EmptyMCRError(
-                        f"attribute {schema.names[j]}: rule intersection is empty"
-                    )
+    for j, kind in enumerate(schema.kinds):
+        combined = folded.get(j)
         if isinstance(kind, Categorical):
             if combined is None:
                 combined = CategorySet(frozenset(range(kind.size)))
-            mcr[j] = combined
+        elif combined is None:
+            combined = Interval(bounds.lo[j], bounds.hi[j])
         else:
-            if combined is None:
-                combined = Interval(bounds.lo[j], bounds.hi[j])
-            else:
-                lo, lo_closed = combined.lo, combined.lo_closed
-                hi, hi_closed = combined.hi, combined.hi_closed
-                if lo == NEG_INF:
-                    lo, lo_closed = float(bounds.lo[j]), True
-                if hi == POS_INF:
-                    hi, hi_closed = float(bounds.hi[j]), True
-                if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-                    raise EmptyMCRError(
-                        f"attribute {schema.names[j]}: interval collapses after "
-                        f"clamping to bounds [{bounds.lo[j]}, {bounds.hi[j]}]"
-                    )
-                combined = Interval(lo, hi, lo_closed, hi_closed)
-            mcr[j] = combined
+            lo, lo_closed = combined.lo, combined.lo_closed
+            hi, hi_closed = combined.hi, combined.hi_closed
+            if lo == NEG_INF:
+                lo, lo_closed = float(bounds.lo[j]), True
+            if hi == POS_INF:
+                hi, hi_closed = float(bounds.hi[j]), True
+            if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+                raise EmptyMCRError(
+                    f"attribute {schema.names[j]}: interval collapses after "
+                    f"clamping to bounds [{bounds.lo[j]}, {bounds.hi[j]}]"
+                )
+            combined = Interval(lo, hi, lo_closed, hi_closed)
+        mcr[j] = combined
     return mcr
 
 
@@ -325,23 +310,3 @@ def pick_interval_batch(
         )
         x = np.where(inside, x, fallback)
     return x
-
-
-def constraint_to_json(attr: int, c: Constraint, kind) -> dict:
-    if isinstance(c, CategorySet):
-        names = [kind.values[i] for i in sorted(c.allowed)]
-        return {"attr": attr, "allowed": names}
-    return {
-        "attr": attr,
-        "lo": c.lo,
-        "lo_closed": c.lo_closed,
-        "hi": c.hi,
-        "hi_closed": c.hi_closed,
-    }
-
-
-def rule_to_json(rule: Rule, schema: Schema) -> list[dict]:
-    """Printable view of a rule: one record per constrained attribute."""
-    return [
-        constraint_to_json(j, rule[j], schema.kinds[j]) for j in sorted(rule.keys())
-    ]

@@ -8,6 +8,7 @@ import pytest
 
 from eforest import cli, codec, metrics, persistence
 from eforest.data import Categorical, Dataset, Numeric, Schema, load_csv, save_csv
+from eforest.errors import FormatError
 
 from synthdata import write_idx_images, write_idx_labels
 
@@ -154,6 +155,40 @@ class TestTrain:
         assert code == 0
         assert line["d"] == D
 
+    def test_csv_quoted_header_counts_csv_fields(self, workdir, capsys):
+        src = workdir / "quoted.csv"
+        src.write_text('"a,b",c\n1,2\n3,4\n5,6\n')
+        code, line, _ = run_cli(
+            capsys,
+            ["train", "--data", str(src), "--format", "csv", "--csv-header",
+             "--mode", "unsup", "--trees", "2", "--out", str(workdir / "quoted.json")],
+        )
+        assert code == 0
+        assert line["d"] == 2
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ("", []),
+            ("0\n1\n", ["--label-column", "0"]),
+            ("a,b\n1,2\n", ["--csv-header", "--csv-kinds", "num*3"]),
+            ("A\n", ["--csv-kinds", "cat:A|A"]),
+            ("1," + "2" * 200_000 + "\n", []),
+        ],
+        ids=["empty", "label-only", "short-header", "duplicate-category", "oversized-field"],
+    )
+    def test_malformed_csv_exits_1(self, workdir, capsys, text, flags):
+        src = workdir / "malformed.csv"
+        src.write_text(text)
+        argv = ["train", "--data", str(src), "--format", "csv", *flags,
+                "--mode", "unsup", "--trees", "2", "--out", str(workdir / "nope.json")]
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(FormatError):
+            args.func(args)
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_csv_label_column_by_index(self, workdir, capsys):
         out = workdir / "csv_sup.json"
         code, line, _ = run_cli(
@@ -213,7 +248,7 @@ class TestTrain:
         [
             ["--data", "absent.idx"],
             ["--data", "absent.csv", "--format", "csv", "--csv-kinds", "num*2"],
-            ["--data", "absent.csv", "--format", "csv"],  # width peek, no kinds
+            ["--data", "absent.csv", "--format", "csv"],  # no kinds: width from row 0
         ],
         ids=["idx", "csv", "csv-width-peek"],
     )
@@ -232,8 +267,9 @@ class TestTrain:
         [
             '{"mode": "unsupervised", "n_trees": 3',
             '{"mode": "unsupervised", "n_trees": "3"}',
+            '{"mode": "unsupervised", "n_trees": 3, "min_node": 7}',
         ],
-        ids=["malformed-json", "string-tree-count"],
+        ids=["malformed-json", "string-tree-count", "unknown-key"],
     )
     def test_bad_config_exits_1(self, workdir, capsys, text):
         cfg = workdir / "bad.cfg.json"

@@ -15,10 +15,8 @@ from eforest.data import (
     compute_bounds,
     load_csv,
     load_idx,
-    merge_channels,
     parse_kind_spec,
     save_csv,
-    split_channels,
 )
 from eforest.errors import (
     FormatError,
@@ -309,40 +307,3 @@ class TestCsv:
         save_csv(ds, p, header=False)
         back = load_csv(p, ds.schema.kinds)
         assert back.X.tobytes() == ds.X.tobytes()
-
-
-class TestChannels:
-    def test_split_merge_round_trip(self):
-        ds = Dataset(
-            Schema.numeric([f"v{i}" for i in range(6)]),
-            np.arange(12.0).reshape(2, 6),
-            labels=np.array([0, 1]),
-        )
-        r, g, b = split_channels(ds)
-        assert r.X.tolist() == [[0.0, 1.0], [6.0, 7.0]]
-        assert b.schema.names == ("v4", "v5")
-        merged = merge_channels(r, g, b)
-        assert merged.X.tolist() == ds.X.tolist()
-        assert merged.schema.names == ds.schema.names
-        assert merged.labels.tolist() == [0, 1]
-
-    def test_split_rejects_bad_width(self):
-        ds = Dataset(Schema.numeric(["a", "b"]), np.zeros((1, 2)))
-        with pytest.raises(ShapeError):
-            split_channels(ds)
-
-    def test_split_rejects_categorical(self):
-        s = Schema(
-            ("a", "b", "c"),
-            (Numeric(), Categorical(("x", "y")), Numeric()),
-        )
-        ds = Dataset(s, np.zeros((1, 3)))
-        with pytest.raises(ShapeError):
-            split_channels(ds)
-
-    def test_merge_rejects_row_mismatch(self):
-        a = Dataset(Schema.numeric(["a"]), np.zeros((2, 1)))
-        b = Dataset(Schema.numeric(["b"]), np.zeros((2, 1)))
-        c = Dataset(Schema.numeric(["c"]), np.zeros((3, 1)))
-        with pytest.raises(ShapeError):
-            merge_channels(a, b, c)

@@ -11,10 +11,8 @@ from eforest.data import Categorical, Dataset, Numeric, Schema
 from eforest.errors import ConfigError, MetricDomainError, ShapeError
 from eforest.metrics import (
     ReconReport,
-    cosine_distance,
     damage_curve,
     metric_rows,
-    mse,
     reconstruction_report,
 )
 from eforest.training import TrainConfig, train_forest
@@ -43,40 +41,48 @@ def numeric_dataset(seed=0, n=50, d=6):
     )
 
 
+def row(metric, a, b):
+    """The metric between two vectors, as a one-row metric_rows call."""
+    return float(metric_rows(metric, [a], [b])[0])
+
+
 class TestScalarMetrics:
     def test_mse_known_value(self):
-        assert mse([0.0, 0.0], [3.0, 4.0]) == 12.5
-        assert mse([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+        assert row("mse", [0.0, 0.0], [3.0, 4.0]) == 12.5
+        assert row("mse", [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
 
     def test_cosine_known_values(self):
-        assert cosine_distance([1.0, 0.0], [1.0, 0.0]) == 0.0
-        assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-        assert cosine_distance([1.0, 0.0], [-1.0, 0.0]) == 2.0
-        assert cosine_distance([1.0, 0.0], [2.0, 0.0]) == 0.0
+        assert row("cosine", [1.0, 0.0], [1.0, 0.0]) == 0.0
+        assert row("cosine", [1.0, 0.0], [0.0, 1.0]) == 1.0
+        assert row("cosine", [1.0, 0.0], [-1.0, 0.0]) == 2.0
+        assert row("cosine", [1.0, 0.0], [2.0, 0.0]) == 0.0
 
     def test_cosine_zero_vector_conventions(self):
-        assert cosine_distance([0.0, 0.0], [0.0, 0.0]) == 0.0
-        assert cosine_distance([0.0, 0.0], [1.0, 2.0]) == 1.0
-        assert cosine_distance([1.0, 2.0], [0.0, 0.0]) == 1.0
+        assert row("cosine", [0.0, 0.0], [0.0, 0.0]) == 0.0
+        assert row("cosine", [0.0, 0.0], [1.0, 2.0]) == 1.0
+        assert row("cosine", [1.0, 2.0], [0.0, 0.0]) == 1.0
 
     def test_matches_reference_on_random_vectors(self):
         rng = np.random.default_rng(3)
-        for _ in range(40):
-            a = rng.normal(0, 5, 7)
-            b = rng.normal(0, 5, 7)
-            assert mse(a, b) == pytest.approx(reference_mse(a, b), rel=1e-12)
-            assert cosine_distance(a, b) == pytest.approx(
-                reference_cosine(a, b), rel=1e-12
+        A = rng.normal(0, 5, (40, 7))
+        B = rng.normal(0, 5, (40, 7))
+        mse_rows = metric_rows("mse", A, B)
+        cosine_rows = metric_rows("cosine", A, B)
+        for i in range(40):
+            assert mse_rows[i] == pytest.approx(reference_mse(A[i], B[i]), rel=1e-12)
+            assert cosine_rows[i] == pytest.approx(
+                reference_cosine(A[i], B[i]), rel=1e-12
             )
 
     def test_row_and_scalar_routes_agree(self):
+        # each row's value is independent of the other rows in the matrix
         rng = np.random.default_rng(5)
         A = rng.normal(0, 1, (10, 4))
         B = rng.normal(0, 1, (10, 4))
-        for name, scalar in (("mse", mse), ("cosine", cosine_distance)):
+        for name in ("mse", "cosine"):
             rows = metric_rows(name, A, B)
             for i in range(10):
-                assert rows[i] == scalar(A[i], B[i])
+                assert rows[i] == row(name, A[i], B[i])
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
@@ -85,6 +91,8 @@ class TestScalarMetrics:
             metric_rows("mse", np.zeros((2, 0)), np.zeros((2, 0)))
         with pytest.raises(ShapeError):
             metric_rows("mse", np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+        with pytest.raises(ShapeError):
+            metric_rows("mse", np.zeros(3), np.zeros(3))
 
     def test_unknown_metric(self):
         with pytest.raises(ConfigError):

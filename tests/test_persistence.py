@@ -1,5 +1,5 @@
 """Model and encoding files: canonical bytes, content hashing, damage
-detection and tolerance, and every file-format error path."""
+detection, and every file-format error path."""
 
 import functools
 import hashlib
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eforest.codec import EncodingMatrix, encode_batch
-from eforest.data import Categorical, Dataset, Numeric, Schema
+from eforest.data import Categorical, Dataset, Numeric, Schema, atomic_write_bytes
 from eforest.errors import (
     CorruptModelError,
     FormatError,
@@ -24,7 +24,6 @@ from eforest.errors import (
 from eforest.forest import CAT
 from eforest.persistence import (
     MODEL_VERSION,
-    atomic_write_bytes,
     canonical_json_bytes,
     fnv1a64,
     forest_hex_id,
@@ -202,8 +201,6 @@ class TestModelDamage:
         p.write_bytes(canonical_json_bytes(record) + b"\n")
         with pytest.raises(CorruptModelError):
             load_model(p)
-        # the same file loads when damage is tolerated
-        assert load_model(p, tolerate_damage=True).seed == forest.seed + 1
 
     def test_structurally_broken_tree_strict(self, tmp_path):
         forest, _ = small_forest()
@@ -214,34 +211,6 @@ class TestModelDamage:
         )
         with pytest.raises(InvalidModelError):
             load_model(p)
-
-    def test_damage_tolerant_load_drops_broken_trees(self, tmp_path):
-        forest, ds = small_forest(n_trees=4)
-        p = tmp_path / "m.json"
-        save_model(forest, p)
-        rewrite_with_fresh_hash(
-            p, lambda r: r["trees"][2]["nodes"][0].update({"tr": 99999})
-        )
-        loaded = load_model(p, tolerate_damage=True)
-        assert loaded.T == 3
-        assert loaded.config["dropped_trees"] == [2]
-        # surviving trees are the original ones, in order, with index 2 gone
-        kept = [t.node_records() for t in loaded.trees]
-        orig = [t.node_records() for t in forest.trees]
-        assert kept == [orig[0], orig[1], orig[3]]
-
-    def test_all_trees_broken_fails_even_tolerantly(self, tmp_path):
-        forest, _ = small_forest(n_trees=2)
-        p = tmp_path / "m.json"
-        save_model(forest, p)
-
-        def wreck(record):
-            for trec in record["trees"]:
-                trec["nodes"] = []
-
-        rewrite_with_fresh_hash(p, wreck)
-        with pytest.raises(InvalidModelError):
-            load_model(p, tolerate_damage=True)
 
 
 class TestModelFormatErrors:

@@ -23,7 +23,6 @@ from eforest.rules import (
     pick_interval_batch,
     predicate_to_constraint,
     representative,
-    rule_to_json,
     simplify,
 )
 
@@ -34,16 +33,14 @@ finite_floats = st.floats(
 )
 
 
-def interval_strategy():
+def interval_strategy(lo_ends=finite_floats, hi_ends=finite_floats):
     def build(a, b, lo_closed, hi_closed):
         lo, hi = min(a, b), max(a, b)
         if lo == hi:
             lo_closed = hi_closed = True
         return Interval(lo, hi, lo_closed, hi_closed)
 
-    return st.builds(
-        build, finite_floats, finite_floats, st.booleans(), st.booleans()
-    )
+    return st.builds(build, lo_ends, hi_ends, st.booleans(), st.booleans())
 
 
 class TestInterval:
@@ -65,7 +62,7 @@ class TestInterval:
 
     def test_closed_point_allowed(self):
         iv = Interval(3.0, 3.0)
-        assert iv.is_point and iv.contains(3.0)
+        assert iv.lo == iv.hi and iv.contains(3.0)
 
     def test_contains_respects_openness(self):
         iv = Interval(1.0, 2.0, lo_closed=False, hi_closed=True)
@@ -196,6 +193,24 @@ class TestSimplify:
 BOUNDS = Bounds(np.array([0.0, 0.0, 0.0]), np.array([10.0, 10.0, 2.0]))
 
 
+# Endpoints on a grid strictly inside BOUNDS, so clamping never empties an
+# interval and only disjoint constraints can make the rule intersection empty.
+grid_ends = st.integers(1, 9).map(float)
+grid_intervals = interval_strategy(grid_ends | st.just(-INF), grid_ends | st.just(INF))
+mcr_rules = st.lists(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            0: grid_intervals,
+            1: grid_intervals,
+            2: st.frozensets(st.integers(0, 2), min_size=1).map(CategorySet),
+        },
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
 class TestCalculateMcr:
     def test_unconstrained_defaults(self):
         mcr = calculate_mcr([{}], BOUNDS, MIXED)
@@ -258,6 +273,23 @@ class TestCalculateMcr:
         assert sorted(mcr.keys()) == [0, 1, 2]
         assert contains(mcr, np.array([5.0, 5.0, 1.0]))
         assert not contains(mcr, np.array([1.0, 5.0, 1.0]))
+
+    @given(rules=mcr_rules, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_order_free_and_empty_exactly_on_disjoint_constraints(self, rules, data):
+        shuffled = data.draw(st.permutations(rules))
+        # with grid endpoints, a non-empty intersection holds a grid or half-grid point
+        probes = [k / 2 for k in range(-2, 23)]
+        overlap = all(
+            any(all(rule[j].contains(v) for rule in rules if j in rule) for v in probes)
+            for j in range(MIXED.d)
+        )
+        if overlap:
+            assert calculate_mcr(shuffled, BOUNDS, MIXED) == calculate_mcr(rules, BOUNDS, MIXED)
+        else:
+            for order in (rules, shuffled):
+                with pytest.raises(EmptyMCRError):
+                    calculate_mcr(order, BOUNDS, MIXED)
 
 
 class TestStrategies:
@@ -381,16 +413,3 @@ class TestPickIntervalBatch:
         assert got.shape == (3,)
         assert got[0] == 1.0 and got[1] == 1.0
         assert 2.0 <= got[2] < 4.0
-
-
-class TestRuleToJson:
-    def test_format(self):
-        rule = {
-            2: CategorySet(frozenset({2, 0})),
-            0: Interval(1.0, 4.0, lo_closed=True, hi_closed=False),
-        }
-        got = rule_to_json(rule, MIXED)
-        assert got == [
-            {"attr": 0, "lo": 1.0, "lo_closed": True, "hi": 4.0, "hi_closed": False},
-            {"attr": 2, "allowed": ["red", "blue"]},
-        ]
