@@ -58,9 +58,8 @@ def _load_dataset(args) -> data.Dataset:
     label_col = args.label_column
     if label_col is not None and label_col.lstrip("-").isdigit():
         label_col = int(label_col)
-    kinds = data.parse_kind_spec(args.csv_kinds) if args.csv_kinds else None
     return data.load_csv(
-        args.data, kinds, label_column=label_col, has_header=args.csv_header
+        args.data, args.csv_kinds or None, label_column=label_col, has_header=args.csv_header
     )
 
 

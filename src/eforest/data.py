@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -188,9 +187,6 @@ class Dataset:
     def d(self) -> int:
         return self.schema.d
 
-    def instance(self, i: int) -> np.ndarray:
-        return self.X[i]
-
     def take(self, rows: np.ndarray) -> "Dataset":
         """Row subset as a new dataset; bounds are recomputed from the subset."""
         labels = self.labels[rows] if self.labels is not None else None
@@ -255,14 +251,15 @@ def load_idx(images_path, labels_path=None) -> Dataset:
     return Dataset(schema, X, labels)
 
 
-def parse_kind_spec(spec: str) -> tuple[AttributeKind, ...]:
-    """Parse a compact attribute-kind string.
+def parse_kind_spec(spec: str, width: int) -> tuple[AttributeKind, ...]:
+    """Parse a compact attribute-kind string that declares ``width`` columns.
 
     Comma-separated entries; ``num`` is numeric, ``cat:A|B|C`` is categorical
     with those values, and a ``*k`` suffix repeats an entry k times
-    (e.g. ``num*784`` or ``num*2,cat:YES|NO``).
+    (e.g. ``num*784`` or ``num*2,cat:YES|NO``). The entries must add up to
+    ``width``, which is checked before any repeat is expanded.
     """
-    kinds: list[AttributeKind] = []
+    runs: list[tuple[AttributeKind, int]] = []
     for entry in spec.split(","):
         entry = entry.strip()
         if not entry:
@@ -288,22 +285,29 @@ def parse_kind_spec(spec: str) -> tuple[AttributeKind, ...]:
                 raise FormatError(f"categorical entry {entry!r}: {exc}") from None
         else:
             raise FormatError(f"unknown attribute kind {entry!r}")
-        kinds.extend([kind] * repeat)
+        runs.append((kind, repeat))
+    total = sum(repeat for _, repeat in runs)
+    if total != width:
+        raise FormatError(f"kind spec declares {total} columns, the data has {width}")
+    kinds: list[AttributeKind] = []
+    for kind, repeat in runs:
+        kinds += [kind] * repeat
     return tuple(kinds)
 
 
 def load_csv(
     path,
-    kinds: Sequence[AttributeKind] | None = None,
+    kinds: Sequence[AttributeKind] | str | None = None,
     label_column: int | str | None = None,
     has_header: bool = False,
 ) -> Dataset:
     """Load a CSV file against a declared attribute kind list.
 
     ``kinds`` covers the data columns in file order, excluding the label
-    column if one is named; ``None`` makes every data column of the first
-    row numeric. ``label_column`` may be a column index, or a header name
-    when ``has_header`` is true.
+    column if one is named. A string is a ``parse_kind_spec`` spec, which
+    must declare as many columns as the first row has data columns; ``None``
+    makes every data column of the first row numeric. ``label_column`` may be
+    a column index, or a header name when ``has_header`` is true.
     """
     path = Path(path)
     try:
@@ -311,9 +315,9 @@ def load_csv(
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read csv file {path}: {exc}") from None
-    if kinds is None:
-        ncols = len(rows[0]) if rows else 0
-        kinds = (Numeric(),) * (ncols - (label_column is not None))
+    if kinds is None or isinstance(kinds, str):
+        ncols = max(len(rows[0]) - (label_column is not None), 0) if rows else 0
+        kinds = (Numeric(),) * ncols if kinds is None else parse_kind_spec(kinds, ncols)
     kinds = tuple(kinds)
     if not kinds:
         raise FormatError(f"{path}: no data columns")
@@ -391,10 +395,14 @@ def load_csv(
 
 
 def atomic_write_bytes(path: Path, blob: bytes) -> None:
-    """Write a file through a temporary sibling; an OSError becomes a FormatError."""
+    """Write a file through a temporary sibling; an OSError becomes a FormatError.
+
+    The file is created with mode 0o666, so the process umask decides its mode.
+    """
     path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(blob)

@@ -8,13 +8,14 @@ leaf ordinals, one per tree.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .data import Bounds, Categorical, Numeric, Schema
+from .data import Bounds, Categorical, Schema
 from .errors import InvalidModelError, LeafIndexError
 from .rules import CAT, LEAF, NUM, Rule, predicate_to_constraint, simplify
+
+# storage type of each Tree slot, in slot order
+_SLOT_TYPES = (np.int8, np.int32, np.float64, np.int32)
 
 
 class Tree:
@@ -36,12 +37,11 @@ class Tree:
         param: np.ndarray,
         true_child: np.ndarray,
     ):
-        for arr in (kind, attr, param, true_child):
+        columns = (kind, attr, param, true_child)
+        for name, values, dtype in zip(self.__slots__, columns, _SLOT_TYPES):
+            arr = np.asarray(values, dtype=dtype)
             arr.flags.writeable = False
-        self.kind = kind
-        self.attr = attr
-        self.param = param
-        self.true_child = true_child
+            setattr(self, name, arr)
 
     @property
     def n_nodes(self) -> int:
@@ -50,10 +50,6 @@ class Tree:
     @property
     def leaf_count(self) -> int:
         return (len(self.kind) + 1) // 2
-
-    @property
-    def max_depth(self) -> int:
-        return int(self.leaf_depths().max())
 
     def descend(self, n: int, go_true) -> np.ndarray:
         """Leaf node reached by each of ``n`` rows, walking all rows level by level.
@@ -125,134 +121,88 @@ class Tree:
             level = children[internal[children]]
         return depth[~internal]
 
-    def node_records(self) -> list[dict]:
-        """Nodes in storage order using the persisted record forms."""
-        records = []
-        leaf = 0
-        for i in range(self.n_nodes):
-            k = self.kind[i]
-            if k == LEAF:
-                records.append({"t": "leaf", "id": leaf})
-                leaf += 1
-            elif k == NUM:
-                records.append(
-                    {
-                        "t": "num",
-                        "attr": int(self.attr[i]),
-                        "thr": float(self.param[i]),
-                        "f": i + 1,
-                        "tr": int(self.true_child[i]),
-                    }
-                )
-            else:
-                records.append(
-                    {
-                        "t": "cat",
-                        "attr": int(self.attr[i]),
-                        "val": int(self.param[i]),
-                        "f": i + 1,
-                        "tr": int(self.true_child[i]),
-                    }
-                )
-        return records
+    def node_records(self) -> dict[str, list]:
+        """The four node arrays as JSON lists, keyed by slot name."""
+        return {name: getattr(self, name).tolist() for name in self.__slots__}
 
     @classmethod
-    def from_records(cls, records: list[dict], schema: Schema) -> "Tree":
-        """Build and fully validate a tree from persisted node records.
+    def from_records(cls, nodes: dict, schema: Schema) -> "Tree":
+        """Build and fully validate a tree from ``node_records`` output.
 
-        Checks that each record holds exactly the fields ``node_records``
-        writes, with the types it writes (ints for ids, attributes, categories
-        and child indexes, floats for thresholds), attribute ranges, kind agreement with the schema, and that the nodes
-        are stored in depth-first pre-order (false branch first): every node
-        is reachable from the root exactly once, each false child is the next
-        node, and leaf ids count the leaves in storage order.
+        Each column must be a list of exactly the type ``node_records`` writes
+        (ints, never bools, for ``kind``, ``attr`` and ``true_child``; floats
+        for ``param``) whose values fit the column's array type; the arrays
+        then go through ``check_tree_arrays``.
         """
-        if type(records) is not list or not records:
-            raise InvalidModelError("tree nodes must be a non-empty list")
-        n = len(records)
-        kind = np.zeros(n, dtype=np.int8)
-        attr = np.full(n, -1, dtype=np.int32)
-        param = np.zeros(n, dtype=np.float64)
-        true_child = np.full(n, -1, dtype=np.int32)
-        kinds = schema.kinds
-        d = schema.d
-        pending = [0]  # subtree roots still to be stored, the next one on top
-        next_leaf = 0
-        for i, rec in enumerate(records):
-            if not pending:
-                raise InvalidModelError(f"{n - i} nodes unreachable from the root")
-            _check_position(pending.pop(), i, n)
-            if not isinstance(rec, dict) or "t" not in rec:
-                raise InvalidModelError(f"node {i}: not a node record")
-            t = rec["t"]
+        if type(nodes) is not dict or nodes.keys() != set(cls.__slots__):
+            raise InvalidModelError(f"tree nodes must be an object with keys {cls.__slots__}")
+        arrays = []
+        for name, dtype in zip(cls.__slots__, _SLOT_TYPES):
+            values = nodes[name]
+            want = float if dtype is np.float64 else int
+            if type(values) is not list or set(map(type, values)) - {want}:
+                raise InvalidModelError(f"tree {name} must be a list of {want.__name__}s")
             try:
-                # the fields read below plus "t": no key is ever dropped on save
-                if len(rec) != (2 if t == "leaf" else 5):
-                    raise InvalidModelError(f"node {i}: unexpected fields in {rec!r}")
-                if t == "leaf":
-                    leaf_id = rec["id"]
-                    if type(leaf_id) is not int:
-                        raise InvalidModelError(f"node {i}: leaf id {leaf_id!r} is not an integer")
-                    if leaf_id != next_leaf:
-                        raise InvalidModelError(
-                            f"leaf at node {i} has id {leaf_id}, expected {next_leaf} in pre-order"
-                        )
-                    next_leaf += 1
-                    continue
-                if t != "num" and t != "cat":
-                    raise InvalidModelError(f"node {i}: unknown node type {t!r}")
-                a, f, tr = rec["attr"], rec["f"], rec["tr"]
-                if type(a) is not int or type(f) is not int or type(tr) is not int:
-                    raise InvalidModelError(
-                        f"node {i}: attr, f and tr must be integers, got {a!r}, {f!r}, {tr!r}"
-                    )
-                if not 0 <= a < d:
-                    raise InvalidModelError(f"node {i}: attribute {a} out of range")
-                akind = kinds[a]
-                if t == "num":
-                    if not isinstance(akind, Numeric):
-                        raise InvalidModelError(
-                            f"node {i}: numeric test on categorical attribute {a}"
-                        )
-                    thr = rec["thr"]
-                    if type(thr) is not float or not math.isfinite(thr):
-                        raise InvalidModelError(
-                            f"node {i}: threshold {thr!r} is not a finite float"
-                        )
-                    kind[i] = NUM
-                    param[i] = thr
-                else:
-                    if not isinstance(akind, Categorical):
-                        raise InvalidModelError(
-                            f"node {i}: categorical test on numeric attribute {a}"
-                        )
-                    v = rec["val"]
-                    if type(v) is not int or not 0 <= v < akind.size:
-                        raise InvalidModelError(f"node {i}: category {v!r} out of range")
-                    kind[i] = CAT
-                    param[i] = v
-                attr[i] = a
-                if f != i + 1:
-                    raise InvalidModelError(
-                        f"node {i}: false child {f}, expected {i + 1} in pre-order"
-                    )
-                true_child[i] = tr
-                pending += (tr, i + 1)
-            except (KeyError, TypeError, OverflowError) as exc:
-                raise InvalidModelError(f"node {i}: malformed record: {exc}") from None
-        if pending:
-            _check_position(pending[-1], n, n)
-        return cls(kind, attr, param, true_child)
+                wide = np.array(values, dtype=np.int64 if want is int else np.float64)
+                arr = wide.astype(dtype, copy=False)
+                if want is int and not np.array_equal(arr, wide):
+                    raise OverflowError
+            except OverflowError:
+                raise InvalidModelError(
+                    f"tree {name} holds a value beyond {np.dtype(dtype)}"
+                ) from None
+            arrays.append(arr)
+        check_tree_arrays(*arrays, schema)
+        return cls(*arrays)
 
 
-def _check_position(node: int, i: int, n: int) -> None:
-    """Refuse a child index that is not the ``i``-th node of a pre-order layout."""
-    if not 0 <= node < n:
-        raise InvalidModelError(f"child index {node} out of range")
-    if node < i:
-        raise InvalidModelError(f"node {node} reached twice")
-    if node > i:
-        raise InvalidModelError(f"node {i} is not stored in pre-order (next is node {node})")
+def _refuse(nodes: np.ndarray, bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        raise InvalidModelError(f"node {int(nodes[bad.argmax()])}: {what}")
+
+
+def check_tree_arrays(kind, attr, param, true_child, schema: Schema) -> None:
+    """Refuse node arrays that are not one valid tree over ``schema``.
+
+    Leaves carry ``attr = -1``, ``param = 0.0`` and ``true_child = -1``. An
+    internal node tests an attribute in range with the schema's kind of test:
+    a finite threshold on a numeric attribute, or an integral category index
+    of a categorical one. The nodes must be in depth-first pre-order with the
+    false branch first: walking the subtree intervals ``[node, end)`` level
+    by level from ``[0, n)``, an internal node ``i`` needs
+    ``i + 1 < true_child[i] < end`` and a leaf needs ``end == node + 1``.
+    """
+    n = len(kind)
+    if n == 0 or not len(attr) == len(param) == len(true_child) == n:
+        raise InvalidModelError("tree node arrays must be non-empty and of equal length")
+    every = np.arange(n)
+    _refuse(every, ~np.isin(kind, (LEAF, NUM, CAT)), "unknown node kind")
+    leaf = kind == LEAF
+    _refuse(
+        every,
+        leaf & ((attr != -1) | (param != 0.0) | (true_child != -1)),
+        "a leaf must hold attr -1, param 0.0 and true_child -1",
+    )
+    inner = np.flatnonzero(~leaf)
+    a = attr[inner]
+    _refuse(inner, (a < 0) | (a >= schema.d), "attribute out of range")
+    sizes = np.array([k.size if isinstance(k, Categorical) else 0 for k in schema.kinds])
+    cat = kind[inner] == CAT
+    _refuse(inner, cat != (sizes[a] > 0), "test kind differs from the attribute's kind")
+    p = param[inner]
+    _refuse(inner, cat & ((p != np.floor(p)) | (p < 0) | (p >= sizes[a])), "category out of range")
+    _refuse(inner, ~cat & ~np.isfinite(p), "threshold is not finite")
+    true_child = true_child.astype(np.int64)
+    nodes, ends = np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
+    while len(nodes):
+        at_leaf = leaf[nodes]
+        after = nodes + 1
+        _refuse(nodes, at_leaf & (ends != after), "nodes after this leaf are unreachable")
+        inner = ~at_leaf
+        nodes, after, ends = nodes[inner], after[inner], ends[inner]
+        tc = true_child[nodes]
+        _refuse(nodes, (tc <= after) | (tc >= ends), "true child is not in pre-order")
+        nodes, ends = np.concatenate([after, tc]), np.concatenate([tc, ends])
 
 
 class Forest:

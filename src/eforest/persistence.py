@@ -2,9 +2,10 @@
 
 Model files are canonical UTF-8 JSON: sorted keys, compact separators, and
 floats printed as the shortest decimal that round-trips to the same 64-bit
-value. The embedded hash is 64-bit FNV-1a over the canonical bytes of the
-record without its hash field, so equal forests always produce equal bytes
-and equal hashes.
+value. Each tree is stored as the four arrays ``Tree`` holds, one JSON list
+per array. The embedded hash is 64-bit FNV-1a over the canonical bytes of
+the record without its hash field, so equal forests always produce equal
+bytes and equal hashes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .forest import Forest, Tree
 
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -157,7 +158,9 @@ def load_model(path):
         raise FormatError(f"{path}: model file must hold exactly keys {sorted(_TOP_KEYS)}")
     version = record["version"]
     if type(version) is not int or version != MODEL_VERSION:
-        raise VersionError(f"{path}: unsupported model version {version!r}")
+        raise VersionError(
+            f"{path}: unsupported model version {version!r} (this release reads {MODEL_VERSION})"
+        )
 
     stated_hash = record.pop("hash")
     actual_hash = _content_hash(record)
@@ -168,26 +171,27 @@ def load_model(path):
 
     schema = _schema_from_record(record["schema"])
     bounds = _bounds_from_record(record["bounds"])
-    if bounds.d != schema.d:
-        raise InvalidModelError(f"{path}: bounds length differs from schema")
-    kind = record["kind"]
-    if kind not in ("supervised", "unsupervised"):
-        raise InvalidModelError(f"{path}: unknown forest kind {kind!r}")
     if not isinstance(record["seed"], int):
         raise InvalidModelError(f"{path}: seed must be an integer")
     if not isinstance(record["config"], dict):
         raise InvalidModelError(f"{path}: config must be an object")
     tree_records = record["trees"]
-    if not isinstance(tree_records, list) or not tree_records:
-        raise InvalidModelError(f"{path}: model holds no trees")
+    if type(tree_records) is not list:
+        raise InvalidModelError(f"{path}: trees must be a list")
 
     trees = []
     for i, trec in enumerate(tree_records):
         if not isinstance(trec, dict) or set(trec.keys()) != {"nodes"}:
-            raise InvalidModelError(f"tree {i}: expected a {{'nodes': [...]}} record")
+            raise InvalidModelError(f"tree {i}: expected a {{'nodes': {{...}}}} record")
         trees.append(Tree.from_records(trec["nodes"], schema))
 
-    forest = Forest(trees, schema, bounds, kind=kind, seed=record["seed"], config=record["config"])
+    try:
+        forest = Forest(
+            trees, schema, bounds, kind=record["kind"], seed=record["seed"],
+            config=record["config"],
+        )
+    except ValueError as exc:
+        raise InvalidModelError(f"{path}: {exc}") from None
     forest._hex_id = actual_hash
     return forest
 

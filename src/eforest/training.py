@@ -351,12 +351,7 @@ def _grow_tree(XT, labels, rows0, stream, schema, cfg: TrainConfig, xlogx, n_cla
         param.append(p)
         stack.append((rows[mask], depth + 1, idx))
         stack.append((rows[~mask], depth + 1, -1))
-    return Tree(
-        np.asarray(kind, dtype=np.int8),
-        np.asarray(attr, dtype=np.int32),
-        np.asarray(param, dtype=np.float64),
-        np.asarray(true_child, dtype=np.int32),
-    )
+    return Tree(kind, attr, param, true_child)
 
 
 def _train_one(t: int, XT, labels, n, cfg: TrainConfig, schema, xlogx, n_classes) -> Tree:

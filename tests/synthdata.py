@@ -216,39 +216,29 @@ def tree_from_path(steps: list[tuple[tuple, bool]], schema: Schema) -> tuple[Tre
     Every off-path branch ends in a leaf. Returns the tree and the ordinal of
     the leaf at the end of the path.
     """
-    records: list[dict | None] = []
-    state = {"leaves": 0, "end": -1}
+    cols = {name: [] for name in Tree.__slots__}
 
-    def new_leaf() -> int:
-        idx = len(records)
-        records.append({"t": "leaf", "id": state["leaves"]})
-        state["leaves"] += 1
-        return idx
+    def add(kind: int, attr: int, param: float) -> int:
+        for name, value in zip(Tree.__slots__, (kind, attr, param, -1)):
+            cols[name].append(value)
+        return len(cols["kind"]) - 1
 
     def emit(i: int) -> int:
+        """Append the subtree of step ``i`` in pre-order; return the path's end node."""
         if i == len(steps):
-            idx = new_leaf()
-            state["end"] = records[idx]["id"]
-            return idx
+            return add(LEAF, -1, 0.0)
         (kind, attr, param), taken = steps[i]
-        idx = len(records)
-        records.append(None)
+        node = add(kind, attr, float(param))
         if taken:
-            f = new_leaf()
-            tr = emit(i + 1)
-        else:
-            f = emit(i + 1)
-            tr = new_leaf()
-        rec = {"attr": attr, "f": f, "tr": tr}
-        if kind == CAT:
-            rec.update(t="cat", val=int(param))
-        else:
-            rec.update(t="num", thr=float(param))
-        records[idx] = rec
-        return idx
+            add(LEAF, -1, 0.0)
+            cols["true_child"][node] = len(cols["kind"])
+            return emit(i + 1)
+        end = emit(i + 1)
+        cols["true_child"][node] = add(LEAF, -1, 0.0)
+        return end
 
-    emit(0)
-    return Tree.from_records(records, schema), state["end"]
+    end = emit(0)
+    return Tree.from_records(cols, schema), cols["kind"][:end].count(LEAF)
 
 
 def worked_example() -> dict:

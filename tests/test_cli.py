@@ -8,7 +8,8 @@ import pytest
 
 from eforest import cli, codec, metrics, persistence
 from eforest.data import Categorical, Dataset, Numeric, Schema, load_csv, save_csv
-from eforest.errors import FormatError
+from eforest.errors import FormatError, VersionError
+from eforest.forest import NUM
 
 from synthdata import write_idx_images, write_idx_labels
 
@@ -174,8 +175,10 @@ class TestTrain:
             ("a,b\n1,2\n", ["--csv-header", "--csv-kinds", "num*3"]),
             ("A\n", ["--csv-kinds", "cat:A|A"]),
             ("1," + "2" * 200_000 + "\n", []),
+            ("1,2\n", ["--csv-kinds", "num*99999999999999"]),
         ],
-        ids=["empty", "label-only", "short-header", "duplicate-category", "oversized-field"],
+        ids=["empty", "label-only", "short-header", "duplicate-category", "oversized-field",
+             "huge-repeat-count"],
     )
     def test_malformed_csv_exits_1(self, workdir, capsys, text, flags):
         src = workdir / "malformed.csv"
@@ -559,8 +562,8 @@ class TestStats:
         # re-hashed, so only the type is wrong: save_model writes thresholds as floats
         record = json.loads(model_path.read_text())
         record.pop("hash")
-        node = next(n for t in record["trees"] for n in t["nodes"] if n["t"] == "num")
-        node["thr"] = 1
+        nodes = next(t["nodes"] for t in record["trees"] if NUM in t["nodes"]["kind"])
+        nodes["param"][nodes["kind"].index(NUM)] = 1
         content = persistence.canonical_json_bytes(record)
         record["hash"] = f"{persistence.fnv1a64(content):016x}"
         bad = workdir / "int-threshold.json"
@@ -568,6 +571,22 @@ class TestStats:
         code, _, err = run_cli(capsys, ["stats", "--model", str(bad)])
         assert code == 1
         assert "error:" in err
+
+    def test_version_1_model_exits_1(self, workdir, model_path, capsys):
+        # a version-1 file, hashed as written: one {"t": ...} record per node
+        record = json.loads(model_path.read_text())
+        record.pop("hash")
+        record.update(version=1, trees=[{"nodes": [{"t": "leaf", "id": 0}]}])
+        content = persistence.canonical_json_bytes(record)
+        record["hash"] = f"{persistence.fnv1a64(content):016x}"
+        old = workdir / "version-1.json"
+        old.write_bytes(persistence.canonical_json_bytes(record) + b"\n")
+        args = cli.build_parser().parse_args(["stats", "--model", str(old)])
+        with pytest.raises(VersionError):
+            args.func(args)
+        code, _, err = run_cli(capsys, ["stats", "--model", str(old)])
+        assert code == 1
+        assert "unsupported model version 1" in err
 
     def test_single_leaf_trees_use_one_bit(self, workdir, capsys):
         model = workdir / "stumps.json"

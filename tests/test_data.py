@@ -140,10 +140,6 @@ class TestDataset:
         assert sub.bounds.lo.tolist() == [1.0]
         assert sub.bounds.hi.tolist() == [3.0]
 
-    def test_instance(self):
-        ds = Dataset(Schema.numeric(["a", "b"]), np.array([[1.0, 2.0]]))
-        assert ds.instance(0).tolist() == [1.0, 2.0]
-
 
 class TestIdx:
     def test_round_trip(self, tmp_path):
@@ -199,17 +195,23 @@ class TestIdx:
 
 class TestKindSpec:
     def test_basic(self):
-        kinds = parse_kind_spec("num,cat:YES|NO,num")
+        kinds = parse_kind_spec("num,cat:YES|NO,num", 3)
         assert kinds == (Numeric(), Categorical(("YES", "NO")), Numeric())
 
     def test_repeat(self):
-        kinds = parse_kind_spec("num*3,cat:A|B*2")
+        kinds = parse_kind_spec("num*3,cat:A|B*2", 5)
         assert kinds == (Numeric(),) * 3 + (Categorical(("A", "B")),) * 2
 
     @pytest.mark.parametrize("spec", ["", "num,,num", "float", "cat:", "num*0", "num*x"])
     def test_rejects_malformed(self, spec):
         with pytest.raises(FormatError):
-            parse_kind_spec(spec)
+            parse_kind_spec(spec, 2)
+
+    @pytest.mark.parametrize("spec", ["num", "num*3", "num,cat:A|B*2", "num*99999999999999"])
+    def test_total_must_match_width(self, spec):
+        # checked before the repeats are expanded, so a huge count allocates nothing
+        with pytest.raises(FormatError, match="declares"):
+            parse_kind_spec(spec, 2)
 
 
 class TestCsv:

@@ -32,33 +32,40 @@ MIXED = Schema(
 )
 
 
+def make_tree(kind, attr, param, true_child, schema=NUM2) -> Tree:
+    """A tree from its four node columns, through the model-file record."""
+    record = {"kind": kind, "attr": attr, "param": param, "true_child": true_child}
+    return Tree.from_records(record, schema)
+
+
 def small_tree() -> Tree:
     # a >= 5 ? (b >= 3 ? leaf2 : leaf1) : leaf0
-    records = [
-        {"t": "num", "attr": 0, "thr": 5.0, "f": 1, "tr": 2},
-        {"t": "leaf", "id": 0},
-        {"t": "num", "attr": 1, "thr": 3.0, "f": 3, "tr": 4},
-        {"t": "leaf", "id": 1},
-        {"t": "leaf", "id": 2},
-    ]
-    return Tree.from_records(records, NUM2)
+    return make_tree(
+        [NUM, LEAF, NUM, LEAF, LEAF],
+        [0, -1, 1, -1, -1],
+        [5.0, 0.0, 3.0, 0.0, 0.0],
+        [2, -1, 4, -1, -1],
+    )
 
 
 def complete_depth2_tree() -> Tree:
-    records = [
-        {"t": "num", "attr": 0, "thr": 5.0, "f": 1, "tr": 4},
-        {"t": "num", "attr": 1, "thr": 1.0, "f": 2, "tr": 3},
-        {"t": "leaf", "id": 0},
-        {"t": "leaf", "id": 1},
-        {"t": "num", "attr": 1, "thr": 2.0, "f": 5, "tr": 6},
-        {"t": "leaf", "id": 2},
-        {"t": "leaf", "id": 3},
-    ]
-    return Tree.from_records(records, NUM2)
+    return make_tree(
+        [NUM, NUM, LEAF, LEAF, NUM, LEAF, LEAF],
+        [0, 1, -1, -1, 1, -1, -1],
+        [5.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0],
+        [4, 3, -1, -1, 6, -1, -1],
+    )
 
 
 def leaf_only_tree(schema=NUM2) -> Tree:
-    return Tree.from_records([{"t": "leaf", "id": 0}], schema)
+    return make_tree([LEAF], [-1], [0.0], [-1], schema)
+
+
+def stump(kind=NUM, attr=0, param=0.0, true_child=2, schema=NUM2) -> Tree:
+    """One test over two leaves; each argument can break the root."""
+    return make_tree(
+        [kind, LEAF, LEAF], [attr, -1, -1], [param, 0.0, 0.0], [true_child, -1, -1], schema
+    )
 
 
 class TestNodeRouting:
@@ -83,7 +90,7 @@ class TestEncode:
     def test_single_leafy(self):
         tree = leaf_only_tree()
         assert walk_leaf(tree, np.array([1.0, 2.0])) == 0
-        assert tree.leaf_count == 1 and tree.max_depth == 0
+        assert tree.leaf_count == 1 and tree.leaf_depths().max() == 0
 
     def test_batch_matches_scalar_on_trained_trees(self):
         ds = random_mixed(5)
@@ -103,12 +110,7 @@ class TestEncode:
         assert got.tolist() == [0, 0, 0, 0]
 
     def test_categorical_routing(self):
-        records = [
-            {"t": "cat", "attr": 1, "val": 2, "f": 1, "tr": 2},
-            {"t": "leaf", "id": 0},
-            {"t": "leaf", "id": 1},
-        ]
-        tree = Tree.from_records(records, MIXED)
+        tree = stump(CAT, 1, 2.0, schema=MIXED)
         X = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 0.0]])
         assert tree.encode_batch(X).tolist() == [1, 0, 0]
         assert [walk_leaf(tree, x) for x in X] == [1, 0, 0]
@@ -117,116 +119,126 @@ class TestEncode:
 class TestFromRecordsValidation:
     def test_empty(self):
         with pytest.raises(InvalidModelError):
-            Tree.from_records([], NUM2)
+            make_tree([], [], [], [])
 
     def test_unknown_type(self):
         with pytest.raises(InvalidModelError):
-            Tree.from_records([{"t": "what"}], NUM2)
+            make_tree([7], [-1], [0.0], [-1])
 
     def test_missing_keys(self):
+        record = small_tree().node_records()
+        del record["param"]
         with pytest.raises(InvalidModelError):
-            Tree.from_records([{"t": "num", "attr": 0}], NUM2)
+            Tree.from_records(record, NUM2)
+
+    @pytest.mark.parametrize("nodes", [[], [{"t": "leaf", "id": 0}], None, 5])
+    def test_not_a_column_record(self, nodes):
+        with pytest.raises(InvalidModelError):
+            Tree.from_records(nodes, NUM2)
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(InvalidModelError):
+            make_tree([NUM, LEAF, LEAF], [0, -1, -1], [0.0, 0.0], [2, -1, -1])
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("kind", True),
+            ("kind", 1.0),
+            ("attr", 0.0),
+            ("attr", "0"),
+            ("param", 0),
+            ("param", None),
+            ("true_child", 2.0),
+            ("true_child", False),
+        ],
+    )
+    def test_column_types_are_strict(self, column, value):
+        # each value equals the stored one, but is not the JSON type save writes
+        record = stump().node_records()
+        record[column][0] = value
+        with pytest.raises(InvalidModelError):
+            Tree.from_records(record, NUM2)
+
+    @pytest.mark.parametrize(
+        "attr, param, true_child",
+        [(0, 0.0, -1), (-1, 1.0, -1), (-1, 0.0, 0)],
+        ids=["attr", "param", "true-child"],
+    )
+    def test_leaf_holds_no_test(self, attr, param, true_child):
+        with pytest.raises(InvalidModelError):
+            make_tree([LEAF], [attr], [param], [true_child])
 
     def test_attr_out_of_range(self):
         with pytest.raises(InvalidModelError):
-            Tree.from_records(
-                [{"t": "num", "attr": 2, "thr": 0.0, "f": 1, "tr": 2},
-                 {"t": "leaf", "id": 0}, {"t": "leaf", "id": 1}],
-                NUM2,
-            )
+            stump(attr=2)
+        with pytest.raises(InvalidModelError):
+            stump(attr=-1)
 
     def test_numeric_test_on_categorical_attr(self):
         with pytest.raises(InvalidModelError):
-            Tree.from_records(
-                [{"t": "num", "attr": 1, "thr": 0.0, "f": 1, "tr": 2},
-                 {"t": "leaf", "id": 0}, {"t": "leaf", "id": 1}],
-                MIXED,
-            )
+            stump(NUM, 1, 0.0, schema=MIXED)
 
     def test_categorical_test_on_numeric_attr(self):
         with pytest.raises(InvalidModelError):
-            Tree.from_records(
-                [{"t": "cat", "attr": 0, "val": 0, "f": 1, "tr": 2},
-                 {"t": "leaf", "id": 0}, {"t": "leaf", "id": 1}],
-                MIXED,
-            )
+            stump(CAT, 0, 0.0, schema=MIXED)
 
     def test_category_out_of_range(self):
-        with pytest.raises(InvalidModelError):
-            Tree.from_records(
-                [{"t": "cat", "attr": 1, "val": 3, "f": 1, "tr": 2},
-                 {"t": "leaf", "id": 0}, {"t": "leaf", "id": 1}],
-                MIXED,
-            )
+        for category in (3.0, -1.0, 0.5, math.nan):
+            with pytest.raises(InvalidModelError):
+                stump(CAT, 1, category, schema=MIXED)
 
     def test_non_finite_threshold(self):
-        with pytest.raises(InvalidModelError):
-            Tree.from_records(
-                [{"t": "num", "attr": 0, "thr": math.inf, "f": 1, "tr": 2},
-                 {"t": "leaf", "id": 0}, {"t": "leaf", "id": 1}],
-                NUM2,
-            )
+        for threshold in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidModelError):
+                stump(param=threshold)
 
     def test_child_out_of_range(self):
         with pytest.raises(InvalidModelError):
-            Tree.from_records(
-                [{"t": "num", "attr": 0, "thr": 0.0, "f": 1, "tr": 5},
-                 {"t": "leaf", "id": 0}, {"t": "leaf", "id": 1}],
-                NUM2,
-            )
+            stump(true_child=5)
+        with pytest.raises(InvalidModelError):
+            stump(true_child=3)
 
     def test_node_reached_twice(self):
+        # the true child is the false child i + 1
         with pytest.raises(InvalidModelError):
-            Tree.from_records(
-                [{"t": "num", "attr": 0, "thr": 0.0, "f": 1, "tr": 1},
-                 {"t": "leaf", "id": 0}, {"t": "leaf", "id": 1}],
-                NUM2,
-            )
+            stump(true_child=1)
 
     def test_unreachable_node(self):
         with pytest.raises(InvalidModelError):
-            Tree.from_records(
-                [{"t": "num", "attr": 0, "thr": 0.0, "f": 1, "tr": 2},
-                 {"t": "leaf", "id": 0}, {"t": "leaf", "id": 1},
-                 {"t": "leaf", "id": 2}],
-                NUM2,
-            )
+            make_tree([NUM, LEAF, LEAF, LEAF], [0, -1, -1, -1], [0.0] * 4, [2, -1, -1, -1])
 
-    def test_leaf_ids_must_follow_preorder(self):
+    def test_subtree_must_end_where_its_parent_says(self):
+        # root: false subtree [1, 4), true subtree [4, 5); node 1's true child 4
+        # lies beyond its own interval although it is a valid node index
         with pytest.raises(InvalidModelError):
-            Tree.from_records(
-                [{"t": "num", "attr": 0, "thr": 0.0, "f": 1, "tr": 2},
-                 {"t": "leaf", "id": 1}, {"t": "leaf", "id": 0}],
-                NUM2,
-            )
-
-    def test_false_child_must_be_next_node(self):
-        # the same tree with its leaves swapped in storage: not pre-order
-        with pytest.raises(InvalidModelError):
-            Tree.from_records(
-                [{"t": "num", "attr": 0, "thr": 0.0, "f": 2, "tr": 1},
-                 {"t": "leaf", "id": 1}, {"t": "leaf", "id": 0}],
-                NUM2,
+            make_tree(
+                [NUM, NUM, LEAF, LEAF, LEAF],
+                [0, 1, -1, -1, -1],
+                [0.0] * 5,
+                [4, 4, -1, -1, -1],
             )
 
     @pytest.mark.parametrize(
-        "records",
-        [
-            [{"t": "num", "attr": 0, "thr": 0.0, "f": 1, "tr": 2**40},
-             {"t": "leaf", "id": 0}, {"t": "leaf", "id": 1}],
-            [{"t": "leaf", "id": math.inf}],
-        ],
-        ids=["child-beyond-int32", "infinite-leaf-id"],
+        "column, value",
+        [("true_child", 2**40), ("attr", 2**70), ("kind", 257)],
+        ids=["child-beyond-int32", "attr-beyond-int64", "kind-beyond-int8"],
     )
-    def test_unrepresentable_numbers(self, records):
+    def test_unrepresentable_numbers(self, column, value):
+        # 257 would wrap to NUM in int8; every column is range-checked before narrowing
+        record = stump().node_records()
+        record[column][0] = value
         with pytest.raises(InvalidModelError):
-            Tree.from_records(records, NUM2)
+            Tree.from_records(record, NUM2)
 
     def test_round_trip_through_records(self):
         tree = complete_depth2_tree()
-        again = Tree.from_records(tree.node_records(), NUM2)
-        assert again.node_records() == tree.node_records()
+        record = tree.node_records()
+        assert list(record) == list(Tree.__slots__)
+        again = Tree.from_records(record, NUM2)
+        assert again.node_records() == record
         for name in Tree.__slots__:
+            assert getattr(again, name).dtype == getattr(tree, name).dtype
             assert getattr(again, name).tolist() == getattr(tree, name).tolist()
 
     def test_arrays_are_read_only(self):
@@ -380,4 +392,4 @@ class TestDepthStats:
             for tree in forest.trees:
                 lengths = [len(tree.path_steps(leaf)) for leaf in range(tree.leaf_count)]
                 assert tree.leaf_depths().tolist() == lengths
-                assert tree.max_depth == max(lengths)
+                assert tree.leaf_depths().max() == max(lengths)

@@ -4,6 +4,8 @@ detection, and every file-format error path."""
 import functools
 import hashlib
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from eforest.errors import (
     ShapeError,
     VersionError,
 )
-from eforest.forest import CAT
+from eforest.forest import CAT, LEAF, Tree
 from eforest.persistence import (
     MODEL_VERSION,
     canonical_json_bytes,
@@ -85,6 +87,23 @@ class TestAtomicWrite:
         leftovers = [q for q in tmp_path.iterdir() if q != p]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        p = tmp_path / "f.bin"
+        old = os.umask(umask)
+        try:
+            atomic_write_bytes(p, b"one")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~umask
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(FormatError):
+            atomic_write_bytes(target, b"one")
+        assert list(tmp_path.iterdir()) == [target]
+
 
 class TestModelRoundTrip:
     def test_save_load_save_is_byte_stable(self, tmp_path):
@@ -144,41 +163,69 @@ class TestModelRoundTrip:
             ds, TrainConfig(mode="unsupervised", n_trees=1, seed=0, max_depth_cap=0)
         )
         record = forest_record(forest)
-        assert record["trees"] == [{"nodes": [{"t": "leaf", "id": 0}]}]
+        assert record["trees"] == [
+            {"nodes": {"kind": [LEAF], "attr": [-1], "param": [0.0], "true_child": [-1]}}
+        ]
+
+    def test_trees_are_stored_as_the_four_arrays(self, tmp_path):
+        forest, _ = small_forest()
+        p = tmp_path / "m.json"
+        save_model(forest, p)
+        trees = json.loads(p.read_bytes())["trees"]
+        assert [t["nodes"] for t in trees] == [
+            {name: getattr(tree, name).tolist() for name in Tree.__slots__}
+            for tree in forest.trees
+        ]
 
 
-# Fixed-seed forests and their content ids and model-file sha256 digests.
-# The model format is byte-stable: any change to these values changes every
-# saved model and every encodings file tied to one.
+# Fixed-seed forests with the sha256 of their tree arrays, their content ids
+# and their model-file sha256 digests. The array digest does not depend on the
+# file format; the other two change with it, and with them every saved model
+# and every encodings file tied to one.
 GOLDEN_MODELS = {
     "mnist-unsup": (
         lambda: mnist_like(200, seed=0), "unsupervised", 8, 1,
-        "0701e9d15f3a3b86",
-        "f6dad85cb352d5884bef9f4580c86c09ae1b61783f8d2455ee800911661bb572",
+        "92d5e1d569a8061efdeb6e93f7e4cbc920bc4226f5a7c2e5f12091bef81f126c",
+        "65e6b83604d37ac5",
+        "723a6adcfb16af7b453fc0b10e2d1f5c7d3de31aa03215dfca1bca7945464cb6",
     ),
     "tfidf-sup": (
         lambda: tfidf_like(200, 100, seed=0), "supervised", 6, 2,
-        "5ee039459152c0f2",
-        "2f3d5c1f2d03701630a8d711c98dbbfb70831968aad390b5b868d6a659cd7222",
+        "ec005e141c281ccbe2345ea8dfe61ba00e47b82aa9b80d885e74c65c991d04d6",
+        "443ef3ca25d98ad8",
+        "417d562e1e84bd6dd17b083d0855a8b0f2256b8b4a8a25da9a4d4a6c3360814e",
     ),
     "mixed-sup": (
         lambda: random_mixed(49, d=8), "supervised", 6, 3,
-        "ee9511aa0b9ff731",
-        "f68e33ccf1455ac3c4f8eb0c4d600261a7b59adc89af00a19420d0dc7ca4bbf9",
+        "a50c64a8fe868bab8cd3937435c8759d118a4013cd4b0d8e0c3116f6caa57d79",
+        "aa8b95f606f3a92a",
+        "f904998f8c9dd203d557f04e3d8c9974a2ee9fd2c4d907cf994cd2f88b0f86c6",
     ),
 }
 
 
+def tree_arrays_sha256(forest) -> str:
+    """sha256 of every tree's four arrays, little-endian, in slot order, tree by tree."""
+    h = hashlib.sha256()
+    for tree in forest.trees:
+        for name in Tree.__slots__:
+            arr = getattr(tree, name)
+            h.update(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
 def test_golden_model_bytes(tmp_path, name):
-    make, mode, n_trees, seed, hex_id, sha256 = GOLDEN_MODELS[name]
+    make, mode, n_trees, seed, arrays_sha256, hex_id, sha256 = GOLDEN_MODELS[name]
     ds = make()
     forest = train_forest(ds, TrainConfig(mode=mode, n_trees=n_trees, seed=seed))
     if name == "mixed-sup":
         assert any((t.kind == CAT).any() for t in forest.trees)
+    assert tree_arrays_sha256(forest) == arrays_sha256
     p = tmp_path / "m.json"
     assert save_model(forest, p) == hex_id
     assert hashlib.sha256(p.read_bytes()).hexdigest() == sha256
+    assert tree_arrays_sha256(load_model(p)) == arrays_sha256
 
 
 def rewrite_with_fresh_hash(path, mutate):
@@ -202,12 +249,26 @@ class TestModelDamage:
         with pytest.raises(CorruptModelError):
             load_model(p)
 
+    def test_flipped_byte_in_a_tree_is_detected(self, tmp_path):
+        forest, _ = small_forest()
+        p = tmp_path / "m.json"
+        save_model(forest, p)
+        blob = bytearray(p.read_bytes())
+        # the first threshold digit: still valid JSON and a valid tree
+        at = blob.index(b'"param":[') + len(b'"param":[')
+        while not chr(blob[at]).isdigit():
+            at += 1
+        blob[at] = ord("1") if blob[at] != ord("1") else ord("2")
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CorruptModelError):
+            load_model(p)
+
     def test_structurally_broken_tree_strict(self, tmp_path):
         forest, _ = small_forest()
         p = tmp_path / "m.json"
         save_model(forest, p)
         rewrite_with_fresh_hash(
-            p, lambda r: r["trees"][1]["nodes"][0].update({"tr": 99999})
+            p, lambda r: r["trees"][1]["nodes"]["true_child"].__setitem__(0, 99999)
         )
         with pytest.raises(InvalidModelError):
             load_model(p)
@@ -315,9 +376,9 @@ class TestModelFormatErrors:
             load_model(p)
 
 
-# every model field the loader types strictly: node fields, attribute names,
-# category values and bounds
-STRICT_FIELDS = ("attr", "val", "f", "tr", "id", "thr", "names", "values", "lo", "hi")
+# every model field the loader types strictly: the four node columns,
+# attribute names, category values and bounds
+STRICT_FIELDS = ("kind", "attr", "param", "true_child", "names", "values", "lo", "hi")
 
 JSON_SCALARS = (
     st.none()
@@ -357,17 +418,23 @@ def field_places(record, field):
             if k["kind"] == "cat"
             for v in range(len(k["values"]))
         ]
-    return [(node, field) for t in record["trees"] for node in t["nodes"] if field in node]
+    return [
+        (column, i)
+        for t in record["trees"]
+        for column in [t["nodes"][field]]
+        for i in range(len(column))
+    ]
 
 
 class TestStrictFieldTypes:
     @given(field=st.sampled_from(STRICT_FIELDS), pick=st.integers(0, 99), value=JSON_SCALARS)
-    @example(field="thr", pick=0, value=1)
-    @example(field="thr", pick=0, value="0.5")
+    @example(field="param", pick=0, value=1)
+    @example(field="param", pick=0, value="0.5")
     @example(field="attr", pick=0, value=1.25)
-    @example(field="tr", pick=0, value="2")
-    @example(field="id", pick=0, value=0.5)
-    @example(field="val", pick=0, value="1")
+    @example(field="true_child", pick=0, value="2")
+    @example(field="true_child", pick=0, value=2**40)
+    @example(field="kind", pick=0, value=True)
+    @example(field="kind", pick=0, value=257)
     @example(field="names", pick=0, value=7)
     @example(field="hi", pick=0, value=1000)
     @example(field="lo", pick=0, value="-1000.0")
@@ -395,13 +462,13 @@ class TestStrictFieldTypes:
     @pytest.mark.parametrize(
         "place",
         [
-            lambda r: r["trees"][0]["nodes"][-1],
-            lambda r: r["trees"][0]["nodes"][0],
+            lambda r: r["trees"][0]["nodes"],
+            lambda r: r["trees"][0],
             lambda r: r["schema"],
             lambda r: r["schema"]["kinds"][0],
             lambda r: r["bounds"],
         ],
-        ids=["leaf", "internal-node", "schema", "attribute-kind", "bounds"],
+        ids=["nodes", "tree", "schema", "attribute-kind", "bounds"],
     )
     def test_extra_field_is_refused(self, tmp_path, place):
         # save_model would drop the field, so the model could not be re-saved as read

@@ -9,7 +9,7 @@ import pytest
 
 from eforest.data import Categorical, Dataset, Numeric, Schema
 from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
-from eforest.forest import CAT, NUM, Tree
+from eforest.forest import CAT, LEAF, NUM, Tree
 from eforest.rng import SplitMix64
 from eforest.training import (
     TrainConfig,
@@ -349,7 +349,7 @@ class TestTrainForest:
         forest = train_forest(
             ds, TrainConfig(mode="unsupervised", n_trees=3, seed=2, max_depth_cap=3)
         )
-        assert all(t.max_depth <= 3 for t in forest.trees)
+        assert all(t.leaf_depths().max() <= 3 for t in forest.trees)
         stump = train_forest(
             ds, TrainConfig(mode="unsupervised", n_trees=2, seed=2, max_depth_cap=0)
         )
@@ -377,11 +377,12 @@ class TestTrainForest:
             TrainConfig(mode="supervised", n_trees=2, seed=0, bootstrap=False, min_node_size=1),
         )
         for tree in forest.trees:
-            assert tree.node_records() == [
-                {"t": "num", "attr": 0, "thr": 0.5, "f": 1, "tr": 2},
-                {"t": "leaf", "id": 0},
-                {"t": "leaf", "id": 1},
-            ]
+            assert tree.node_records() == {
+                "kind": [NUM, LEAF, LEAF],
+                "attr": [0, -1, -1],
+                "param": [0.5, 0.0, 0.0],
+                "true_child": [2, -1, -1],
+            }
 
     def test_bootstrap_changes_supervised_trees(self):
         ds = dataset_numeric(seed=21, n=80)
