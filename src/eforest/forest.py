@@ -167,10 +167,8 @@ def check_tree_arrays(kind, attr, param, true_child, schema: Schema) -> None:
     Leaves carry ``attr = -1``, ``param = 0.0`` and ``true_child = -1``. An
     internal node tests an attribute in range with the schema's kind of test:
     a finite threshold on a numeric attribute, or an integral category index
-    of a categorical one. The nodes must be in depth-first pre-order with the
-    false branch first: walking the subtree intervals ``[node, end)`` level
-    by level from ``[0, n)``, an internal node ``i`` needs
-    ``i + 1 < true_child[i] < end`` and a leaf needs ``end == node + 1``.
+    of a categorical one. The nodes must be one binary tree in depth-first
+    pre-order with the false branch first (see ``_check_preorder``).
     """
     n = len(kind)
     if n == 0 or not len(attr) == len(param) == len(true_child) == n:
@@ -192,17 +190,34 @@ def check_tree_arrays(kind, attr, param, true_child, schema: Schema) -> None:
     p = param[inner]
     _refuse(inner, cat & ((p != np.floor(p)) | (p < 0) | (p >= sizes[a])), "category out of range")
     _refuse(inner, ~cat & ~np.isfinite(p), "threshold is not finite")
-    true_child = true_child.astype(np.int64)
-    nodes, ends = np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
-    while len(nodes):
-        at_leaf = leaf[nodes]
-        after = nodes + 1
-        _refuse(nodes, at_leaf & (ends != after), "nodes after this leaf are unreachable")
-        inner = ~at_leaf
-        nodes, after, ends = nodes[inner], after[inner], ends[inner]
-        tc = true_child[nodes]
-        _refuse(nodes, (tc <= after) | (tc >= ends), "true child is not in pre-order")
-        nodes, ends = np.concatenate([after, tc]), np.concatenate([tc, ends])
+    _check_preorder(leaf, true_child)
+
+
+def _check_preorder(leaf, true_child) -> None:
+    """Refuse a layout that is not one binary tree in depth-first pre-order
+    with the false branch first, in a fixed number of array passes.
+
+    Storing a node leaves ``open`` subtrees still to store: one at the start,
+    one more after an internal node and one fewer after a leaf. The count must
+    stay positive until the last node and reach zero there. The false
+    subtree of internal node ``i`` then holds only nodes stored with more
+    subtrees open than ``i``, so its true child is the next node stored with
+    as many open as ``i``.
+    """
+    n = len(leaf)
+    step = np.where(leaf, -1, 1)
+    after = 1 + np.cumsum(step)
+    before = after - step
+    every = np.arange(n)
+    _refuse(every[:-1], after[:-1] <= 0, "nodes after this leaf are unreachable")
+    if after[-1] != 0:
+        raise InvalidModelError(f"node {n - 1}: {after[-1]} subtrees are missing after it")
+    order = np.argsort(before * n + every)  # by count, then by position
+    same = before[order[1:]] == before[order[:-1]]
+    next_same = np.full(n, -1)
+    next_same[order[:-1][same]] = order[1:][same]
+    inner = np.flatnonzero(~leaf)
+    _refuse(inner, true_child[inner] != next_same[inner], "true child is not in pre-order")
 
 
 class Forest:

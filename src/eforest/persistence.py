@@ -183,7 +183,10 @@ def load_model(path):
     for i, trec in enumerate(tree_records):
         if not isinstance(trec, dict) or set(trec.keys()) != {"nodes"}:
             raise InvalidModelError(f"tree {i}: expected a {{'nodes': {{...}}}} record")
-        trees.append(Tree.from_records(trec["nodes"], schema))
+        try:
+            trees.append(Tree.from_records(trec["nodes"], schema))
+        except InvalidModelError as exc:
+            raise InvalidModelError(f"tree {i}: {exc}") from None
 
     try:
         forest = Forest(

@@ -108,13 +108,18 @@ def _xlogx_table(n: int) -> np.ndarray:
     return table
 
 
+def _categorical_mask(schema: Schema) -> np.ndarray:
+    """Which attributes of ``schema`` are categorical, as a bool array."""
+    return np.array([isinstance(k, Categorical) for k in schema.kinds])
+
+
 # -- unsupervised splits ------------------------------------------------------
 
 _REJECT_ROUNDS = 16
 _THRESHOLD_ROUNDS = 8
 
 
-def _unsup_split(XT, rows, stream: SplitMix64, schema: Schema):
+def _unsup_split(XT, rows, stream: SplitMix64, is_cat):
     """Pick ((kind, attr, param), true-branch mask) for one node, or None if no
     attribute varies.
 
@@ -138,8 +143,7 @@ def _unsup_split(XT, rows, stream: SplitMix64, schema: Schema):
             return None
         j = int(varying[stream.below(len(varying))])
         col = sub[j]
-    kind = schema.kinds[j]
-    if isinstance(kind, Categorical):
+    if is_cat[j]:
         present = np.unique(col)
         v = float(present[stream.below(len(present))])
         return (CAT, j, v), col == v
@@ -162,109 +166,75 @@ def build_unsupervised_node(
     """Completely random (kind, attr, param) node test for a row subset, or None
     to declare a leaf."""
     XT = np.asarray(X, dtype=np.float64).T
-    picked = _split_node(XT, np.asarray(rows, dtype=np.int64), rng, schema, min_node_size)
+    picked = _split_node(
+        XT, np.asarray(rows, dtype=np.int64), rng, _categorical_mask(schema), min_node_size
+    )
     return picked[0] if picked else None
 
 
 # -- supervised splits --------------------------------------------------------
 
 
-def _best_numeric_splits(sub, y, n_classes, xlogx):
-    """Per-attribute best (scaled gain, sorted-position) over a value-sorted sweep.
-
-    ``sub`` is (attrs, rows). Gains are n_rows * gain so candidates compare
-    without a division; -inf marks positions that are not value boundaries.
-    Returns (gains, positions, sorted_values).
-    """
-    a, nn = sub.shape
-    order = np.argsort(sub, axis=1)
-    sv = np.take_along_axis(sub, order, axis=1)
-    sy = y[order]
-    onehot = sy[:, :, None] == np.arange(n_classes)
-    cum = np.cumsum(onehot, axis=1, dtype=np.int64)
-    total = cum[:, -1, :]
-    n_parent_term = xlogx[nn] - xlogx[total].sum(axis=1)
-    left = cum[:, :-1, :]
-    right = total[:, None, :] - left
-    nl = np.arange(1, nn, dtype=np.int64)
-    nr = nn - nl
-    left_term = xlogx[nl][None, :] - xlogx[left].sum(axis=2)
-    right_term = xlogx[nr][None, :] - xlogx[right].sum(axis=2)
-    gains = n_parent_term[:, None] - left_term - right_term
-    boundary = sv[:, :-1] != sv[:, 1:]
-    gains = np.where(boundary, gains, -np.inf)
-    pos = np.argmax(gains, axis=1)
-    return gains[np.arange(a), pos], pos, sv
-
-
-def _numeric_threshold(sv_row, pos: int) -> float:
+def _numeric_threshold(values, pos: int) -> float:
     """Midpoint between adjacent distinct values, nudged up if rounding hits the left."""
-    lo = float(sv_row[pos])
-    hi = float(sv_row[pos + 1])
+    lo = float(values[pos])
+    hi = float(values[pos + 1])
     mid = 0.5 * (lo + hi)
     return mid if mid > lo else hi
 
 
-def _best_categorical_split(col, y, nn, n_classes, xlogx, size):
-    """Best (scaled gain, value) for one categorical attribute, or None."""
-    vals = col.astype(np.int64)
-    counts = np.zeros((size, n_classes), dtype=np.int64)
-    np.add.at(counts, (vals, y), 1)
-    count_v = counts.sum(axis=1)
-    usable = (count_v > 0) & (count_v < nn)
-    if not usable.any():
-        return None
-    total = counts.sum(axis=0)
-    n_parent_term = xlogx[nn] - xlogx[total].sum()
-    left_term = xlogx[count_v] - xlogx[counts].sum(axis=1)
-    right = total[None, :] - counts
-    right_term = xlogx[nn - count_v] - xlogx[right].sum(axis=1)
-    gains = n_parent_term - left_term - right_term
-    gains = np.where(usable, gains, -np.inf)
-    v = int(np.argmax(gains))
-    return float(gains[v]), v
-
-
-def _sup_split(XT, rows, y, stream: SplitMix64, schema: Schema, n_classes, xlogx, n_sample):
+def _sup_split(XT, rows, y, stream: SplitMix64, is_cat, n_classes, xlogx, n_sample):
     """Best-gain ((kind, attr, param), true-branch mask) over a random attribute
     sample, or None if no gain is positive.
 
-    Ties go to the lowest attribute index, then the lowest threshold or
-    category value.
+    One argsort of the sampled attributes' values cuts each attribute into
+    runs of equal values, and one bincount counts the classes of every run.
+    A numeric candidate ends any run but its attribute's last; the rows below
+    it form its attribute's runs so far. A categorical candidate is any run of
+    an attribute with at least two; its rows take the true branch. Gains are
+    computed at candidates only, in (attribute, value) order, so the first
+    maximum breaks ties to the lowest attribute index, then the lowest
+    threshold or category value.
     """
-    d = XT.shape[0]
     nn = len(rows)
-    attrs = np.sort(stream.sample_without_replacement(d, n_sample))
-    numeric_attrs = [int(a) for a in attrs if not isinstance(schema.kinds[a], Categorical)]
-    best_gain = 0.0
-    best = None
-
-    num_results = {}
-    if numeric_attrs:
-        sub = XT[np.ix_(numeric_attrs, rows)]
-        gains, positions, sv = _best_numeric_splits(sub, y, n_classes, xlogx)
-        for i, a in enumerate(numeric_attrs):
-            num_results[a] = (gains[i], i, positions[i], sv)
-
-    for a in attrs:
-        a = int(a)
-        kind = schema.kinds[a]
-        if isinstance(kind, Categorical):
-            found = _best_categorical_split(XT[a][rows], y, nn, n_classes, xlogx, kind.size)
-            if found is None:
-                continue
-            gain, v = found
-            if gain > best_gain:
-                best_gain, best = gain, (CAT, a, float(v))
-        else:
-            gain, i, pos, sv = num_results[a]
-            if gain > best_gain:
-                best_gain, best = gain, (NUM, a, _numeric_threshold(sv[i], pos))
-    if best is None:
+    attrs = np.sort(stream.sample_without_replacement(XT.shape[0], n_sample))
+    order = np.argsort(XT[attrs[:, None], rows], axis=1)
+    sv = XT[attrs[:, None], rows[order]].ravel()
+    # an attribute's first row starts a run, and a sentinel start closes the last
+    start = np.empty(len(sv) + 1, dtype=bool)
+    np.not_equal(sv[1:], sv[:-1], out=start[1:-1])
+    start[::nn] = True
+    bounds = np.flatnonzero(start)
+    first, end = bounds[:-1], bounds[1:]
+    run_attr = first // nn
+    cat = is_cat[attrs][run_attr]
+    cand = np.flatnonzero(np.where(cat, end - first < nn, end % nn > 0))
+    if not len(cand):
         return None
-    k, a, p = best
+    run = np.cumsum(start[:-1]) - 1
+    counts = np.bincount(run * n_classes + y[order].ravel(), minlength=len(first) * n_classes)
+    counts = counts.reshape(-1, n_classes)
+    total = np.bincount(y, minlength=n_classes)
+    # every attribute's runs hold all rows, so its running sum starts at attr * total
+    below = np.cumsum(counts, axis=0) - run_attr[:, None] * total
+    left = np.where(cat[:, None], counts, below)[cand]
+    nl = left.sum(axis=1)
+    parent_term = xlogx[nn] - xlogx[total].sum()
+    left_term = xlogx[nl] - xlogx[left].sum(axis=1)
+    right_term = xlogx[nn - nl] - xlogx[total - left].sum(axis=1)
+    gains = parent_term - left_term - right_term
+    i = int(np.argmax(gains))
+    if not gains[i] > 0.0:
+        return None
+    r = int(cand[i])
+    a = int(attrs[run_attr[r]])
     col = XT[a][rows]
-    return best, (col == p if k == CAT else col >= p)
+    values = sv[first]
+    if cat[r]:
+        v = float(values[r])
+        return (CAT, a, v), col == v
+    thr = _numeric_threshold(values, r)
+    return (NUM, a, thr), col >= thr
 
 
 def attribute_sample_size(d: int) -> int:
@@ -289,13 +259,14 @@ def build_supervised_node(
     rows = np.asarray(rows, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     XT = np.asarray(X, dtype=np.float64).T
-    picked = _split_node(XT, rows, rng, schema, min_node_size, labels, int(labels.max()) + 1,
-                         _xlogx_table(len(rows)), attribute_sample_size(XT.shape[0]))
+    picked = _split_node(XT, rows, rng, _categorical_mask(schema), min_node_size, labels,
+                         int(labels.max()) + 1, _xlogx_table(len(rows)),
+                         attribute_sample_size(XT.shape[0]))
     return picked[0] if picked else None
 
 
 def _split_node(
-    XT, rows, stream, schema, min_node_size, labels=None, n_classes=0, xlogx=None, n_sample=0
+    XT, rows, stream, is_cat, min_node_size, labels=None, n_classes=0, xlogx=None, n_sample=0
 ):
     """((kind, attr, param), true-branch mask) for one node, or None to declare
     a leaf.
@@ -307,17 +278,17 @@ def _split_node(
     if len(rows) <= min_node_size:
         return None
     if labels is None:
-        return _unsup_split(XT, rows, stream, schema)
+        return _unsup_split(XT, rows, stream, is_cat)
     y = labels[rows]
     if (y == y[0]).all():
         return None
-    return _sup_split(XT, rows, y, stream, schema, n_classes, xlogx, n_sample)
+    return _sup_split(XT, rows, y, stream, is_cat, n_classes, xlogx, n_sample)
 
 
 # -- tree growth --------------------------------------------------------------
 
 
-def _grow_tree(XT, labels, rows0, stream, schema, cfg: TrainConfig, xlogx, n_classes) -> Tree:
+def _grow_tree(XT, labels, rows0, stream, is_cat, cfg: TrainConfig, xlogx, n_classes) -> Tree:
     """Grow one tree, storing nodes in depth-first pre-order, false branch first.
 
     The false child of node ``i`` is therefore ``i + 1``; a true child sets
@@ -338,7 +309,7 @@ def _grow_tree(XT, labels, rows0, stream, schema, cfg: TrainConfig, xlogx, n_cla
         true_child.append(-1)
         at_cap = cfg.max_depth_cap is not None and depth >= cfg.max_depth_cap
         picked = None if at_cap else _split_node(
-            XT, rows, stream, schema, cfg.min_node_size, labels, n_classes, xlogx, n_sample
+            XT, rows, stream, is_cat, cfg.min_node_size, labels, n_classes, xlogx, n_sample
         )
         if picked is None:
             kind.append(LEAF)
@@ -354,13 +325,13 @@ def _grow_tree(XT, labels, rows0, stream, schema, cfg: TrainConfig, xlogx, n_cla
     return Tree(kind, attr, param, true_child)
 
 
-def _train_one(t: int, XT, labels, n, cfg: TrainConfig, schema, xlogx, n_classes) -> Tree:
+def _train_one(t: int, XT, labels, n, cfg: TrainConfig, is_cat, xlogx, n_classes) -> Tree:
     stream = tree_stream(cfg.seed, t)
     if cfg.resolved_bootstrap:
         rows0 = stream.below_block(n, n)
     else:
         rows0 = np.arange(n, dtype=np.int64)
-    return _grow_tree(XT, labels, rows0, stream, schema, cfg, xlogx, n_classes)
+    return _grow_tree(XT, labels, rows0, stream, is_cat, cfg, xlogx, n_classes)
 
 
 _FORK_PAYLOAD: dict = {}
@@ -369,7 +340,7 @@ _FORK_PAYLOAD: dict = {}
 def _train_worker(t: int) -> list:
     p = _FORK_PAYLOAD
     tree = _train_one(
-        t, p["XT"], p["labels"], p["n"], p["cfg"], p["schema"], p["xlogx"], p["n_classes"]
+        t, p["XT"], p["labels"], p["n"], p["cfg"], p["is_cat"], p["xlogx"], p["n_classes"]
     )
     return [getattr(tree, name) for name in Tree.__slots__]
 
@@ -395,6 +366,7 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
     XT = np.ascontiguousarray(dataset.X.T)
     xlogx = _xlogx_table(dataset.n) if config.mode == "supervised" else np.zeros(1)
     n = dataset.n
+    is_cat = _categorical_mask(dataset.schema)
 
     if config.threads > 1 and hasattr(os, "fork"):
         import multiprocessing
@@ -404,7 +376,7 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
             labels=labels,
             n=n,
             cfg=config,
-            schema=dataset.schema,
+            is_cat=is_cat,
             xlogx=xlogx,
             n_classes=n_classes,
         )
@@ -417,7 +389,7 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
             _FORK_PAYLOAD.clear()
     else:
         trees = [
-            _train_one(t, XT, labels, n, config, dataset.schema, xlogx, n_classes)
+            _train_one(t, XT, labels, n, config, is_cat, xlogx, n_classes)
             for t in range(config.n_trees)
         ]
     return Forest(

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eforest.codec import EncodingMatrix, TreeMask, decode, decode_batch
 from eforest.data import Bounds, Categorical, Numeric, Schema, compute_bounds
@@ -15,6 +17,7 @@ from eforest.forest import (
     NUM,
     Forest,
     Tree,
+    _check_preorder,
     depth_stats,
     get_path,
     path_to_rule,
@@ -208,6 +211,11 @@ class TestFromRecordsValidation:
         with pytest.raises(InvalidModelError):
             make_tree([NUM, LEAF, LEAF, LEAF], [0, -1, -1, -1], [0.0] * 4, [2, -1, -1, -1])
 
+    def test_nodes_after_a_leaf_root(self):
+        # the stump after the root closes by itself, and its test has no true child
+        with pytest.raises(InvalidModelError, match="node 0: nodes after this leaf"):
+            make_tree([LEAF, NUM, LEAF], [-1, 0, -1], [0.0] * 3, [-1, -1, -1])
+
     def test_subtree_must_end_where_its_parent_says(self):
         # root: false subtree [1, 4), true subtree [4, 5); node 1's true child 4
         # lies beyond its own interval although it is a valid node index
@@ -250,6 +258,68 @@ class TestFromRecordsValidation:
                 tree.param[0] = 1.0
             with pytest.raises(ValueError):
                 tree.true_child[0] = 0
+
+
+def walk_preorder(leaf, true_child) -> bool:
+    """Reference layout check: walk the subtree intervals ``[node, end)`` level
+    by level from ``[0, n)``. An internal node ``i`` needs
+    ``i + 1 < true_child[i] < end`` and a leaf needs ``end == node + 1``."""
+    true_child = np.asarray(true_child, dtype=np.int64)
+    nodes, ends = np.zeros(1, dtype=np.int64), np.full(1, len(leaf), dtype=np.int64)
+    while len(nodes):
+        at_leaf = leaf[nodes]
+        after = nodes + 1
+        if (at_leaf & (ends != after)).any():
+            return False
+        inner = ~at_leaf
+        nodes, after, ends = nodes[inner], after[inner], ends[inner]
+        tc = true_child[nodes]
+        if ((tc <= after) | (tc >= ends)).any():
+            return False
+        nodes, ends = np.concatenate([after, tc]), np.concatenate([tc, ends])
+    return True
+
+
+@st.composite
+def preorder_layouts(draw):
+    """(leaf, true_child) of a random tree in pre-order, false branch first,
+    possibly with one entry of either column changed."""
+    leaf, true_child = [], []
+
+    def grow(internal):
+        i = len(leaf)
+        leaf.append(internal == 0)
+        true_child.append(-1)
+        if internal:
+            in_false = draw(st.integers(0, internal - 1))
+            grow(in_false)
+            true_child[i] = len(leaf)
+            grow(internal - 1 - in_false)
+
+    grow(draw(st.integers(0, 12)))
+    n = len(leaf)
+    column = draw(st.sampled_from(["none", "leaf", "true_child"]))
+    at = draw(st.integers(0, n - 1))
+    if column == "leaf":
+        leaf[at] = not leaf[at]
+    elif column == "true_child":
+        true_child[at] = draw(st.integers(-2, n + 2))
+    return np.array(leaf), np.array(true_child, dtype=np.int32), column == "none"
+
+
+class TestPreorderCheck:
+    @given(preorder_layouts())
+    @settings(max_examples=400, deadline=None)
+    def test_refuses_what_the_level_walk_refuses(self, layout):
+        leaf, true_child, untouched = layout
+        try:
+            _check_preorder(leaf, true_child)
+            accepted = True
+        except InvalidModelError:
+            accepted = False
+        assert accepted == walk_preorder(leaf, true_child)
+        if untouched:
+            assert accepted
 
 
 class TestPaths:

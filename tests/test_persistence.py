@@ -189,6 +189,12 @@ GOLDEN_MODELS = {
         "65e6b83604d37ac5",
         "723a6adcfb16af7b453fc0b10e2d1f5c7d3de31aa03215dfca1bca7945464cb6",
     ),
+    "mnist-sup": (
+        lambda: mnist_like(200, seed=1), "supervised", 6, 4,
+        "f750d9306bcbcfe7e9e49618236912cd3b66b2c5a3af35fdf2517e8d25961d96",
+        "1afb9f6065a7084e",
+        "99f2cce1c616f14c52930bf0a43379469fc801085a9762a634092b5c0ebfa320",
+    ),
     "tfidf-sup": (
         lambda: tfidf_like(200, 100, seed=0), "supervised", 6, 2,
         "ec005e141c281ccbe2345ea8dfe61ba00e47b82aa9b80d885e74c65c991d04d6",
@@ -271,6 +277,16 @@ class TestModelDamage:
             p, lambda r: r["trees"][1]["nodes"]["true_child"].__setitem__(0, 99999)
         )
         with pytest.raises(InvalidModelError):
+            load_model(p)
+
+    def test_error_names_the_broken_tree(self, tmp_path):
+        forest, _ = small_forest(n_trees=3)
+        p = tmp_path / "m.json"
+        save_model(forest, p)
+        rewrite_with_fresh_hash(
+            p, lambda r: r["trees"][2]["nodes"]["true_child"].__setitem__(0, 1)
+        )
+        with pytest.raises(InvalidModelError, match=r"^tree 2: node 0: true child"):
             load_model(p)
 
 

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eforest.data import Categorical, Dataset, Numeric, Schema
 from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
@@ -13,6 +15,7 @@ from eforest.forest import CAT, LEAF, NUM, Tree
 from eforest.rng import SplitMix64
 from eforest.training import (
     TrainConfig,
+    _categorical_mask,
     _numeric_threshold,
     _sup_split,
     _xlogx_table,
@@ -132,14 +135,10 @@ class TestAttributeSampleSize:
         assert attribute_sample_size(d) == expect
 
 
-def brute_force_best_split(X, y, schema):
-    """Exhaustive best (gain, (kind, attr, param)) sweep via the public gain function.
-
-    Ties resolve to the lowest attribute, then the lowest threshold or
-    category, matching the documented training order.
-    """
-    best = (-1.0, None)
-    n = len(y)
+def brute_force_candidates(X, y, schema):
+    """Every candidate split as (gain, (kind, attr, param), true-branch mask),
+    in (attribute, threshold or category) order, gains via the public function."""
+    out = []
     for a in range(schema.d):
         col = X[:, a]
         if schema.is_categorical(a):
@@ -147,19 +146,75 @@ def brute_force_best_split(X, y, schema):
                 mask = col == v
                 if mask.all() or not mask.any():
                     continue
-                g = information_gain(y, y[~mask], y[mask])
-                if g > best[0] + 1e-12:
-                    best = (g, (CAT, a, float(v)))
+                out.append((information_gain(y, y[~mask], y[mask]), (CAT, a, float(v)), mask))
         else:
             vals = np.unique(col)
             for lo, hi in zip(vals[:-1], vals[1:]):
                 mid = 0.5 * (lo + hi)
                 thr = mid if mid > lo else hi
                 mask = col >= thr
-                g = information_gain(y, y[~mask], y[mask])
-                if g > best[0] + 1e-12:
-                    best = (g, (NUM, a, float(thr)))
+                out.append((information_gain(y, y[~mask], y[mask]), (NUM, a, float(thr)), mask))
+    return out
+
+
+def brute_force_best_split(X, y, schema):
+    """Exhaustive best (gain, (kind, attr, param)) sweep via the public gain function.
+
+    Ties resolve to the lowest attribute, then the lowest threshold or
+    category, matching the documented training order.
+    """
+    best = (-1.0, None)
+    for g, test, _ in brute_force_candidates(X, y, schema):
+        if g > best[0] + 1e-12:
+            best = (g, test)
     return best
+
+
+_SPARSE_VALUES = (0.7, 1.4, 2.8)
+
+
+@st.composite
+def split_problems(draw):
+    """(X, y, schema) for a node: few rows, up to 12 classes, and columns that
+    are mostly zeros, repeated integers, reals, constant, copies of an earlier
+    column (exact attribute ties) or categorical with one or more values present."""
+    n = draw(st.integers(2, 30))
+    n_classes = draw(st.sampled_from([2, 3, 9, 12]))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+
+    y = column(st.integers(0, n_classes - 1)).astype(np.int64)
+    cols, kinds = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        style = draw(st.sampled_from(["sparse", "ints", "reals", "const", "copy", "cat", "cat1"]))
+        if style == "copy" and not cols:
+            style = "const"
+        kind = Numeric()
+        if style == "sparse":
+            col = np.zeros(n)
+            hot = draw(st.lists(st.integers(0, n - 1), max_size=n // 5, unique=True))
+            col[hot] = column(st.sampled_from(_SPARSE_VALUES))[: len(hot)]
+        elif style == "ints":
+            col = column(st.integers(0, 3))
+        elif style == "reals":
+            col = column(st.floats(-10, 10, allow_nan=False, allow_subnormal=False))
+        elif style == "const":
+            col = np.full(n, draw(st.sampled_from([0.0, -1.5, 4.0])))
+        elif style == "copy":
+            j = draw(st.integers(0, len(cols) - 1))
+            col, kind = cols[j], kinds[j]
+        else:
+            size = draw(st.integers(1, 4))
+            kind = Categorical(tuple(f"c{i}" for i in range(size)))
+            if style == "cat1":
+                col = np.full(n, float(draw(st.integers(0, size - 1))))
+            else:
+                col = column(st.integers(0, size - 1))
+        cols.append(col)
+        kinds.append(kind)
+    names = tuple(f"a{j}" for j in range(len(cols)))
+    return np.column_stack(cols), y, Schema(names, tuple(kinds))
 
 
 class TestSupervisedSplit:
@@ -169,7 +224,7 @@ class TestSupervisedSplit:
         xlogx = _xlogx_table(len(X))
         n_classes = int(y.max()) + 1
         return _sup_split(
-            XT, rows, y, SplitMix64(0), schema, n_classes, xlogx, schema.d
+            XT, rows, y, SplitMix64(0), _categorical_mask(schema), n_classes, xlogx, schema.d
         )
 
     def test_matches_brute_force_on_random_data(self):
@@ -204,6 +259,43 @@ class TestSupervisedSplit:
                 assert mask.tolist() == (col >= param).tolist()
             gain = information_gain(y, y[~mask], y[mask])
             assert gain == pytest.approx(expect_gain, abs=1e-9)
+
+    @given(split_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_brute_force(self, problem):
+        X, y, schema = problem
+        expect_gain, expect_test = brute_force_best_split(X, y, schema)
+        got = self._split_all_attrs(X, y, schema)
+        if expect_gain > 1e-12:
+            assert got is not None
+        if got is None:
+            return
+        test, mask = got
+        kind, attr, param = test
+        col = X[:, attr]
+        assert mask.tolist() == (col == param if kind == CAT else col >= param).tolist()
+
+        def sides(k, m):
+            """The test kind and the class counts off and on the true branch."""
+            return k, *(np.bincount(y[b], minlength=12).tolist() for b in (~m, m))
+
+        if expect_gain <= 1e-12:
+            # No gain is positive, yet rounding can leave a zero gain a hair
+            # above zero; such a split keeps the node's class mix on both sides.
+            _, off, on = sides(kind, mask)
+            assert np.multiply(on, (~mask).sum()).tolist() == np.multiply(off, mask.sum()).tolist()
+            return
+        assert information_gain(y, y[~mask], y[mask]) == pytest.approx(expect_gain, abs=1e-9)
+        # Splits whose class counts mirror each other tie in exact arithmetic
+        # but not always in floating point, so the pick may be any candidate
+        # within rounding of the best. Candidates of one kind with equal class
+        # counts on each side tie exactly and go to the first of them.
+        cands = brute_force_candidates(X, y, schema)
+        near = [t for g, t, _ in cands if g >= expect_gain - 1e-9]
+        assert test in near
+        if len(near) == 1:
+            assert test == expect_test
+        assert test == next(t for _, t, m in cands if sides(t[0], m) == sides(kind, mask))
 
     def test_tie_breaks_to_lowest_attribute(self):
         # identical columns produce exactly equal gains
