@@ -7,12 +7,17 @@ single matrix carries mixed schemas without object arrays.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
+import math
+import operator
 import os
 import struct
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -295,6 +300,52 @@ def parse_kind_spec(spec: str, width: int) -> tuple[AttributeKind, ...]:
     return tuple(kinds)
 
 
+def _csv_rows(path: Path) -> Iterator[list[str]]:
+    """The rows of a CSV file, read as they are consumed; a read error is a FormatError."""
+    try:
+        with path.open(newline="") as fh:
+            yield from csv.reader(fh)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"cannot read csv file {path}: {exc}") from None
+
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _parse_row(path, row, i, data_cols, cat_index, label_idx) -> tuple[list[float], int]:
+    """One row's values and label, cell by cell: the error names the first bad cell."""
+    values = []
+    for a, c in enumerate(data_cols):
+        cell = row[c].strip()
+        lookup = cat_index[a]
+        if lookup is None:
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: bad numeric cell {cell!r}", i, c) from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: non-finite cell {cell!r}", i, c)
+        else:
+            if cell not in lookup:
+                raise UnknownCategoryError(
+                    f"{path}: row {i} col {c}: unknown category {cell!r}"
+                )
+            value = lookup[cell]
+        values.append(value)
+    label = 0
+    if label_idx is not None:
+        cell = row[label_idx].strip()
+        try:
+            label = int(cell)
+        except ValueError:
+            raise ParseError(f"{path}: bad label {cell!r}", i, label_idx) from None
+        if not _INT64_MIN <= label <= _INT64_MAX:
+            raise ParseError(
+                f"{path}: label {cell!r} does not fit in 64 bits", i, label_idx
+            )
+    return values, label
+
+
 def load_csv(
     path,
     kinds: Sequence[AttributeKind] | str | None = None,
@@ -308,90 +359,87 @@ def load_csv(
     must declare as many columns as the first row has data columns; ``None``
     makes every data column of the first row numeric. ``label_column`` may be
     a column index, or a header name when ``has_header`` is true.
+
+    Rows are parsed as they are read. A row that fails to parse is parsed
+    again cell by cell, so the error names the first bad cell of the first
+    bad row.
     """
     path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"cannot read csv file {path}: {exc}") from None
-    if kinds is None or isinstance(kinds, str):
-        ncols = max(len(rows[0]) - (label_column is not None), 0) if rows else 0
-        kinds = (Numeric(),) * ncols if kinds is None else parse_kind_spec(kinds, ncols)
-    kinds = tuple(kinds)
-    if not kinds:
-        raise FormatError(f"{path}: no data columns")
-    header: list[str] | None = None
-    if has_header:
-        if not rows:
-            raise FormatError(f"{path}: missing header row")
-        header = rows[0]
-        rows = rows[1:]
-    label_idx: int | None = None
-    if label_column is not None:
-        if isinstance(label_column, str):
-            if header is None:
-                raise FormatError("label column by name requires a header")
-            try:
-                label_idx = header.index(label_column)
-            except ValueError:
-                raise FormatError(
-                    f"{path}: no column named {label_column!r}"
-                ) from None
-        else:
-            label_idx = int(label_column)
-    width = len(kinds) + (1 if label_idx is not None else 0)
-    if label_idx is not None and not 0 <= label_idx < width:
-        raise FormatError(f"label column {label_idx} out of range for width {width}")
-    data_cols = [c for c in range(width) if c != label_idx]
-    if header is not None:
-        if len(header) != width:
-            raise FormatError(
-                f"{path}: header has {len(header)} fields, expected {width}"
-            )
-        names = tuple(header[c] for c in data_cols)
-        if len(set(names)) != len(names):
-            names = tuple(f"c{c}" for c in data_cols)
-    else:
-        names = tuple(f"c{c}" for c in data_cols)
-    schema = Schema(names, kinds)
-
-    n = len(rows)
-    X = np.zeros((n, schema.d))
-    labels = np.zeros(n, dtype=np.int64) if label_idx is not None else None
-    cat_index = [
-        {v: i for i, v in enumerate(k.values)} if isinstance(k, Categorical) else None
-        for k in kinds
-    ]
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise FormatError(
-                f"{path}: row {i} has {len(row)} fields, expected {width}"
-            )
-        for a, c in enumerate(data_cols):
-            cell = row[c].strip()
-            lookup = cat_index[a]
-            if lookup is None:
+    with contextlib.closing(_csv_rows(path)) as rows:
+        first = next(rows, None)
+        if kinds is None or isinstance(kinds, str):
+            ncols = max(len(first) - (label_column is not None), 0) if first else 0
+            kinds = (Numeric(),) * ncols if kinds is None else parse_kind_spec(kinds, ncols)
+        kinds = tuple(kinds)
+        if not kinds:
+            raise FormatError(f"{path}: no data columns")
+        header: list[str] | None = None
+        if has_header:
+            if first is None:
+                raise FormatError(f"{path}: missing header row")
+            header = first
+        elif first is not None:
+            rows = itertools.chain((first,), rows)
+        label_idx: int | None = None
+        if label_column is not None:
+            if isinstance(label_column, str):
+                if header is None:
+                    raise FormatError("label column by name requires a header")
                 try:
-                    value = float(cell)
+                    label_idx = header.index(label_column)
                 except ValueError:
-                    raise ParseError(f"{path}: bad numeric cell {cell!r}", i, c) from None
-                if not np.isfinite(value):
-                    raise ParseError(f"{path}: non-finite cell {cell!r}", i, c)
-                X[i, a] = value
+                    raise FormatError(
+                        f"{path}: no column named {label_column!r}"
+                    ) from None
             else:
-                if cell not in lookup:
-                    raise UnknownCategoryError(
-                        f"{path}: row {i} col {c}: unknown category {cell!r}"
-                    )
-                X[i, a] = lookup[cell]
-        if labels is not None:
-            cell = row[label_idx].strip()
+                label_idx = int(label_column)
+        width = len(kinds) + (1 if label_idx is not None else 0)
+        if label_idx is not None and not 0 <= label_idx < width:
+            raise FormatError(f"label column {label_idx} out of range for width {width}")
+        data_cols = [c for c in range(width) if c != label_idx]
+        if header is not None:
+            if len(header) != width:
+                raise FormatError(
+                    f"{path}: header has {len(header)} fields, expected {width}"
+                )
+            names = tuple(header[c] for c in data_cols)
+            if len(set(names)) != len(names):
+                names = tuple(f"c{c}" for c in data_cols)
+        else:
+            names = tuple(f"c{c}" for c in data_cols)
+        schema = Schema(names, kinds)
+
+        cat_index = [
+            {v: i for i, v in enumerate(k.values)} if isinstance(k, Categorical) else None
+            for k in kinds
+        ]
+        # float for a numeric cell, the value's index for a categorical one
+        convert = [float if lookup is None else lookup.__getitem__ for lookup in cat_index]
+        X = array("d")
+        labels = array("q")
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise FormatError(
+                    f"{path}: row {i} has {len(row)} fields, expected {width}"
+                )
+            cells = row if label_idx is None else row[:label_idx] + row[label_idx + 1:]
             try:
-                labels[i] = int(cell)
-            except ValueError:
-                raise ParseError(f"{path}: bad label {cell!r}", i, label_idx) from None
-    return Dataset(schema, X, labels)
+                values = list(map(operator.call, convert, cells))
+                label = 0 if label_idx is None else int(row[label_idx])
+                parsed = math.isfinite(sum(values)) and _INT64_MIN <= label <= _INT64_MAX
+            except (ValueError, KeyError):
+                parsed = False
+            if not parsed:
+                # raises at the first bad cell; returns when no cell is bad but a
+                # categorical cell has surrounding spaces or the sum overflowed
+                values, label = _parse_row(path, row, i, data_cols, cat_index, label_idx)
+            X.extend(values)
+            labels.append(label)
+    return Dataset(
+        schema,
+        np.frombuffer(X, dtype=np.float64).reshape(-1, schema.d),
+        np.frombuffer(labels, dtype=np.int64) if label_idx is not None else None,
+    )
 
 
 def atomic_write_bytes(path: Path, blob: bytes) -> None:
@@ -428,14 +476,13 @@ def save_csv(dataset: Dataset, path, header: bool = True, label_name: str | None
     if header:
         cols = list(schema.names) + ([label_name] if with_labels else [])
         lines.append(",".join(cols))
+    # repr for a numeric cell, the value's name for a categorical one
+    cell_text = [
+        (lambda v, names=kind.values: names[int(v)]) if isinstance(kind, Categorical) else repr
+        for kind in schema.kinds
+    ]
     for i in range(dataset.n):
-        cells = []
-        for j, kind in enumerate(schema.kinds):
-            v = dataset.X[i, j]
-            if isinstance(kind, Categorical):
-                cells.append(kind.values[int(v)])
-            else:
-                cells.append(repr(float(v)))
+        cells = list(map(operator.call, cell_text, dataset.X[i].tolist()))
         if with_labels:
             cells.append(str(int(dataset.labels[i])))
         lines.append(",".join(cells))

@@ -6,6 +6,16 @@ value. Each tree is stored as the four arrays ``Tree`` holds, one JSON list
 per array. The embedded hash is 64-bit FNV-1a over the canonical bytes of
 the record without its hash field, so equal forests always produce equal
 bytes and equal hashes.
+
+``fnv1a64`` computes that digest with array arithmetic, 64 KiB at a time.
+With ``s = h mod 256``, the step ``h <- (h ^ b) * P`` is ``h <- (h + d) * P``
+for ``d = (s ^ b) - s``, so a chunk of ``m`` bytes maps ``h`` to
+``h * P**m + sum(d[i] * P**(m - i))`` mod 2**64: one uint64 dot product
+against a fixed table of powers of ``P``. The low bytes ``s`` follow
+``s <- ((s ^ b) * 0xB3) mod 256``, whose bit k is bit k of ``s ^ b`` XOR bit k
+of ``((s ^ b) mod 2**k) * 0xB3``; given the lower bits, each bit of the whole
+sequence is a prefix XOR, so eight passes give every ``s``. The digest is
+the byte-at-a-time FNV-1a's, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,13 +41,56 @@ MODEL_VERSION = 2
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_FNV_CHUNK = 1 << 16  # a multiple of 8, so chunks split into uint64 words
+_BYTE_LANES = np.uint64(0x0101010101010101)
+
+
+def _chunk_powers(m: int) -> np.ndarray:
+    """``P**(m - j)`` mod 2**64 for j in [0, m), built by repeated doubling."""
+    powers = np.ones(m + 1, dtype=np.uint64)
+    powers[1] = _FNV_PRIME
+    done = 1
+    while done < m:
+        step = min(done, m - done)
+        powers[done + 1:done + 1 + step] = powers[1:1 + step] * powers[done]
+        done += step
+    return powers[:0:-1].copy()
+
+
+_FNV_POWERS = _chunk_powers(_FNV_CHUNK)
+
+
+def _prefix_xor(x: np.ndarray) -> np.ndarray:
+    """Inclusive prefix XOR of a uint8 array whose length is a multiple of 8."""
+    w = x.view("<u8")
+    w = w ^ (w << np.uint64(8))  # XOR-scan the 8 bytes inside each word
+    w ^= w << np.uint64(16)
+    w ^= w << np.uint64(32)
+    carry = np.bitwise_xor.accumulate(w >> np.uint64(56))  # then across words
+    w[1:] ^= carry[:-1] * _BYTE_LANES
+    return w.view(np.uint8)
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
+    """64-bit FNV-1a hash (see the module docstring for how it is computed)."""
     h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    data = np.frombuffer(data, dtype=np.uint8)
+    d = np.empty(min(len(data), _FNV_CHUNK), dtype=np.int64)
+    for start in range(0, len(data), _FNV_CHUNK):
+        chunk = data[start:start + _FNV_CHUNK]
+        m = len(chunk)
+        b = np.zeros(-(-m // 8) * 8, dtype=np.uint8)
+        b[:m] = chunk
+        s = np.empty_like(b)  # s[i]: low byte of the state before byte i
+        s[0] = h & 0xFF
+        s[1:] = _prefix_xor(b)[:-1] ^ s[0]  # bit 0 of the product is bit 0 of s ^ b
+        for k in range(1, 8):
+            carry = ((s ^ b) & np.uint8((1 << k) - 1)) * np.uint8(0xB3) & np.uint8(1 << k)
+            s[1:] ^= _prefix_xor(carry)[:-1]
+        np.bitwise_xor(s[:m], b[:m], out=d[:m])
+        d[:m] -= s[:m]
+        tail = int(np.dot(d[:m].view(np.uint64), _FNV_POWERS[_FNV_CHUNK - m:]))
+        h = (h * pow(_FNV_PRIME, m, 1 << 64) + tail) & _MASK64
     return h
 
 
@@ -205,9 +258,7 @@ _ENC_HEADER = re.compile(r"^eforest-enc v1 n=(\d+) T=(\d+) forest=([0-9a-f]{16})
 def save_encodings(matrix, path) -> None:
     """Write an encoding matrix: a header line, then one CSV row per instance."""
     lines = [f"eforest-enc v1 n={matrix.n} T={matrix.T} forest={matrix.forest_id}"]
-    leaf_ids = matrix.leaf_ids
-    for i in range(matrix.n):
-        lines.append(",".join(str(int(v)) for v in leaf_ids[i]))
+    lines += [",".join(map(str, row)) for row in matrix.leaf_ids.tolist()]
     atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii"))
 
 

@@ -82,11 +82,15 @@ class SplitMix64:
         """``k`` distinct integers from [0, n) by partial Fisher-Yates, in draw order."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        pool = np.arange(n, dtype=np.int64)
+        # a partial Fisher-Yates over a virtual arange(n): ``moved`` holds only
+        # the slots a swap has changed, and slot i is never read after draw i
+        moved: dict[int, int] = {}
+        picked = []
         for i in range(k):
             j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+            picked.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return np.array(picked, dtype=np.int64)
 
 
 def tree_stream(seed: int, tree_index: int) -> SplitMix64:

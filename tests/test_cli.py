@@ -8,7 +8,7 @@ import pytest
 
 from eforest import cli, codec, metrics, persistence
 from eforest.data import Categorical, Dataset, Numeric, Schema, load_csv, save_csv
-from eforest.errors import FormatError, VersionError
+from eforest.errors import FormatError, ParseError, VersionError
 from eforest.forest import NUM
 
 from synthdata import write_idx_images, write_idx_labels
@@ -168,25 +168,26 @@ class TestTrain:
         assert line["d"] == 2
 
     @pytest.mark.parametrize(
-        "text, flags",
+        "text, flags, error",
         [
-            ("", []),
-            ("0\n1\n", ["--label-column", "0"]),
-            ("a,b\n1,2\n", ["--csv-header", "--csv-kinds", "num*3"]),
-            ("A\n", ["--csv-kinds", "cat:A|A"]),
-            ("1," + "2" * 200_000 + "\n", []),
-            ("1,2\n", ["--csv-kinds", "num*99999999999999"]),
+            ("", [], FormatError),
+            ("0\n1\n", ["--label-column", "0"], FormatError),
+            ("a,b\n1,2\n", ["--csv-header", "--csv-kinds", "num*3"], FormatError),
+            ("A\n", ["--csv-kinds", "cat:A|A"], FormatError),
+            ("1," + "2" * 200_000 + "\n", [], FormatError),
+            ("1,2\n", ["--csv-kinds", "num*99999999999999"], FormatError),
+            ("1.0,99999999999999999999\n", ["--label-column", "1"], ParseError),
         ],
         ids=["empty", "label-only", "short-header", "duplicate-category", "oversized-field",
-             "huge-repeat-count"],
+             "huge-repeat-count", "huge-label"],
     )
-    def test_malformed_csv_exits_1(self, workdir, capsys, text, flags):
+    def test_malformed_csv_exits_1(self, workdir, capsys, text, flags, error):
         src = workdir / "malformed.csv"
         src.write_text(text)
         argv = ["train", "--data", str(src), "--format", "csv", *flags,
                 "--mode", "unsup", "--trees", "2", "--out", str(workdir / "nope.json")]
         args = cli.build_parser().parse_args(argv)
-        with pytest.raises(FormatError):
+        with pytest.raises(error):
             args.func(args)
         code, _, err = run_cli(capsys, argv)
         assert code == 1

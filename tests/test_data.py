@@ -1,10 +1,14 @@
 """Schema, dataset, and loader behavior: validation, error paths, and exact
 round-trips through the IDX and CSV formats."""
 
+import csv
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eforest.data import (
     Bounds,
@@ -19,6 +23,7 @@ from eforest.data import (
     save_csv,
 )
 from eforest.errors import (
+    EForestError,
     FormatError,
     ParseError,
     ShapeError,
@@ -309,3 +314,167 @@ class TestCsv:
         save_csv(ds, p, header=False)
         back = load_csv(p, ds.schema.kinds)
         assert back.X.tobytes() == ds.X.tobytes()
+
+
+# Reference implementations: the cell-by-cell reader and writer that
+# load_csv and save_csv must match byte for byte and error for error.
+
+
+def _load_csv_by_cells(path, kinds, label_idx=None, has_header=False):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if has_header:
+        rows = rows[1:]
+    width = len(kinds) + (label_idx is not None)
+    data_cols = [c for c in range(width) if c != label_idx]
+    X = np.zeros((len(rows), len(kinds)))
+    labels = np.zeros(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise FormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+        for a, c in enumerate(data_cols):
+            cell = row[c].strip()
+            if isinstance(kinds[a], Categorical):
+                if cell not in kinds[a].values:
+                    raise UnknownCategoryError(
+                        f"{path}: row {i} col {c}: unknown category {cell!r}"
+                    )
+                X[i, a] = kinds[a].values.index(cell)
+            else:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(f"{path}: bad numeric cell {cell!r}", i, c) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}: non-finite cell {cell!r}", i, c)
+                X[i, a] = value
+        if label_idx is not None:
+            cell = row[label_idx].strip()
+            try:
+                label = int(cell)
+            except ValueError:
+                raise ParseError(f"{path}: bad label {cell!r}", i, label_idx) from None
+            if not -(2**63) <= label < 2**63:
+                raise ParseError(f"{path}: label {cell!r} does not fit in 64 bits", i, label_idx)
+            labels[i] = label
+    return X, (labels if label_idx is not None else None)
+
+
+def _save_csv_by_cells(dataset, header=True, label_name=None) -> bytes:
+    schema = dataset.schema
+    with_labels = label_name is not None and dataset.labels is not None
+    lines = []
+    if header:
+        lines.append(",".join(list(schema.names) + ([label_name] if with_labels else [])))
+    for i in range(dataset.n):
+        cells = []
+        for j, kind in enumerate(schema.kinds):
+            v = dataset.X[i, j]
+            if isinstance(kind, Categorical):
+                cells.append(kind.values[int(v)])
+            else:
+                cells.append(repr(float(v)))
+        if with_labels:
+            cells.append(str(int(dataset.labels[i])))
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+COLORS = Categorical(("red", "green", "blue"))
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 2.0**53 + 2, 0.1, 1e308, -1e308, 1 / 3]
+_kinds = st.lists(st.sampled_from([Numeric(), COLORS]), min_size=1, max_size=5).map(tuple)
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
+
+
+@st.composite
+def _datasets(draw):
+    kinds = draw(_kinds)
+    n = draw(st.integers(0, 8))
+    X = np.array(
+        [[draw(st.integers(0, 2)) if isinstance(k, Categorical) else draw(_floats)
+          for k in kinds] for _ in range(n)],
+        dtype=np.float64,
+    ).reshape(n, len(kinds))
+    labels = draw(st.none() | st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    schema = Schema(tuple(f"a{j}" for j in range(len(kinds))), kinds)
+    return Dataset(schema, X, labels)
+
+
+_PADS = st.sampled_from(["", " ", "\t", " \u00a0"])
+# one bad cell (or row) per kind of defect, by the column it lands in
+_BAD_NUMBERS = st.sampled_from(["x1", "inf", "-inf", "nan", "1e999", "", "1.0.0", "0x10"])
+_BAD_CATEGORIES = st.sampled_from(["purple", "RED", "", "0"])
+_BAD_LABELS = st.sampled_from(["1.5", "abc", "", "99999999999999999999", "-9223372036854775809"])
+
+
+@st.composite
+def _csv_files(draw):
+    """(kinds, label index, has_header, rows) for a valid file or one with a single defect."""
+    kinds = draw(_kinds)
+    label_idx = draw(st.none() | st.integers(0, len(kinds)))
+    width = len(kinds) + (label_idx is not None)
+    data_kind = iter(kinds)
+    column_kinds = ["label" if c == label_idx else next(data_kind) for c in range(width)]
+
+    def cell(kind):
+        if kind == "label":
+            text = str(draw(st.integers(-(2**63), 2**63 - 1)))
+        elif isinstance(kind, Categorical):
+            text = draw(st.sampled_from(kind.values))
+        else:
+            text = repr(draw(_floats))
+        return draw(_PADS) + text + draw(_PADS)
+
+    rows = [[cell(k) for k in column_kinds] for _ in range(draw(st.integers(0, 6)))]
+    defect = draw(st.sampled_from(["none", "cell", "short-row", "long-row"]))
+    if rows and defect != "none":
+        r = draw(st.integers(0, len(rows) - 1))
+        if defect == "short-row":
+            rows[r].pop(draw(st.integers(0, width - 1)))
+        elif defect == "long-row":
+            rows[r].append("1")
+        else:
+            c = draw(st.integers(0, width - 1))
+            kind = column_kinds[c]
+            bad = (_BAD_LABELS if kind == "label"
+                   else _BAD_CATEGORIES if isinstance(kind, Categorical) else _BAD_NUMBERS)
+            rows[r][c] = draw(bad)
+    has_header = draw(st.booleans())
+    if has_header:
+        rows.insert(0, [f"h{c}" for c in range(width)])
+    return kinds, label_idx, has_header, rows
+
+
+def _outcome(read):
+    """What a read returns, or the class and message of the error it raises."""
+    try:
+        X, labels = read()
+    except EForestError as exc:
+        return type(exc), str(exc)
+    return X.shape, X.tobytes(), None if labels is None else labels.tolist()
+
+
+class TestCsvAgainstReference:
+    @given(ds=_datasets(), header=st.booleans(), label_name=st.none() | st.just("label"))
+    @settings(max_examples=150, deadline=None)
+    def test_save_csv_bytes_equal_cell_writer(self, tmp_path_factory, ds, header, label_name):
+        p = tmp_path_factory.mktemp("save") / "out.csv"
+        save_csv(ds, p, header=header, label_name=label_name)
+        assert p.read_bytes() == _save_csv_by_cells(ds, header=header, label_name=label_name)
+
+    @given(case=_csv_files())
+    @settings(max_examples=300, deadline=None)
+    @example(case=((Numeric(), Numeric()), None, False, [["1e308", "1e308"]]))  # sum overflows
+    @example(case=((COLORS,), 1, False, [[" red ", "7"], ["blue", "99999999999999999999"]]))
+    def test_load_csv_equals_cell_reader(self, tmp_path_factory, case):
+        kinds, label_idx, has_header, rows = case
+        p = tmp_path_factory.mktemp("load") / "in.csv"
+        p.write_text("".join(",".join(row) + "\n" for row in rows))
+
+        def fast():
+            ds = load_csv(p, kinds, label_column=label_idx, has_header=has_header)
+            return ds.X, ds.labels
+
+        assert _outcome(fast) == _outcome(
+            lambda: _load_csv_by_cells(p, kinds, label_idx, has_header)
+        )

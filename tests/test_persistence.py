@@ -57,10 +57,42 @@ def small_forest(seed=1, mode="unsupervised", n_trees=3):
     return train_forest(ds, TrainConfig(mode=mode, n_trees=n_trees, seed=seed)), ds
 
 
+def _fnv1a64_by_bytes(data: bytes) -> int:
+    """FNV-1a 64 one byte at a time, as the specification states it."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
 class TestFnv:
     def test_reference_vectors(self):
         for data, expect in FNV_VECTORS.items():
             assert fnv1a64(data) == expect
+            assert _fnv1a64_by_bytes(data) == expect
+
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 3 * 65536))
+    @settings(max_examples=25, deadline=None)
+    @example(seed=0, length=0)
+    @example(seed=1, length=1)
+    @example(seed=2, length=65535)  # one byte short of a chunk
+    @example(seed=3, length=65536)  # exactly one chunk
+    @example(seed=4, length=65537)  # one byte into the second chunk
+    @example(seed=5, length=2 * 65536 + 3)  # a tail shorter than one uint64 word
+    def test_equals_byte_loop(self, seed, length):
+        data = np.random.default_rng(seed).integers(0, 256, length, dtype=np.uint8).tobytes()
+        assert fnv1a64(data) == _fnv1a64_by_bytes(data)
+
+    @given(data=st.binary(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_byte_loop_on_short_inputs(self, data):
+        assert fnv1a64(data) == _fnv1a64_by_bytes(data)
+
+    def test_low_byte_runs(self):
+        # runs of one byte value keep the low state byte on short cycles
+        for value in (0x00, 0x01, 0x80, 0xB3, 0xFF):
+            data = bytes([value]) * 70_000
+            assert fnv1a64(data) == _fnv1a64_by_bytes(data)
 
 
 class TestCanonicalJson:

@@ -20,6 +20,15 @@ def _reference_next(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+def _sample_by_swaps(gen: SplitMix64, n: int, k: int) -> np.ndarray:
+    """Partial Fisher-Yates on a materialised arange(n): the sampler's oracle."""
+    pool = np.arange(n, dtype=np.int64)
+    for i in range(k):
+        j = i + gen.below(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
 class TestU64:
     def test_seed0_known_vectors(self):
         gen = SplitMix64(0)
@@ -123,6 +132,17 @@ class TestShuffleAndSample:
         assert len(picked) == k
         assert len(set(picked.tolist())) == k
         assert all(0 <= v < n for v in picked.tolist())
+
+    @given(seed=st.integers(0, MASK64), n=st.integers(0, 500), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sample_equals_swap_oracle(self, seed, n, data):
+        # same picks in the same order, and the same draws: the streams stay in step
+        k = data.draw(st.integers(0, n))
+        gen, oracle = SplitMix64(seed), SplitMix64(seed)
+        picked = gen.sample_without_replacement(n, k)
+        assert picked.dtype == np.int64
+        assert picked.tolist() == _sample_by_swaps(oracle, n, k).tolist()
+        assert gen.state == oracle.state
 
     def test_sample_full_is_permutation(self):
         picked = SplitMix64(21).sample_without_replacement(30, 30)
