@@ -236,7 +236,7 @@ def cmd_damage(args) -> int:
     try:
         fractions = [float(f) for f in args.keep.split(",") if f.strip()]
     except ValueError:
-        raise EForestError(f"--keep expects comma-separated floats, got {args.keep!r}")
+        raise ConfigError(f"--keep expects comma-separated floats, got {args.keep!r}") from None
     reports = metrics.damage_curve(
         forest,
         dataset,

@@ -221,7 +221,7 @@ def _read_idx(path: Path, expect_ndim: int) -> tuple[tuple[int, ...], np.ndarray
     if len(blob) < header_len:
         raise FormatError(f"{path}: truncated dimension table")
     dims = struct.unpack(f">{ndim}I", blob[4:header_len])
-    count = int(np.prod(dims)) if dims else 0
+    count = math.prod(dims)
     body = blob[header_len:]
     if len(body) != count:
         raise FormatError(
@@ -240,6 +240,8 @@ def load_idx(images_path, labels_path=None) -> Dataset:
     dims, raw = _read_idx(images_path, expect_ndim=3)
     n, h, w = dims
     d = h * w
+    if n == 0:  # an empty body bounds neither h nor w
+        raise FormatError(f"{images_path}: no images")
     if d == 0:
         raise FormatError(f"{images_path}: zero-sized images")
     X = raw.astype(np.float64).reshape(n, d)

@@ -252,49 +252,39 @@ def load_model(path):
     return forest
 
 
-_ENC_HEADER = re.compile(r"^eforest-enc v1 n=(\d+) T=(\d+) forest=([0-9a-f]{16})$")
+_ENC_HEADER = re.compile(rb"eforest-enc v2 n=(\d+) T=(\d+) forest=([0-9a-f]{16})\n")
 
 
 def save_encodings(matrix, path) -> None:
-    """Write an encoding matrix: a header line, then one CSV row per instance."""
-    lines = [f"eforest-enc v1 n={matrix.n} T={matrix.T} forest={matrix.forest_id}"]
-    lines += [",".join(map(str, row)) for row in matrix.leaf_ids.tolist()]
-    atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii"))
+    """Write an encoding matrix: a header line, then n*T little-endian int32
+    leaf ordinals in row-major order."""
+    header = f"eforest-enc v2 n={matrix.n} T={matrix.T} forest={matrix.forest_id}\n"
+    body = matrix.leaf_ids.astype("<i4").tobytes()
+    atomic_write_bytes(Path(path), header.encode("ascii") + body)
 
 
 def load_encodings(path):
-    """Read an encoding matrix; header shape must match the body exactly."""
+    """Read an encoding matrix; the body must hold exactly the header's n*T
+    ordinals. The returned ``leaf_ids`` may be a read-only view of the file bytes."""
     from .codec import EncodingMatrix
 
     path = Path(path)
     try:
-        text = path.read_text("ascii")
-    except (OSError, UnicodeDecodeError) as exc:
+        blob = path.read_bytes()
+    except OSError as exc:
         raise FormatError(f"cannot read encodings file {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty encodings file")
-    m = _ENC_HEADER.match(lines[0])
+    m = _ENC_HEADER.match(blob)
     if not m:
-        raise FormatError(f"{path}: bad encodings header {lines[0]!r}")
+        raise FormatError(f"{path}: bad encodings header {blob[:80]!r}")
     n, T = int(m.group(1)), int(m.group(2))
-    body = [ln for ln in lines[1:] if ln]
-    if len(body) != n:
-        raise ShapeError(f"{path}: header promises {n} rows, file has {len(body)}")
-    # check every width before allocating from the header's promise
-    for i, ln in enumerate(body):
-        width = ln.count(",") + 1
-        if width != T:
-            raise ShapeError(f"{path}: row {i} has {width} entries, expected {T}")
+    body = memoryview(blob)[m.end():]
+    if len(body) != 4 * n * T:
+        raise ShapeError(f"{path}: header promises {n}x{T} ordinals in {4 * n * T} bytes, "
+                         f"the body has {len(body)}")
     try:
-        leaf_ids = np.zeros((n, T), dtype=np.int32)
-    except ValueError as exc:  # an empty body under a T too large for numpy
+        leaf_ids = np.frombuffer(body, dtype="<i4").reshape(n, T)
+    except ValueError as exc:  # an empty body under a shape numpy cannot hold
         raise ShapeError(f"{path}: header shape n={n} T={T}: {exc}") from None
-    for i, ln in enumerate(body):
-        try:
-            leaf_ids[i] = [int(p) for p in ln.split(",")]
-        except (ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: row {i}: {exc}") from None
     if (leaf_ids < 0).any():
         raise FormatError(f"{path}: negative leaf ordinal")
-    return EncodingMatrix(leaf_ids, m.group(3))
+    return EncodingMatrix(leaf_ids, m.group(3).decode("ascii"))

@@ -77,28 +77,6 @@ class TrainConfig:
         }
 
 
-def entropy(labels) -> float:
-    """Shannon entropy in bits of a label multiset."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) == 0:
-        return 0.0
-    counts = np.bincount(labels)
-    counts = counts[counts > 0]
-    p = counts / len(labels)
-    return float(-(p * np.log2(p)).sum())
-
-
-def information_gain(parent, left, right) -> float:
-    """Entropy of the parent minus the size-weighted entropy of the children."""
-    parent = np.asarray(parent, dtype=np.int64)
-    n = len(parent)
-    if n == 0 or len(parent) != len(left) + len(right):
-        raise ValueError("children must partition the parent")
-    wl = len(left) / n
-    wr = len(right) / n
-    return entropy(parent) - wl * entropy(left) - wr * entropy(right)
-
-
 def _xlogx_table(n: int) -> np.ndarray:
     """table[m] = m * log2(m), table[0] = 0; lets gain sweeps stay in integer counts."""
     table = np.zeros(n + 1)
@@ -165,10 +143,8 @@ def build_unsupervised_node(
 ) -> tuple[int, int, float] | None:
     """Completely random (kind, attr, param) node test for a row subset, or None
     to declare a leaf."""
-    XT = np.asarray(X, dtype=np.float64).T
-    picked = _split_node(
-        XT, np.asarray(rows, dtype=np.int64), rng, _categorical_mask(schema), min_node_size
-    )
+    split = _splitter(np.asarray(X, dtype=np.float64).T, None, schema, min_node_size)
+    picked = split(np.asarray(rows, dtype=np.int64), rng)
     return picked[0] if picked else None
 
 
@@ -258,44 +234,53 @@ def build_supervised_node(
     """
     rows = np.asarray(rows, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    XT = np.asarray(X, dtype=np.float64).T
-    picked = _split_node(XT, rows, rng, _categorical_mask(schema), min_node_size, labels,
-                         int(labels.max()) + 1, _xlogx_table(len(rows)),
-                         attribute_sample_size(XT.shape[0]))
+    split = _splitter(np.asarray(X, dtype=np.float64).T, labels, schema, min_node_size,
+                      max_rows=len(rows))
+    picked = split(rows, rng)
     return picked[0] if picked else None
 
 
-def _split_node(
-    XT, rows, stream, is_cat, min_node_size, labels=None, n_classes=0, xlogx=None, n_sample=0
-):
-    """((kind, attr, param), true-branch mask) for one node, or None to declare
-    a leaf.
+def _splitter(XT, labels, schema: Schema, min_node_size: int, max_rows: int | None = None):
+    """The split function ``split(rows, stream)`` for one forest's data.
 
-    The test is drawn at random without labels, else it is the best-gain
-    split. A node is a leaf when it holds at most ``min_node_size`` rows,
-    when its labels are all equal, or when no split is found.
+    ``XT`` holds one attribute per row. ``split`` returns ((kind, attr,
+    param), true-branch mask) for a node, or None to declare a leaf. The test
+    is drawn at random when ``labels`` is None, else it is the best-gain split
+    over nodes of at most ``max_rows`` rows (default: every row of the data).
+    A node is a leaf when it holds at most ``min_node_size`` rows, when its
+    labels are all equal, or when no split is found.
     """
-    if len(rows) <= min_node_size:
-        return None
+    is_cat = _categorical_mask(schema)
     if labels is None:
-        return _unsup_split(XT, rows, stream, is_cat)
-    y = labels[rows]
-    if (y == y[0]).all():
-        return None
-    return _sup_split(XT, rows, y, stream, is_cat, n_classes, xlogx, n_sample)
+        def split(rows, stream):
+            if len(rows) <= min_node_size:
+                return None
+            return _unsup_split(XT, rows, stream, is_cat)
+        return split
+
+    n_classes = int(labels.max()) + 1
+    xlogx = _xlogx_table(XT.shape[1] if max_rows is None else max_rows)
+    n_sample = attribute_sample_size(XT.shape[0])
+
+    def split(rows, stream):
+        if len(rows) <= min_node_size:
+            return None
+        y = labels[rows]
+        if (y == y[0]).all():
+            return None
+        return _sup_split(XT, rows, y, stream, is_cat, n_classes, xlogx, n_sample)
+    return split
 
 
 # -- tree growth --------------------------------------------------------------
 
 
-def _grow_tree(XT, labels, rows0, stream, is_cat, cfg: TrainConfig, xlogx, n_classes) -> Tree:
+def _grow_tree(split, rows0, stream, max_depth_cap: int | None) -> Tree:
     """Grow one tree, storing nodes in depth-first pre-order, false branch first.
 
     The false child of node ``i`` is therefore ``i + 1``; a true child sets
     its parent's ``true_child`` when it is stored.
     """
-    labels = labels if cfg.mode == "supervised" else None
-    n_sample = attribute_sample_size(XT.shape[0])
     kind: list[int] = []
     attr: list[int] = []
     param: list[float] = []
@@ -307,10 +292,8 @@ def _grow_tree(XT, labels, rows0, stream, is_cat, cfg: TrainConfig, xlogx, n_cla
         if parent >= 0:
             true_child[parent] = idx
         true_child.append(-1)
-        at_cap = cfg.max_depth_cap is not None and depth >= cfg.max_depth_cap
-        picked = None if at_cap else _split_node(
-            XT, rows, stream, is_cat, cfg.min_node_size, labels, n_classes, xlogx, n_sample
-        )
+        at_cap = max_depth_cap is not None and depth >= max_depth_cap
+        picked = None if at_cap else split(rows, stream)
         if picked is None:
             kind.append(LEAF)
             attr.append(-1)
@@ -325,23 +308,20 @@ def _grow_tree(XT, labels, rows0, stream, is_cat, cfg: TrainConfig, xlogx, n_cla
     return Tree(kind, attr, param, true_child)
 
 
-def _train_one(t: int, XT, labels, n, cfg: TrainConfig, is_cat, xlogx, n_classes) -> Tree:
+def _train_one(t: int, split, n: int, cfg: TrainConfig) -> Tree:
     stream = tree_stream(cfg.seed, t)
     if cfg.resolved_bootstrap:
         rows0 = stream.below_block(n, n)
     else:
         rows0 = np.arange(n, dtype=np.int64)
-    return _grow_tree(XT, labels, rows0, stream, is_cat, cfg, xlogx, n_classes)
+    return _grow_tree(split, rows0, stream, cfg.max_depth_cap)
 
 
-_FORK_PAYLOAD: dict = {}
+_FORK_PAYLOAD: list = []  # the (split, n, cfg) arguments of _train_one, inherited by fork
 
 
 def _train_worker(t: int) -> list:
-    p = _FORK_PAYLOAD
-    tree = _train_one(
-        t, p["XT"], p["labels"], p["n"], p["cfg"], p["is_cat"], p["xlogx"], p["n_classes"]
-    )
+    tree = _train_one(t, *_FORK_PAYLOAD)
     return [getattr(tree, name) for name in Tree.__slots__]
 
 
@@ -354,7 +334,6 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
     if dataset.n == 0:
         raise EmptyDataError("cannot train on an empty dataset")
     labels = dataset.labels
-    n_classes = 0
     if config.mode == "supervised":
         if labels is None:
             raise MissingLabelsError("supervised training requires labels")
@@ -362,24 +341,16 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
             raise UnknownCategoryError(
                 f"supervised training needs class labels >= 0, got {labels.min()}"
             )
-        n_classes = int(labels.max()) + 1
-    XT = np.ascontiguousarray(dataset.X.T)
-    xlogx = _xlogx_table(dataset.n) if config.mode == "supervised" else np.zeros(1)
-    n = dataset.n
-    is_cat = _categorical_mask(dataset.schema)
+    else:
+        labels = None
+    split = _splitter(np.ascontiguousarray(dataset.X.T), labels, dataset.schema,
+                      config.min_node_size)
+    args = (split, dataset.n, config)
 
     if config.threads > 1 and hasattr(os, "fork"):
         import multiprocessing
 
-        _FORK_PAYLOAD.update(
-            XT=XT,
-            labels=labels,
-            n=n,
-            cfg=config,
-            is_cat=is_cat,
-            xlogx=xlogx,
-            n_classes=n_classes,
-        )
+        _FORK_PAYLOAD[:] = args
         try:
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=config.threads, mp_context=ctx) as pool:
@@ -388,10 +359,7 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
         finally:
             _FORK_PAYLOAD.clear()
     else:
-        trees = [
-            _train_one(t, XT, labels, n, config, is_cat, xlogx, n_classes)
-            for t in range(config.n_trees)
-        ]
+        trees = [_train_one(t, *args) for t in range(config.n_trees)]
     return Forest(
         trees,
         dataset.schema,

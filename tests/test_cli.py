@@ -8,7 +8,7 @@ import pytest
 
 from eforest import cli, codec, metrics, persistence
 from eforest.data import Categorical, Dataset, Numeric, Schema, load_csv, save_csv
-from eforest.errors import FormatError, ParseError, VersionError
+from eforest.errors import ConfigError, FormatError, ParseError, VersionError
 from eforest.forest import NUM
 
 from synthdata import write_idx_images, write_idx_labels
@@ -67,7 +67,7 @@ def model_path(workdir):
 
 @pytest.fixture(scope="module")
 def encodings_path(workdir, model_path):
-    path = workdir / "codes.txt"
+    path = workdir / "codes.enc"
     code = cli.main(
         ["encode", "--data", str(workdir / "images.idx"), "--model",
          str(model_path), "--out", str(path)]
@@ -342,7 +342,7 @@ class TestEncodeDecode:
             ["decode", "--model", "{model}", "--encodings", "{codes}",
              "--out", "{dir}/nodir/r.csv"],
             ["encode", "--data", "{dir}/images.idx", "--model", "{model}",
-             "--out", "{dir}/nodir/e.txt"],
+             "--out", "{dir}/nodir/e.enc"],
             ["reconstruct", "--data", "{dir}/images.idx", "--model", "{model}",
              "--report", "{dir}/nodir/report.json"],
         ],
@@ -357,14 +357,19 @@ class TestEncodeDecode:
         assert not (workdir / "nodir").exists()
 
     @pytest.mark.parametrize(
-        "body",
-        ["n=1 T=4611686018427387904 forest={f}\n0\n", "n=1 T=5 forest={f}\n1,99999999999\n"],
-        ids=["oversized-header-width", "ordinal-beyond-int32"],
+        "header, body",
+        [
+            ("v2 n=1 T=4611686018427387904", b"\0" * 4),
+            ("v2 n=2 T=5", b"\0" * 36),
+            ("v2 n=1 T=5", np.array([0, 1, 0, -1, 0], dtype="<i4").tobytes()),
+            ("v1 n=1 T=5", b"0,1,0,1,0\n"),
+        ],
+        ids=["oversized-header-width", "truncated-body", "negative-ordinal", "v1-text-file"],
     )
-    def test_bad_encodings_file_exits_1(self, workdir, model_path, capsys, body):
+    def test_bad_encodings_file_exits_1(self, workdir, model_path, capsys, header, body):
         forest_id = persistence.forest_hex_id(persistence.load_model(model_path))
-        codes = workdir / "bad_codes.txt"
-        codes.write_text("eforest-enc v1 " + body.format(f=forest_id))
+        codes = workdir / "bad_codes.enc"
+        codes.write_bytes(f"eforest-enc {header} forest={forest_id}\n".encode("ascii") + body)
         code, _, err = run_cli(
             capsys,
             ["decode", "--model", str(model_path), "--encodings", str(codes),
@@ -377,13 +382,13 @@ class TestEncodeDecode:
         code, _, err = run_cli(
             capsys,
             ["encode", "--data", str(workdir / "wide.csv"), "--format", "csv",
-             "--model", str(model_path), "--out", str(workdir / "nope.txt")],
+             "--model", str(model_path), "--out", str(workdir / "nope.enc")],
         )
         assert code == 1
         assert "error:" in err
 
     def test_encode_reuse_accepts_renamed_schema(self, workdir, model_path, capsys):
-        out = workdir / "wide_codes.txt"
+        out = workdir / "wide_codes.enc"
         code, line, _ = run_cli(
             capsys,
             ["encode", "--data", str(workdir / "wide.csv"), "--format", "csv",
@@ -522,14 +527,14 @@ class TestDamage:
         assert report["means"] == [r.mean for r in oracle]
 
     def test_bad_keep_list_fails(self, workdir, model_path, capsys):
-        code, _, err = run_cli(
-            capsys,
-            ["damage", "--data", str(workdir / "images.idx"), "--model",
-             str(model_path), "--keep", "a,b",
-             "--report", str(workdir / "nope.json")],
-        )
+        argv = ["damage", "--data", str(workdir / "images.idx"), "--model",
+                str(model_path), "--keep", "a,b", "--report", str(workdir / "nope.json")]
+        code, _, err = run_cli(capsys, argv)
         assert code == 1
         assert "comma-separated floats" in err
+        with pytest.raises(ConfigError) as info:
+            cli.cmd_damage(cli.build_parser().parse_args(argv))
+        assert info.value.__suppress_context__
 
     def test_out_of_range_fraction_fails(self, workdir, model_path, capsys):
         code, _, err = run_cli(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eforest import cli
 from eforest.data import (
     Bounds,
     Categorical,
@@ -196,6 +197,22 @@ class TestIdx:
         p.write_bytes(b"\x00\x00")
         with pytest.raises(FormatError):
             load_idx(p)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(2**31, 2**31, 4), (0, 2**32 - 1, 2**32 - 1)],
+        ids=["count-wraps-int64", "no-images"],
+    )
+    def test_dimension_table_without_a_body(self, tmp_path, capsys, dims):
+        # n*h*w is 2**64 (zero in int64), or zero images leave h*w unbounded
+        p = tmp_path / "bad.idx"
+        p.write_bytes(struct.pack(">HBB", 0, 8, 3) + struct.pack(">3I", *dims))
+        with pytest.raises(FormatError):
+            load_idx(p)
+        argv = ["train", "--data", str(p), "--mode", "unsup", "--trees", "1",
+                "--out", str(tmp_path / "m.json")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestKindSpec:

@@ -535,6 +535,20 @@ class TestStrictFieldTypes:
             load_model(p)
 
 
+@functools.lru_cache(maxsize=1)
+def small_encodings() -> bytes:
+    """Saved bytes of a small forest's encodings file."""
+    forest, ds = small_forest(seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "enc"
+        save_encodings(encode_batch(forest, ds), p)
+        return p.read_bytes()
+
+
+def v2_header(n, T, forest_id="a" * 16) -> bytes:
+    return f"eforest-enc v2 n={n} T={T} forest={forest_id}\n".encode("ascii")
+
+
 class TestEncodingsFile:
     def make_matrix(self):
         forest, ds = small_forest(seed=3)
@@ -542,89 +556,115 @@ class TestEncodingsFile:
 
     def test_round_trip(self, tmp_path):
         matrix = self.make_matrix()
-        p = tmp_path / "enc.txt"
+        p = tmp_path / "enc"
         save_encodings(matrix, p)
         back = load_encodings(p)
         assert back.forest_id == matrix.forest_id
-        assert back.leaf_ids.tolist() == matrix.leaf_ids.tolist()
+        assert back.leaf_ids.dtype == np.int32
+        assert np.array_equal(back.leaf_ids, matrix.leaf_ids)
 
     def test_header_format(self, tmp_path):
         matrix = self.make_matrix()
-        p = tmp_path / "enc.txt"
+        p = tmp_path / "enc"
         save_encodings(matrix, p)
-        first = p.read_text().splitlines()[0]
-        assert first == (
-            f"eforest-enc v1 n={matrix.n} T={matrix.T} forest={matrix.forest_id}"
+        header, body = p.read_bytes().split(b"\n", 1)
+        assert header.decode("ascii") == (
+            f"eforest-enc v2 n={matrix.n} T={matrix.T} forest={matrix.forest_id}"
         )
+        # the body is the ordinals as little-endian int32, row by row
+        assert body == matrix.leaf_ids.astype("<i4").tobytes()
+        assert p.stat().st_size == len(header) + 1 + 4 * matrix.n * matrix.T
 
     def test_empty_matrix_round_trip(self, tmp_path):
         matrix = EncodingMatrix(np.zeros((0, 4), dtype=np.int32), "0" * 16)
-        p = tmp_path / "enc.txt"
+        p = tmp_path / "enc"
         save_encodings(matrix, p)
+        assert p.read_bytes() == v2_header(0, 4, "0" * 16)
         back = load_encodings(p)
-        assert back.n == 0 and back.T == 4
+        assert back.n == 0 and back.T == 4 and back.forest_id == "0" * 16
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
-            load_encodings(tmp_path / "absent.txt")
+            load_encodings(tmp_path / "absent.enc")
 
     def test_empty_file(self, tmp_path):
-        p = tmp_path / "enc.txt"
-        p.write_text("")
+        p = tmp_path / "enc"
+        p.write_bytes(b"")
         with pytest.raises(FormatError):
             load_encodings(p)
 
     def test_bad_header(self, tmp_path):
-        p = tmp_path / "enc.txt"
-        p.write_text("eforest-enc v2 n=1 T=1 forest=" + "0" * 16 + "\n0\n")
-        with pytest.raises(FormatError):
-            load_encodings(p)
+        p = tmp_path / "enc"
+        body = b"\0" * 4
+        for blob in [
+            b"eforest-enc v3 n=1 T=1 forest=" + b"0" * 16 + b"\n" + body,
+            b"eforest-enc v2 n=1 T=1 forest=" + b"0" * 15 + b"\n" + body,
+            b"eforest-enc v2 n=1 T=1 forest=" + b"A" * 16 + b"\n" + body,
+            b"eforest-enc v2 n=-1 T=1 forest=" + b"0" * 16 + b"\n" + body,
+            b"eforest-enc v2 n=1 T=1 forest=" + b"0" * 16 + body,  # no line end
+            b" eforest-enc v2 n=1 T=1 forest=" + b"0" * 16 + b"\n" + body,
+            # a text file of earlier releases: re-encode with the model instead
+            b"eforest-enc v1 n=2 T=2 forest=" + b"a" * 16 + b"\n0,1\n2,3\n",
+        ]:
+            p.write_bytes(blob)
+            with pytest.raises(FormatError, match="bad encodings header"):
+                load_encodings(p)
 
     def test_row_count_mismatch(self, tmp_path):
         matrix = self.make_matrix()
-        p = tmp_path / "enc.txt"
+        p = tmp_path / "enc"
         save_encodings(matrix, p)
-        lines = p.read_text().splitlines()
-        p.write_text("\n".join(lines[:-1]) + "\n")
+        p.write_bytes(p.read_bytes()[: -4 * matrix.T])
         with pytest.raises(ShapeError):
             load_encodings(p)
 
     def test_row_width_mismatch(self, tmp_path):
-        matrix = self.make_matrix()
-        p = tmp_path / "enc.txt"
-        save_encodings(matrix, p)
-        lines = p.read_text().splitlines()
-        lines[1] = lines[1] + ",7"
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ShapeError):
-            load_encodings(p)
-
-    def test_non_integer_cell(self, tmp_path):
-        p = tmp_path / "enc.txt"
-        p.write_text("eforest-enc v1 n=1 T=2 forest=" + "a" * 16 + "\n0,x\n")
-        with pytest.raises(FormatError):
-            load_encodings(p)
-
-    def test_ordinal_beyond_int32(self, tmp_path):
-        p = tmp_path / "enc.txt"
-        p.write_text("eforest-enc v1 n=1 T=2 forest=" + "a" * 16 + "\n1,99999999999\n")
-        with pytest.raises(FormatError):
-            load_encodings(p)
+        p = tmp_path / "enc"
+        for extra in [b"\0", b"\0" * 4, b"\n"]:
+            p.write_bytes(small_encodings() + extra)
+            with pytest.raises(ShapeError):
+                load_encodings(p)
 
     @pytest.mark.parametrize(
-        "text",
-        ["n=1 T=4611686018427387904 forest={f}\n0\n", "n=0 T=4611686018427387904 forest={f}\n"],
+        "header, body",
+        [((1, 2**62), b"\0" * 4), ((0, 2**62), b"")],
         ids=["width-below-header", "empty-body"],
     )
-    def test_oversized_header(self, tmp_path, text):
+    def test_oversized_header(self, tmp_path, header, body):
         # a header shape numpy cannot hold is a ShapeError, never a ValueError
-        p = tmp_path / "enc.txt"
-        p.write_text("eforest-enc v1 " + text.format(f="a" * 16))
+        p = tmp_path / "enc"
+        p.write_bytes(v2_header(*header) + body)
         with pytest.raises(ShapeError):
             load_encodings(p)
 
     def test_negative_ordinal(self, tmp_path):
-        p = tmp_path / "enc.txt"
-        p.write_text("eforest-enc v1 n=1 T=2 forest=" + "a" * 16 + "\n0,-1\n")
+        p = tmp_path / "enc"
+        p.write_bytes(v2_header(1, 2) + np.array([0, -1], dtype="<i4").tobytes())
         with pytest.raises(FormatError):
             load_encodings(p)
+
+    @given(
+        cut=st.integers(0, 2000),
+        extra=st.binary(max_size=12),
+        flips=st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 255)), max_size=4),
+    )
+    @example(cut=0, extra=b"", flips=[(13, ord("1"))])  # the version digit
+    @example(cut=0, extra=b"", flips=[(17, ord("9"))])  # n=40 becomes n=90
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_file_loads_or_raises_typed_error(self, cut, extra, flips):
+        # truncate (cut bytes off the end), extend, then overwrite bytes
+        blob = bytearray(small_encodings())
+        blob = blob[: len(blob) - min(cut, len(blob))] + extra
+        for pos, value in flips:
+            if blob:
+                blob[pos % len(blob)] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "enc"
+            p.write_bytes(bytes(blob))
+            try:
+                matrix = load_encodings(p)
+            except (FormatError, ShapeError):
+                return
+        header = v2_header(matrix.n, matrix.T, matrix.forest_id)
+        assert len(blob) == len(header) + 4 * matrix.n * matrix.T
+        assert (matrix.leaf_ids >= 0).all()
