@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -69,14 +68,6 @@ def _mask_from_args(n_trees: int, args) -> codec.TreeMask | None:
     return codec.TreeMask.from_fraction(n_trees, args.mask_keep, args.mask_seed)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("EFOREST_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 # -- train ---------------------------------------------------------------------
 
 
@@ -101,15 +92,13 @@ def _build_train_config(args) -> training.TrainConfig:
             args.max_depth if args.max_depth is not None else base.get("max_depth_cap")
         ),
         "bootstrap": args.bootstrap if args.bootstrap is not None else base.get("bootstrap"),
-        "threads": args.threads if args.threads is not None else base.get("threads", 0),
+        "threads": args.threads if args.threads is not None else base.get("threads", 1),
     }
     unknown = sorted(set(base) - set(merged))
     if unknown:
         raise ConfigError(f"{args.config}: unknown config keys {unknown}")
     if merged["mode"] is None or merged["n_trees"] is None:
         raise ConfigError("--mode and --trees are required (flags or --config file)")
-    if not merged["threads"]:
-        merged["threads"] = _default_threads()
     return training.TrainConfig(**merged)
 
 
@@ -321,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-node", type=int, help="leaf size threshold (default 2)")
     p.add_argument("--max-depth", type=int, help="optional depth cap")
     p.add_argument("--bootstrap", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--threads", type=int, help="worker processes (default $EFOREST_THREADS or 1)")
+    p.add_argument("--threads", type=int, help="worker processes (default 1)")
     p.add_argument("--config", help="JSON file with TrainConfig fields; flags override")
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)

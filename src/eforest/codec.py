@@ -7,7 +7,8 @@ tree mask uses only the kept trees, which models operating a damaged model.
 
 Both batch directions walk all rows down a tree level by level through
 ``Tree.descend``: encoding steers each row by its attribute values, batch
-decoding by the stored position of the leaf its ordinal names. The per-row
+decoding by the stored position of the leaf its ordinal names, as a fold that
+tightens a per-row region state once per kept tree. The per-row
 ``decode_region``/``decode`` build the same region with the rule algebra of
 ``rules.py`` and are the reference the batch engine is tested against.
 """
@@ -56,16 +57,19 @@ class TreeMask:
     def from_fraction(cls, n_trees: int, keep_fraction: float, seed: int) -> "TreeMask":
         """Keep a seeded random ceil(fraction * n_trees) subset of trees.
 
-        The same seed yields one permutation for every fraction, so masks for
-        increasing fractions are nested.
+        The product is rounded to 9 decimals first, so float noise such as
+        0.07 * 100 = 7.000000000000001 adds no tree; a product below one keeps
+        none and is refused. The same seed yields one permutation for every
+        fraction, so masks for increasing fractions are nested.
         """
         if not 0.0 < keep_fraction <= 1.0:
             raise ConfigError(f"keep fraction must be in (0, 1], got {keep_fraction}")
-        if keep_fraction * n_trees < 1.0:
+        share = round(keep_fraction * n_trees, 9)
+        if share < 1.0:
             raise ConfigError(
                 f"keep fraction {keep_fraction} of {n_trees} trees keeps none"
             )
-        k = math.ceil(keep_fraction * n_trees)
+        k = math.ceil(share)
         return cls(tuple(permutation(seed, n_trees)[:k]))
 
 
@@ -132,24 +136,28 @@ def encode_batch(forest: Forest, dataset: Dataset, reuse: bool = False) -> Encod
     return EncodingMatrix(leaf_ids, forest_hex_id(forest))
 
 
-def _validate_encoding(forest: Forest, enc: np.ndarray) -> None:
-    if enc.shape != (forest.T,):
+def _check_ordinals(forest: Forest, leaf_ids: np.ndarray) -> None:
+    """Refuse encodings unless every row holds one in-range leaf ordinal per tree."""
+    if leaf_ids.shape[1:] != (forest.T,):
         raise LeafIndexError(
-            f"encoding has {enc.shape} entries, forest has {forest.T} trees"
+            f"encoding rows have shape {leaf_ids.shape[1:]}, forest has {forest.T} trees"
         )
-    for t, tree in enumerate(forest.trees):
-        if not 0 <= enc[t] < tree.leaf_count:
-            raise LeafIndexError(
-                f"tree {t}: leaf ordinal {enc[t]} out of range "
-                f"(tree has {tree.leaf_count} leaves)"
-            )
+    counts = np.array([tree.leaf_count for tree in forest.trees])
+    low, high = leaf_ids.min(axis=0, initial=0), leaf_ids.max(axis=0, initial=0)
+    bad = (low < 0) | (high >= counts)
+    if bad.any():
+        t = int(bad.argmax())
+        raise LeafIndexError(
+            f"tree {t}: leaf ordinal {low[t] if low[t] < 0 else high[t]} out of range "
+            f"(tree has {counts[t]} leaves)"
+        )
 
 
 def decode_region(forest: Forest, encoding, mask: TreeMask | None = None) -> Rule:
     """Maximal compatible rule of an encoding: the intersection of every kept
     tree's decision-path rule, clamped to the training bounds."""
     enc = np.asarray(encoding, dtype=np.int64)
-    _validate_encoding(forest, enc)
+    _check_ordinals(forest, enc[None])
     keep = _resolve_mask(mask, forest.T)
     rules = [
         path_to_rule(get_path(forest.trees[t], int(enc[t])), forest.schema)
@@ -168,58 +176,53 @@ def decode(
     return representative(decode_region(forest, encoding, mask), strategy)
 
 
-def _decode_rows(forest: Forest, leaf_ids: np.ndarray, strategy: str, keep) -> np.ndarray:
-    """Vectorized decode of every row; exactly equivalent to per-row decode().
+def _absorb(state, tree, leaves: np.ndarray) -> None:
+    """Tighten the per-row region state by every test on the paths to ``leaves``.
 
     Numeric attributes carry per-row lower and upper ends, categorical ones
-    an (n, size) allowed-value mask. Each kept tree walks all rows down to
-    the leaves their ordinals name, level by level, and applies every test
-    on the way. In pre-order the true subtree of node ``i`` starts at
+    an (n, size) allowed-value mask. The tree walks all rows down to the
+    leaves their ordinals name, level by level, and applies every test on the
+    way. In pre-order the true subtree of node ``i`` starts at
     ``true_child[i]``, so a row bound for leaf node ``target`` takes the true
     branch exactly when ``target >= true_child[i]``. Within one level each
     row sits at one node, so every (row, attribute) cell is written once.
     """
-    n = leaf_ids.shape[0]
-    schema = forest.schema
-    lo = np.full((n, schema.d), -np.inf)
-    hi = np.full((n, schema.d), np.inf)
-    allowed = {
-        j: np.ones((n, schema.category_count(j)), dtype=bool)
-        for j in range(schema.d)
-        if schema.is_categorical(j)
-    }
-    for t in keep:
-        tree = forest.trees[t]
-        target = np.flatnonzero(tree.kind == LEAF)[leaf_ids[:, t]]
+    lo, hi, allowed = state
+    target = np.flatnonzero(tree.kind == LEAF)[leaves]
 
-        def go_true(rows, nodes):
-            taken = target[rows] >= tree.true_child[nodes]
-            a = tree.attr[nodes]
-            p = tree.param[nodes]
-            num = tree.kind[nodes] == NUM
-            up = num & taken
-            r, c = rows[up], a[up]
-            lo[r, c] = np.maximum(lo[r, c], p[up])
-            down = num & ~taken
-            r, c = rows[down], a[down]
-            hi[r, c] = np.minimum(hi[r, c], p[down])
-            cat = ~num
-            if cat.any():
-                r, a, v, tk = rows[cat], a[cat], p[cat].astype(np.intp), taken[cat]
-                for j in np.unique(a):
-                    allow = allowed[int(j)]
-                    on = a == j
-                    # x[j] != v removes v; x[j] == v keeps v alone, if still allowed
-                    off = on & ~tk
-                    allow[r[off], v[off]] = False
-                    on &= tk
-                    rt, vt = r[on], v[on]
-                    hit = allow[rt, vt]
-                    allow[rt] = False
-                    allow[rt, vt] = hit
-            return taken
+    def go_true(rows, nodes):
+        taken = target[rows] >= tree.true_child[nodes]
+        a = tree.attr[nodes]
+        p = tree.param[nodes]
+        num = tree.kind[nodes] == NUM
+        up = num & taken
+        r, c = rows[up], a[up]
+        lo[r, c] = np.maximum(lo[r, c], p[up])
+        down = num & ~taken
+        r, c = rows[down], a[down]
+        hi[r, c] = np.minimum(hi[r, c], p[down])
+        cat = ~num
+        if cat.any():
+            r, a, v, tk = rows[cat], a[cat], p[cat].astype(np.intp), taken[cat]
+            for j in np.unique(a):
+                allow = allowed[int(j)]
+                on = a == j
+                # x[j] != v removes v; x[j] == v keeps v alone, if still allowed
+                off = on & ~tk
+                allow[r[off], v[off]] = False
+                on &= tk
+                rt, vt = r[on], v[on]
+                hit = allow[rt, vt]
+                allow[rt] = False
+                allow[rt, vt] = hit
+        return taken
 
-        tree.descend(n, go_true)
+    tree.descend(len(leaves), go_true)
+
+
+def _finish(forest: Forest, state, strategy: str) -> np.ndarray:
+    """Representative of every row's region; reads the state, never writes it."""
+    lo, hi, allowed = state
     hi_open = hi != np.inf
     lo = np.where(lo == -np.inf, forest.bounds.lo, lo)
     hi = np.where(hi_open, hi, forest.bounds.hi)
@@ -228,11 +231,45 @@ def _decode_rows(forest: Forest, leaf_ids: np.ndarray, strategy: str, keep) -> n
         empty[:, j] = ~allow.any(axis=1)
     if empty.any():
         i, j = np.argwhere(empty)[0]
-        raise EmptyMCRError(f"row {i}, attribute {schema.names[j]}: rule intersection is empty")
+        raise EmptyMCRError(
+            f"row {i}, attribute {forest.schema.names[j]}: rule intersection is empty"
+        )
     X = pick_interval_batch(lo, hi, hi_open, strategy)
     for j, allow in allowed.items():
         X[:, j] = allow.argmax(axis=1)
     return X
+
+
+def decode_masks(forest: Forest, matrix: EncodingMatrix, masks, strategy: str = "min"):
+    """Yield the reconstruction of every encoded instance under each mask in turn.
+
+    Each kept tree tightens the rows' regions (``lo`` by max, ``hi`` by min,
+    category masks by AND), which is exact in any tree order. A mask holding
+    every tree absorbed so far absorbs only its new trees, so nested masks
+    given smallest first walk each tree once; any other mask starts over. A
+    ``None`` mask keeps every tree.
+    """
+    if matrix.forest_id != forest_hex_id(forest):
+        raise ModelMismatchError(
+            f"encodings were produced by model {matrix.forest_id}, "
+            f"decoding with {forest_hex_id(forest)}"
+        )
+    leaf_ids = matrix.leaf_ids
+    _check_ordinals(forest, leaf_ids)
+    n, schema = matrix.n, forest.schema
+    state, absorbed = None, set()
+    for mask in masks:
+        keep = _resolve_mask(mask, forest.T)
+        if state is None or not absorbed.issubset(keep):
+            cats = [j for j in range(schema.d) if schema.is_categorical(j)]
+            state = (np.full((n, schema.d), -np.inf), np.full((n, schema.d), np.inf),
+                     {j: np.ones((n, schema.category_count(j)), dtype=bool) for j in cats})
+            absorbed = set()
+        for t in keep:
+            if t not in absorbed:
+                _absorb(state, forest.trees[t], leaf_ids[:, t])
+        absorbed = set(keep)
+        yield Dataset(schema, _finish(forest, state, strategy))
 
 
 def decode_batch(
@@ -242,19 +279,4 @@ def decode_batch(
     mask: TreeMask | None = None,
 ) -> Dataset:
     """Reconstruct every encoded instance as a dataset over the model schema."""
-    if matrix.forest_id != forest_hex_id(forest):
-        raise ModelMismatchError(
-            f"encodings were produced by model {matrix.forest_id}, "
-            f"decoding with {forest_hex_id(forest)}"
-        )
-    if matrix.T != forest.T:
-        raise LeafIndexError(
-            f"encoding matrix has {matrix.T} columns, forest has {forest.T} trees"
-        )
-    leaf_ids = matrix.leaf_ids
-    for t, tree in enumerate(forest.trees):
-        col = leaf_ids[:, t]
-        if len(col) and (col.min() < 0 or col.max() >= tree.leaf_count):
-            raise LeafIndexError(f"tree {t}: leaf ordinal out of range")
-    X = _decode_rows(forest, leaf_ids, strategy, _resolve_mask(mask, forest.T))
-    return Dataset(forest.schema, X)
+    return next(decode_masks(forest, matrix, [mask], strategy))

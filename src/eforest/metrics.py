@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import EncodingMatrix, TreeMask, decode_batch, encode_batch
+from .codec import TreeMask, decode_masks, encode_batch
 from .data import Dataset
 from .errors import ConfigError, MetricDomainError, ShapeError
 from .forest import Forest
@@ -95,12 +95,29 @@ class ReconReport:
         return "\n".join(lines) + "\n"
 
 
-def _require_numeric(dataset: Dataset, metric: str) -> None:
+def _reports(forest, dataset, metric, strategy, masks, echoes, reuse=False):
+    """Encode ``dataset`` once, then yield (report, reconstruction) under each
+    mask in turn, decoded as one fold over the trees. Each report's config
+    echoes the run plus the matching entry of ``echoes``."""
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}")
     if not dataset.schema.all_numeric:
         raise MetricDomainError(
             f"metric {metric!r} needs an all-numeric schema; this one has "
             "categorical attributes"
         )
+    matrix = encode_batch(forest, dataset, reuse=reuse)
+    for mask, echo, recon in zip(masks, echoes, decode_masks(forest, matrix, masks, strategy)):
+        values = metric_rows(metric, dataset.X, recon.X) if dataset.n else np.zeros(0)
+        config = {
+            "metric": metric,
+            "strategy": strategy,
+            "n_trees": forest.T,
+            "kept_trees": len(mask) if mask is not None else forest.T,
+            "model_kind": forest.kind,
+            **echo,
+        }
+        yield ReconReport(metric, values, config), recon
 
 
 def reconstruction_report(
@@ -113,23 +130,8 @@ def reconstruction_report(
     config: dict | None = None,
 ) -> tuple[ReconReport, Dataset]:
     """Encode, decode, and score a dataset against its reconstruction."""
-    if metric not in METRICS:
-        raise ConfigError(f"unknown metric {metric!r}")
-    _require_numeric(dataset, metric)
-    matrix = encode_batch(forest, dataset, reuse=reuse)
-    recon = decode_batch(forest, matrix, strategy=strategy, mask=mask)
-    values = metric_rows(metric, dataset.X, recon.X) if dataset.n else np.zeros(0)
-    echo = {
-        "metric": metric,
-        "strategy": strategy,
-        "reuse": reuse,
-        "n_trees": forest.T,
-        "kept_trees": len(mask) if mask is not None else forest.T,
-        "model_kind": forest.kind,
-    }
-    if config:
-        echo.update(config)
-    return ReconReport(metric, values, echo), recon
+    echo = {"reuse": reuse, **(config or {})}
+    return next(_reports(forest, dataset, metric, strategy, [mask], [echo], reuse))
 
 
 def damage_curve(
@@ -143,33 +145,18 @@ def damage_curve(
     """Reconstruction reports under tree masks of growing size.
 
     One seeded permutation drives every fraction, so the kept sets are nested
-    and the curve isolates the effect of the number of surviving trees.
+    and the curve isolates the effect of the number of surviving trees. The
+    masks are decoded smallest first, so every tree is walked once; reports
+    keep the order of ``keep_fractions``.
     """
     fractions = [float(f) for f in keep_fractions]
     if not fractions:
         raise ConfigError("damage_curve needs at least one keep fraction")
-    if metric not in METRICS:
-        raise ConfigError(f"unknown metric {metric!r}")
-    _require_numeric(dataset, metric)
     masks = [TreeMask.from_fraction(forest.T, f, seed) for f in fractions]
-    matrix = encode_batch(forest, dataset)
-    reports = []
-    for f, mask in zip(fractions, masks):
-        recon = decode_batch(forest, matrix, strategy=strategy, mask=mask)
-        values = metric_rows(metric, dataset.X, recon.X) if dataset.n else np.zeros(0)
-        reports.append(
-            ReconReport(
-                metric,
-                values,
-                {
-                    "metric": metric,
-                    "strategy": strategy,
-                    "keep_fraction": f,
-                    "kept_trees": len(mask),
-                    "n_trees": forest.T,
-                    "mask_seed": seed,
-                    "model_kind": forest.kind,
-                },
-            )
-        )
+    order = sorted(range(len(masks)), key=lambda i: len(masks[i]))
+    echoes = [{"keep_fraction": fractions[i], "mask_seed": seed} for i in order]
+    curve = _reports(forest, dataset, metric, strategy, [masks[i] for i in order], echoes)
+    reports = [None] * len(masks)
+    for i, (report, _) in zip(order, curve):
+        reports[i] = report
     return reports

@@ -286,19 +286,26 @@ class TestTrain:
         assert code == 1
         assert err.startswith("error:")
 
-    def test_threads_env_default_keeps_hash(self, workdir, capsys, monkeypatch):
+    def test_thread_count_keeps_hash(self, workdir, capsys):
         argv = ["train", "--data", str(workdir / "images.idx"), "--mode",
                 "unsup", "--trees", "5", "--seed", "3"]
-        monkeypatch.setenv("EFOREST_THREADS", "2")
-        out_env = workdir / "env_threads.json"
-        code, line_env, _ = run_cli(capsys, argv + ["--out", str(out_env)])
-        assert code == 0
-        monkeypatch.setenv("EFOREST_THREADS", "not-a-number")
-        out_junk = workdir / "junk_threads.json"
-        code, line_junk, _ = run_cli(capsys, argv + ["--out", str(out_junk)])
-        assert code == 0
+        hashes = []
+        for threads in ("2", "1"):
+            out = workdir / f"threads_{threads}.json"
+            code, line, _ = run_cli(capsys, argv + ["--threads", threads, "--out", str(out)])
+            assert code == 0
+            hashes.append(line["hash"])
         # Worker count changes scheduling only, never the model content.
-        assert line_env["hash"] == line_junk["hash"]
+        assert hashes[0] == hashes[1]
+
+    def test_zero_threads_exits_1(self, workdir, capsys):
+        code, _, err = run_cli(
+            capsys,
+            ["train", "--data", str(workdir / "images.idx"), "--mode", "unsup",
+             "--trees", "2", "--threads", "0", "--out", str(workdir / "nope.json")],
+        )
+        assert code == 1
+        assert "threads must be >= 1" in err
 
 
 class TestEncodeDecode:

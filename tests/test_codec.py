@@ -69,6 +69,10 @@ class TestTreeMask:
         assert len(TreeMask.from_fraction(100, 1.0, 0)) == 100
         assert len(TreeMask.from_fraction(100, 0.25, 0)) == 25
         assert len(TreeMask.from_fraction(10, 0.21, 0)) == 3
+        # products a hair above an integer in floats keep that integer
+        assert len(TreeMask.from_fraction(100, 0.07, 0)) == 7
+        assert len(TreeMask.from_fraction(50, 0.14, 0)) == 7
+        assert len(TreeMask.from_fraction(100, 0.55, 0)) == 55
 
     def test_from_fraction_bounds(self):
         with pytest.raises(ConfigError):

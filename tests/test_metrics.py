@@ -9,6 +9,7 @@ import pytest
 from eforest.codec import TreeMask, encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema
 from eforest.errors import ConfigError, MetricDomainError, ShapeError
+from eforest.forest import Tree
 from eforest.metrics import (
     ReconReport,
     damage_curve,
@@ -185,10 +186,31 @@ class TestDamageCurve:
     def test_matches_explicit_masked_reports(self):
         ds = numeric_dataset(seed=17)
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=8, seed=5))
-        reports = damage_curve(forest, ds, (0.5,), seed=3)
-        mask = TreeMask.from_fraction(8, 0.5, 3)
-        direct, _ = reconstruction_report(forest, ds, mask=mask)
-        assert reports[0].values.tolist() == direct.values.tolist()
+        # unsorted and duplicated fractions keep their input order
+        fractions = (1.0, 0.25, 0.75, 0.25, 0.5)
+        for strategy in ("min", "mean", "max"):
+            reports = damage_curve(forest, ds, fractions, seed=3, strategy=strategy)
+            assert [r.config["keep_fraction"] for r in reports] == list(fractions)
+            for f, report in zip(fractions, reports):
+                mask = TreeMask.from_fraction(8, f, 3)
+                direct, _ = reconstruction_report(forest, ds, strategy=strategy, mask=mask)
+                assert report.config["kept_trees"] == len(mask)
+                assert report.values.tobytes() == direct.values.tobytes()
+
+    def test_absorbs_each_tree_once(self, monkeypatch):
+        ds = numeric_dataset(seed=18)
+        forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=8, seed=5))
+        walks = []
+        descend = Tree.descend
+
+        def counted(tree, n, go_true):
+            walks.append(tree)
+            return descend(tree, n, go_true)
+
+        monkeypatch.setattr(Tree, "descend", counted)
+        damage_curve(forest, ds, (0.75, 0.25, 1.0, 0.5, 0.25), seed=2)
+        # T walks to encode plus T to decode the nested masks, smallest first
+        assert len(walks) == 2 * forest.T
 
     def test_full_fraction_matches_undamaged(self):
         ds = numeric_dataset(seed=19)
