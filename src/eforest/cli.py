@@ -9,6 +9,7 @@ writes machine-readable reports that echo the full configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -81,23 +82,21 @@ def _build_train_config(args) -> training.TrainConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(base, dict):
             raise ConfigError(f"{args.config}: config file must hold a JSON object")
-    merged = {
-        "mode": MODE_NAMES.get(args.mode, args.mode) if args.mode else base.get("mode"),
-        "n_trees": args.trees if args.trees is not None else base.get("n_trees"),
-        "seed": args.seed if args.seed is not None else base.get("seed", 0),
-        "min_node_size": (
-            args.min_node if args.min_node is not None else base.get("min_node_size", 2)
-        ),
-        "max_depth_cap": (
-            args.max_depth if args.max_depth is not None else base.get("max_depth_cap")
-        ),
-        "bootstrap": args.bootstrap if args.bootstrap is not None else base.get("bootstrap"),
-        "threads": args.threads if args.threads is not None else base.get("threads", 1),
+    flags = {
+        "mode": MODE_NAMES.get(args.mode, args.mode) if args.mode else None,
+        "n_trees": args.trees,
+        "seed": args.seed,
+        "min_node_size": args.min_node,
+        "max_depth_cap": args.max_depth,
+        "bootstrap": args.bootstrap,
+        "threads": args.threads,
     }
-    unknown = sorted(set(base) - set(merged))
+    unknown = sorted(set(base) - {f.name for f in dataclasses.fields(training.TrainConfig)})
     if unknown:
         raise ConfigError(f"{args.config}: unknown config keys {unknown}")
-    if merged["mode"] is None or merged["n_trees"] is None:
+    # given flags win over the config file; TrainConfig supplies the defaults
+    merged = {**base, **{k: v for k, v in flags.items() if v is not None}}
+    if merged.get("mode") is None or merged.get("n_trees") is None:
         raise ConfigError("--mode and --trees are required (flags or --config file)")
     return training.TrainConfig(**merged)
 

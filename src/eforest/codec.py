@@ -8,7 +8,9 @@ tree mask uses only the kept trees, which models operating a damaged model.
 Both batch directions walk all rows down a tree level by level through
 ``Tree.descend``: encoding steers each row by its attribute values, batch
 decoding by the stored position of the leaf its ordinal names, as a fold that
-tightens a per-row region state once per kept tree. The per-row
+tightens a per-row region state once per kept tree. A node's test is
+``x[attr] == param`` when the schema marks its attribute categorical, else
+``x[attr] >= param``. The per-row
 ``decode_region``/``decode`` build the same region with the rule algebra of
 ``rules.py`` and are the reference the batch engine is tested against.
 """
@@ -27,11 +29,12 @@ from .errors import (
     LeafIndexError,
     ModelMismatchError,
     SchemaMismatchError,
+    ShapeError,
 )
 from .forest import Forest, get_path, path_to_rule
 from .persistence import forest_hex_id
 from .rng import permutation
-from .rules import LEAF, NUM, Rule, calculate_mcr, pick_interval_batch, representative
+from .rules import Rule, calculate_mcr, pick_interval_batch, representative
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,9 @@ class EncodingMatrix:
     forest_id: str
 
     def __post_init__(self):
-        arr = np.asarray(self.leaf_ids, dtype=np.int32)
-        if arr.ndim != 2:
-            raise ValueError("leaf_ids must be a 2-d array")
-        object.__setattr__(self, "leaf_ids", arr)
+        if np.ndim(self.leaf_ids) != 2:
+            raise ShapeError(f"leaf_ids must be a 2-d array, got {np.ndim(self.leaf_ids)}-d")
+        object.__setattr__(self, "leaf_ids", _as_ordinals(self.leaf_ids))
 
     @property
     def n(self) -> int:
@@ -93,6 +95,18 @@ class EncodingMatrix:
     @property
     def T(self) -> int:
         return self.leaf_ids.shape[1]
+
+
+def _as_ordinals(values) -> np.ndarray:
+    """``values`` as an int32 array; refuses any dtype but integers, and values
+    beyond int32, rather than casting them to other ordinals."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise LeafIndexError(f"leaf ordinals must be integers, got dtype {arr.dtype}")
+    ordinals = arr.astype(np.int32, copy=False)
+    if ordinals is not arr and (ordinals != arr).any():
+        raise LeafIndexError("leaf ordinal beyond int32")
+    return ordinals
 
 
 def _check_schema(model: Schema, data: Schema, reuse: bool) -> None:
@@ -131,7 +145,7 @@ def encode_batch(forest: Forest, dataset: Dataset, reuse: bool = False) -> Encod
     kinds, not the schema the model was trained on.
     """
     _check_schema(forest.schema, dataset.schema, reuse)
-    cols = [tree.encode_batch(dataset.X) for tree in forest.trees]
+    cols = [tree.encode_batch(dataset.X, forest.schema) for tree in forest.trees]
     leaf_ids = np.column_stack(cols).astype(np.int32, copy=False)
     return EncodingMatrix(leaf_ids, forest_hex_id(forest))
 
@@ -156,7 +170,7 @@ def _check_ordinals(forest: Forest, leaf_ids: np.ndarray) -> None:
 def decode_region(forest: Forest, encoding, mask: TreeMask | None = None) -> Rule:
     """Maximal compatible rule of an encoding: the intersection of every kept
     tree's decision-path rule, clamped to the training bounds."""
-    enc = np.asarray(encoding, dtype=np.int64)
+    enc = _as_ordinals(encoding)
     _check_ordinals(forest, enc[None])
     keep = _resolve_mask(mask, forest.T)
     rules = [
@@ -176,32 +190,32 @@ def decode(
     return representative(decode_region(forest, encoding, mask), strategy)
 
 
-def _absorb(state, tree, leaves: np.ndarray) -> None:
+def _absorb(state, tree, leaves: np.ndarray, is_cat: np.ndarray) -> None:
     """Tighten the per-row region state by every test on the paths to ``leaves``.
 
     Numeric attributes carry per-row lower and upper ends, categorical ones
-    an (n, size) allowed-value mask. The tree walks all rows down to the
-    leaves their ordinals name, level by level, and applies every test on the
-    way. In pre-order the true subtree of node ``i`` starts at
+    (``is_cat``) an (n, size) allowed-value mask. The tree walks all rows down
+    to the leaves their ordinals name, level by level, and applies every test
+    on the way. In pre-order the true subtree of node ``i`` starts at
     ``true_child[i]``, so a row bound for leaf node ``target`` takes the true
     branch exactly when ``target >= true_child[i]``. Within one level each
     row sits at one node, so every (row, attribute) cell is written once.
     """
     lo, hi, allowed = state
-    target = np.flatnonzero(tree.kind == LEAF)[leaves]
+    target = np.flatnonzero(tree.attr < 0)[leaves]
 
     def go_true(rows, nodes):
         taken = target[rows] >= tree.true_child[nodes]
         a = tree.attr[nodes]
         p = tree.param[nodes]
-        num = tree.kind[nodes] == NUM
+        cat = is_cat[a]
+        num = ~cat
         up = num & taken
         r, c = rows[up], a[up]
         lo[r, c] = np.maximum(lo[r, c], p[up])
         down = num & ~taken
         r, c = rows[down], a[down]
         hi[r, c] = np.minimum(hi[r, c], p[down])
-        cat = ~num
         if cat.any():
             r, a, v, tk = rows[cat], a[cat], p[cat].astype(np.intp), taken[cat]
             for j in np.unique(a):
@@ -257,17 +271,18 @@ def decode_masks(forest: Forest, matrix: EncodingMatrix, masks, strategy: str = 
     leaf_ids = matrix.leaf_ids
     _check_ordinals(forest, leaf_ids)
     n, schema = matrix.n, forest.schema
+    is_cat = schema.category_sizes > 0
     state, absorbed = None, set()
     for mask in masks:
         keep = _resolve_mask(mask, forest.T)
         if state is None or not absorbed.issubset(keep):
-            cats = [j for j in range(schema.d) if schema.is_categorical(j)]
             state = (np.full((n, schema.d), -np.inf), np.full((n, schema.d), np.inf),
-                     {j: np.ones((n, schema.category_count(j)), dtype=bool) for j in cats})
+                     {int(j): np.ones((n, schema.category_sizes[j]), dtype=bool)
+                      for j in np.flatnonzero(is_cat)})
             absorbed = set()
         for t in keep:
             if t not in absorbed:
-                _absorb(state, forest.trees[t], leaf_ids[:, t])
+                _absorb(state, forest.trees[t], leaf_ids[:, t], is_cat)
         absorbed = set(keep)
         yield Dataset(schema, _finish(forest, state, strategy))
 

@@ -16,6 +16,7 @@ import os
 import struct
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence, Union
 
@@ -82,6 +83,13 @@ class Schema:
 
     def is_categorical(self, j: int) -> bool:
         return isinstance(self.kinds[j], Categorical)
+
+    @cached_property
+    def category_sizes(self) -> np.ndarray:
+        """Category count of every attribute, 0 for numeric ones (read-only)."""
+        sizes = np.array([k.size if isinstance(k, Categorical) else 0 for k in self.kinds])
+        sizes.flags.writeable = False
+        return sizes
 
     def category_count(self, j: int) -> int:
         kind = self.kinds[j]

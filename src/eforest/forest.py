@@ -1,55 +1,53 @@
 """Tree and forest structures, instance encoding, and decision-path extraction.
 
-Trees are stored as flat parallel arrays in depth-first pre-order with the
-false branch visited first. Node 0 is the root. Leaves are numbered 0..L-1 in
-that order, and an instance's encoding under a forest is the vector of those
-leaf ordinals, one per tree.
+A tree is two flat node arrays in depth-first pre-order with the false branch
+visited first: ``attr`` (-1 marks a leaf) and ``param``. Node 0 is the root.
+The schema says what a node tests: ``x[attr] == param`` on a categorical
+attribute, ``x[attr] >= param`` on a numeric one. The leaf flags alone fix
+where every true child sits, so it is derived, never stored. Leaves are
+numbered 0..L-1 in storage order, and an instance's encoding under a forest is
+the vector of those leaf ordinals, one per tree.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import Bounds, Categorical, Schema
+from .data import Bounds, Schema
 from .errors import InvalidModelError, LeafIndexError
-from .rules import CAT, LEAF, NUM, Rule, predicate_to_constraint, simplify
-
-# storage type of each Tree slot, in slot order
-_SLOT_TYPES = (np.int8, np.int32, np.float64, np.int32)
+from .rules import Rule, predicate_to_constraint, simplify
 
 
 class Tree:
-    """One decision tree as four flat node arrays in depth-first pre-order.
+    """One decision tree as two flat node arrays in depth-first pre-order.
 
-    Node 0 is the root and nodes are stored in pre-order with the false branch
-    visited first, so the false child of internal node ``i`` is ``i + 1`` and
-    only ``true_child`` is stored (-1 on leaves). Leaf ordinals count leaves in
-    storage order. Ordinals, paths and depths are derived, never stored, and
-    the arrays are read-only so a forest's cached content hash cannot go stale.
+    ``attr`` (int32, -1 on leaves) and ``param`` (float64, 0.0 on leaves) are
+    the tree. Since the false branch is stored first, the false child of
+    internal node ``i`` is ``i + 1``; ``true_child`` (-1 on leaves) is derived
+    from the leaf flags once, at construction, which also refuses a layout
+    that is not one tree. Leaf ordinals count leaves in storage order.
+    Ordinals, paths and depths are derived, never stored, and the arrays are
+    read-only so a forest's cached content hash cannot go stale.
     """
 
-    __slots__ = ("kind", "attr", "param", "true_child")
+    __slots__ = ("attr", "param", "true_child")
 
-    def __init__(
-        self,
-        kind: np.ndarray,
-        attr: np.ndarray,
-        param: np.ndarray,
-        true_child: np.ndarray,
-    ):
-        columns = (kind, attr, param, true_child)
-        for name, values, dtype in zip(self.__slots__, columns, _SLOT_TYPES):
-            arr = np.asarray(values, dtype=dtype)
+    def __init__(self, attr, param):
+        attr = np.asarray(attr, dtype=np.int32)
+        param = np.asarray(param, dtype=np.float64)
+        if len(attr) == 0 or len(param) != len(attr):
+            raise InvalidModelError("tree node arrays must be non-empty and of equal length")
+        for name, arr in zip(self.__slots__, (attr, param, _true_children(attr < 0))):
             arr.flags.writeable = False
             setattr(self, name, arr)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.kind)
+        return len(self.attr)
 
     @property
     def leaf_count(self) -> int:
-        return (len(self.kind) + 1) // 2
+        return (len(self.attr) + 1) // 2
 
     def descend(self, n: int, go_true) -> np.ndarray:
         """Leaf node reached by each of ``n`` rows, walking all rows level by level.
@@ -58,7 +56,7 @@ class Tree:
         and the internal node each one sits at (one node per row), and returns
         which of them take the true branch.
         """
-        is_leaf = self.kind == LEAF
+        is_leaf = self.attr < 0
         cur = np.zeros(n, dtype=np.int32)
         pending = np.nonzero(~is_leaf[cur])[0]
         while len(pending):
@@ -67,17 +65,19 @@ class Tree:
             pending = pending[~is_leaf[cur[pending]]]
         return cur
 
-    def encode_batch(self, X: np.ndarray) -> np.ndarray:
-        """Leaf ordinals for every row of ``X``."""
+    def encode_batch(self, X: np.ndarray, schema: Schema) -> np.ndarray:
+        """Leaf ordinals for every row of ``X``, whose attributes are ``schema``'s."""
+        is_cat = schema.category_sizes > 0
 
         def go_true(rows, nodes):
-            v = X[rows, self.attr[nodes]]
+            a = self.attr[nodes]
+            v = X[rows, a]
             p = self.param[nodes]
-            return np.where(self.kind[nodes] == CAT, v == p, v >= p)
+            return np.where(is_cat[a], v == p, v >= p)
 
         leaf_nodes = self.descend(len(X), go_true)
         # a leaf's ordinal is the number of leaves stored before it
-        return (np.cumsum(self.kind == LEAF, dtype=np.int32) - 1)[leaf_nodes]
+        return (np.cumsum(self.attr < 0, dtype=np.int32) - 1)[leaf_nodes]
 
     def path_steps(self, leaf: int) -> list[tuple[int, bool]]:
         """(internal node index, branch taken) pairs from root to the leaf.
@@ -111,7 +111,7 @@ class Tree:
     def leaf_depths(self) -> np.ndarray:
         """Depth of every leaf in ordinal order, derived level by level."""
         depth = np.zeros(self.n_nodes, dtype=np.int32)
-        internal = self.kind != LEAF
+        internal = self.attr >= 0
         level = np.nonzero(internal[:1])[0]
         d = 0
         while len(level):
@@ -122,38 +122,40 @@ class Tree:
         return depth[~internal]
 
     def node_records(self) -> dict[str, list]:
-        """The four node arrays as JSON lists, keyed by slot name."""
-        return {name: getattr(self, name).tolist() for name in self.__slots__}
+        """The two stored node arrays as JSON lists."""
+        return {"attr": self.attr.tolist(), "param": self.param.tolist()}
 
     @classmethod
     def from_records(cls, nodes: dict, schema: Schema) -> "Tree":
         """Build and fully validate a tree from ``node_records`` output.
 
-        Each column must be a list of exactly the type ``node_records`` writes
-        (ints, never bools, for ``kind``, ``attr`` and ``true_child``; floats
-        for ``param``) whose values fit the column's array type; the arrays
-        then go through ``check_tree_arrays``.
+        ``attr`` must be a list of ints (never bools) in ``[-1, d)`` and
+        ``param`` a list of floats. Leaves hold ``param = 0.0``; an internal
+        node holds an integral category index in range when its attribute is
+        categorical, else a finite threshold. Construction refuses a layout
+        that is not one tree.
         """
-        if type(nodes) is not dict or nodes.keys() != set(cls.__slots__):
-            raise InvalidModelError(f"tree nodes must be an object with keys {cls.__slots__}")
-        arrays = []
-        for name, dtype in zip(cls.__slots__, _SLOT_TYPES):
+        if type(nodes) is not dict or nodes.keys() != {"attr", "param"}:
+            raise InvalidModelError("tree nodes must be an object with keys ('attr', 'param')")
+        for name, want in (("attr", int), ("param", float)):
             values = nodes[name]
-            want = float if dtype is np.float64 else int
             if type(values) is not list or set(map(type, values)) - {want}:
                 raise InvalidModelError(f"tree {name} must be a list of {want.__name__}s")
-            try:
-                wide = np.array(values, dtype=np.int64 if want is int else np.float64)
-                arr = wide.astype(dtype, copy=False)
-                if want is int and not np.array_equal(arr, wide):
-                    raise OverflowError
-            except OverflowError:
-                raise InvalidModelError(
-                    f"tree {name} holds a value beyond {np.dtype(dtype)}"
-                ) from None
-            arrays.append(arr)
-        check_tree_arrays(*arrays, schema)
-        return cls(*arrays)
+        attr = nodes["attr"]
+        # checked on the Python ints, so the int32 conversion cannot wrap
+        if attr and not (-1 <= min(attr) and max(attr) < schema.d):
+            i = next(i for i, a in enumerate(attr) if not -1 <= a < schema.d)
+            raise InvalidModelError(f"node {i}: attribute out of range")
+        tree = cls(attr, nodes["param"])
+        leaf = tree.attr < 0
+        _refuse(np.arange(tree.n_nodes), leaf & (tree.param != 0.0), "a leaf must hold param 0.0")
+        inner = np.flatnonzero(~leaf)
+        sizes, p = schema.category_sizes[tree.attr[inner]], tree.param[inner]
+        cat = sizes > 0
+        bad_category = cat & ((p != np.floor(p)) | (p < 0) | (p >= sizes))
+        _refuse(inner, bad_category, "category out of range")
+        _refuse(inner, ~cat & ~np.isfinite(p), "threshold is not finite")
+        return tree
 
 
 def _refuse(nodes: np.ndarray, bad: np.ndarray, what: str) -> None:
@@ -161,41 +163,10 @@ def _refuse(nodes: np.ndarray, bad: np.ndarray, what: str) -> None:
         raise InvalidModelError(f"node {int(nodes[bad.argmax()])}: {what}")
 
 
-def check_tree_arrays(kind, attr, param, true_child, schema: Schema) -> None:
-    """Refuse node arrays that are not one valid tree over ``schema``.
-
-    Leaves carry ``attr = -1``, ``param = 0.0`` and ``true_child = -1``. An
-    internal node tests an attribute in range with the schema's kind of test:
-    a finite threshold on a numeric attribute, or an integral category index
-    of a categorical one. The nodes must be one binary tree in depth-first
-    pre-order with the false branch first (see ``_check_preorder``).
-    """
-    n = len(kind)
-    if n == 0 or not len(attr) == len(param) == len(true_child) == n:
-        raise InvalidModelError("tree node arrays must be non-empty and of equal length")
-    every = np.arange(n)
-    _refuse(every, ~np.isin(kind, (LEAF, NUM, CAT)), "unknown node kind")
-    leaf = kind == LEAF
-    _refuse(
-        every,
-        leaf & ((attr != -1) | (param != 0.0) | (true_child != -1)),
-        "a leaf must hold attr -1, param 0.0 and true_child -1",
-    )
-    inner = np.flatnonzero(~leaf)
-    a = attr[inner]
-    _refuse(inner, (a < 0) | (a >= schema.d), "attribute out of range")
-    sizes = np.array([k.size if isinstance(k, Categorical) else 0 for k in schema.kinds])
-    cat = kind[inner] == CAT
-    _refuse(inner, cat != (sizes[a] > 0), "test kind differs from the attribute's kind")
-    p = param[inner]
-    _refuse(inner, cat & ((p != np.floor(p)) | (p < 0) | (p >= sizes[a])), "category out of range")
-    _refuse(inner, ~cat & ~np.isfinite(p), "threshold is not finite")
-    _check_preorder(leaf, true_child)
-
-
-def _check_preorder(leaf, true_child) -> None:
-    """Refuse a layout that is not one binary tree in depth-first pre-order
-    with the false branch first, in a fixed number of array passes.
+def _true_children(leaf: np.ndarray) -> np.ndarray:
+    """True child of every node (-1 on leaves), derived from the leaf flags in
+    a fixed number of array passes; refuses flags that are not one binary
+    tree in depth-first pre-order with the false branch first.
 
     Storing a node leaves ``open`` subtrees still to store: one at the start,
     one more after an internal node and one fewer after a leaf. The count must
@@ -208,16 +179,15 @@ def _check_preorder(leaf, true_child) -> None:
     step = np.where(leaf, -1, 1)
     after = 1 + np.cumsum(step)
     before = after - step
-    every = np.arange(n)
-    _refuse(every[:-1], after[:-1] <= 0, "nodes after this leaf are unreachable")
+    _refuse(np.arange(n - 1), after[:-1] <= 0, "nodes after this leaf are unreachable")
     if after[-1] != 0:
         raise InvalidModelError(f"node {n - 1}: {after[-1]} subtrees are missing after it")
-    order = np.argsort(before * n + every)  # by count, then by position
+    order = np.argsort(before, kind="stable")  # by count, then by position
     same = before[order[1:]] == before[order[:-1]]
-    next_same = np.full(n, -1)
-    next_same[order[:-1][same]] = order[1:][same]
-    inner = np.flatnonzero(~leaf)
-    _refuse(inner, true_child[inner] != next_same[inner], "true child is not in pre-order")
+    true_child = np.full(n, -1, dtype=np.int32)
+    true_child[order[:-1][same]] = order[1:][same]
+    true_child[leaf] = -1
+    return true_child
 
 
 class Forest:
@@ -258,13 +228,10 @@ class Forest:
         return self.schema.d
 
 
-def get_path(tree: Tree, leaf: int) -> list[tuple[tuple[int, int, float], bool]]:
-    """Root-to-leaf list of ((kind, attr, param) node test, branch taken)."""
-    kind, attr, param = tree.kind, tree.attr, tree.param
-    return [
-        ((int(kind[i]), int(attr[i]), float(param[i])), branch)
-        for i, branch in tree.path_steps(leaf)
-    ]
+def get_path(tree: Tree, leaf: int) -> list[tuple[tuple[int, float], bool]]:
+    """Root-to-leaf list of ((attr, param) node test, branch taken)."""
+    attr, param = tree.attr, tree.param
+    return [((int(attr[i]), float(param[i])), branch) for i, branch in tree.path_steps(leaf)]
 
 
 def path_to_rule(path, schema: Schema) -> Rule:

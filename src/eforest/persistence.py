@@ -2,10 +2,12 @@
 
 Model files are canonical UTF-8 JSON: sorted keys, compact separators, and
 floats printed as the shortest decimal that round-trips to the same 64-bit
-value. Each tree is stored as the four arrays ``Tree`` holds, one JSON list
-per array. The embedded hash is 64-bit FNV-1a over the canonical bytes of
-the record without its hash field, so equal forests always produce equal
-bytes and equal hashes.
+value. Each tree is stored as its two arrays, ``{"nodes": {"attr": [...],
+"param": [...]}}``; node kinds come from the stored schema and true children
+from the pre-order layout, so neither is written. Files of other versions,
+such as version 2's four arrays per tree, are refused. The embedded hash is
+64-bit FNV-1a over the canonical bytes of the record without its hash field,
+so equal forests always produce equal bytes and equal hashes.
 
 ``fnv1a64`` computes that digest with array arithmetic, 64 KiB at a time.
 With ``s = h mod 256``, the step ``h <- (h ^ b) * P`` is ``h <- (h + d) * P``
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .forest import Forest, Tree
 
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3

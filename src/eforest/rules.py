@@ -22,12 +22,6 @@ from .errors import ConfigError, ContradictionError, EmptyMCRError
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-# node kinds as stored in ``Tree.kind``; a node test is a (kind, attr, param)
-# triple: ``x[attr] >= param`` for NUM, ``x[attr] == param`` for CAT
-LEAF = 0
-NUM = 1
-CAT = 2
-
 # relative inset used when a representative must sit strictly inside an open end
 EPS_INSET = 1e-9
 
@@ -126,20 +120,18 @@ Rule = Dict[int, Constraint]
 
 
 def predicate_to_constraint(test, branch: bool, schema: Schema) -> tuple[int, Constraint]:
-    """Constraint implied by taking one branch of a (kind, attr, param) node test.
+    """Constraint implied by taking one branch of an (attr, param) node test.
 
-    Numeric ``x >= t`` gives ``[t, +inf)`` when taken and ``(-inf, t)`` when
-    refused. Categorical ``x == v`` gives ``{v}`` when taken and the
-    complement set when refused.
+    The attribute's kind picks the test. Numeric ``x >= t`` gives
+    ``[t, +inf)`` when taken and ``(-inf, t)`` when refused. Categorical
+    ``x == v`` gives ``{v}`` when taken and the complement set when refused.
     """
-    kind, attr, param = test
-    if kind == NUM:
+    attr, param = test
+    akind = schema.kinds[attr]
+    if not isinstance(akind, Categorical):
         if branch:
             return attr, Interval(param, POS_INF, lo_closed=True, hi_closed=False)
         return attr, Interval(NEG_INF, param, lo_closed=False, hi_closed=False)
-    akind = schema.kinds[attr]
-    if kind != CAT or not isinstance(akind, Categorical):
-        raise ValueError(f"node test {test!r} is not a categorical test on attribute {attr}")
     v = int(param)
     if branch:
         return attr, CategorySet(frozenset([v]))

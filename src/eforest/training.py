@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Categorical, Dataset, Schema
+from .data import Dataset, Schema
 from .errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
 from .forest import Forest, Tree
 from .rng import SplitMix64, tree_stream
-from .rules import CAT, LEAF, NUM
 
 MODES = ("supervised", "unsupervised")
 
@@ -86,11 +85,6 @@ def _xlogx_table(n: int) -> np.ndarray:
     return table
 
 
-def _categorical_mask(schema: Schema) -> np.ndarray:
-    """Which attributes of ``schema`` are categorical, as a bool array."""
-    return np.array([isinstance(k, Categorical) for k in schema.kinds])
-
-
 # -- unsupervised splits ------------------------------------------------------
 
 _REJECT_ROUNDS = 16
@@ -98,7 +92,7 @@ _THRESHOLD_ROUNDS = 8
 
 
 def _unsup_split(XT, rows, stream: SplitMix64, is_cat):
-    """Pick ((kind, attr, param), true-branch mask) for one node, or None if no
+    """Pick ((attr, param), true-branch mask) for one node, or None if no
     attribute varies.
 
     The attribute is uniform over attributes not constant within the node:
@@ -124,7 +118,7 @@ def _unsup_split(XT, rows, stream: SplitMix64, is_cat):
     if is_cat[j]:
         present = np.unique(col)
         v = float(present[stream.below(len(present))])
-        return (CAT, j, v), col == v
+        return (j, v), col == v
     lo = float(col.min())
     hi = float(col.max())
     thr = None
@@ -135,14 +129,14 @@ def _unsup_split(XT, rows, stream: SplitMix64, is_cat):
             break
     if thr is None:
         thr = math.nextafter(lo, hi)
-    return (NUM, j, thr), col >= thr
+    return (j, thr), col >= thr
 
 
 def build_unsupervised_node(
     X: np.ndarray, rows: np.ndarray, rng: SplitMix64, schema: Schema, min_node_size: int = 2
-) -> tuple[int, int, float] | None:
-    """Completely random (kind, attr, param) node test for a row subset, or None
-    to declare a leaf."""
+) -> tuple[int, float] | None:
+    """Completely random (attr, param) node test for a row subset, or None to
+    declare a leaf."""
     split = _splitter(np.asarray(X, dtype=np.float64).T, None, schema, min_node_size)
     picked = split(np.asarray(rows, dtype=np.int64), rng)
     return picked[0] if picked else None
@@ -160,7 +154,7 @@ def _numeric_threshold(values, pos: int) -> float:
 
 
 def _sup_split(XT, rows, y, stream: SplitMix64, is_cat, n_classes, xlogx, n_sample):
-    """Best-gain ((kind, attr, param), true-branch mask) over a random attribute
+    """Best-gain ((attr, param), true-branch mask) over a random attribute
     sample, or None if no gain is positive.
 
     One argsort of the sampled attributes' values cuts each attribute into
@@ -208,9 +202,9 @@ def _sup_split(XT, rows, y, stream: SplitMix64, is_cat, n_classes, xlogx, n_samp
     values = sv[first]
     if cat[r]:
         v = float(values[r])
-        return (CAT, a, v), col == v
+        return (a, v), col == v
     thr = _numeric_threshold(values, r)
-    return (NUM, a, thr), col >= thr
+    return (a, thr), col >= thr
 
 
 def attribute_sample_size(d: int) -> int:
@@ -225,9 +219,9 @@ def build_supervised_node(
     rng: SplitMix64,
     schema: Schema,
     min_node_size: int = 2,
-) -> tuple[int, int, float] | None:
-    """Best-gain (kind, attr, param) node test for a row subset, or None to
-    declare a leaf.
+) -> tuple[int, float] | None:
+    """Best-gain (attr, param) node test for a row subset, or None to declare
+    a leaf.
 
     A leaf is declared when the node is label-pure, has at most
     ``min_node_size`` rows, or no sampled candidate achieves positive gain.
@@ -243,14 +237,14 @@ def build_supervised_node(
 def _splitter(XT, labels, schema: Schema, min_node_size: int, max_rows: int | None = None):
     """The split function ``split(rows, stream)`` for one forest's data.
 
-    ``XT`` holds one attribute per row. ``split`` returns ((kind, attr,
-    param), true-branch mask) for a node, or None to declare a leaf. The test
+    ``XT`` holds one attribute per row. ``split`` returns ((attr, param),
+    true-branch mask) for a node, or None to declare a leaf. The test
     is drawn at random when ``labels`` is None, else it is the best-gain split
     over nodes of at most ``max_rows`` rows (default: every row of the data).
     A node is a leaf when it holds at most ``min_node_size`` rows, when its
     labels are all equal, or when no split is found.
     """
-    is_cat = _categorical_mask(schema)
+    is_cat = schema.category_sizes > 0
     if labels is None:
         def split(rows, stream):
             if len(rows) <= min_node_size:
@@ -276,36 +270,24 @@ def _splitter(XT, labels, schema: Schema, min_node_size: int, max_rows: int | No
 
 
 def _grow_tree(split, rows0, stream, max_depth_cap: int | None) -> Tree:
-    """Grow one tree, storing nodes in depth-first pre-order, false branch first.
-
-    The false child of node ``i`` is therefore ``i + 1``; a true child sets
-    its parent's ``true_child`` when it is stored.
-    """
-    kind: list[int] = []
+    """Grow one tree, storing nodes in depth-first pre-order, false branch first."""
     attr: list[int] = []
     param: list[float] = []
-    true_child: list[int] = []
-    stack = [(rows0, 0, -1)]  # (rows, depth, parent if this is its true branch)
+    stack = [(rows0, 0)]
     while stack:
-        rows, depth, parent = stack.pop()
-        idx = len(kind)
-        if parent >= 0:
-            true_child[parent] = idx
-        true_child.append(-1)
+        rows, depth = stack.pop()
         at_cap = max_depth_cap is not None and depth >= max_depth_cap
         picked = None if at_cap else split(rows, stream)
         if picked is None:
-            kind.append(LEAF)
             attr.append(-1)
             param.append(0.0)
             continue
-        (k, a, p), mask = picked
-        kind.append(k)
+        (a, p), mask = picked
         attr.append(a)
         param.append(p)
-        stack.append((rows[mask], depth + 1, idx))
-        stack.append((rows[~mask], depth + 1, -1))
-    return Tree(kind, attr, param, true_child)
+        stack.append((rows[mask], depth + 1))
+        stack.append((rows[~mask], depth + 1))
+    return Tree(attr, param)
 
 
 def _train_one(t: int, split, n: int, cfg: TrainConfig) -> Tree:
@@ -320,9 +302,9 @@ def _train_one(t: int, split, n: int, cfg: TrainConfig) -> Tree:
 _FORK_PAYLOAD: list = []  # the (split, n, cfg) arguments of _train_one, inherited by fork
 
 
-def _train_worker(t: int) -> list:
+def _train_worker(t: int) -> tuple[np.ndarray, np.ndarray]:
     tree = _train_one(t, *_FORK_PAYLOAD)
-    return [getattr(tree, name) for name in Tree.__slots__]
+    return tree.attr, tree.param
 
 
 def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:

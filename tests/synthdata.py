@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from eforest.data import Bounds, Categorical, Dataset, Numeric, Schema
-from eforest.forest import CAT, LEAF, NUM, Forest, Tree
+from eforest.forest import Forest, Tree
 
 SIDE = 28
 
@@ -188,57 +188,57 @@ def write_idx_labels(path, labels) -> None:
 # -- hand-built trees -----------------------------------------------------------
 
 
-def walk_leaf(tree: Tree, x: np.ndarray) -> int:
+def walk_leaf(tree: Tree, x: np.ndarray, schema: Schema) -> int:
     """Leaf ordinal of one instance by a plain root-to-leaf walk.
 
-    The reference that ``Tree.encode_batch`` is checked against: a numeric
-    node sends ``x[attr] >= threshold`` to its true child, a categorical node
-    ``x[attr] == category``. Nodes are stored in pre-order, so the false child
-    of node ``i`` is ``i + 1`` and a leaf's ordinal is the number of leaves
-    stored before it.
+    The reference that ``Tree.encode_batch`` is checked against: a node on a
+    categorical attribute sends ``x[attr] == category`` to its true child, any
+    other node ``x[attr] >= threshold``. Nodes are stored in pre-order, so the
+    false child of node ``i`` is ``i + 1`` and a leaf's ordinal is the number
+    of leaves stored before it.
     """
     i = 0
-    while tree.kind[i] != LEAF:
-        v = x[tree.attr[i]]
-        go = v == tree.param[i] if tree.kind[i] == CAT else v >= tree.param[i]
+    while tree.attr[i] >= 0:
+        a = tree.attr[i]
+        v = x[a]
+        go = v == tree.param[i] if schema.is_categorical(a) else v >= tree.param[i]
         i = int(tree.true_child[i]) if go else i + 1
-    return int((tree.kind[:i] == LEAF).sum())
+    return int((tree.attr[:i] < 0).sum())
 
 
 def walk_codes(forest: Forest, x: np.ndarray) -> np.ndarray:
     """Per-tree leaf ordinals of one instance by ``walk_leaf``."""
-    return np.asarray([walk_leaf(t, x) for t in forest.trees], dtype=np.int32)
+    return np.asarray([walk_leaf(t, x, forest.schema) for t in forest.trees], dtype=np.int32)
 
 
 def tree_from_path(steps: list[tuple[tuple, bool]], schema: Schema) -> tuple[Tree, int]:
-    """Chain tree realizing one root-to-leaf path of ((kind, attr, param), branch) steps.
+    """Chain tree realizing one root-to-leaf path of ((attr, param), branch) steps.
 
     Every off-path branch ends in a leaf. Returns the tree and the ordinal of
     the leaf at the end of the path.
     """
-    cols = {name: [] for name in Tree.__slots__}
+    cols = {"attr": [], "param": []}
 
-    def add(kind: int, attr: int, param: float) -> int:
-        for name, value in zip(Tree.__slots__, (kind, attr, param, -1)):
-            cols[name].append(value)
-        return len(cols["kind"]) - 1
+    def add(attr: int, param: float) -> int:
+        cols["attr"].append(attr)
+        cols["param"].append(param)
+        return len(cols["attr"]) - 1
 
     def emit(i: int) -> int:
         """Append the subtree of step ``i`` in pre-order; return the path's end node."""
         if i == len(steps):
-            return add(LEAF, -1, 0.0)
-        (kind, attr, param), taken = steps[i]
-        node = add(kind, attr, float(param))
+            return add(-1, 0.0)
+        (attr, param), taken = steps[i]
+        add(attr, float(param))
         if taken:
-            add(LEAF, -1, 0.0)
-            cols["true_child"][node] = len(cols["kind"])
+            add(-1, 0.0)
             return emit(i + 1)
         end = emit(i + 1)
-        cols["true_child"][node] = add(LEAF, -1, 0.0)
+        add(-1, 0.0)
         return end
 
     end = emit(0)
-    return Tree.from_records(cols, schema), cols["kind"][:end].count(LEAF)
+    return Tree.from_records(cols, schema), cols["attr"][:end].count(-1)
 
 
 def worked_example() -> dict:
@@ -261,22 +261,22 @@ def worked_example() -> dict:
     yes, no = 0, 1
     paths = [
         [
-            ((NUM, 0, 0.0), True),
-            ((NUM, 1, 1.5), True),
-            ((CAT, 2, red), False),
-            ((NUM, 0, 2.7), False),
-            ((CAT, 3, no), False),
+            ((0, 0.0), True),
+            ((1, 1.5), True),
+            ((2, red), False),
+            ((0, 2.7), False),
+            ((3, no), False),
         ],
         [
-            ((CAT, 2, green), True),
-            ((NUM, 1, 5.0), False),
-            ((NUM, 0, 0.5), True),
-            ((NUM, 1, 2.0), False),
+            ((2, green), True),
+            ((1, 5.0), False),
+            ((0, 0.5), True),
+            ((1, 2.0), False),
         ],
         [
-            ((CAT, 3, yes), True),
-            ((NUM, 1, 8.0), False),
-            ((NUM, 0, 1.6), False),
+            ((3, yes), True),
+            ((1, 8.0), False),
+            ((0, 1.6), False),
         ],
     ]
     trees = []

@@ -9,7 +9,6 @@ import pytest
 from eforest import cli, codec, metrics, persistence
 from eforest.data import Categorical, Dataset, Numeric, Schema, load_csv, save_csv
 from eforest.errors import ConfigError, FormatError, ParseError, VersionError
-from eforest.forest import NUM
 
 from synthdata import write_idx_images, write_idx_labels
 
@@ -224,6 +223,33 @@ class TestTrain:
         assert stored["seed"] == 9
         assert stored["min_node_size"] == 3
         assert stored["mode"] == "unsupervised"
+
+    def test_flags_over_config_over_train_config_defaults(self, workdir):
+        from eforest.training import TrainConfig
+
+        cfg = workdir / "every-field.cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "supervised", "n_trees": 5, "seed": 9, "min_node_size": 3,
+            "max_depth_cap": 4, "bootstrap": False, "threads": 2,
+        }))
+
+        def config(*argv):
+            args = cli.build_parser().parse_args(["train", "--data", "x", "--out", "y", *argv])
+            return cli._build_train_config(args)
+
+        assert config("--config", str(cfg)) == TrainConfig(
+            mode="supervised", n_trees=5, seed=9, min_node_size=3, max_depth_cap=4,
+            bootstrap=False, threads=2,
+        )
+        assert config(
+            "--config", str(cfg), "--mode", "unsup", "--trees", "2", "--seed", "0",
+            "--min-node", "1", "--max-depth", "0", "--bootstrap", "--threads", "1",
+        ) == TrainConfig(
+            mode="unsupervised", n_trees=2, seed=0, min_node_size=1, max_depth_cap=0,
+            bootstrap=True, threads=1,
+        )
+        # fields neither given nor in a config file take TrainConfig's defaults
+        assert config("--mode", "sup", "--trees", "4") == TrainConfig(mode="supervised", n_trees=4)
 
     def test_config_missing_required_fields_fails(self, workdir, capsys):
         cfg = workdir / "empty.cfg.json"
@@ -575,8 +601,8 @@ class TestStats:
         # re-hashed, so only the type is wrong: save_model writes thresholds as floats
         record = json.loads(model_path.read_text())
         record.pop("hash")
-        nodes = next(t["nodes"] for t in record["trees"] if NUM in t["nodes"]["kind"])
-        nodes["param"][nodes["kind"].index(NUM)] = 1
+        nodes = next(t["nodes"] for t in record["trees"] if t["nodes"]["attr"][0] >= 0)
+        nodes["param"][0] = 1
         content = persistence.canonical_json_bytes(record)
         record["hash"] = f"{persistence.fnv1a64(content):016x}"
         bad = workdir / "int-threshold.json"

@@ -19,8 +19,9 @@ from eforest.errors import (
     LeafIndexError,
     ModelMismatchError,
     SchemaMismatchError,
+    ShapeError,
 )
-from eforest.forest import CAT, NUM, Forest
+from eforest.forest import Forest
 from eforest.persistence import forest_hex_id
 from eforest.rules import Interval, contains
 from eforest.training import TrainConfig, train_forest
@@ -101,8 +102,24 @@ class TestEncodingMatrix:
         assert m.n == 3 and m.T == 5
 
     def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            EncodingMatrix(np.zeros(3, dtype=np.int32), "ab" * 8)
+        for leaf_ids in (np.zeros(3, dtype=np.int32), np.zeros((1, 2, 3), dtype=np.int32)):
+            with pytest.raises(ShapeError):
+                EncodingMatrix(leaf_ids, "ab" * 8)
+
+    @pytest.mark.parametrize(
+        "leaf_ids",
+        [[[2**32 + 1, 0]], [[-(2**31) - 1, 0]], [[0.9, 1.7]], [[0.0, 1.0]], [[True, False]]],
+        ids=["beyond-int32", "below-int32", "fractional", "integral-floats", "bools"],
+    )
+    def test_refuses_ordinals_a_cast_would_change(self, leaf_ids):
+        # an unsafe cast would turn these into other, valid-looking ordinals
+        with pytest.raises(LeafIndexError):
+            EncodingMatrix(np.array(leaf_ids), "ab" * 8)
+
+    def test_keeps_integer_ordinals(self):
+        for dtype in (np.int64, np.uint8, "<i4"):
+            m = EncodingMatrix(np.array([[3, 0]], dtype=dtype), "ab" * 8)
+            assert m.leaf_ids.dtype == np.int32 and m.leaf_ids.tolist() == [[3, 0]]
 
 
 class TestEncodeBatch:
@@ -191,6 +208,15 @@ class TestDecodeRegion:
         with pytest.raises(LeafIndexError):
             decode_region(forest, np.array([0, 0]))
 
+    def test_float_ordinals_are_refused(self):
+        ds = numeric_dataset()
+        forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=0))
+        enc = walk_codes(forest, ds.X[0])
+        with pytest.raises(LeafIndexError):
+            decode_region(forest, enc + 0.5)
+        with pytest.raises(LeafIndexError):
+            decode_region(forest, enc.astype(float))
+
     def test_bad_leaf_ordinal(self):
         ds = numeric_dataset()
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=0))
@@ -201,8 +227,8 @@ class TestDecodeRegion:
 
     def test_disjoint_paths_are_empty(self):
         bounds = Bounds(np.zeros(1), np.full(1, 10.0))
-        above, e_above = tree_from_path([((NUM, 0, 5.0), True)], NUM1)
-        below, e_below = tree_from_path([((NUM, 0, 5.0), False)], NUM1)
+        above, e_above = tree_from_path([((0, 5.0), True)], NUM1)
+        below, e_below = tree_from_path([((0, 5.0), False)], NUM1)
         forest = Forest((above, below), NUM1, bounds, "unsupervised", 0)
         with pytest.raises(EmptyMCRError):
             decode_region(forest, np.array([e_above, e_below]))
@@ -230,7 +256,7 @@ class TestDecode:
         # only infinite ends clamp to the training bounds
         bounds = Bounds(np.zeros(1), np.full(1, 10.0))
         forest, enc = single_path_forest(
-            [((NUM, 0, -5.0), True)], NUM1, bounds
+            [((0, -5.0), True)], NUM1, bounds
         )
         region = decode_region(forest, enc)
         assert region[0] == Interval(-5.0, 10.0)
@@ -239,7 +265,7 @@ class TestDecode:
     def test_out_of_bounds_upper_end_is_preserved(self):
         bounds = Bounds(np.zeros(1), np.full(1, 10.0))
         forest, enc = single_path_forest(
-            [((NUM, 0, 15.0), False)], NUM1, bounds
+            [((0, 15.0), False)], NUM1, bounds
         )
         region = decode_region(forest, enc)
         assert region[0] == Interval(0.0, 15.0, lo_closed=True, hi_closed=False)
@@ -250,7 +276,7 @@ class TestDecode:
         # a path claiming x >= 15 cannot meet bounds clamped at 10
         bounds = Bounds(np.zeros(1), np.full(1, 10.0))
         forest, enc = single_path_forest(
-            [((NUM, 0, 15.0), True)], NUM1, bounds
+            [((0, 15.0), True)], NUM1, bounds
         )
         with pytest.raises(EmptyMCRError):
             decode(forest, enc, "min")
@@ -273,11 +299,11 @@ class TestDecodeBatch:
         bounds = Bounds(np.zeros(2), np.full(2, 10.0))
         schema = Schema.numeric(["x", "y"])
         t1, e1 = tree_from_path(
-            [((NUM, 0, -5.0), True), ((NUM, 1, 20.0), False)],
+            [((0, -5.0), True), ((1, 20.0), False)],
             schema,
         )
         t2, e2 = tree_from_path(
-            [((NUM, 1, -3.0), True), ((NUM, 0, 4.0), True)],
+            [((1, -3.0), True), ((0, 4.0), True)],
             schema,
         )
         forest = Forest((t1, t2), schema, bounds, "unsupervised", 0)
@@ -313,8 +339,8 @@ class TestDecodeBatch:
 
     def test_batch_empty_region_raises(self):
         bounds = Bounds(np.zeros(1), np.full(1, 10.0))
-        above, e_above = tree_from_path([((NUM, 0, 5.0), True)], NUM1)
-        below, e_below = tree_from_path([((NUM, 0, 5.0), False)], NUM1)
+        above, e_above = tree_from_path([((0, 5.0), True)], NUM1)
+        below, e_below = tree_from_path([((0, 5.0), False)], NUM1)
         forest = Forest((above, below), NUM1, bounds, "unsupervised", 0)
         matrix = EncodingMatrix(
             np.array([[e_above, e_below]], dtype=np.int32), forest_hex_id(forest)
@@ -326,8 +352,8 @@ class TestDecodeBatch:
         # one tree demands color == green, the other refuses green
         schema = Schema(("x", "color"), (Numeric(), Categorical(("red", "green"))))
         bounds = Bounds(np.zeros(2), np.array([10.0, 1.0]))
-        green, e_green = tree_from_path([((CAT, 1, 1), True)], schema)
-        other, e_other = tree_from_path([((CAT, 1, 1), False)], schema)
+        green, e_green = tree_from_path([((1, 1), True)], schema)
+        other, e_other = tree_from_path([((1, 1), False)], schema)
         forest = Forest((green, other), schema, bounds, "unsupervised", 0)
         matrix = EncodingMatrix(
             np.array([[e_green, e_other]], dtype=np.int32), forest_hex_id(forest)

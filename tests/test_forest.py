@@ -12,12 +12,8 @@ from eforest.codec import EncodingMatrix, TreeMask, decode, decode_batch
 from eforest.data import Bounds, Categorical, Numeric, Schema, compute_bounds
 from eforest.errors import InvalidModelError, LeafIndexError
 from eforest.forest import (
-    CAT,
-    LEAF,
-    NUM,
     Forest,
     Tree,
-    _check_preorder,
     depth_stats,
     get_path,
     path_to_rule,
@@ -35,64 +31,51 @@ MIXED = Schema(
 )
 
 
-def make_tree(kind, attr, param, true_child, schema=NUM2) -> Tree:
-    """A tree from its four node columns, through the model-file record."""
-    record = {"kind": kind, "attr": attr, "param": param, "true_child": true_child}
-    return Tree.from_records(record, schema)
+def make_tree(attr, param, schema=NUM2) -> Tree:
+    """A tree from its two node columns, through the model-file record."""
+    return Tree.from_records({"attr": attr, "param": param}, schema)
 
 
 def small_tree() -> Tree:
     # a >= 5 ? (b >= 3 ? leaf2 : leaf1) : leaf0
-    return make_tree(
-        [NUM, LEAF, NUM, LEAF, LEAF],
-        [0, -1, 1, -1, -1],
-        [5.0, 0.0, 3.0, 0.0, 0.0],
-        [2, -1, 4, -1, -1],
-    )
+    return make_tree([0, -1, 1, -1, -1], [5.0, 0.0, 3.0, 0.0, 0.0])
 
 
 def complete_depth2_tree() -> Tree:
-    return make_tree(
-        [NUM, NUM, LEAF, LEAF, NUM, LEAF, LEAF],
-        [0, 1, -1, -1, 1, -1, -1],
-        [5.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0],
-        [4, 3, -1, -1, 6, -1, -1],
-    )
+    return make_tree([0, 1, -1, -1, 1, -1, -1], [5.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0])
 
 
 def leaf_only_tree(schema=NUM2) -> Tree:
-    return make_tree([LEAF], [-1], [0.0], [-1], schema)
+    return make_tree([-1], [0.0], schema)
 
 
-def stump(kind=NUM, attr=0, param=0.0, true_child=2, schema=NUM2) -> Tree:
+def stump(attr=0, param=0.0, schema=NUM2) -> Tree:
     """One test over two leaves; each argument can break the root."""
-    return make_tree(
-        [kind, LEAF, LEAF], [attr, -1, -1], [param, 0.0, 0.0], [true_child, -1, -1], schema
-    )
+    return make_tree([attr, -1, -1], [param, 0.0, 0.0], schema)
 
 
 class TestNodeRouting:
     def test_numeric_passes_at_threshold(self):
-        tree, taken = tree_from_path([((NUM, 0, 2.0), True)], NUM2)
+        tree, taken = tree_from_path([((0, 2.0), True)], NUM2)
         X = np.array([[2.0, 0.0], [1.9999, 0.0]])
-        assert tree.encode_batch(X).tolist() == [taken, 1 - taken]
+        assert tree.encode_batch(X, NUM2).tolist() == [taken, 1 - taken]
 
     def test_categorical_passes_on_equality(self):
-        tree, taken = tree_from_path([((CAT, 1, 1), True)], MIXED)
+        tree, taken = tree_from_path([((1, 1), True)], MIXED)
         X = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
-        assert tree.encode_batch(X).tolist() == [taken, 1 - taken, 1 - taken]
+        assert tree.encode_batch(X, MIXED).tolist() == [taken, 1 - taken, 1 - taken]
 
 
 class TestEncode:
     def test_routing(self):
         tree = small_tree()
         X = np.array([[4.0, 9.0], [5.0, 2.0], [6.0, 3.0]])
-        assert tree.encode_batch(X).tolist() == [0, 1, 2]
-        assert [walk_leaf(tree, x) for x in X] == [0, 1, 2]
+        assert tree.encode_batch(X, NUM2).tolist() == [0, 1, 2]
+        assert [walk_leaf(tree, x, NUM2) for x in X] == [0, 1, 2]
 
     def test_single_leafy(self):
         tree = leaf_only_tree()
-        assert walk_leaf(tree, np.array([1.0, 2.0])) == 0
+        assert walk_leaf(tree, np.array([1.0, 2.0]), NUM2) == 0
         assert tree.leaf_count == 1 and tree.leaf_depths().max() == 0
 
     def test_batch_matches_scalar_on_trained_trees(self):
@@ -100,33 +83,34 @@ class TestEncode:
         for mode in ("supervised", "unsupervised"):
             forest = train_forest(ds, TrainConfig(mode=mode, n_trees=6, seed=3))
             for tree in forest.trees:
-                batch = tree.encode_batch(ds.X)
-                scalar = [walk_leaf(tree, x) for x in ds.X]
+                batch = tree.encode_batch(ds.X, ds.schema)
+                scalar = [walk_leaf(tree, x, ds.schema) for x in ds.X]
                 assert batch.tolist() == scalar
 
     def test_batch_empty_input(self):
-        got = small_tree().encode_batch(np.empty((0, 2)))
+        got = small_tree().encode_batch(np.empty((0, 2)), NUM2)
         assert got.shape == (0,)
 
     def test_batch_single_leaf(self):
-        got = leaf_only_tree().encode_batch(np.zeros((4, 2)))
+        got = leaf_only_tree().encode_batch(np.zeros((4, 2)), NUM2)
         assert got.tolist() == [0, 0, 0, 0]
 
     def test_categorical_routing(self):
-        tree = stump(CAT, 1, 2.0, schema=MIXED)
+        tree = stump(1, 2.0, schema=MIXED)
         X = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 0.0]])
-        assert tree.encode_batch(X).tolist() == [1, 0, 0]
-        assert [walk_leaf(tree, x) for x in X] == [1, 0, 0]
+        assert tree.encode_batch(X, MIXED).tolist() == [1, 0, 0]
+        assert [walk_leaf(tree, x, MIXED) for x in X] == [1, 0, 0]
 
 
 class TestFromRecordsValidation:
     def test_empty(self):
         with pytest.raises(InvalidModelError):
-            make_tree([], [], [], [])
+            make_tree([], [])
 
     def test_unknown_type(self):
-        with pytest.raises(InvalidModelError):
-            make_tree([7], [-1], [0.0], [-1])
+        # -1 marks a leaf and 0..d-1 an attribute; no other node code exists
+        with pytest.raises(InvalidModelError, match="node 0: attribute out of range"):
+            make_tree([-7], [0.0])
 
     def test_missing_keys(self):
         record = small_tree().node_records()
@@ -141,19 +125,16 @@ class TestFromRecordsValidation:
 
     def test_columns_of_unequal_length(self):
         with pytest.raises(InvalidModelError):
-            make_tree([NUM, LEAF, LEAF], [0, -1, -1], [0.0, 0.0], [2, -1, -1])
+            make_tree([0, -1, -1], [0.0, 0.0])
 
     @pytest.mark.parametrize(
         "column, value",
         [
-            ("kind", True),
-            ("kind", 1.0),
             ("attr", 0.0),
             ("attr", "0"),
+            ("attr", False),
             ("param", 0),
             ("param", None),
-            ("true_child", 2.0),
-            ("true_child", False),
         ],
     )
     def test_column_types_are_strict(self, column, value):
@@ -163,91 +144,64 @@ class TestFromRecordsValidation:
         with pytest.raises(InvalidModelError):
             Tree.from_records(record, NUM2)
 
-    @pytest.mark.parametrize(
-        "attr, param, true_child",
-        [(0, 0.0, -1), (-1, 1.0, -1), (-1, 0.0, 0)],
-        ids=["attr", "param", "true-child"],
-    )
-    def test_leaf_holds_no_test(self, attr, param, true_child):
+    @pytest.mark.parametrize("attr, param", [(0, 0.0), (-1, 1.0)], ids=["attr", "param"])
+    def test_leaf_holds_no_test(self, attr, param):
+        # a lone node holding an attribute is a test with no children
         with pytest.raises(InvalidModelError):
-            make_tree([LEAF], [attr], [param], [true_child])
+            make_tree([attr], [param])
 
     def test_attr_out_of_range(self):
         with pytest.raises(InvalidModelError):
             stump(attr=2)
         with pytest.raises(InvalidModelError):
-            stump(attr=-1)
-
-    def test_numeric_test_on_categorical_attr(self):
-        with pytest.raises(InvalidModelError):
-            stump(NUM, 1, 0.0, schema=MIXED)
-
-    def test_categorical_test_on_numeric_attr(self):
-        with pytest.raises(InvalidModelError):
-            stump(CAT, 0, 0.0, schema=MIXED)
+            stump(attr=-2)
 
     def test_category_out_of_range(self):
         for category in (3.0, -1.0, 0.5, math.nan):
             with pytest.raises(InvalidModelError):
-                stump(CAT, 1, category, schema=MIXED)
+                stump(1, category, schema=MIXED)
 
     def test_non_finite_threshold(self):
         for threshold in (math.inf, -math.inf, math.nan):
             with pytest.raises(InvalidModelError):
                 stump(param=threshold)
 
-    def test_child_out_of_range(self):
-        with pytest.raises(InvalidModelError):
-            stump(true_child=5)
-        with pytest.raises(InvalidModelError):
-            stump(true_child=3)
-
-    def test_node_reached_twice(self):
-        # the true child is the false child i + 1
-        with pytest.raises(InvalidModelError):
-            stump(true_child=1)
-
     def test_unreachable_node(self):
         with pytest.raises(InvalidModelError):
-            make_tree([NUM, LEAF, LEAF, LEAF], [0, -1, -1, -1], [0.0] * 4, [2, -1, -1, -1])
+            make_tree([0, -1, -1, -1], [0.0] * 4)
 
     def test_nodes_after_a_leaf_root(self):
-        # the stump after the root closes by itself, and its test has no true child
         with pytest.raises(InvalidModelError, match="node 0: nodes after this leaf"):
-            make_tree([LEAF, NUM, LEAF], [-1, 0, -1], [0.0] * 3, [-1, -1, -1])
+            make_tree([-1, 0, -1], [0.0] * 3)
 
-    def test_subtree_must_end_where_its_parent_says(self):
-        # root: false subtree [1, 4), true subtree [4, 5); node 1's true child 4
-        # lies beyond its own interval although it is a valid node index
-        with pytest.raises(InvalidModelError):
-            make_tree(
-                [NUM, NUM, LEAF, LEAF, LEAF],
-                [0, 1, -1, -1, -1],
-                [0.0] * 5,
-                [4, 4, -1, -1, -1],
-            )
+    def test_missing_true_subtree(self):
+        with pytest.raises(InvalidModelError, match="node 1: 1 subtrees are missing"):
+            make_tree([0, -1], [0.0] * 2)
 
     @pytest.mark.parametrize(
-        "column, value",
-        [("true_child", 2**40), ("attr", 2**70), ("kind", 257)],
-        ids=["child-beyond-int32", "attr-beyond-int64", "kind-beyond-int8"],
+        "value", [2**40, 2**70], ids=["attr-beyond-int32", "attr-beyond-int64"]
     )
-    def test_unrepresentable_numbers(self, column, value):
-        # 257 would wrap to NUM in int8; every column is range-checked before narrowing
+    def test_unrepresentable_numbers(self, value):
+        # attributes are range-checked on the JSON ints, before the int32 conversion
         record = stump().node_records()
-        record[column][0] = value
-        with pytest.raises(InvalidModelError):
+        record["attr"][0] = value
+        with pytest.raises(InvalidModelError, match="attribute out of range"):
             Tree.from_records(record, NUM2)
 
     def test_round_trip_through_records(self):
         tree = complete_depth2_tree()
         record = tree.node_records()
-        assert list(record) == list(Tree.__slots__)
+        assert list(record) == ["attr", "param"]
         again = Tree.from_records(record, NUM2)
         assert again.node_records() == record
         for name in Tree.__slots__:
             assert getattr(again, name).dtype == getattr(tree, name).dtype
             assert getattr(again, name).tolist() == getattr(tree, name).tolist()
+
+    def test_true_children_are_derived(self):
+        assert small_tree().true_child.tolist() == [2, -1, 4, -1, -1]
+        assert complete_depth2_tree().true_child.tolist() == [4, 3, -1, -1, 6, -1, -1]
+        assert leaf_only_tree().true_child.tolist() == [-1]
 
     def test_arrays_are_read_only(self):
         trained = train_forest(
@@ -260,30 +214,41 @@ class TestFromRecordsValidation:
                 tree.true_child[0] = 0
 
 
-def walk_preorder(leaf, true_child) -> bool:
-    """Reference layout check: walk the subtree intervals ``[node, end)`` level
-    by level from ``[0, n)``. An internal node ``i`` needs
-    ``i + 1 < true_child[i] < end`` and a leaf needs ``end == node + 1``."""
-    true_child = np.asarray(true_child, dtype=np.int64)
-    nodes, ends = np.zeros(1, dtype=np.int64), np.full(1, len(leaf), dtype=np.int64)
-    while len(nodes):
-        at_leaf = leaf[nodes]
-        after = nodes + 1
-        if (at_leaf & (ends != after)).any():
-            return False
-        inner = ~at_leaf
-        nodes, after, ends = nodes[inner], after[inner], ends[inner]
-        tc = true_child[nodes]
-        if ((tc <= after) | (tc >= ends)).any():
-            return False
-        nodes, ends = np.concatenate([after, tc]), np.concatenate([tc, ends])
-    return True
+def walk_preorder(leaf):
+    """Reference layout walk: the true child of every node (-1 on leaves), or
+    None when the leaf flags are not one tree in pre-order, false branch first.
+
+    Walks the subtree intervals ``[node, end)`` level by level from ``[0, n)``.
+    A leaf needs ``end == node + 1``. The false subtree of an internal node
+    ends where a scan from ``node + 1`` has first seen one more leaf than
+    internal nodes; the true subtree starts there and must not be empty.
+    """
+    true_child = np.full(len(leaf), -1)
+    level = [(0, len(leaf))]
+    while level:
+        below = []
+        for node, end in level:
+            if leaf[node]:
+                if end != node + 1:
+                    return None
+                continue
+            surplus, j = 0, node + 1
+            while j < end and surplus < 1:
+                surplus += 1 if leaf[j] else -1
+                j += 1
+            if surplus < 1 or j == end:
+                return None
+            true_child[node] = j
+            below += [(node + 1, j), (j, end)]
+        level = below
+    return true_child
 
 
 @st.composite
 def preorder_layouts(draw):
-    """(leaf, true_child) of a random tree in pre-order, false branch first,
-    possibly with one entry of either column changed."""
+    """(leaf flags, true children) of a random tree in pre-order, false branch
+    first, possibly with one flag flipped or two flags swapped; and whether
+    the flags are untouched."""
     leaf, true_child = [], []
 
     def grow(internal):
@@ -298,13 +263,14 @@ def preorder_layouts(draw):
 
     grow(draw(st.integers(0, 12)))
     n = len(leaf)
-    column = draw(st.sampled_from(["none", "leaf", "true_child"]))
+    change = draw(st.sampled_from(["none", "flip", "swap"]))
     at = draw(st.integers(0, n - 1))
-    if column == "leaf":
+    if change == "flip":
         leaf[at] = not leaf[at]
-    elif column == "true_child":
-        true_child[at] = draw(st.integers(-2, n + 2))
-    return np.array(leaf), np.array(true_child, dtype=np.int32), column == "none"
+    elif change == "swap":
+        other = draw(st.integers(0, n - 1))
+        leaf[at], leaf[other] = leaf[other], leaf[at]
+    return np.array(leaf), np.array(true_child), change == "none"
 
 
 class TestPreorderCheck:
@@ -312,14 +278,14 @@ class TestPreorderCheck:
     @settings(max_examples=400, deadline=None)
     def test_refuses_what_the_level_walk_refuses(self, layout):
         leaf, true_child, untouched = layout
+        expect = walk_preorder(leaf)
         try:
-            _check_preorder(leaf, true_child)
-            accepted = True
+            derived = Tree(np.where(leaf, -1, 0), np.zeros(len(leaf))).true_child.tolist()
         except InvalidModelError:
-            accepted = False
-        assert accepted == walk_preorder(leaf, true_child)
+            derived = None
+        assert derived == (None if expect is None else expect.tolist())
         if untouched:
-            assert accepted
+            assert derived == true_child.tolist()
 
 
 class TestPaths:
@@ -330,8 +296,8 @@ class TestPaths:
             for idx, branch in tree.path_steps(leaf):
                 assert idx == node
                 node = int(tree.true_child[node]) if branch else node + 1
-            assert tree.kind[node] == LEAF
-            assert (tree.kind[:node] == LEAF).sum() == leaf
+            assert tree.attr[node] == -1
+            assert (tree.attr[:node] == -1).sum() == leaf
 
     def test_path_steps_bad_leaf(self):
         tree = small_tree()
@@ -344,20 +310,18 @@ class TestPaths:
         tree = small_tree()
         path = get_path(tree, 1)
         assert path == [
-            ((NUM, 0, 5.0), True),
-            ((NUM, 1, 3.0), False),
+            ((0, 5.0), True),
+            ((1, 3.0), False),
         ]
         # read from the arrays as plain Python numbers
-        assert all(
-            (type(k), type(a), type(p)) == (int, int, float) for (k, a, p), _ in path
-        )
+        assert all((type(a), type(p)) == (int, float) for (a, p), _ in path)
 
     def test_own_path_rule_contains_instance(self):
         ds = random_mixed(11)
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=5, seed=9))
         for tree in forest.trees[:3]:
             for x in ds.X[:20]:
-                leaf = walk_leaf(tree, x)
+                leaf = walk_leaf(tree, x, ds.schema)
                 rule = path_to_rule(get_path(tree, leaf), ds.schema)
                 assert contains(rule, x)
 
@@ -386,7 +350,7 @@ class TestPaths:
         assert not ds.schema.all_numeric
         for mode in ("unsupervised", "supervised"):
             forest = train_forest(ds, TrainConfig(mode=mode, n_trees=4, seed=2))
-            assert any(t.kind[0] != LEAF for t in forest.trees)
+            assert any(t.attr[0] != -1 for t in forest.trees)
             self.assert_every_leaf_decodes_as_rule(forest)
         stumps = train_forest(
             ds, TrainConfig(mode="unsupervised", n_trees=2, seed=2, max_depth_cap=0)
@@ -398,14 +362,14 @@ class TestPaths:
 class TestTreeFromPath:
     def test_realizes_requested_path(self):
         steps = [
-            ((NUM, 0, 1.0), True),
-            ((NUM, 1, 2.0), False),
-            ((NUM, 0, 0.5), True),
+            ((0, 1.0), True),
+            ((1, 2.0), False),
+            ((0, 0.5), True),
         ]
         tree, end_leaf = tree_from_path(steps, NUM2)
         assert get_path(tree, end_leaf) == steps
         x = np.array([1.0, 1.5])
-        assert walk_leaf(tree, x) == end_leaf
+        assert walk_leaf(tree, x, NUM2) == end_leaf
 
 
 class TestForest:
@@ -428,7 +392,7 @@ class TestForest:
         assert forest.T == 2 and forest.d == 2
         x = np.array([6.0, 3.0])
         assert walk_codes(forest, x).tolist() == [2, 3]
-        assert [t.encode_batch(x[None, :])[0] for t in forest.trees] == [2, 3]
+        assert [t.encode_batch(x[None, :], NUM2)[0] for t in forest.trees] == [2, 3]
 
 
 class TestDepthStats:

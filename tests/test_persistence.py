@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eforest import cli
 from eforest.codec import EncodingMatrix, encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema, atomic_write_bytes
 from eforest.errors import (
@@ -23,7 +24,6 @@ from eforest.errors import (
     ShapeError,
     VersionError,
 )
-from eforest.forest import CAT, LEAF, Tree
 from eforest.persistence import (
     MODEL_VERSION,
     canonical_json_bytes,
@@ -195,19 +195,44 @@ class TestModelRoundTrip:
             ds, TrainConfig(mode="unsupervised", n_trees=1, seed=0, max_depth_cap=0)
         )
         record = forest_record(forest)
-        assert record["trees"] == [
-            {"nodes": {"kind": [LEAF], "attr": [-1], "param": [0.0], "true_child": [-1]}}
-        ]
+        assert record["trees"] == [{"nodes": {"attr": [-1], "param": [0.0]}}]
 
-    def test_trees_are_stored_as_the_four_arrays(self, tmp_path):
+    def test_trees_are_stored_as_the_two_arrays(self, tmp_path):
         forest, _ = small_forest()
         p = tmp_path / "m.json"
         save_model(forest, p)
         trees = json.loads(p.read_bytes())["trees"]
         assert [t["nodes"] for t in trees] == [
-            {name: getattr(tree, name).tolist() for name in Tree.__slots__}
-            for tree in forest.trees
+            {"attr": tree.attr.tolist(), "param": tree.param.tolist()} for tree in forest.trees
         ]
+
+    def test_version_3_file_save_load_save_is_byte_identical(self, tmp_path):
+        # numeric and categorical tests, written without node kinds or children
+        blob = small_mixed_model()
+        record = json.loads(blob)
+        assert record["version"] == 3
+        assert all(t["nodes"].keys() == {"attr", "param"} for t in record["trees"])
+        p = tmp_path / "m.json"
+        p.write_bytes(blob)
+        save_model(load_model(p), p)
+        assert p.read_bytes() == blob
+
+    def test_version_2_file_is_refused(self, tmp_path, capsys):
+        # the same forest as version 2 wrote it: four arrays per tree, hashed as written
+        p = tmp_path / "m.json"
+        p.write_bytes(small_mixed_model())
+        forest = load_model(p)
+        record = forest_record(forest)
+        for t, tree in zip(record["trees"], forest.trees):
+            kind, true_child = v2_kind_and_true_child(tree, forest.schema)
+            t["nodes"].update(kind=kind.tolist(), true_child=true_child.tolist())
+        record["version"] = 2
+        record["hash"] = f"{fnv1a64(canonical_json_bytes(record)):016x}"
+        p.write_bytes(canonical_json_bytes(record) + b"\n")
+        with pytest.raises(VersionError, match="unsupported model version 2"):
+            load_model(p)
+        assert cli.main(["stats", "--model", str(p)]) == 1
+        assert "unsupported model version 2" in capsys.readouterr().err
 
 
 # Fixed-seed forests with the sha256 of their tree arrays, their content ids
@@ -218,37 +243,52 @@ GOLDEN_MODELS = {
     "mnist-unsup": (
         lambda: mnist_like(200, seed=0), "unsupervised", 8, 1,
         "92d5e1d569a8061efdeb6e93f7e4cbc920bc4226f5a7c2e5f12091bef81f126c",
-        "65e6b83604d37ac5",
-        "723a6adcfb16af7b453fc0b10e2d1f5c7d3de31aa03215dfca1bca7945464cb6",
+        "9fa404644c6f72e6",
+        "5c6609683b2e953f8b3a7cdfc9d0cfb65efcd00f7e07f86cafb5e10e6a3d1bd4",
     ),
     "mnist-sup": (
         lambda: mnist_like(200, seed=1), "supervised", 6, 4,
         "f750d9306bcbcfe7e9e49618236912cd3b66b2c5a3af35fdf2517e8d25961d96",
-        "1afb9f6065a7084e",
-        "99f2cce1c616f14c52930bf0a43379469fc801085a9762a634092b5c0ebfa320",
+        "b28cd8cdb5d8e03c",
+        "25b5182684ea4553d414969c99d207d8a262b2dd6d4866b62fe9fb5e4ba7b4ef",
     ),
     "tfidf-sup": (
         lambda: tfidf_like(200, 100, seed=0), "supervised", 6, 2,
         "ec005e141c281ccbe2345ea8dfe61ba00e47b82aa9b80d885e74c65c991d04d6",
-        "443ef3ca25d98ad8",
-        "417d562e1e84bd6dd17b083d0855a8b0f2256b8b4a8a25da9a4d4a6c3360814e",
+        "e1de7077cacf0146",
+        "93c71a06f44af268ef1383203f127f266b7852b663d56e46c60fad1dfe4d8fea",
     ),
     "mixed-sup": (
         lambda: random_mixed(49, d=8), "supervised", 6, 3,
         "a50c64a8fe868bab8cd3937435c8759d118a4013cd4b0d8e0c3116f6caa57d79",
-        "aa8b95f606f3a92a",
-        "f904998f8c9dd203d557f04e3d8c9974a2ee9fd2c4d907cf994cd2f88b0f86c6",
+        "641a2ac4ef039f92",
+        "32faf2579206083b3cbbf8c866e4081e17808f0bef7f99486063993e16cf9d50",
     ),
 }
 
 
+def v2_kind_and_true_child(tree, schema):
+    """The two arrays version 2 also stored: ``kind`` (0 leaf, 1 numeric test,
+    2 categorical test; int8) from the schema, and the derived ``true_child``."""
+    is_cat = schema.category_sizes > 0
+    kind = np.where(tree.attr < 0, 0, np.where(is_cat[tree.attr], 2, 1)).astype(np.int8)
+    return kind, tree.true_child
+
+
+def has_categorical_test(tree, schema) -> bool:
+    return bool((schema.category_sizes[tree.attr[tree.attr >= 0]] > 0).any())
+
+
 def tree_arrays_sha256(forest) -> str:
-    """sha256 of every tree's four arrays, little-endian, in slot order, tree by tree."""
+    """sha256 of every tree's version-2 arrays (kind int8, attr int32, param
+    float64, true_child int32), little-endian, in that order, tree by tree.
+    The digest does not depend on which of them a file stores."""
     h = hashlib.sha256()
     for tree in forest.trees:
-        for name in Tree.__slots__:
-            arr = getattr(tree, name)
-            h.update(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+        kind, true_child = v2_kind_and_true_child(tree, forest.schema)
+        for arr, dtype in ((kind, "<i1"), (tree.attr, "<i4"), (tree.param, "<f8"),
+                           (true_child, "<i4")):
+            h.update(arr.astype(dtype).tobytes())
     return h.hexdigest()
 
 
@@ -258,7 +298,7 @@ def test_golden_model_bytes(tmp_path, name):
     ds = make()
     forest = train_forest(ds, TrainConfig(mode=mode, n_trees=n_trees, seed=seed))
     if name == "mixed-sup":
-        assert any((t.kind == CAT).any() for t in forest.trees)
+        assert any(has_categorical_test(t, forest.schema) for t in forest.trees)
     assert tree_arrays_sha256(forest) == arrays_sha256
     p = tmp_path / "m.json"
     assert save_model(forest, p) == hex_id
@@ -306,7 +346,7 @@ class TestModelDamage:
         p = tmp_path / "m.json"
         save_model(forest, p)
         rewrite_with_fresh_hash(
-            p, lambda r: r["trees"][1]["nodes"]["true_child"].__setitem__(0, 99999)
+            p, lambda r: r["trees"][1]["nodes"]["attr"].__setitem__(0, 99999)
         )
         with pytest.raises(InvalidModelError):
             load_model(p)
@@ -315,10 +355,11 @@ class TestModelDamage:
         forest, _ = small_forest(n_trees=3)
         p = tmp_path / "m.json"
         save_model(forest, p)
+        # a leaf root leaves the nodes stored after it unreachable
         rewrite_with_fresh_hash(
-            p, lambda r: r["trees"][2]["nodes"]["true_child"].__setitem__(0, 1)
+            p, lambda r: r["trees"][2]["nodes"]["attr"].__setitem__(0, -1)
         )
-        with pytest.raises(InvalidModelError, match=r"^tree 2: node 0: true child"):
+        with pytest.raises(InvalidModelError, match=r"^tree 2: node 0: nodes after this leaf"):
             load_model(p)
 
 
@@ -424,9 +465,9 @@ class TestModelFormatErrors:
             load_model(p)
 
 
-# every model field the loader types strictly: the four node columns,
+# every model field the loader types strictly: the two node columns,
 # attribute names, category values and bounds
-STRICT_FIELDS = ("kind", "attr", "param", "true_child", "names", "values", "lo", "hi")
+STRICT_FIELDS = ("attr", "param", "names", "values", "lo", "hi")
 
 JSON_SCALARS = (
     st.none()
@@ -444,7 +485,7 @@ def small_mixed_model() -> bytes:
     forest = train_forest(
         ds, TrainConfig(mode="unsupervised", n_trees=2, seed=1, max_depth_cap=3)
     )
-    assert all((t.kind == CAT).any() for t in forest.trees)
+    assert all(has_categorical_test(t, ds.schema) for t in forest.trees)
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "m.json"
         save_model(forest, p)
@@ -479,10 +520,8 @@ class TestStrictFieldTypes:
     @example(field="param", pick=0, value=1)
     @example(field="param", pick=0, value="0.5")
     @example(field="attr", pick=0, value=1.25)
-    @example(field="true_child", pick=0, value="2")
-    @example(field="true_child", pick=0, value=2**40)
-    @example(field="kind", pick=0, value=True)
-    @example(field="kind", pick=0, value=257)
+    @example(field="attr", pick=0, value=True)
+    @example(field="attr", pick=0, value=2**40)
     @example(field="names", pick=0, value=7)
     @example(field="hi", pick=0, value=1000)
     @example(field="lo", pick=0, value="-1000.0")

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from eforest.data import Bounds, Categorical, Numeric, Schema
 from eforest.errors import ConfigError, ContradictionError, EmptyMCRError
 from eforest.rules import (
-    CAT,
     EPS_INSET,
-    NUM,
     CategorySet,
     Interval,
     calculate_mcr,
@@ -139,31 +137,27 @@ MIXED = Schema(
 
 class TestPredicateToConstraint:
     def test_numeric_taken_branch(self):
-        attr, c = predicate_to_constraint((NUM, 0, 2.5), True, MIXED)
+        attr, c = predicate_to_constraint((0, 2.5), True, MIXED)
         assert attr == 0
         assert c == Interval(2.5, INF, lo_closed=True, hi_closed=False)
 
     def test_numeric_refused_branch(self):
-        _, c = predicate_to_constraint((NUM, 1, 2.5), False, MIXED)
+        _, c = predicate_to_constraint((1, 2.5), False, MIXED)
         assert c == Interval(-INF, 2.5, lo_closed=False, hi_closed=False)
         assert not c.contains(2.5)
 
     def test_categorical_taken_branch(self):
-        attr, c = predicate_to_constraint((CAT, 2, 1), True, MIXED)
+        attr, c = predicate_to_constraint((2, 1), True, MIXED)
         assert attr == 2 and c == CategorySet(frozenset({1}))
 
     def test_categorical_refused_branch(self):
-        _, c = predicate_to_constraint((CAT, 2, 1), False, MIXED)
+        _, c = predicate_to_constraint((2, 1), False, MIXED)
         assert c == CategorySet(frozenset({0, 2}))
 
     def test_refusing_only_category_contradicts(self):
         schema = Schema(("only",), (Categorical(("sole",)),))
         with pytest.raises(ContradictionError):
-            predicate_to_constraint((CAT, 0, 0), False, schema)
-
-    def test_categorical_test_on_numeric_attr(self):
-        with pytest.raises(ValueError):
-            predicate_to_constraint((CAT, 0, 1), True, MIXED)
+            predicate_to_constraint((0, 0), False, schema)
 
 
 class TestSimplify:

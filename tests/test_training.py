@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from eforest.data import Categorical, Dataset, Numeric, Schema
 from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
-from eforest.forest import CAT, LEAF, NUM, Tree
+from eforest.forest import Tree
 from eforest.rng import SplitMix64
 from eforest.training import (
     TrainConfig,
-    _categorical_mask,
     _numeric_threshold,
     _sup_split,
     _xlogx_table,
@@ -158,7 +157,7 @@ class TestAttributeSampleSize:
 
 
 def brute_force_candidates(X, y, schema):
-    """Every candidate split as (gain, (kind, attr, param), true-branch mask),
+    """Every candidate split as (gain, (attr, param), true-branch mask),
     in (attribute, threshold or category) order, gains via the public function."""
     out = []
     for a in range(schema.d):
@@ -168,19 +167,19 @@ def brute_force_candidates(X, y, schema):
                 mask = col == v
                 if mask.all() or not mask.any():
                     continue
-                out.append((information_gain(y, y[~mask], y[mask]), (CAT, a, float(v)), mask))
+                out.append((information_gain(y, y[~mask], y[mask]), (a, float(v)), mask))
         else:
             vals = np.unique(col)
             for lo, hi in zip(vals[:-1], vals[1:]):
                 mid = 0.5 * (lo + hi)
                 thr = mid if mid > lo else hi
                 mask = col >= thr
-                out.append((information_gain(y, y[~mask], y[mask]), (NUM, a, float(thr)), mask))
+                out.append((information_gain(y, y[~mask], y[mask]), (a, float(thr)), mask))
     return out
 
 
 def brute_force_best_split(X, y, schema):
-    """Exhaustive best (gain, (kind, attr, param)) sweep via the public gain function.
+    """Exhaustive best (gain, (attr, param)) sweep via the public gain function.
 
     Ties resolve to the lowest attribute, then the lowest threshold or
     category, matching the documented training order.
@@ -246,7 +245,7 @@ class TestSupervisedSplit:
         xlogx = _xlogx_table(len(X))
         n_classes = int(y.max()) + 1
         return _sup_split(
-            XT, rows, y, SplitMix64(0), _categorical_mask(schema), n_classes, xlogx, schema.d
+            XT, rows, y, SplitMix64(0), schema.category_sizes > 0, n_classes, xlogx, schema.d
         )
 
     def test_matches_brute_force_on_random_data(self):
@@ -273,9 +272,9 @@ class TestSupervisedSplit:
             assert got is not None
             test, mask = got
             assert test == expect_test
-            kind, attr, param = test
+            attr, param = test
             col = X[:, attr]
-            if kind == CAT:
+            if schema.is_categorical(attr):
                 assert mask.tolist() == (col == param).tolist()
             else:
                 assert mask.tolist() == (col >= param).tolist()
@@ -293,18 +292,20 @@ class TestSupervisedSplit:
         if got is None:
             return
         test, mask = got
-        kind, attr, param = test
+        attr, param = test
+        cat = schema.is_categorical(attr)
         col = X[:, attr]
-        assert mask.tolist() == (col == param if kind == CAT else col >= param).tolist()
+        assert mask.tolist() == (col == param if cat else col >= param).tolist()
 
         def sides(k, m):
-            """The test kind and the class counts off and on the true branch."""
+            """Whether the test is categorical, and the class counts off and on
+            the true branch."""
             return k, *(np.bincount(y[b], minlength=12).tolist() for b in (~m, m))
 
         if expect_gain <= 1e-12:
             # No gain is positive, yet rounding can leave a zero gain a hair
             # above zero; such a split keeps the node's class mix on both sides.
-            _, off, on = sides(kind, mask)
+            _, off, on = sides(cat, mask)
             assert np.multiply(on, (~mask).sum()).tolist() == np.multiply(off, mask.sum()).tolist()
             return
         assert information_gain(y, y[~mask], y[mask]) == pytest.approx(expect_gain, abs=1e-9)
@@ -317,7 +318,9 @@ class TestSupervisedSplit:
         assert test in near
         if len(near) == 1:
             assert test == expect_test
-        assert test == next(t for _, t, m in cands if sides(t[0], m) == sides(kind, mask))
+        assert test == next(
+            t for _, t, m in cands if sides(schema.is_categorical(t[0]), m) == sides(cat, mask)
+        )
 
     def test_tie_breaks_to_lowest_attribute(self):
         # identical columns produce exactly equal gains
@@ -326,7 +329,7 @@ class TestSupervisedSplit:
         X = np.column_stack([col, col])
         y = np.array([0, 0, 1, 1])
         test, mask = self._split_all_attrs(X, y, schema)
-        assert test == (NUM, 0, 1.5)
+        assert test == (0, 1.5)
         assert information_gain(y, y[~mask], y[mask]) == pytest.approx(1.0)
 
     def test_tie_breaks_to_lowest_threshold(self):
@@ -335,7 +338,7 @@ class TestSupervisedSplit:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
         test, _ = self._split_all_attrs(X, y, schema)
-        assert test == (NUM, 0, 0.5)
+        assert test == (0, 0.5)
 
     def test_threshold_never_equals_left_value(self):
         lo = 1.0
@@ -348,7 +351,7 @@ class TestSupervisedSplit:
         X = np.array([[1.0], [1.0], [1.0], [4.0]])
         y = np.array([0, 0, 0, 1])
         test, mask = self._split_all_attrs(X, y, schema)
-        assert test == (NUM, 0, 2.5)
+        assert test == (0, 2.5)
         assert mask.tolist() == [False, False, False, True]
 
 
@@ -362,7 +365,7 @@ class TestNodeBuilders:
         assert build_supervised_node(X, rows, pure, SplitMix64(0), schema) is None
         assert build_supervised_node(X, rows[:2], mixed[:2], SplitMix64(0), schema) is None
         got = build_supervised_node(X, rows, np.array([0, 0, 1, 1]), SplitMix64(0), schema)
-        assert got == (NUM, 0, 1.5)
+        assert got == (0, 1.5)
 
     def test_supervised_no_gain_on_constant_data(self):
         schema = Schema.numeric(["a"])
@@ -381,8 +384,7 @@ class TestNodeBuilders:
         rng = np.random.default_rng(1)
         X = rng.normal(0, 1, (50, 2))
         for seed in range(30):
-            kind, attr, thr = build_unsupervised_node(X, np.arange(50), SplitMix64(seed), schema)
-            assert kind == NUM
+            attr, thr = build_unsupervised_node(X, np.arange(50), SplitMix64(seed), schema)
             col = X[:, attr]
             assert col.min() < thr <= col.max()
 
@@ -390,7 +392,7 @@ class TestNodeBuilders:
         schema = Schema.numeric(["const", "varies"])
         X = np.column_stack([np.full(40, 5.0), np.arange(40.0)])
         for seed in range(20):
-            _, attr, _ = build_unsupervised_node(X, np.arange(40), SplitMix64(seed), schema)
+            attr, _ = build_unsupervised_node(X, np.arange(40), SplitMix64(seed), schema)
             assert attr == 1
 
     def test_unsupervised_categorical_split(self):
@@ -398,8 +400,8 @@ class TestNodeBuilders:
         X = np.array([[0.0], [1.0], [1.0], [2.0]])
         seen = set()
         for seed in range(40):
-            kind, _, value = build_unsupervised_node(X, np.arange(4), SplitMix64(seed), schema)
-            assert kind == CAT
+            attr, value = build_unsupervised_node(X, np.arange(4), SplitMix64(seed), schema)
+            assert attr == 0
             seen.add(value)
         assert seen == {0, 1, 2}
 
@@ -491,12 +493,8 @@ class TestTrainForest:
             TrainConfig(mode="supervised", n_trees=2, seed=0, bootstrap=False, min_node_size=1),
         )
         for tree in forest.trees:
-            assert tree.node_records() == {
-                "kind": [NUM, LEAF, LEAF],
-                "attr": [0, -1, -1],
-                "param": [0.5, 0.0, 0.0],
-                "true_child": [2, -1, -1],
-            }
+            assert tree.node_records() == {"attr": [0, -1, -1], "param": [0.5, 0.0, 0.0]}
+            assert tree.true_child.tolist() == [2, -1, -1]
 
     def test_bootstrap_changes_supervised_trees(self):
         ds = dataset_numeric(seed=21, n=80)
@@ -520,7 +518,7 @@ class TestTrainForest:
         )
         # rows per leaf are not persisted; re-derive them by encoding
         for tree in forest.trees:
-            codes = tree.encode_batch(ds.X)
+            codes = tree.encode_batch(ds.X, ds.schema)
             counts = np.bincount(codes, minlength=tree.leaf_count)
             assert counts.max() <= 5 or tree.n_nodes == 1
 
