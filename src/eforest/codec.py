@@ -18,11 +18,12 @@ tightens a per-row region state once per kept tree. A node's test is
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Schema
+from .data import Dataset, Schema, integer_array
 from .errors import (
     ConfigError,
     EmptyMCRError,
@@ -44,6 +45,8 @@ class TreeMask:
     keep: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in self.keep):
+            raise ConfigError(f"tree indexes must be integers, got {self.keep!r}")
         keep = tuple(int(i) for i in self.keep)
         if not keep:
             raise ConfigError("a tree mask must keep at least one tree")
@@ -86,7 +89,8 @@ class EncodingMatrix:
     def __post_init__(self):
         if np.ndim(self.leaf_ids) != 2:
             raise ShapeError(f"leaf_ids must be a 2-d array, got {np.ndim(self.leaf_ids)}-d")
-        object.__setattr__(self, "leaf_ids", _as_ordinals(self.leaf_ids))
+        leaf_ids = integer_array(self.leaf_ids, np.int32, LeafIndexError, "leaf ordinals")
+        object.__setattr__(self, "leaf_ids", leaf_ids)
 
     @property
     def n(self) -> int:
@@ -97,33 +101,23 @@ class EncodingMatrix:
         return self.leaf_ids.shape[1]
 
 
-def _as_ordinals(values) -> np.ndarray:
-    """``values`` as an int32 array; refuses any dtype but integers, and values
-    beyond int32, rather than casting them to other ordinals."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        raise LeafIndexError(f"leaf ordinals must be integers, got dtype {arr.dtype}")
-    ordinals = arr.astype(np.int32, copy=False)
-    if ordinals is not arr and (ordinals != arr).any():
-        raise LeafIndexError("leaf ordinal beyond int32")
-    return ordinals
-
-
 def _check_schema(model: Schema, data: Schema, reuse: bool) -> None:
     if reuse:
         if model.d != data.d:
             raise SchemaMismatchError(
                 f"model expects d={model.d}, data has d={data.d}"
             )
-        for j, (mk, dk) in enumerate(zip(model.kinds, data.kinds)):
-            if type(mk) is not type(dk):
+        ms, ds = model.category_sizes, data.category_sizes
+        differ = np.flatnonzero(ms != ds)
+        if len(differ):
+            j = int(differ[0])
+            if ms[j] and ds[j]:
                 raise SchemaMismatchError(
-                    f"attribute {j}: model kind {mk!r} vs data kind {dk!r}"
+                    f"attribute {j}: model has {ms[j]} categories, data {ds[j]}"
                 )
-            if hasattr(mk, "size") and mk.size != dk.size:
-                raise SchemaMismatchError(
-                    f"attribute {j}: model has {mk.size} categories, data {dk.size}"
-                )
+            raise SchemaMismatchError(
+                f"attribute {j}: model kind {model.kinds[j]!r} vs data kind {data.kinds[j]!r}"
+            )
     elif model != data:
         raise SchemaMismatchError("dataset schema differs from the model schema")
 
@@ -170,7 +164,7 @@ def _check_ordinals(forest: Forest, leaf_ids: np.ndarray) -> None:
 def decode_region(forest: Forest, encoding, mask: TreeMask | None = None) -> Rule:
     """Maximal compatible rule of an encoding: the intersection of every kept
     tree's decision-path rule, clamped to the training bounds."""
-    enc = _as_ordinals(encoding)
+    enc = integer_array(encoding, np.int32, LeafIndexError, "leaf ordinals")
     _check_ordinals(forest, enc[None])
     keep = _resolve_mask(mask, forest.T)
     rules = [

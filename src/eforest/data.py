@@ -1,8 +1,12 @@
 """Schemas, datasets, and loaders for IDX and CSV inputs.
 
-A dataset stores every attribute as float64. Categorical attributes hold the
-integer index of the value within the attribute's declared value tuple, so a
-single matrix carries mixed schemas without object arrays.
+A dataset is its checked rows, its schema and optional integer labels. It
+stores every attribute as float64. Categorical attributes hold the integer
+index of the value within the attribute's declared value tuple, so a single
+matrix carries mixed schemas without object arrays. The checks on the rows
+read a schema's kinds from ``Schema.category_sizes``. A forest's bounds are
+the observed ranges of its training rows; ``compute_bounds`` derives them,
+and a dataset holds none.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .errors import (
+    EForestError,
     FormatError,
     ParseError,
     ShapeError,
@@ -79,10 +84,7 @@ class Schema:
 
     @property
     def all_numeric(self) -> bool:
-        return all(isinstance(k, Numeric) for k in self.kinds)
-
-    def is_categorical(self, j: int) -> bool:
-        return isinstance(self.kinds[j], Categorical)
+        return not self.category_sizes.any()
 
     @cached_property
     def category_sizes(self) -> np.ndarray:
@@ -91,21 +93,14 @@ class Schema:
         sizes.flags.writeable = False
         return sizes
 
-    def category_count(self, j: int) -> int:
-        kind = self.kinds[j]
-        if not isinstance(kind, Categorical):
-            raise ValueError(f"attribute {j} is numeric")
-        return kind.size
-
     @classmethod
     def numeric(cls, names: Sequence[str]) -> "Schema":
         return cls(tuple(names), tuple(Numeric() for _ in names))
 
 
-def _frozen_array(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    if out is arr:
-        out = arr.copy()
+def _frozen_copy(values, dtype) -> np.ndarray:
+    """A read-only C-ordered copy of ``values``, made in one conversion."""
+    out = np.array(values, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
@@ -118,8 +113,8 @@ class Bounds:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = _frozen_array(np.asarray(self.lo, dtype=np.float64))
-        hi = _frozen_array(np.asarray(self.hi, dtype=np.float64))
+        lo = _frozen_copy(self.lo, np.float64)
+        hi = _frozen_copy(self.hi, np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("bounds must be two 1-d arrays of equal length")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -135,22 +130,21 @@ class Bounds:
 
 
 def compute_bounds(schema: Schema, X: np.ndarray) -> Bounds:
-    """Observed min/max per numeric attribute; full index range per categorical one."""
-    d = schema.d
-    lo = np.zeros(d)
-    hi = np.zeros(d)
-    for j, kind in enumerate(schema.kinds):
-        if isinstance(kind, Categorical):
-            lo[j], hi[j] = 0.0, float(kind.size - 1)
-        elif len(X):
-            lo[j], hi[j] = X[:, j].min(), X[:, j].max()
-    return Bounds(lo, hi)
+    """Observed min/max per numeric attribute (0 when ``X`` has no rows); full
+    index range per categorical one."""
+    sizes = schema.category_sizes
+    if len(X):
+        lo, hi = X.min(axis=0), X.max(axis=0)
+    else:
+        lo = hi = np.zeros(schema.d)
+    cat = sizes > 0
+    return Bounds(np.where(cat, 0.0, lo), np.where(cat, sizes - 1.0, hi))
 
 
 class Dataset:
-    """Immutable instance matrix with schema, optional labels, and bounds."""
+    """Immutable instance matrix with schema and optional integer labels."""
 
-    __slots__ = ("schema", "X", "labels", "bounds")
+    __slots__ = ("schema", "X", "labels")
 
     def __init__(
         self,
@@ -158,39 +152,34 @@ class Dataset:
         X: np.ndarray,
         labels: np.ndarray | None = None,
     ):
-        X = np.asarray(X, dtype=np.float64)
+        X = _frozen_copy(X, np.float64)
         if X.ndim != 2 or X.shape[1] != schema.d:
             raise ShapeError(
                 f"instance matrix must be (n, {schema.d}), got {X.shape}"
             )
         self.schema = schema
-        self.X = _frozen_array(X)
+        self.X = X
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
+            labels = np.asarray(labels)
             if labels.shape != (len(X),):
-                raise ShapeError(
-                    f"labels must be ({len(X)},), got {labels.shape}"
-                )
-            labels = _frozen_array(labels)
+                raise ShapeError(f"labels must be ({len(X)},), got {labels.shape}")
+            labels = integer_array(labels, np.int64, UnknownCategoryError, "labels")
+            labels = _frozen_copy(labels, np.int64)
         self.labels = labels
-        self._check_values()
-        self.bounds = compute_bounds(schema, self.X)
-
-    def _check_values(self) -> None:
-        if not np.isfinite(self.X).all():
+        # min or max is NaN or infinite exactly when some cell is; unlike an
+        # isfinite mask, they allocate nothing
+        if X.size and not np.isfinite([X.min(), X.max()]).all():
             raise ShapeError("instance matrix contains non-finite values")
-        for j, kind in enumerate(self.schema.kinds):
-            if isinstance(kind, Categorical):
-                col = self.X[:, j]
-                if len(col) and (
-                    (col != np.floor(col)).any()
-                    or col.min() < 0
-                    or col.max() >= kind.size
-                ):
-                    raise UnknownCategoryError(
-                        f"attribute {self.schema.names[j]} holds a value outside "
-                        f"its {kind.size} declared categories"
-                    )
+        sizes = schema.category_sizes
+        cat = np.flatnonzero(sizes)
+        cells = X[:, cat]
+        bad = (cells != np.floor(cells)) | (cells < 0) | (cells >= sizes[cat])
+        if bad.any():
+            j = cat[bad.any(axis=0).argmax()]
+            raise UnknownCategoryError(
+                f"attribute {schema.names[j]} holds a value outside "
+                f"its {sizes[j]} declared categories"
+            )
 
     @property
     def n(self) -> int:
@@ -201,9 +190,22 @@ class Dataset:
         return self.schema.d
 
     def take(self, rows: np.ndarray) -> "Dataset":
-        """Row subset as a new dataset; bounds are recomputed from the subset."""
+        """Row subset as a new dataset."""
         labels = self.labels[rows] if self.labels is not None else None
         return Dataset(self.schema, self.X[rows], labels)
+
+
+def integer_array(values, dtype, error: type[EForestError], what: str) -> np.ndarray:
+    """``values`` as a ``dtype`` array; refuses any dtype but integers, and values
+    beyond ``dtype``, with ``error`` rather than casting them to other values.
+    An empty input (``[]`` is float64) holds no value a cast could change."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, got dtype {arr.dtype}")
+    out = arr.astype(dtype, copy=False)
+    if out is not arr and (out != arr).any():
+        raise error(f"{what} beyond {out.dtype}")
+    return out
 
 
 # IDX container layout (big-endian):
@@ -230,12 +232,12 @@ def _read_idx(path: Path, expect_ndim: int) -> tuple[tuple[int, ...], np.ndarray
         raise FormatError(f"{path}: truncated dimension table")
     dims = struct.unpack(f">{ndim}I", blob[4:header_len])
     count = math.prod(dims)
-    body = blob[header_len:]
+    body = np.frombuffer(blob, dtype=np.uint8, offset=header_len)
     if len(body) != count:
         raise FormatError(
             f"{path}: dimension table promises {count} bytes, file has {len(body)}"
         )
-    return dims, np.frombuffer(body, dtype=np.uint8)
+    return dims, body
 
 
 def load_idx(images_path, labels_path=None) -> Dataset:
@@ -252,7 +254,7 @@ def load_idx(images_path, labels_path=None) -> Dataset:
         raise FormatError(f"{images_path}: no images")
     if d == 0:
         raise FormatError(f"{images_path}: zero-sized images")
-    X = raw.astype(np.float64).reshape(n, d)
+    X = raw.reshape(n, d)
     labels = None
     if labels_path is not None:
         labels_path = Path(labels_path)
@@ -261,7 +263,7 @@ def load_idx(images_path, labels_path=None) -> Dataset:
             raise ShapeError(
                 f"{labels_path}: {ln} labels for {n} images"
             )
-        labels = lraw.astype(np.int64)
+        labels = lraw
     schema = Schema.numeric([f"p{i}" for i in range(d)])
     return Dataset(schema, X, labels)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Schema
+from .data import Dataset, Schema, compute_bounds
 from .errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
 from .forest import Forest, Tree
 from .rng import SplitMix64, tree_stream
@@ -252,7 +252,9 @@ def _splitter(XT, labels, schema: Schema, min_node_size: int, max_rows: int | No
             return _unsup_split(XT, rows, stream, is_cat)
         return split
 
-    n_classes = int(labels.max()) + 1
+    # dense class ids: class-count tables grow with the class count, not the largest label
+    classes, labels = np.unique(labels, return_inverse=True)
+    n_classes = len(classes)
     xlogx = _xlogx_table(XT.shape[1] if max_rows is None else max_rows)
     n_sample = attribute_sample_size(XT.shape[0])
 
@@ -345,7 +347,7 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
     return Forest(
         trees,
         dataset.schema,
-        dataset.bounds,
+        compute_bounds(dataset.schema, dataset.X),
         kind=config.mode,
         seed=config.seed,
         config=config.to_meta(),

@@ -201,7 +201,7 @@ def walk_leaf(tree: Tree, x: np.ndarray, schema: Schema) -> int:
     while tree.attr[i] >= 0:
         a = tree.attr[i]
         v = x[a]
-        go = v == tree.param[i] if schema.is_categorical(a) else v >= tree.param[i]
+        go = v == tree.param[i] if schema.category_sizes[a] > 0 else v >= tree.param[i]
         i = int(tree.true_child[i]) if go else i + 1
     return int((tree.attr[:i] < 0).sum())
 

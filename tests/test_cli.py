@@ -204,6 +204,20 @@ class TestTrain:
         assert line["d"] == 2
         assert persistence.load_model(out).kind == "supervised"
 
+    def test_supervised_csv_with_a_huge_label(self, workdir, capsys):
+        # class-count tables grow with the number of classes, not the largest label
+        src = workdir / "huge_label.csv"
+        src.write_text("0.5,99999999999\n1.5,99999999999\n2.5,0\n3.5,0\n")
+        out = workdir / "huge_label.json"
+        code, _, err = run_cli(
+            capsys,
+            ["train", "--data", str(src), "--format", "csv", "--label-column", "1",
+             "--mode", "sup", "--trees", "2", "--min-node", "1", "--no-bootstrap",
+             "--out", str(out)],
+        )
+        assert code == 0, err
+        assert persistence.load_model(out).trees[0].n_nodes == 3
+
     def test_config_file_with_flag_override(self, workdir, capsys):
         cfg = workdir / "train.cfg.json"
         cfg.write_text(json.dumps(

@@ -66,6 +66,15 @@ class TestTreeMask:
         with pytest.raises(ConfigError):
             TreeMask((1, 1))
 
+    @pytest.mark.parametrize(
+        "keep",
+        [(2.9, 0), (True, 2), ("2",), (np.float64(1.0),), (np.bool_(True),)],
+        ids=["float", "bool", "string", "numpy-float", "numpy-bool"],
+    )
+    def test_rejects_non_integer_indexes(self, keep):
+        with pytest.raises(ConfigError, match="integers"):
+            TreeMask(keep)
+
     def test_from_fraction_counts(self):
         assert len(TreeMask.from_fraction(100, 1.0, 0)) == 100
         assert len(TreeMask.from_fraction(100, 0.25, 0)) == 25
@@ -410,6 +419,6 @@ class TestDecodeBatch:
         out = decode_batch(forest, encode_batch(forest, ds), "min")
         # Dataset construction validates category ranges; spot-check one column
         for j in range(ds.d):
-            if ds.schema.is_categorical(j):
+            if ds.schema.category_sizes[j] > 0:
                 col = out.X[:, j]
                 assert (col == np.floor(col)).all()

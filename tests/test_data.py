@@ -4,6 +4,7 @@ round-trips through the IDX and CSV formats."""
 import csv
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,12 +60,7 @@ class TestSchema:
         s = mixed_schema()
         assert s.d == 3
         assert not s.all_numeric
-        assert s.is_categorical(1) and not s.is_categorical(0)
-        assert s.category_count(1) == 3
-
-    def test_category_count_on_numeric_raises(self):
-        with pytest.raises(ValueError):
-            mixed_schema().category_count(0)
+        assert s.category_sizes.tolist() == [0, 3, 0]
 
     def test_numeric_constructor(self):
         s = Schema.numeric(["a", "b"])
@@ -109,6 +105,24 @@ class TestBounds:
         b = compute_bounds(Schema.numeric(["a"]), np.empty((0, 1)))
         assert b.lo.tolist() == [0.0] and b.hi.tolist() == [0.0]
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_compute_bounds_equals_per_column_oracle(self, data):
+        schema, X = data.draw(_mixed_rows(min_n=0))
+        b = compute_bounds(schema, X)
+        lo, hi = [], []
+        for j, kind in enumerate(schema.kinds):
+            if isinstance(kind, Categorical):
+                lo.append(0.0)
+                hi.append(float(kind.size - 1))
+            elif len(X):
+                lo.append(X[:, j].min())
+                hi.append(X[:, j].max())
+            else:
+                lo.append(0.0)
+                hi.append(0.0)
+        assert b.lo.tolist() == lo and b.hi.tolist() == hi
+
 
 class TestDataset:
     def test_matrix_is_float64_and_frozen(self):
@@ -124,8 +138,11 @@ class TestDataset:
             Dataset(Schema.numeric(["a"]), np.zeros((2, 1)), labels=np.zeros(3))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ShapeError):
-            Dataset(Schema.numeric(["a"]), np.array([[np.nan]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            X = np.zeros((3, 2))
+            X[1, 1] = bad
+            with pytest.raises(ShapeError):
+                Dataset(Schema.numeric(["a", "b"]), X)
 
     def test_rejects_out_of_range_category(self):
         s = mixed_schema()
@@ -133,6 +150,50 @@ class TestDataset:
             Dataset(s, np.array([[1.0, 3.0, 1.0]]))
         with pytest.raises(UnknownCategoryError):
             Dataset(s, np.array([[1.0, 0.5, 1.0]]))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_exactly_the_cells_a_per_cell_oracle_refuses(self, data):
+        schema, X = data.draw(_mixed_rows(min_n=0, any_cells=True))
+        expected = None
+        for j, kind in enumerate(schema.kinds):
+            if isinstance(kind, Categorical) and any(
+                v != math.floor(v) or not 0 <= v < kind.size for v in X[:, j].tolist()
+            ):
+                expected = (
+                    f"attribute {schema.names[j]} holds a value outside "
+                    f"its {kind.size} declared categories"
+                )
+                break
+        if expected is None:
+            assert Dataset(schema, X).X.tolist() == X.tolist()
+        else:
+            with pytest.raises(UnknownCategoryError) as info:
+                Dataset(schema, X)
+            assert str(info.value) == expected
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0.5, 1.7],
+            np.array([0.0, 1.0]),
+            [True, False],
+            np.array([2**63, 0], dtype=np.uint64),
+            [2**64, 0],
+            ["0", "1"],
+        ],
+        ids=["fractional", "integral-floats", "bools", "beyond-int64", "python-beyond-int64",
+             "strings"],
+    )
+    def test_refuses_labels_a_cast_would_change(self, labels):
+        with pytest.raises(UnknownCategoryError):
+            Dataset(Schema.numeric(["a"]), np.zeros((2, 1)), labels=labels)
+
+    def test_keeps_integer_labels(self):
+        X = np.zeros((2, 1))
+        for labels in ([3, 0], np.array([3, 0], dtype=np.uint8), np.array([3, 0], dtype=np.uint64)):
+            ds = Dataset(Schema.numeric(["a"]), X, labels=labels)
+            assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [3, 0]
 
     def test_take_subsets_rows_and_labels(self):
         ds = Dataset(
@@ -143,8 +204,6 @@ class TestDataset:
         sub = ds.take(np.array([2, 0]))
         assert sub.X.tolist() == [[3.0], [1.0]]
         assert sub.labels.tolist() == [30, 10]
-        assert sub.bounds.lo.tolist() == [1.0]
-        assert sub.bounds.hi.tolist() == [3.0]
 
 
 class TestIdx:
@@ -161,6 +220,21 @@ class TestIdx:
         assert ds.X.tolist() == imgs.reshape(5, 12).astype(float).tolist()
         assert ds.labels.tolist() == labels.tolist()
         assert ds.schema.names[0] == "p0" and ds.schema.names[-1] == "p11"
+
+    def test_load_peaks_at_the_file_and_one_float_matrix(self, tmp_path):
+        # the pixels are converted to float64 once, straight from the file bytes
+        n, side = 2000, 28
+        ip = tmp_path / "imgs"
+        write_idx_images(ip, np.zeros((n, side, side), dtype=np.uint8))
+        file_bytes = ip.stat().st_size
+        tracemalloc.start()
+        try:
+            ds = load_idx(ip)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.X.shape == (n, side * side)
+        assert peak < file_bytes + 1.5 * ds.X.nbytes
 
     def test_images_without_labels(self, tmp_path):
         ip = tmp_path / "imgs"
@@ -335,6 +409,31 @@ class TestCsv:
 
 # Reference implementations: the cell-by-cell reader and writer that
 # load_csv and save_csv must match byte for byte and error for error.
+
+
+@st.composite
+def _mixed_rows(draw, min_n=0, any_cells=False):
+    """A random mixed schema and a matrix over it; with ``any_cells`` a
+    categorical cell may also be fractional, negative or past its last index."""
+    kinds = draw(st.lists(
+        st.one_of(st.just(Numeric()), st.integers(1, 4).map(
+            lambda m: Categorical(tuple(f"v{i}" for i in range(m))))),
+        min_size=1, max_size=6,
+    ))
+    schema = Schema(tuple(f"a{j}" for j in range(len(kinds))), tuple(kinds))
+    n = draw(st.integers(min_n, 8))
+    numbers = st.floats(-1e6, 1e6, allow_nan=False)
+    cols = []
+    for kind in kinds:
+        if isinstance(kind, Numeric):
+            cell = numbers
+        elif any_cells:
+            cell = st.one_of(st.integers(-1, kind.size).map(float), numbers,
+                             st.sampled_from([0.5, kind.size - 0.5, -0.0]))
+        else:
+            cell = st.integers(0, kind.size - 1).map(float)
+        cols.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    return schema, np.array(cols, dtype=np.float64).T.reshape(n, len(kinds))
 
 
 def _load_csv_by_cells(path, kinds, label_idx=None, has_header=False):

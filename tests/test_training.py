@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eforest.data import Categorical, Dataset, Numeric, Schema
+from eforest.data import Categorical, Dataset, Numeric, Schema, compute_bounds
 from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
 from eforest.forest import Tree
 from eforest.rng import SplitMix64
@@ -25,7 +25,7 @@ from eforest.training import (
     train_forest,
 )
 
-from synthdata import random_mixed
+from synthdata import mnist_like, random_mixed, tfidf_like
 
 
 def reference_entropy(labels) -> float:
@@ -162,7 +162,7 @@ def brute_force_candidates(X, y, schema):
     out = []
     for a in range(schema.d):
         col = X[:, a]
-        if schema.is_categorical(a):
+        if schema.category_sizes[a] > 0:
             for v in sorted(set(col.tolist())):
                 mask = col == v
                 if mask.all() or not mask.any():
@@ -274,7 +274,7 @@ class TestSupervisedSplit:
             assert test == expect_test
             attr, param = test
             col = X[:, attr]
-            if schema.is_categorical(attr):
+            if schema.category_sizes[attr] > 0:
                 assert mask.tolist() == (col == param).tolist()
             else:
                 assert mask.tolist() == (col >= param).tolist()
@@ -293,7 +293,7 @@ class TestSupervisedSplit:
             return
         test, mask = got
         attr, param = test
-        cat = schema.is_categorical(attr)
+        cat = schema.category_sizes[attr] > 0
         col = X[:, attr]
         assert mask.tolist() == (col == param if cat else col >= param).tolist()
 
@@ -319,7 +319,7 @@ class TestSupervisedSplit:
         if len(near) == 1:
             assert test == expect_test
         assert test == next(
-            t for _, t, m in cands if sides(schema.is_categorical(t[0]), m) == sides(cat, mask)
+            t for _, t, m in cands if sides(schema.category_sizes[t[0]] > 0, m) == sides(cat, mask)
         )
 
     def test_tie_breaks_to_lowest_attribute(self):
@@ -530,4 +530,16 @@ class TestTrainForest:
         assert forest.seed == 42
         assert forest.T == 3
         assert forest.config == cfg.to_meta()
-        assert forest.bounds is ds.bounds
+        bounds = compute_bounds(ds.schema, ds.X)
+        assert forest.bounds.lo.tolist() == bounds.lo.tolist()
+        assert forest.bounds.hi.tolist() == bounds.hi.tolist()
+
+    @pytest.mark.parametrize("make", [lambda: tfidf_like(120, 40, seed=3),
+                                      lambda: mnist_like(80, seed=4)],
+                             ids=["tfidf_like", "mnist_like"])
+    def test_gapped_labels_train_the_same_trees(self, make):
+        ds = make()
+        gapped = Dataset(ds.schema, ds.X, labels=3 * ds.labels + 5)
+        cfg = TrainConfig(mode="supervised", n_trees=4, seed=11)
+        for a, b in zip(train_forest(ds, cfg).trees, train_forest(gapped, cfg).trees):
+            assert np.array_equal(a.attr, b.attr) and np.array_equal(a.param, b.param)
