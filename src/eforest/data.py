@@ -152,7 +152,10 @@ class Dataset:
         X: np.ndarray,
         labels: np.ndarray | None = None,
     ):
-        X = _frozen_copy(X, np.float64)
+        self._hold(schema, _frozen_copy(X, np.float64), labels)
+
+    def _hold(self, schema: Schema, X: np.ndarray, labels) -> None:
+        """Check and keep ``X``, a read-only float64 matrix this dataset owns."""
         if X.ndim != 2 or X.shape[1] != schema.d:
             raise ShapeError(
                 f"instance matrix must be (n, {schema.d}), got {X.shape}"
@@ -190,9 +193,14 @@ class Dataset:
         return self.schema.d
 
     def take(self, rows: np.ndarray) -> "Dataset":
-        """Row subset as a new dataset."""
-        labels = self.labels[rows] if self.labels is not None else None
-        return Dataset(self.schema, self.X[rows], labels)
+        """Row subset as a new dataset; ``rows`` indexes rows, and gathering
+        them is the one copy of the matrix made."""
+        rows = np.asarray(rows)
+        X = self.X[rows]
+        X.flags.writeable = False
+        subset = Dataset.__new__(Dataset)
+        subset._hold(self.schema, X, None if self.labels is None else self.labels[rows])
+        return subset
 
 
 def integer_array(values, dtype, error: type[EForestError], what: str) -> np.ndarray:

@@ -59,12 +59,9 @@ class SplitMix64:
         """Next ``k`` outputs as a uint64 array, identical to ``k`` calls of u64()."""
         if k < 0:
             raise ValueError("block size must be >= 0")
-        steps = np.arange(1, k + 1, dtype=np.uint64)
-        z = np.uint64(self.state) + steps * np.uint64(GOLDEN)
-        self.state = int(z[-1]) if k else self.state
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_2)
-        return z ^ (z >> np.uint64(31))
+        words = peek_words(np.array([self.state], dtype=np.uint64), k)[0]
+        self.state = (self.state + k * GOLDEN) & MASK64
+        return words
 
     def below_block(self, k: int, n: int) -> np.ndarray:
         """Next ``k`` integers in [0, n), identical to ``k`` calls of below(n)."""
@@ -79,18 +76,45 @@ class SplitMix64:
             arr[i], arr[j] = arr[j], arr[i]
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
-        """``k`` distinct integers from [0, n) by partial Fisher-Yates, in draw order."""
+        """``k`` distinct integers from [0, n) by partial Fisher-Yates, in draw order.
+
+        Draw ``i`` swaps slot ``i`` with slot ``i + below(n - i)``; the ``k``
+        words come from one block, in the order ``k`` calls of below() take them.
+        """
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
+        offsets = self.u64_block(k) % (np.uint64(n) - np.arange(k, dtype=np.uint64))
         # a partial Fisher-Yates over a virtual arange(n): ``moved`` holds only
         # the slots a swap has changed, and slot i is never read after draw i
         moved: dict[int, int] = {}
         picked = []
-        for i in range(k):
-            j = i + self.below(n - i)
+        for i, offset in enumerate(offsets.tolist()):
+            j = i + offset
             picked.append(moved.get(j, j))
             moved[j] = moved.get(i, i)
         return np.array(picked, dtype=np.int64)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function, applied in place to an array of states."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(MIX_1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(MIX_2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def peek_words(states: np.ndarray, k: int) -> np.ndarray:
+    """The next ``k`` outputs of every stream whose state is in ``states``, one
+    row per stream: row i equals ``SplitMix64(states[i]).u64_block(k)``. The
+    states do not move; :func:`skip_words` moves them past what was used."""
+    return _mix(states[:, None] + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(GOLDEN))
+
+
+def skip_words(states: np.ndarray, counts) -> np.ndarray:
+    """The states of the streams ``states`` after ``counts`` more outputs each."""
+    return states + np.asarray(counts, dtype=np.uint64) * np.uint64(GOLDEN)
 
 
 def tree_stream(seed: int, tree_index: int) -> SplitMix64:

@@ -32,7 +32,7 @@ from eforest.errors import (
     UnknownCategoryError,
 )
 
-from synthdata import write_idx_images, write_idx_labels
+from synthdata import mnist_like, write_idx_images, write_idx_labels
 
 
 def mixed_schema() -> Schema:
@@ -204,6 +204,23 @@ class TestDataset:
         sub = ds.take(np.array([2, 0]))
         assert sub.X.tolist() == [[3.0], [1.0]]
         assert sub.labels.tolist() == [30, 10]
+        assert not sub.X.flags.writeable and not sub.labels.flags.writeable
+
+    def test_take_copies_the_rows_once(self):
+        ds = mnist_like(2000)
+        tracemalloc.start()
+        try:
+            sub = ds.take(np.arange(1000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sub.X.shape == (1000, ds.d) and not sub.X.flags.writeable
+        assert peak <= 1.25 * (sub.X.nbytes + sub.labels.nbytes)
+
+    def test_take_still_checks_the_rows(self):
+        ds = Dataset(Schema.numeric(["a"]), np.zeros((3, 1)))
+        with pytest.raises(ShapeError):
+            ds.take(np.asarray(1))
 
 
 class TestIdx:

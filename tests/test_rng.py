@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eforest.rng import MASK64, SplitMix64, mix64, permutation, tree_stream
+from eforest.rng import (
+    MASK64,
+    SplitMix64,
+    mix64,
+    peek_words,
+    permutation,
+    skip_words,
+    tree_stream,
+)
 
 # Published output sequence for a zero-seeded splitmix64 generator.
 SEED0_FIRST3 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -27,6 +35,17 @@ def _sample_by_swaps(gen: SplitMix64, n: int, k: int) -> np.ndarray:
         j = i + gen.below(n - i)
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
+
+
+def _sample_by_calls(gen: SplitMix64, n: int, k: int) -> np.ndarray:
+    """The sampler as it drew before block draws: one below(n - i) call per pick."""
+    moved: dict[int, int] = {}
+    picked = []
+    for i in range(k):
+        j = i + gen.below(n - i)
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(picked, dtype=np.int64)
 
 
 class TestU64:
@@ -72,6 +91,28 @@ class TestBlocks:
         block = SplitMix64(seed).below_block(k, bound)
         scalar = SplitMix64(seed)
         assert [int(v) for v in block] == [scalar.below(bound) for _ in range(k)]
+
+
+class TestStreamArrays:
+    @given(seeds=st.lists(st.integers(0, MASK64), min_size=0, max_size=6), k=st.integers(1, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_peek_equals_blocks_and_moves_nothing(self, seeds, k):
+        states = np.array(seeds, dtype=np.uint64)
+        words = peek_words(states, k)
+        assert words.shape == (len(seeds), k)
+        assert states.tolist() == seeds
+        for row, seed in zip(words, seeds):
+            assert row.tolist() == SplitMix64(seed).u64_block(k).tolist()
+
+    @given(seeds=st.lists(st.integers(0, MASK64), min_size=1, max_size=6), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_skip_equals_drawing(self, seeds, data):
+        counts = data.draw(st.lists(st.integers(0, 40), min_size=len(seeds), max_size=len(seeds)))
+        skipped = skip_words(np.array(seeds, dtype=np.uint64), counts)
+        for state, seed, count in zip(skipped.tolist(), seeds, counts):
+            gen = SplitMix64(seed)
+            gen.u64_block(count)
+            assert state == gen.state
 
 
 class TestFloat01:
@@ -143,6 +184,15 @@ class TestShuffleAndSample:
         assert picked.dtype == np.int64
         assert picked.tolist() == _sample_by_swaps(oracle, n, k).tolist()
         assert gen.state == oracle.state
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 16, 28, 500, 784])
+    def test_sample_equals_per_call_draws(self, n):
+        for k in sorted({0, 1, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+            for seed in (0, 5, MASK64):
+                gen, calls = SplitMix64(seed), SplitMix64(seed)
+                assert gen.sample_without_replacement(n, k).tolist() == (
+                    _sample_by_calls(calls, n, k).tolist())
+                assert gen.state == calls.state
 
     def test_sample_full_is_permutation(self):
         picked = SplitMix64(21).sample_without_replacement(30, 30)

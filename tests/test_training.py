@@ -1,6 +1,7 @@
 """Training behavior: brute-force split oracles (their gain math checked
-against an independent reference), stop conditions, determinism, and thread
-invariance."""
+against an independent reference), the batched kernels against one-node
+reference splitters, stop conditions, determinism, and invariance under
+lockstep grouping and thread count."""
 
 import math
 from collections import Counter
@@ -10,14 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eforest import training
 from eforest.data import Categorical, Dataset, Numeric, Schema, compute_bounds
 from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
 from eforest.forest import Tree
 from eforest.rng import SplitMix64
 from eforest.training import (
     TrainConfig,
+    _GainSplits,
+    _grow,
     _numeric_threshold,
-    _sup_split,
+    _splitter,
     _xlogx_table,
     attribute_sample_size,
     build_supervised_node,
@@ -240,13 +244,15 @@ def split_problems(draw):
 
 class TestSupervisedSplit:
     def _split_all_attrs(self, X, y, schema):
-        XT = np.ascontiguousarray(X.T)
-        rows = np.arange(len(X), dtype=np.int64)
-        xlogx = _xlogx_table(len(X))
-        n_classes = int(y.max()) + 1
-        return _sup_split(
-            XT, rows, y, SplitMix64(0), schema.category_sizes > 0, n_classes, xlogx, schema.d
-        )
+        """((attr, param), true-branch mask) of the batched kernel on one node
+        holding every row, inspecting every attribute; None for a leaf."""
+        kernel = _GainSplits(X.T, y, int(y.max()) + 1, schema, min_node_size=1)
+        kernel.sample = schema.d
+        n = len(X)
+        attr, param, goes_true = kernel(np.arange(n), np.array([0, n]), np.zeros(1, np.uint64))
+        if attr[0] < 0:
+            return None
+        return (int(attr[0]), float(param[0])), goes_true
 
     def test_matches_brute_force_on_random_data(self):
         rng = np.random.default_rng(7)
@@ -344,7 +350,7 @@ class TestSupervisedSplit:
         lo = 1.0
         hi = math.nextafter(lo, 2.0)
         # the midpoint of adjacent doubles rounds back onto the left value
-        assert _numeric_threshold(np.array([lo, hi]), 0) == hi
+        assert _numeric_threshold(lo, hi) == hi
 
     def test_repeated_values_share_one_boundary(self):
         schema = Schema.numeric(["a"])
@@ -543,3 +549,248 @@ class TestTrainForest:
         cfg = TrainConfig(mode="supervised", n_trees=4, seed=11)
         for a, b in zip(train_forest(ds, cfg).trees, train_forest(gapped, cfg).trees):
             assert np.array_equal(a.attr, b.attr) and np.array_equal(a.param, b.param)
+
+
+def reference_random_split(XT, rows, stream, is_cat, min_node_size):
+    """One node's completely random test, drawn one word at a time as the
+    per-node grower drew it: the oracle of the batched kernel."""
+    if len(rows) <= min_node_size:
+        return None
+    d = XT.shape[0]
+    j = -1
+    for _ in range(16):
+        cand = stream.below(d)
+        c = XT[cand][rows]
+        if c.min() < c.max():
+            j, col = cand, c
+            break
+    if j < 0:
+        sub = XT[:, rows]
+        varying = np.nonzero(sub.min(axis=1) < sub.max(axis=1))[0]
+        if len(varying) == 0:
+            return None
+        j = int(varying[stream.below(len(varying))])
+        col = sub[j]
+    if is_cat[j]:
+        present = np.unique(col)
+        return j, float(present[stream.below(len(present))])
+    lo, hi = float(col.min()), float(col.max())
+    for _ in range(8):
+        t = lo + stream.f01() * (hi - lo)
+        if lo < t < hi:
+            return j, t
+    return j, math.nextafter(lo, hi)
+
+
+def reference_gain_split(XT, rows, y, stream, is_cat, n_classes, min_node_size):
+    """One node's best-gain test as the per-node grower computed it, with one
+    argsort per sampled attribute: the oracle of the batched kernel."""
+    nn = len(rows)
+    if nn <= min_node_size or (y[rows] == y[rows][0]).all():
+        return None
+    y = y[rows]
+    xlogx = _xlogx_table(XT.shape[1])
+    attrs = np.sort(stream.sample_without_replacement(XT.shape[0],
+                                                      attribute_sample_size(XT.shape[0])))
+    order = np.argsort(XT[attrs[:, None], rows], axis=1)
+    sv = XT[attrs[:, None], rows[order]].ravel()
+    start = np.empty(len(sv) + 1, dtype=bool)
+    np.not_equal(sv[1:], sv[:-1], out=start[1:-1])
+    start[::nn] = True
+    bounds = np.flatnonzero(start)
+    first, end = bounds[:-1], bounds[1:]
+    run_attr = first // nn
+    cat = is_cat[attrs][run_attr]
+    cand = np.flatnonzero(np.where(cat, end - first < nn, end % nn > 0))
+    if not len(cand):
+        return None
+    run = np.cumsum(start[:-1]) - 1
+    counts = np.bincount(run * n_classes + y[order].ravel(), minlength=len(first) * n_classes)
+    counts = counts.reshape(-1, n_classes)
+    total = np.bincount(y, minlength=n_classes)
+    below = np.cumsum(counts, axis=0) - run_attr[:, None] * total
+    left = np.where(cat[:, None], counts, below)[cand]
+    nl = left.sum(axis=1)
+    parent_term = xlogx[nn] - xlogx[total].sum()
+    left_term = xlogx[nl] - xlogx[left].sum(axis=1)
+    right_term = xlogx[nn - nl] - xlogx[total - left].sum(axis=1)
+    gains = parent_term - left_term - right_term
+    i = int(np.argmax(gains))
+    if not gains[i] > 0.0:
+        return None
+    r = int(cand[i])
+    values = sv[first]
+    if cat[r]:
+        return int(attrs[run_attr[r]]), float(values[r])
+    mid = 0.5 * (values[r] + values[r + 1])
+    return int(attrs[run_attr[r]]), float(mid if mid > values[r] else values[r + 1])
+
+
+@st.composite
+def forest_problems(draw):
+    """(dataset, config) for a small forest over a random mixed schema: columns
+    of few integers, reals, constants, adjacent doubles (every threshold draw
+    lands on an end) or categories, and up to four classes."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+
+    cols, kinds = [], []
+    for _ in range(d):
+        style = draw(st.sampled_from(["ints", "reals", "const", "adjacent", "cat"]))
+        kind = Numeric()
+        if style == "ints":
+            col = column(st.integers(0, 3))
+        elif style == "reals":
+            col = column(st.floats(-10, 10, allow_nan=False, allow_subnormal=False))
+        elif style == "const":
+            col = np.full(n, 2.5)
+        elif style == "adjacent":
+            col = column(st.sampled_from([1.0, math.nextafter(1.0, 2.0)]))
+        else:
+            size = draw(st.integers(1, 4))
+            kind = Categorical(tuple(f"c{i}" for i in range(size)))
+            col = column(st.integers(0, size - 1))
+        cols.append(col)
+        kinds.append(kind)
+    labels = column(st.integers(0, 3)).astype(np.int64)
+    schema = Schema(tuple(f"a{j}" for j in range(d)), tuple(kinds))
+    config = TrainConfig(
+        mode=draw(st.sampled_from(["supervised", "unsupervised"])),
+        n_trees=draw(st.integers(1, 7)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        min_node_size=draw(st.integers(1, 4)),
+        max_depth_cap=draw(st.one_of(st.none(), st.integers(0, 6))),
+        bootstrap=draw(st.one_of(st.none(), st.booleans())),
+    )
+    return Dataset(schema, np.column_stack(cols), labels=labels), config
+
+
+def tree_arrays(trees):
+    return [(t.attr.tolist(), t.param.tolist()) for t in trees]
+
+
+class TestLockstep:
+    @given(forest_problems(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_grouping_grows_the_same_trees(self, problem, data):
+        ds, cfg = problem
+        split = _splitter(ds, cfg)
+        T = cfg.n_trees
+        together = tree_arrays(_grow(split, ds.n, cfg, range(T)))
+        alone = tree_arrays([tree for t in range(T) for tree in _grow(split, ds.n, cfg, [t])])
+        cuts = sorted(data.draw(st.sets(st.integers(1, T - 1), max_size=T)) if T > 1 else set())
+        bounds = [0, *cuts, T]
+        blocks = tree_arrays([tree for a, b in zip(bounds, bounds[1:])
+                              for tree in _grow(split, ds.n, cfg, range(a, b))])
+        backwards = tree_arrays(_grow(split, ds.n, cfg, range(T - 1, -1, -1)))[::-1]
+        assert together == alone == blocks == backwards
+        assert together == tree_arrays(train_forest(ds, cfg).trees)
+
+    @given(forest_problems(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_kernel_equals_one_node_at_a_time(self, problem, data):
+        ds, cfg = problem
+        split = _splitter(ds, cfg)
+        nodes = data.draw(st.lists(
+            st.lists(st.integers(0, ds.n - 1), min_size=1, max_size=ds.n), min_size=1, max_size=6))
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(nodes),
+                                   max_size=len(nodes)))
+        rows = np.concatenate([np.array(r, dtype=np.int64) for r in nodes])
+        offsets = np.cumsum([0] + [len(r) for r in nodes])
+        states = np.array(seeds, dtype=np.uint64)
+        attr, param, goes_true = split(rows, offsets, states)
+        XT = np.ascontiguousarray(ds.X.T)
+        is_cat = ds.schema.category_sizes > 0
+        y = np.unique(ds.labels, return_inverse=True)[1]
+        for i, (node, seed) in enumerate(zip(nodes, seeds)):
+            oracle = SplitMix64(seed)
+            node_rows = np.array(node, dtype=np.int64)
+            if cfg.mode == "supervised":
+                expect = reference_gain_split(XT, node_rows, y, oracle, is_cat, y.max() + 1,
+                                              cfg.min_node_size)
+            else:
+                expect = reference_random_split(XT, node_rows, oracle, is_cat, cfg.min_node_size)
+            assert int(states[i]) == oracle.state
+            assert (None if attr[i] < 0 else (int(attr[i]), float(param[i]))) == expect
+            rng = SplitMix64(seed)
+            if cfg.mode == "supervised":
+                alone = build_supervised_node(ds.X, node, ds.labels, rng, ds.schema,
+                                              cfg.min_node_size)
+            else:
+                alone = build_unsupervised_node(ds.X, node, rng, ds.schema, cfg.min_node_size)
+            assert int(states[i]) == rng.state
+            col = ds.X[node, max(attr[i], 0)]
+            mask = goes_true[offsets[i]:offsets[i + 1]]
+            if alone is None:
+                assert attr[i] == -1 and param[i] == 0.0 and not mask.any()
+                continue
+            assert (int(attr[i]), float(param[i])) == alone
+            on = col == param[i] if ds.schema.category_sizes[attr[i]] > 0 else col >= param[i]
+            assert mask.tolist() == on.tolist()
+            assert 0 < mask.sum() < len(node)
+
+    def test_exact_scan_after_rejection_misses(self):
+        # one varying attribute in 40: most nodes miss all 16 rejection draws
+        rng = np.random.default_rng(2)
+        X = np.zeros((30, 40))
+        X[:, 17] = rng.normal(size=30)
+        ds = Dataset(Schema.numeric([f"a{j}" for j in range(40)]), X)
+        split = _splitter(ds, TrainConfig(mode="unsupervised", n_trees=1))
+        rows = np.tile(np.arange(30), 50)
+        states = np.arange(50, dtype=np.uint64) * np.uint64(7919)
+        attr, param, _ = split(rows, np.arange(51) * 30, states)
+        assert (attr == 17).all()
+        for i in range(50):
+            oracle = SplitMix64(i * 7919)
+            assert reference_random_split(ds.X.T, np.arange(30), oracle, np.zeros(40, bool), 2) == (
+                17, param[i])
+            assert oracle.state == int(states[i])
+
+    def test_large_nodes_split_over_several_kernel_calls(self, monkeypatch):
+        ds = random_mixed(5, n=300, d=8)
+        for mode in ("supervised", "unsupervised"):
+            cfg = TrainConfig(mode=mode, n_trees=6, seed=3)
+            whole = tree_arrays(train_forest(ds, cfg).trees)
+            with monkeypatch.context() as patch:
+                patch.setattr(training, "_STEP_CELLS", 64)
+                patch.setattr(training, "_GROUP_ROWS", 700)
+                assert tree_arrays(train_forest(ds, cfg).trees) == whole
+
+    def test_threads_start_no_more_workers_than_trees(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Records max_workers and runs the work in this process."""
+
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", RecordingPool)
+        ds = dataset_numeric(seed=1)
+        serial = tree_arrays(train_forest(ds, TrainConfig(mode="unsupervised", n_trees=2)).trees)
+        cfg = TrainConfig(mode="unsupervised", n_trees=2, threads=5000)
+        assert tree_arrays(train_forest(ds, cfg).trees) == serial
+        assert started == [2]
+        train_forest(ds, TrainConfig(mode="supervised", n_trees=7, threads=3))
+        assert started == [2, 3]
+
+    @pytest.mark.parametrize("n_trees, threads", [(7, 3), (3, 5)])
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_uneven_thread_blocks_change_nothing(self, mode, n_trees, threads):
+        ds = random_mixed(9, n=80, d=5)
+        serial = train_forest(ds, TrainConfig(mode=mode, n_trees=n_trees, seed=4))
+        parallel = train_forest(ds, TrainConfig(mode=mode, n_trees=n_trees, seed=4,
+                                                threads=threads))
+        assert tree_arrays(parallel.trees) == tree_arrays(serial.trees)
