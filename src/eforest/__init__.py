@@ -6,7 +6,7 @@ rules of those leaves into the maximal compatible rule and returns a
 representative point of that region.
 """
 
-from .codec import EncodingMatrix, TreeMask, decode, decode_batch, decode_region, encode_batch
+from .codec import EncodingMatrix, TreeMask, decode_batch, decode_region, encode_batch
 from .data import (
     AttributeKind,
     Bounds,
@@ -81,7 +81,6 @@ __all__ = [
     "calculate_mcr",
     "contains",
     "damage_curve",
-    "decode",
     "decode_batch",
     "decode_region",
     "encode_batch",

@@ -5,14 +5,17 @@ path rules of the leaves named by an encoding into the maximal compatible
 rule and returns a representative point of that region. Decoding under a
 tree mask uses only the kept trees, which models operating a damaged model.
 
-Both batch directions walk all rows down a tree level by level through
-``Tree.descend``: encoding steers each row by its attribute values, batch
-decoding by the stored position of the leaf its ordinal names, as a fold that
-tightens a per-row region state once per kept tree. A node's test is
-``x[attr] == param`` when the schema marks its attribute categorical, else
-``x[attr] >= param``. The per-row
-``decode_region``/``decode`` build the same region with the rule algebra of
-``rules.py`` and are the reference the batch engine is tested against.
+Both batch directions walk a group of trees at once through
+``forest.TreeGroup.descend``: every (row, tree) pair moves down one level per
+step, so a group costs its deepest tree's depth in steps, and a group holds at
+most ``_STEP_PAIRS`` pairs. Encoding steers each pair by the row's attribute
+values. Batch decoding steers it by the stored position of the leaf its
+ordinal names, as a fold that tightens a per-row region state once per kept
+tree. A node's test is ``x[attr] == param`` when the schema marks its
+attribute categorical, else ``x[attr] >= param``. The per-row
+``decode_region`` builds the same region with the rule algebra of
+``rules.py``; with ``rules.representative`` it is the reference the batch
+engine is tested against.
 """
 
 from __future__ import annotations
@@ -32,10 +35,15 @@ from .errors import (
     SchemaMismatchError,
     ShapeError,
 )
-from .forest import Forest, get_path, path_to_rule
+from .forest import Forest, TreeGroup, get_path, path_to_rule
 from .persistence import forest_hex_id
 from .rng import permutation
-from .rules import Rule, calculate_mcr, pick_interval_batch, representative
+from .rules import Rule, calculate_mcr, pick_interval_batch
+
+# The most (row, tree) pairs one walk holds: encode and decode walk
+# max(1, _STEP_PAIRS // n) trees of an n-row batch at once, which bounds the
+# walk's memory whatever the forest's size.
+_STEP_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -132,6 +140,14 @@ def _resolve_mask(mask: TreeMask | None, n_trees: int) -> tuple[int, ...]:
     return mask.keep
 
 
+def _groups(trees, n: int):
+    """``trees`` in runs that one walk holds at once: at most ``_STEP_PAIRS``
+    (row, tree) pairs, and always at least one tree."""
+    size = max(1, _STEP_PAIRS // max(n, 1))
+    for i in range(0, len(trees), size):
+        yield trees[i:i + size]
+
+
 def encode_batch(forest: Forest, dataset: Dataset, reuse: bool = False) -> EncodingMatrix:
     """Encode every instance; column t holds tree t's leaf ordinals.
 
@@ -139,8 +155,11 @@ def encode_batch(forest: Forest, dataset: Dataset, reuse: bool = False) -> Encod
     kinds, not the schema the model was trained on.
     """
     _check_schema(forest.schema, dataset.schema, reuse)
-    cols = [tree.encode_batch(dataset.X, forest.schema) for tree in forest.trees]
-    leaf_ids = np.column_stack(cols).astype(np.int32, copy=False)
+    n = dataset.n
+    leaf_ids = np.empty((n, forest.T), dtype=np.int32)
+    for ts in _groups(range(forest.T), n):
+        group = TreeGroup([forest.trees[t] for t in ts])
+        leaf_ids[:, ts] = group.encode(dataset.X, forest.schema)
     return EncodingMatrix(leaf_ids, forest_hex_id(forest))
 
 
@@ -174,58 +193,64 @@ def decode_region(forest: Forest, encoding, mask: TreeMask | None = None) -> Rul
     return calculate_mcr(rules, forest.bounds, forest.schema)
 
 
-def decode(
-    forest: Forest,
-    encoding,
-    strategy: str = "min",
-    mask: TreeMask | None = None,
-) -> np.ndarray:
-    """Reconstruct one instance from its encoding via the rule algebra."""
-    return representative(decode_region(forest, encoding, mask), strategy)
-
-
-def _absorb(state, tree, leaves: np.ndarray, is_cat: np.ndarray) -> None:
-    """Tighten the per-row region state by every test on the paths to ``leaves``.
+def _absorb(state, trees, leaf_ids: np.ndarray, is_cat: np.ndarray) -> None:
+    """Tighten the per-row region state by every test on the paths to the
+    leaves that ``leaf_ids`` (one column per tree of ``trees``) names.
 
     Numeric attributes carry per-row lower and upper ends, categorical ones
-    (``is_cat``) an (n, size) allowed-value mask. The tree walks all rows down
-    to the leaves their ordinals name, level by level, and applies every test
-    on the way. In pre-order the true subtree of node ``i`` starts at
-    ``true_child[i]``, so a row bound for leaf node ``target`` takes the true
-    branch exactly when ``target >= true_child[i]``. Within one level each
-    row sits at one node, so every (row, attribute) cell is written once.
+    (``is_cat``) an (n, size) allowed-value mask. The trees walk all rows down
+    to the leaves their ordinals name together, one level per step. In
+    pre-order the true subtree of node ``i`` starts at ``true_child[i]``, so a
+    pair bound for leaf node ``target`` takes the true branch exactly when
+    ``target >= true_child[i]``. Numeric tests raise ``lo`` and lower ``hi``
+    at flat (row, attribute) cells with ``maximum.at``/``minimum.at``, which
+    are exact whichever tree reaches a cell first; categorical tests are
+    gathered and applied once the walk ends.
     """
     lo, hi, allowed = state
-    target = np.flatnonzero(tree.attr < 0)[leaves]
+    n, d = lo.shape
+    group = TreeGroup(trees)
+    k = group.n_trees
+    target = group.leaf_nodes(leaf_ids).ravel()
+    lo, hi = lo.ravel(), hi.ravel()  # views: the state arrays are contiguous
+    cat_tests = []
 
-    def go_true(rows, nodes):
-        taken = target[rows] >= tree.true_child[nodes]
-        a = tree.attr[nodes]
-        p = tree.param[nodes]
+    def go_true(pairs, nodes):
+        taken = target[pairs] >= group.true_child[nodes]
+        a = group.attr[nodes]
+        cells = pairs // k * d + a
+        p = group.param[nodes]
         cat = is_cat[a]
-        num = ~cat
-        up = num & taken
-        r, c = rows[up], a[up]
-        lo[r, c] = np.maximum(lo[r, c], p[up])
-        down = num & ~taken
-        r, c = rows[down], a[down]
-        hi[r, c] = np.minimum(hi[r, c], p[down])
+        up = taken & ~cat
+        np.maximum.at(lo, cells[up], p[up])
+        down = ~(taken | cat)
+        np.minimum.at(hi, cells[down], p[down])
         if cat.any():
-            r, a, v, tk = rows[cat], a[cat], p[cat].astype(np.intp), taken[cat]
-            for j in np.unique(a):
-                allow = allowed[int(j)]
-                on = a == j
-                # x[j] != v removes v; x[j] == v keeps v alone, if still allowed
-                off = on & ~tk
-                allow[r[off], v[off]] = False
-                on &= tk
-                rt, vt = r[on], v[on]
-                hit = allow[rt, vt]
-                allow[rt] = False
-                allow[rt, vt] = hit
+            cat_tests.append((cells[cat], p[cat].astype(np.intp), taken[cat]))
         return taken
 
-    tree.descend(len(leaves), go_true)
+    group.descend(n, go_true)
+    if cat_tests:
+        cells, values, taken = map(np.concatenate, zip(*cat_tests))
+        rows, attrs = np.divmod(cells, d)
+        for j in np.unique(attrs):
+            allow = allowed[int(j)]
+            on = attrs == j
+            # x[j] != v removes v
+            off = on & ~taken
+            allow[rows[off], values[off]] = False
+            # x[j] == v keeps v alone, if still allowed: two different values
+            # in one row leave nothing
+            on &= taken
+            r, inv = np.unique(rows[on], return_inverse=True)
+            v = values[on]
+            least = np.full(len(r), np.iinfo(np.intp).max)
+            np.minimum.at(least, inv, v)
+            most = np.full(len(r), -1)
+            np.maximum.at(most, inv, v)
+            hit = (least == most) & allow[r, least]
+            allow[r] = False
+            allow[r[hit], least[hit]] = True
 
 
 def _finish(forest: Forest, state, strategy: str) -> np.ndarray:
@@ -274,9 +299,9 @@ def decode_masks(forest: Forest, matrix: EncodingMatrix, masks, strategy: str = 
                      {int(j): np.ones((n, schema.category_sizes[j]), dtype=bool)
                       for j in np.flatnonzero(is_cat)})
             absorbed = set()
-        for t in keep:
-            if t not in absorbed:
-                _absorb(state, forest.trees[t], leaf_ids[:, t], is_cat)
+        new = [t for t in keep if t not in absorbed]
+        for ts in _groups(new, n):
+            _absorb(state, [forest.trees[t] for t in ts], leaf_ids[:, ts], is_cat)
         absorbed = set(keep)
         yield Dataset(schema, _finish(forest, state, strategy))
 

@@ -1,4 +1,4 @@
-"""Tree and forest structures, instance encoding, and decision-path extraction.
+"""Tree and forest structures, batch tree walks, and decision-path extraction.
 
 A tree is two flat node arrays in depth-first pre-order with the false branch
 visited first: ``attr`` (-1 marks a leaf) and ``param``. Node 0 is the root.
@@ -7,6 +7,10 @@ attribute, ``x[attr] >= param`` on a numeric one. The leaf flags alone fix
 where every true child sits, so it is derived, never stored. Leaves are
 numbered 0..L-1 in storage order, and an instance's encoding under a forest is
 the vector of those leaf ordinals, one per tree.
+
+Encode and decode share one walk: a ``TreeGroup`` lays a group of trees end to
+end as one set of node arrays and moves every (row, tree) pair down one level
+per step, so a group of trees costs as many steps as its deepest tree.
 """
 
 from __future__ import annotations
@@ -48,36 +52,6 @@ class Tree:
     @property
     def leaf_count(self) -> int:
         return (len(self.attr) + 1) // 2
-
-    def descend(self, n: int, go_true) -> np.ndarray:
-        """Leaf node reached by each of ``n`` rows, walking all rows level by level.
-
-        ``go_true(rows, nodes)`` receives the indexes of the rows still pending
-        and the internal node each one sits at (one node per row), and returns
-        which of them take the true branch.
-        """
-        is_leaf = self.attr < 0
-        cur = np.zeros(n, dtype=np.int32)
-        pending = np.nonzero(~is_leaf[cur])[0]
-        while len(pending):
-            nodes = cur[pending]
-            cur[pending] = np.where(go_true(pending, nodes), self.true_child[nodes], nodes + 1)
-            pending = pending[~is_leaf[cur[pending]]]
-        return cur
-
-    def encode_batch(self, X: np.ndarray, schema: Schema) -> np.ndarray:
-        """Leaf ordinals for every row of ``X``, whose attributes are ``schema``'s."""
-        is_cat = schema.category_sizes > 0
-
-        def go_true(rows, nodes):
-            a = self.attr[nodes]
-            v = X[rows, a]
-            p = self.param[nodes]
-            return np.where(is_cat[a], v == p, v >= p)
-
-        leaf_nodes = self.descend(len(X), go_true)
-        # a leaf's ordinal is the number of leaves stored before it
-        return (np.cumsum(self.attr < 0, dtype=np.int32) - 1)[leaf_nodes]
 
     def path_steps(self, leaf: int) -> list[tuple[int, bool]]:
         """(internal node index, branch taken) pairs from root to the leaf.
@@ -188,6 +162,73 @@ def _true_children(leaf: np.ndarray) -> np.ndarray:
     true_child[order[:-1][same]] = order[1:][same]
     true_child[leaf] = -1
     return true_child
+
+
+class TreeGroup:
+    """Trees laid end to end as one set of node arrays, walked together.
+
+    Tree ``t``'s nodes start at ``roots[t]``, ``true_child`` holds these group
+    positions (-1 on leaves), and tree ``t``'s leaves follow the
+    ``leaf_base[t]`` leaves of the trees before it.
+    """
+
+    __slots__ = ("attr", "param", "true_child", "roots", "leaf_base")
+
+    def __init__(self, trees):
+        sizes = np.array([t.n_nodes for t in trees])
+        self.roots = np.concatenate([[0], np.cumsum(sizes[:-1])])
+        self.attr = np.concatenate([t.attr for t in trees])
+        self.param = np.concatenate([t.param for t in trees])
+        true_child = np.concatenate([t.true_child for t in trees]).astype(np.intp)
+        true_child += np.repeat(self.roots, sizes)
+        self.true_child = np.where(self.attr < 0, -1, true_child)
+        self.leaf_base = np.concatenate([[0], np.cumsum((sizes + 1) // 2)[:-1]])
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.roots)
+
+    def leaf_nodes(self, ordinals: np.ndarray) -> np.ndarray:
+        """Group position of every leaf ordinal in an (n, n_trees) array."""
+        return np.flatnonzero(self.attr < 0)[ordinals + self.leaf_base]
+
+    def leaf_ordinals(self, nodes: np.ndarray) -> np.ndarray:
+        """Ordinal within its tree of every leaf node in an (n, n_trees) array."""
+        # a leaf's group-wide index is the number of leaves stored before it
+        return (np.cumsum(self.attr < 0) - 1)[nodes] - self.leaf_base
+
+    def encode(self, X: np.ndarray, schema: Schema) -> np.ndarray:
+        """(n, n_trees) leaf ordinals of the rows of ``X``, whose attributes
+        are ``schema``'s."""
+        n, d = X.shape
+        values = X.ravel()
+        is_cat = schema.category_sizes > 0
+        k = self.n_trees
+
+        def go_true(pairs, nodes):
+            a = self.attr[nodes]
+            v = values[pairs // k * d + a]
+            p = self.param[nodes]
+            return np.where(is_cat[a], v == p, v >= p)
+
+        return self.leaf_ordinals(self.descend(n, go_true))
+
+    def descend(self, n: int, go_true) -> np.ndarray:
+        """Leaf node reached by every (row, tree) pair of ``n`` rows, as an
+        (n, n_trees) array, moving every pair down one level per step.
+
+        Pair ``p`` is row ``p // n_trees`` in tree ``p % n_trees``.
+        ``go_true(pairs, nodes)`` receives the pairs still pending and the
+        internal node each one sits at, and returns which take the true branch.
+        """
+        cur = np.tile(self.roots, n)
+        pending = np.flatnonzero(self.attr[cur] >= 0)
+        while len(pending):
+            nodes = cur[pending]
+            nxt = np.where(go_true(pending, nodes), self.true_child[nodes], nodes + 1)
+            cur[pending] = nxt
+            pending = pending[self.attr[nxt] >= 0]
+        return cur.reshape(n, self.n_trees)
 
 
 class Forest:

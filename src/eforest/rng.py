@@ -75,25 +75,6 @@ class SplitMix64:
             j = self.below(i + 1)
             arr[i], arr[j] = arr[j], arr[i]
 
-    def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
-        """``k`` distinct integers from [0, n) by partial Fisher-Yates, in draw order.
-
-        Draw ``i`` swaps slot ``i`` with slot ``i + below(n - i)``; the ``k``
-        words come from one block, in the order ``k`` calls of below() take them.
-        """
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
-        offsets = self.u64_block(k) % (np.uint64(n) - np.arange(k, dtype=np.uint64))
-        # a partial Fisher-Yates over a virtual arange(n): ``moved`` holds only
-        # the slots a swap has changed, and slot i is never read after draw i
-        moved: dict[int, int] = {}
-        picked = []
-        for i, offset in enumerate(offsets.tolist()):
-            j = i + offset
-            picked.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-        return np.array(picked, dtype=np.int64)
-
 
 def _mix(z: np.ndarray) -> np.ndarray:
     """splitmix64's output function, applied in place to an array of states."""

@@ -270,12 +270,14 @@ def _redraw_threshold(lo: float, hi: float, stream: SplitMix64) -> tuple[float, 
 
 
 def _sample_attributes(words: np.ndarray, d: int) -> np.ndarray:
-    """Row i: ``SplitMix64.sample_without_replacement(d, k)`` drawn from the
-    ``k`` words ``words[i]``, as one partial Fisher-Yates for all rows.
+    """Row i: ``k`` distinct attributes of ``range(d)`` in draw order, picked
+    by a partial Fisher-Yates from the ``k`` words ``words[i]``, as one pass
+    for all rows.
 
-    Draw i swaps slot i with slot ``slot[i]``. What a slot holds before draw
-    i was put there by the last earlier draw that swapped that slot, or is
-    the slot's own index if none did.
+    Draw j of a row swaps slot j with slot ``slot[j] = j + word % (d - j)``,
+    where ``word`` is the row's word j. What a slot holds before draw j was
+    put there by the last earlier draw that swapped that slot, or is the
+    slot's own index if none did.
     """
     m, k = words.shape
     index = np.arange(k)
@@ -317,7 +319,7 @@ class _GainSplits(_Kernel):
 
     A node is a leaf when its labels are all equal or no candidate's gain is
     positive. Otherwise it draws ``sample`` = ceil(sqrt(d)) distinct
-    attributes as ``SplitMix64.sample_without_replacement`` would. One sort
+    attributes from its next ``sample`` words (``_sample_attributes``). One sort
     of (node, attribute, value rank, class) keys cuts every node's sampled
     attributes into runs of equal values and counts the classes of every run.
     A numeric candidate ends any run but its attribute's last; the rows below

@@ -1,4 +1,5 @@
-"""Deterministic synthetic datasets and hand-built trees for the test suite.
+"""Deterministic synthetic datasets, hand-built trees and per-row reference
+implementations for the test suite.
 
 Image-shaped data stands in for downloadable corpora: class-templated glyph
 images (28x28, 10 classes), smooth natural-looking fields, and sparse
@@ -13,8 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
+from eforest.codec import TreeMask, decode_region
 from eforest.data import Bounds, Categorical, Dataset, Numeric, Schema
 from eforest.forest import Forest, Tree
+from eforest.rng import SplitMix64
+from eforest.rules import representative
 
 SIDE = 28
 
@@ -191,7 +195,7 @@ def write_idx_labels(path, labels) -> None:
 def walk_leaf(tree: Tree, x: np.ndarray, schema: Schema) -> int:
     """Leaf ordinal of one instance by a plain root-to-leaf walk.
 
-    The reference that ``Tree.encode_batch`` is checked against: a node on a
+    The reference that batch encoding is checked against: a node on a
     categorical attribute sends ``x[attr] == category`` to its true child, any
     other node ``x[attr] >= threshold``. Nodes are stored in pre-order, so the
     false child of node ``i`` is ``i + 1`` and a leaf's ordinal is the number
@@ -209,6 +213,34 @@ def walk_leaf(tree: Tree, x: np.ndarray, schema: Schema) -> int:
 def walk_codes(forest: Forest, x: np.ndarray) -> np.ndarray:
     """Per-tree leaf ordinals of one instance by ``walk_leaf``."""
     return np.asarray([walk_leaf(t, x, forest.schema) for t in forest.trees], dtype=np.int32)
+
+
+def decode(forest: Forest, encoding, strategy: str = "min", mask: TreeMask | None = None):
+    """One instance's reconstruction by the rule algebra of ``rules.py``: the
+    per-row reference that ``decode_batch`` is checked against."""
+    return representative(decode_region(forest, encoding, mask), strategy)
+
+
+def sample_without_replacement(stream: SplitMix64, n: int, k: int) -> np.ndarray:
+    """``k`` distinct integers from [0, n) by partial Fisher-Yates, in draw order.
+
+    Draw ``i`` swaps slot ``i`` with slot ``i + below(n - i)``; the ``k`` words
+    come from one block, in the order ``k`` calls of below() take them. The
+    reference that the supervised kernel's attribute sampling is checked
+    against.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    offsets = stream.u64_block(k) % (np.uint64(n) - np.arange(k, dtype=np.uint64))
+    # a partial Fisher-Yates over a virtual arange(n): ``moved`` holds only
+    # the slots a swap has changed, and slot i is never read after draw i
+    moved: dict[int, int] = {}
+    picked = []
+    for i, offset in enumerate(offsets.tolist()):
+        j = i + offset
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(picked, dtype=np.int64)
 
 
 def tree_from_path(steps: list[tuple[tuple, bool]], schema: Schema) -> tuple[Tree, int]:

@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "calculate_mcr",
     "contains",
     "damage_curve",
-    "decode",
     "decode_batch",
     "decode_region",
     "encode_batch",

@@ -1,14 +1,21 @@
 """Encoding and decoding: mask handling, region extraction, representative
 reconstruction on both code paths, and every mismatch error."""
 
+import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eforest import codec
 from eforest.codec import (
     EncodingMatrix,
     TreeMask,
-    decode,
     decode_batch,
+    decode_masks,
     decode_region,
     encode_batch,
 )
@@ -26,7 +33,7 @@ from eforest.persistence import forest_hex_id
 from eforest.rules import Interval, contains
 from eforest.training import TrainConfig, train_forest
 
-from synthdata import random_mixed, tree_from_path, walk_codes
+from synthdata import decode, random_mixed, tree_from_path, walk_codes
 
 NUM1 = Schema.numeric(["x"])
 
@@ -422,3 +429,142 @@ class TestDecodeBatch:
             if ds.schema.category_sizes[j] > 0:
                 col = out.X[:, j]
                 assert (col == np.floor(col)).all()
+
+
+@contextmanager
+def trees_per_walk(trees: int, n: int):
+    """Make every walk over an ``n``-row batch hold ``trees`` trees at once."""
+    with mock.patch.object(codec, "_STEP_PAIRS", trees * max(n, 1)):
+        yield
+
+
+def decode_or_empty(call):
+    """The reconstruction ``call`` returns, or None if its region is empty."""
+    try:
+        return call()
+    except EmptyMCRError:
+        return None
+
+
+class TestGroupWalk:
+    """Encode and decode walk a group of trees at once; neither the result nor
+    an empty region may depend on how many trees a walk holds."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(["supervised", "unsupervised"]),
+        n_trees=st.integers(1, 6),
+        per_walk=st.sampled_from(["one", "few", "all"]),
+        strategy=st.sampled_from(["min", "mean", "max"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_row_oracles(self, seed, mode, n_trees, per_walk, strategy):
+        ds = random_mixed(seed)
+        forest = train_forest(ds, TrainConfig(mode=mode, n_trees=n_trees, seed=seed % 97))
+        trees = {"one": 1, "few": 2, "all": n_trees}[per_walk]
+        with trees_per_walk(trees, ds.n):
+            matrix = encode_batch(forest, ds)
+        for i in range(ds.n):
+            assert matrix.leaf_ids[i].tolist() == walk_codes(forest, ds.X[i]).tolist()
+
+        # random encodings mix leaves whose paths contradict each other
+        rng = np.random.default_rng(seed)
+        drawn = np.column_stack([rng.integers(0, t.leaf_count, 12) for t in forest.trees])
+        leaf_ids = np.concatenate([matrix.leaf_ids, drawn]).astype(np.int32)
+        rows = [decode_or_empty(lambda: decode(forest, ids, strategy)) for ids in leaf_ids]
+        kept = [i for i, row in enumerate(rows) if row is not None]
+
+        def batch(ids):
+            with trees_per_walk(trees, len(ids)):
+                return decode_or_empty(lambda: decode_batch(
+                    forest, EncodingMatrix(ids, matrix.forest_id), strategy).X)
+
+        assert (batch(leaf_ids) is None) == (len(kept) < len(rows))
+        assert batch(leaf_ids[kept]).tobytes() == np.array([rows[i] for i in kept]).tobytes()
+        for i in range(ds.n, len(leaf_ids)):
+            assert (batch(leaf_ids[i:i + 1]) is None) == (rows[i] is None)
+
+    @given(
+        paths=st.lists(
+            st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()),
+                     min_size=1, max_size=3, unique_by=lambda step: step[0]),
+            min_size=1, max_size=6),
+        per_walk=st.sampled_from([1, 2, 6]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_chain_trees_match_the_oracle(self, paths, per_walk):
+        # chain trees over one numeric and two categorical attributes, each
+        # testing an attribute at most once on the path: their path ends stack
+        # ==, != and threshold tests that may contradict across trees
+        schema = Schema(("x", "c", "e"), (Numeric(), Categorical(("p", "q", "r")),
+                                          Categorical(("s", "t", "u"))))
+        bounds = Bounds(np.zeros(3), np.array([3.0, 2.0, 2.0]))
+        # thresholds 0.5, 1.5 and 2.5 lie inside x's bounds
+        built = [tree_from_path([((a, v + 0.5 * (a == 0)), b) for a, v, b in path], schema)
+                 for path in paths]
+        forest = Forest([t for t, _ in built], schema, bounds, "unsupervised", 0)
+        ids = np.array([[end for _, end in built]], dtype=np.int32)
+        oracle = decode_or_empty(lambda: decode(forest, ids[0]))
+        with trees_per_walk(per_walk, 1):
+            got = decode_or_empty(lambda: decode_batch(
+                forest, EncodingMatrix(ids, forest_hex_id(forest))).X[0])
+        assert (got is None) == (oracle is None)
+        if oracle is not None:
+            assert got.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("trees", [1, 2, 4])
+    def test_category_equalities(self, trees):
+        # x[1] == red and x[1] == blue leave nothing; == blue twice keeps blue,
+        # unless a third tree refuses blue
+        schema = Schema(("x", "color"), (Numeric(), Categorical(("red", "green", "blue"))))
+        bounds = Bounds(np.zeros(2), np.array([10.0, 2.0]))
+        red, e_red = tree_from_path([((1, 0), True)], schema)
+        blue, e_blue = tree_from_path([((0, 3.0), True), ((1, 2), True)], schema)
+        blue_too, e_blue_too = tree_from_path([((1, 2), True), ((0, 4.0), False)], schema)
+        not_blue, e_not_blue = tree_from_path([((1, 2), False)], schema)
+        forest = Forest((red, blue, blue_too, not_blue), schema, bounds, "unsupervised", 0)
+        ids = np.array([[e_red, e_blue, e_blue_too, e_not_blue]], dtype=np.int32)
+        matrix = EncodingMatrix(ids, forest_hex_id(forest))
+        cases = [((0, 1), None), ((1, 2), [3.0, 2.0]), ((1, 2, 3), None), ((0, 3), [0.0, 0.0])]
+        with trees_per_walk(trees, 1):
+            for keep, want in cases:
+                mask = TreeMask(keep)
+                got = decode_or_empty(lambda: decode_batch(forest, matrix, mask=mask).X[0])
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.tolist() == want
+                oracle = decode_or_empty(lambda: decode(forest, ids[0], mask=mask))
+                assert (oracle is None) == (want is None)
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWalkMemory:
+    def test_peak_is_set_by_the_pair_budget(self):
+        # with one tree per walk, 112 more trees cost encode only their output
+        # columns and the decode fold next to nothing; walking all of them at
+        # once would hold several int64 arrays of one entry per (row, tree)
+        ds = numeric_dataset(seed=31, n=2000, d=4)
+        big = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=128, seed=3))
+        small = Forest(big.trees[:16], big.schema, big.bounds, big.kind, big.seed)
+        added_pairs = ds.n * (big.T - small.T)
+        peaks = {}
+        with trees_per_walk(1, ds.n):
+            for forest in (small, big):
+                matrix = encode_batch(forest, ds)
+                peaks[forest.T] = (
+                    traced_peak(lambda: encode_batch(forest, ds)),
+                    traced_peak(lambda: next(decode_masks(forest, matrix, [None]))),
+                )
+        (enc_small, dec_small), (enc_big, dec_big) = peaks[small.T], peaks[big.T]
+        # the int32 output grows by 4 bytes per added pair
+        assert enc_big - enc_small < 4 * added_pairs + 200_000
+        assert dec_big - dec_small < 200_000
+

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eforest.codec import EncodingMatrix, TreeMask, decode, decode_batch
+from eforest.codec import EncodingMatrix, TreeMask, decode_batch
 from eforest.data import Bounds, Categorical, Numeric, Schema, compute_bounds
 from eforest.errors import InvalidModelError, LeafIndexError
 from eforest.forest import (
     Forest,
     Tree,
+    TreeGroup,
     depth_stats,
     get_path,
     path_to_rule,
@@ -22,7 +23,7 @@ from eforest.persistence import forest_hex_id
 from eforest.rules import Interval, contains
 from eforest.training import TrainConfig, train_forest
 
-from synthdata import random_mixed, tree_from_path, walk_codes, walk_leaf
+from synthdata import decode, random_mixed, tree_from_path, walk_codes, walk_leaf
 
 NUM2 = Schema.numeric(["a", "b"])
 MIXED = Schema(
@@ -49,6 +50,11 @@ def leaf_only_tree(schema=NUM2) -> Tree:
     return make_tree([-1], [0.0], schema)
 
 
+def encode(tree: Tree, X, schema) -> np.ndarray:
+    """Leaf ordinals of the rows of ``X`` under one tree, by the batch walk."""
+    return TreeGroup([tree]).encode(X, schema)[:, 0]
+
+
 def stump(attr=0, param=0.0, schema=NUM2) -> Tree:
     """One test over two leaves; each argument can break the root."""
     return make_tree([attr, -1, -1], [param, 0.0, 0.0], schema)
@@ -58,19 +64,19 @@ class TestNodeRouting:
     def test_numeric_passes_at_threshold(self):
         tree, taken = tree_from_path([((0, 2.0), True)], NUM2)
         X = np.array([[2.0, 0.0], [1.9999, 0.0]])
-        assert tree.encode_batch(X, NUM2).tolist() == [taken, 1 - taken]
+        assert encode(tree, X, NUM2).tolist() == [taken, 1 - taken]
 
     def test_categorical_passes_on_equality(self):
         tree, taken = tree_from_path([((1, 1), True)], MIXED)
         X = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
-        assert tree.encode_batch(X, MIXED).tolist() == [taken, 1 - taken, 1 - taken]
+        assert encode(tree, X, MIXED).tolist() == [taken, 1 - taken, 1 - taken]
 
 
 class TestEncode:
     def test_routing(self):
         tree = small_tree()
         X = np.array([[4.0, 9.0], [5.0, 2.0], [6.0, 3.0]])
-        assert tree.encode_batch(X, NUM2).tolist() == [0, 1, 2]
+        assert encode(tree, X, NUM2).tolist() == [0, 1, 2]
         assert [walk_leaf(tree, x, NUM2) for x in X] == [0, 1, 2]
 
     def test_single_leafy(self):
@@ -83,22 +89,22 @@ class TestEncode:
         for mode in ("supervised", "unsupervised"):
             forest = train_forest(ds, TrainConfig(mode=mode, n_trees=6, seed=3))
             for tree in forest.trees:
-                batch = tree.encode_batch(ds.X, ds.schema)
+                batch = encode(tree, ds.X, ds.schema)
                 scalar = [walk_leaf(tree, x, ds.schema) for x in ds.X]
                 assert batch.tolist() == scalar
 
     def test_batch_empty_input(self):
-        got = small_tree().encode_batch(np.empty((0, 2)), NUM2)
+        got = encode(small_tree(), np.empty((0, 2)), NUM2)
         assert got.shape == (0,)
 
     def test_batch_single_leaf(self):
-        got = leaf_only_tree().encode_batch(np.zeros((4, 2)), NUM2)
+        got = encode(leaf_only_tree(), np.zeros((4, 2)), NUM2)
         assert got.tolist() == [0, 0, 0, 0]
 
     def test_categorical_routing(self):
         tree = stump(1, 2.0, schema=MIXED)
         X = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 0.0]])
-        assert tree.encode_batch(X, MIXED).tolist() == [1, 0, 0]
+        assert encode(tree, X, MIXED).tolist() == [1, 0, 0]
         assert [walk_leaf(tree, x, MIXED) for x in X] == [1, 0, 0]
 
 
@@ -392,7 +398,7 @@ class TestForest:
         assert forest.T == 2 and forest.d == 2
         x = np.array([6.0, 3.0])
         assert walk_codes(forest, x).tolist() == [2, 3]
-        assert [t.encode_batch(x[None, :], NUM2)[0] for t in forest.trees] == [2, 3]
+        assert TreeGroup(forest.trees).encode(x[None, :], NUM2)[0].tolist() == [2, 3]
 
 
 class TestDepthStats:

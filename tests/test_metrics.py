@@ -9,7 +9,7 @@ import pytest
 from eforest.codec import TreeMask, encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema
 from eforest.errors import ConfigError, MetricDomainError, ShapeError
-from eforest.forest import Tree
+from eforest.forest import TreeGroup
 from eforest.metrics import (
     ReconReport,
     damage_curve,
@@ -200,17 +200,17 @@ class TestDamageCurve:
     def test_absorbs_each_tree_once(self, monkeypatch):
         ds = numeric_dataset(seed=18)
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=8, seed=5))
-        walks = []
-        descend = Tree.descend
+        walked = []
+        descend = TreeGroup.descend
 
-        def counted(tree, n, go_true):
-            walks.append(tree)
-            return descend(tree, n, go_true)
+        def counted(group, n, go_true):
+            walked.append(group.n_trees)
+            return descend(group, n, go_true)
 
-        monkeypatch.setattr(Tree, "descend", counted)
+        monkeypatch.setattr(TreeGroup, "descend", counted)
         damage_curve(forest, ds, (0.75, 0.25, 1.0, 0.5, 0.25), seed=2)
-        # T walks to encode plus T to decode the nested masks, smallest first
-        assert len(walks) == 2 * forest.T
+        # T trees walked to encode plus T to decode the nested masks, smallest first
+        assert sum(walked) == 2 * forest.T
 
     def test_full_fraction_matches_undamaged(self):
         ds = numeric_dataset(seed=19)

@@ -16,6 +16,8 @@ from eforest.rng import (
     tree_stream,
 )
 
+from synthdata import sample_without_replacement
+
 # Published output sequence for a zero-seeded splitmix64 generator.
 SEED0_FIRST3 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 
@@ -169,7 +171,7 @@ class TestShuffleAndSample:
     @settings(max_examples=60, deadline=None)
     def test_sample_without_replacement(self, seed, n, data):
         k = data.draw(st.integers(0, n))
-        picked = SplitMix64(seed).sample_without_replacement(n, k)
+        picked = sample_without_replacement(SplitMix64(seed), n, k)
         assert len(picked) == k
         assert len(set(picked.tolist())) == k
         assert all(0 <= v < n for v in picked.tolist())
@@ -180,7 +182,7 @@ class TestShuffleAndSample:
         # same picks in the same order, and the same draws: the streams stay in step
         k = data.draw(st.integers(0, n))
         gen, oracle = SplitMix64(seed), SplitMix64(seed)
-        picked = gen.sample_without_replacement(n, k)
+        picked = sample_without_replacement(gen, n, k)
         assert picked.dtype == np.int64
         assert picked.tolist() == _sample_by_swaps(oracle, n, k).tolist()
         assert gen.state == oracle.state
@@ -190,18 +192,18 @@ class TestShuffleAndSample:
         for k in sorted({0, 1, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
             for seed in (0, 5, MASK64):
                 gen, calls = SplitMix64(seed), SplitMix64(seed)
-                assert gen.sample_without_replacement(n, k).tolist() == (
+                assert sample_without_replacement(gen, n, k).tolist() == (
                     _sample_by_calls(calls, n, k).tolist())
                 assert gen.state == calls.state
 
     def test_sample_full_is_permutation(self):
-        picked = SplitMix64(21).sample_without_replacement(30, 30)
+        picked = sample_without_replacement(SplitMix64(21), 30, 30)
         assert sorted(picked.tolist()) == list(range(30))
 
     def test_sample_prefix_stability(self):
         # drawing fewer items yields a prefix of the longer draw
-        long = SplitMix64(31).sample_without_replacement(40, 20)
-        short = SplitMix64(31).sample_without_replacement(40, 8)
+        long = sample_without_replacement(SplitMix64(31), 40, 20)
+        short = sample_without_replacement(SplitMix64(31), 40, 8)
         assert short.tolist() == long.tolist()[:8]
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eforest import training
+from eforest.codec import encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema, compute_bounds
 from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
 from eforest.forest import Tree
@@ -29,7 +30,7 @@ from eforest.training import (
     train_forest,
 )
 
-from synthdata import mnist_like, random_mixed, tfidf_like
+from synthdata import mnist_like, random_mixed, sample_without_replacement, tfidf_like
 
 
 def reference_entropy(labels) -> float:
@@ -523,8 +524,7 @@ class TestTrainForest:
             ds, TrainConfig(mode="unsupervised", n_trees=2, seed=3, min_node_size=5)
         )
         # rows per leaf are not persisted; re-derive them by encoding
-        for tree in forest.trees:
-            codes = tree.encode_batch(ds.X, ds.schema)
+        for tree, codes in zip(forest.trees, encode_batch(forest, ds).leaf_ids.T):
             counts = np.bincount(codes, minlength=tree.leaf_count)
             assert counts.max() <= 5 or tree.n_nodes == 1
 
@@ -590,8 +590,8 @@ def reference_gain_split(XT, rows, y, stream, is_cat, n_classes, min_node_size):
         return None
     y = y[rows]
     xlogx = _xlogx_table(XT.shape[1])
-    attrs = np.sort(stream.sample_without_replacement(XT.shape[0],
-                                                      attribute_sample_size(XT.shape[0])))
+    attrs = np.sort(sample_without_replacement(stream, XT.shape[0],
+                                               attribute_sample_size(XT.shape[0])))
     order = np.argsort(XT[attrs[:, None], rows], axis=1)
     sv = XT[attrs[:, None], rows[order]].ravel()
     start = np.empty(len(sv) + 1, dtype=bool)
