@@ -11,8 +11,9 @@ step, so a group costs its deepest tree's depth in steps, and a group holds at
 most ``_STEP_PAIRS`` pairs. Encoding steers each pair by the row's attribute
 values. Batch decoding steers it by the stored position of the leaf its
 ordinal names, as a fold that tightens a per-row region state once per kept
-tree. A node's test is ``x[attr] == param`` when the schema marks its
-attribute categorical, else ``x[attr] >= param``. The per-row
+tree: lower and upper ends of every attribute, and the categories that
+refused tests ban. A node's test is ``x[attr] == param`` when the schema
+marks its attribute categorical, else ``x[attr] >= param``. The per-row
 ``decode_region`` builds the same region with the rule algebra of
 ``rules.py``; with ``rules.representative`` it is the reference the batch
 engine is tested against.
@@ -193,83 +194,76 @@ def decode_region(forest: Forest, encoding, mask: TreeMask | None = None) -> Rul
     return calculate_mcr(rules, forest.bounds, forest.schema)
 
 
-def _absorb(state, trees, leaf_ids: np.ndarray, is_cat: np.ndarray) -> None:
+def _absorb(state, trees, leaf_ids: np.ndarray, sizes: np.ndarray) -> None:
     """Tighten the per-row region state by every test on the paths to the
     leaves that ``leaf_ids`` (one column per tree of ``trees``) names.
 
-    Numeric attributes carry per-row lower and upper ends, categorical ones
-    (``is_cat``) an (n, size) allowed-value mask. The trees walk all rows down
-    to the leaves their ordinals name together, one level per step. In
-    pre-order the true subtree of node ``i`` starts at ``true_child[i]``, so a
-    pair bound for leaf node ``target`` takes the true branch exactly when
-    ``target >= true_child[i]``. Numeric tests raise ``lo`` and lower ``hi``
-    at flat (row, attribute) cells with ``maximum.at``/``minimum.at``, which
-    are exact whichever tree reaches a cell first; categorical tests are
-    gathered and applied once the walk ends.
+    Every attribute kind shares one state: per-row ends ``lo``/``hi`` of every
+    attribute and a ``banned`` mask whose columns hold each categorical
+    attribute's values in turn (``sizes`` are the category counts). The trees
+    walk all rows down to the leaves their ordinals name together, one level
+    per step. In pre-order the true subtree of node ``i`` starts at
+    ``true_child[i]``, so a pair bound for leaf node ``target`` takes the true
+    branch exactly when ``target >= true_child[i]``. A taken test raises ``lo``
+    (``x >= t`` to ``t``, ``x == v`` to ``v``); ``hi`` falls to the open end
+    ``t`` of a refused ``x >= t`` and to the closed end ``v`` of a taken
+    ``x == v``, so two different values leave ``lo > hi``; a refused ``x == v``
+    bans ``v``. Ends are written at flat (row, attribute) cells with
+    ``maximum.at``/``minimum.at``, exact whichever tree reaches a cell first.
     """
-    lo, hi, allowed = state
+    lo, hi, banned = state
     n, d = lo.shape
+    width, is_cat, start = banned.shape[1], sizes > 0, np.cumsum(sizes) - sizes
     group = TreeGroup(trees)
     k = group.n_trees
     target = group.leaf_nodes(leaf_ids).ravel()
-    lo, hi = lo.ravel(), hi.ravel()  # views: the state arrays are contiguous
-    cat_tests = []
+    lo, hi, banned = lo.ravel(), hi.ravel(), banned.ravel()  # views of the state
 
     def go_true(pairs, nodes):
         taken = target[pairs] >= group.true_child[nodes]
         a = group.attr[nodes]
-        cells = pairs // k * d + a
+        rows = pairs // k
+        cells = rows * d + a
         p = group.param[nodes]
         cat = is_cat[a]
-        up = taken & ~cat
-        np.maximum.at(lo, cells[up], p[up])
-        down = ~(taken | cat)
+        np.maximum.at(lo, cells[taken], p[taken])
+        down = taken == cat
         np.minimum.at(hi, cells[down], p[down])
-        if cat.any():
-            cat_tests.append((cells[cat], p[cat].astype(np.intp), taken[cat]))
+        ban = cat & ~taken
+        banned[rows[ban] * width + start[a[ban]] + p[ban].astype(np.intp)] = True
         return taken
 
     group.descend(n, go_true)
-    if cat_tests:
-        cells, values, taken = map(np.concatenate, zip(*cat_tests))
-        rows, attrs = np.divmod(cells, d)
-        for j in np.unique(attrs):
-            allow = allowed[int(j)]
-            on = attrs == j
-            # x[j] != v removes v
-            off = on & ~taken
-            allow[rows[off], values[off]] = False
-            # x[j] == v keeps v alone, if still allowed: two different values
-            # in one row leave nothing
-            on &= taken
-            r, inv = np.unique(rows[on], return_inverse=True)
-            v = values[on]
-            least = np.full(len(r), np.iinfo(np.intp).max)
-            np.minimum.at(least, inv, v)
-            most = np.full(len(r), -1)
-            np.maximum.at(most, inv, v)
-            hit = (least == most) & allow[r, least]
-            allow[r] = False
-            allow[r[hit], least[hit]] = True
 
 
 def _finish(forest: Forest, state, strategy: str) -> np.ndarray:
-    """Representative of every row's region; reads the state, never writes it."""
-    lo, hi, allowed = state
+    """Representative of every row's region; reads the state, never writes it.
+    A categorical attribute takes the lowest value in ``[lo, hi]`` not banned."""
+    lo, hi, banned = state
+    sizes = forest.schema.category_sizes
+    cat = np.flatnonzero(sizes)
+    start = np.cumsum(sizes) - sizes
+    # column c of ``banned`` is value ``value[c]`` of attribute ``owner[c]``
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    value = np.arange(banned.shape[1]) - start[owner]
+    free = ~banned & (lo[:, owner] <= value) & (value <= hi[:, owner])
+    # each attribute's lowest free value, or its size when none is free
+    first = np.minimum.reduceat(np.where(free, value, sizes[owner]), start[cat], axis=1)
+
     hi_open = hi != np.inf
     lo = np.where(lo == -np.inf, forest.bounds.lo, lo)
     hi = np.where(hi_open, hi, forest.bounds.hi)
-    empty = (lo > hi) | ((lo == hi) & hi_open)
-    for j, allow in allowed.items():
-        empty[:, j] = ~allow.any(axis=1)
+    empty = np.equal(lo, hi)
+    empty &= hi_open
+    empty |= lo > hi
+    empty[:, cat] = first == sizes[cat]  # their hi is a closed end, not open
     if empty.any():
         i, j = np.argwhere(empty)[0]
         raise EmptyMCRError(
             f"row {i}, attribute {forest.schema.names[j]}: rule intersection is empty"
         )
     X = pick_interval_batch(lo, hi, hi_open, strategy)
-    for j, allow in allowed.items():
-        X[:, j] = allow.argmax(axis=1)
+    X[:, cat] = first
     return X
 
 
@@ -277,7 +271,7 @@ def decode_masks(forest: Forest, matrix: EncodingMatrix, masks, strategy: str = 
     """Yield the reconstruction of every encoded instance under each mask in turn.
 
     Each kept tree tightens the rows' regions (``lo`` by max, ``hi`` by min,
-    category masks by AND), which is exact in any tree order. A mask holding
+    banned categories by OR), which is exact in any tree order. A mask holding
     every tree absorbed so far absorbs only its new trees, so nested masks
     given smallest first walk each tree once; any other mask starts over. A
     ``None`` mask keeps every tree.
@@ -290,20 +284,19 @@ def decode_masks(forest: Forest, matrix: EncodingMatrix, masks, strategy: str = 
     leaf_ids = matrix.leaf_ids
     _check_ordinals(forest, leaf_ids)
     n, schema = matrix.n, forest.schema
-    is_cat = schema.category_sizes > 0
+    sizes = schema.category_sizes
     state, absorbed = None, set()
     for mask in masks:
         keep = _resolve_mask(mask, forest.T)
         if state is None or not absorbed.issubset(keep):
             state = (np.full((n, schema.d), -np.inf), np.full((n, schema.d), np.inf),
-                     {int(j): np.ones((n, schema.category_sizes[j]), dtype=bool)
-                      for j in np.flatnonzero(is_cat)})
+                     np.zeros((n, sizes.sum()), dtype=bool))
             absorbed = set()
         new = [t for t in keep if t not in absorbed]
         for ts in _groups(new, n):
-            _absorb(state, [forest.trees[t] for t in ts], leaf_ids[:, ts], is_cat)
+            _absorb(state, [forest.trees[t] for t in ts], leaf_ids[:, ts], sizes)
         absorbed = set(keep)
-        yield Dataset(schema, _finish(forest, state, strategy))
+        yield Dataset._adopt(schema, _finish(forest, state, strategy))
 
 
 def decode_batch(

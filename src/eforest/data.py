@@ -192,15 +192,21 @@ class Dataset:
     def d(self) -> int:
         return self.schema.d
 
+    @classmethod
+    def _adopt(cls, schema: Schema, X: np.ndarray, labels=None) -> "Dataset":
+        """Dataset that keeps ``X`` itself: a new C-ordered float64 matrix that
+        its maker hands over, so making it was the one copy."""
+        X.flags.writeable = False
+        dataset = cls.__new__(cls)
+        dataset._hold(schema, X, labels)
+        return dataset
+
     def take(self, rows: np.ndarray) -> "Dataset":
         """Row subset as a new dataset; ``rows`` indexes rows, and gathering
         them is the one copy of the matrix made."""
         rows = np.asarray(rows)
-        X = self.X[rows]
-        X.flags.writeable = False
-        subset = Dataset.__new__(Dataset)
-        subset._hold(self.schema, X, None if self.labels is None else self.labels[rows])
-        return subset
+        labels = None if self.labels is None else self.labels[rows]
+        return Dataset._adopt(self.schema, self.X[rows], labels)
 
 
 def integer_array(values, dtype, error: type[EForestError], what: str) -> np.ndarray:

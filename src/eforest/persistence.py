@@ -226,7 +226,7 @@ def load_model(path):
 
     schema = _schema_from_record(record["schema"])
     bounds = _bounds_from_record(record["bounds"])
-    if not isinstance(record["seed"], int):
+    if type(record["seed"]) is not int:
         raise InvalidModelError(f"{path}: seed must be an integer")
     if not isinstance(record["config"], dict):
         raise InvalidModelError(f"{path}: config must be an object")

@@ -39,11 +39,9 @@ class SplitMix64:
 
     def u64(self) -> int:
         """Next raw 64-bit output."""
+        z = mix64(self.state)
         self.state = (self.state + GOLDEN) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * MIX_1) & MASK64
-        z = ((z ^ (z >> 27)) * MIX_2) & MASK64
-        return z ^ (z >> 31)
+        return z
 
     def below(self, n: int) -> int:
         """Integer in [0, n) via modulo reduction."""

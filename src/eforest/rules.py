@@ -284,11 +284,11 @@ def pick_interval_batch(
     """Vectorized pick_in_interval for intervals with closed lower ends.
 
     Mirrors the scalar routine operation for operation so both decode routes
-    produce bitwise-identical representatives.
+    produce bitwise-identical representatives. "min" returns ``lo`` itself.
     """
     strategy = normalize_strategy(strategy)
     if strategy == "min":
-        return lo.copy()
+        return lo
     if strategy == "max":
         x = np.where(hi_open, hi - EPS_INSET * (hi - lo), hi)
     else:

@@ -33,7 +33,7 @@ from eforest.persistence import forest_hex_id
 from eforest.rules import Interval, contains
 from eforest.training import TrainConfig, train_forest
 
-from synthdata import decode, random_mixed, tree_from_path, walk_codes
+from synthdata import decode, mnist_like, random_mixed, tree_from_path, walk_codes
 
 NUM1 = Schema.numeric(["x"])
 
@@ -412,13 +412,13 @@ class TestDecodeBatch:
                 decode_batch(forest, bad)
 
     def test_empty_matrix(self):
-        ds = numeric_dataset(seed=29)
-        forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=1))
-        empty = EncodingMatrix(
-            np.zeros((0, 3), dtype=np.int32), encode_batch(forest, ds).forest_id
-        )
-        out = decode_batch(forest, empty)
-        assert out.n == 0 and out.d == ds.d
+        # a mixed schema too: its banned mask has no rows but some columns
+        for ds in (numeric_dataset(seed=29), random_mixed(53)):
+            forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=1))
+            empty = EncodingMatrix(np.zeros((0, 3), dtype=np.int32), forest_hex_id(forest))
+            for strategy in ("min", "mean", "max"):
+                outs = decode_masks(forest, empty, [TreeMask((0,)), None], strategy)
+                assert [(out.n, out.d) for out in outs] == [(0, ds.d), (0, ds.d)]
 
     def test_decoded_categories_are_valid(self):
         ds = random_mixed(53)
@@ -537,6 +537,80 @@ class TestGroupWalk:
                 assert (oracle is None) == (want is None)
 
 
+# numeric attributes around adjacent categorical ones of sizes 1, 2 and 5, so
+# that each categorical attribute's first column of the banned mask differs
+SIZED = Schema(
+    ("x", "one", "two", "five", "y"),
+    (Numeric(), Categorical(("a",)), Categorical(("b", "c")),
+     Categorical(tuple("defgh")), Numeric()),
+)
+SIZED_BOUNDS = Bounds(np.zeros(5), np.array([3.0, 0.0, 1.0, 4.0, 3.0]))
+
+
+def sized_dataset(seed: int, n: int = 150) -> Dataset:
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.integers(0, 4, n), np.zeros(n), rng.integers(0, 2, n),
+                         rng.integers(0, 5, n), rng.normal(0, 2, n).round(1)])
+    return Dataset(SIZED, X, labels=rng.integers(0, 3, n))
+
+
+class TestRegionState:
+    """Categorical tests share the numeric ends and add one banned mask whose
+    columns hold every categorical attribute's values in turn."""
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_sized_categories_match_the_oracle(self, mode):
+        ds = sized_dataset(5)
+        forest = train_forest(ds, TrainConfig(mode=mode, n_trees=6, seed=4))
+        matrix = encode_batch(forest, ds)
+        rng = np.random.default_rng(6)
+        drawn = np.column_stack([rng.integers(0, t.leaf_count, 60) for t in forest.trees])
+        for ids in np.concatenate([matrix.leaf_ids, drawn]).astype(np.int32):
+            for strategy in ("min", "max"):
+                oracle = decode_or_empty(lambda: decode(forest, ids, strategy))
+                got = decode_or_empty(lambda: decode_batch(
+                    forest, EncodingMatrix(ids[None], matrix.forest_id), strategy).X[0])
+                assert (got is None) == (oracle is None)
+                if oracle is not None:
+                    assert got.tobytes() == oracle.tobytes()
+
+    @given(
+        paths=st.lists(
+            st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()),
+                     min_size=1, max_size=4, unique_by=lambda step: step[0]),
+            min_size=1, max_size=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sized_chain_trees_match_the_oracle(self, paths):
+        # every test names a value its attribute holds: a threshold v + 0.5
+        # for x and y, a category below the attribute's size otherwise; no
+        # tree refuses the only category of "one"
+        sizes = SIZED.category_sizes
+        steps = [[((a, v % sizes[a] if sizes[a] else v % 3 + 0.5), b or a == 1)
+                  for a, v, b in path] for path in paths]
+        built = [tree_from_path(path, SIZED) for path in steps]
+        forest = Forest([t for t, _ in built], SIZED, SIZED_BOUNDS, "unsupervised", 0)
+        ids = np.array([[end for _, end in built]], dtype=np.int32)
+        oracle = decode_or_empty(lambda: decode(forest, ids[0]))
+        got = decode_or_empty(lambda: decode_batch(
+            forest, EncodingMatrix(ids, forest_hex_id(forest))).X[0])
+        assert (got is None) == (oracle is None)
+        if oracle is not None:
+            assert got.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("seed", [7, 10, 53])
+    def test_error_names_the_first_empty_row(self, seed):
+        ds = random_mixed(seed)
+        forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=5, seed=2))
+        rng = np.random.default_rng(seed)
+        drawn = np.column_stack([rng.integers(0, t.leaf_count, 40) for t in forest.trees])
+        leaf_ids = np.concatenate([encode_batch(forest, ds).leaf_ids[:5], drawn]).astype(np.int32)
+        first = next(i for i, ids in enumerate(leaf_ids)
+                     if decode_or_empty(lambda: decode(forest, ids)) is None)
+        with pytest.raises(EmptyMCRError, match=f"^row {first}, attribute "):
+            decode_batch(forest, EncodingMatrix(leaf_ids, forest_hex_id(forest)))
+
+
 def traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -568,3 +642,12 @@ class TestWalkMemory:
         assert enc_big - enc_small < 4 * added_pairs + 200_000
         assert dec_big - dec_small < 200_000
 
+    def test_finish_holds_no_spare_copies(self):
+        # the fold's state is two n x d float64 arrays and the finish adds the
+        # clamped ends; the output is the clamped lower ends, not a copy of them
+        train, test = mnist_like(300), mnist_like(3000, seed=1)
+        forest = train_forest(train, TrainConfig(mode="unsupervised", n_trees=4, seed=0))
+        matrix = encode_batch(forest, test)
+        out = []
+        peak = traced_peak(lambda: out.append(decode_batch(forest, matrix)))
+        assert peak <= 4.5 * out[0].X.nbytes

@@ -415,6 +415,13 @@ class TestModelFormatErrors:
         with pytest.raises(InvalidModelError):
             load_model(p)
 
+    def test_boolean_seed(self, tmp_path):
+        # JSON true is a Python int subclass; a config refuses it as a seed
+        p = self.make_saved(tmp_path)
+        rewrite_with_fresh_hash(p, lambda r: r.update({"seed": True}))
+        with pytest.raises(InvalidModelError, match="seed must be an integer"):
+            load_model(p)
+
     def test_bad_bounds(self, tmp_path):
         p = self.make_saved(tmp_path)
         rewrite_with_fresh_hash(p, lambda r: r["bounds"].pop("hi"))
