@@ -6,7 +6,7 @@ rules of those leaves into the maximal compatible rule and returns a
 representative point of that region.
 """
 
-from .codec import EncodingMatrix, TreeMask, decode_batch, decode_region, encode_batch
+from .codec import TreeMask, decode_batch, decode_region, encode_batch
 from .data import (
     AttributeKind,
     Bounds,
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .forest import Forest, Tree
 from .metrics import ReconReport, damage_curve, reconstruction_report
-from .persistence import load_encodings, load_model, save_encodings, save_model
+from .persistence import EncodingMatrix, load_encodings, load_model, save_encodings, save_model
 from .rules import CategorySet, Interval, Rule, calculate_mcr, contains, representative
 from .training import TrainConfig, train_forest
 

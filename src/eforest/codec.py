@@ -7,15 +7,14 @@ tree mask uses only the kept trees, which models operating a damaged model.
 
 Both batch directions walk a group of trees at once through
 ``forest.TreeGroup.descend``: every (row, tree) pair moves down one level per
-step, so a group costs its deepest tree's depth in steps, and a group holds at
-most ``_STEP_PAIRS`` pairs. Encoding steers each pair by the row's attribute
-values. Batch decoding steers it by the stored position of the leaf its
-ordinal names, as a fold that tightens a per-row region state once per kept
-tree: lower and upper ends of every attribute, and the categories that
-refused tests ban. A node's test is ``x[attr] == param`` when the schema
-marks its attribute categorical, else ``x[attr] >= param``. The per-row
-``decode_region`` builds the same region with the rule algebra of
-``rules.py``; with ``rules.representative`` it is the reference the batch
+step, so a group costs its deepest tree's depth in steps, and a group holds
+about ``_STEP_PAIRS`` pairs. Encoding steers each pair by the row's values
+through ``forest.node_test``, the test training routes its rows by. Batch
+decoding steers it by the stored position of the leaf its ordinal names, as
+a fold that tightens a per-row region state once per kept tree: lower and
+upper ends of every attribute, and the categories that refused tests ban.
+The per-row ``decode_region`` builds the same region with the rule algebra
+of ``rules.py``; with ``rules.representative`` it is the reference the batch
 engine is tested against.
 """
 
@@ -34,16 +33,15 @@ from .errors import (
     LeafIndexError,
     ModelMismatchError,
     SchemaMismatchError,
-    ShapeError,
 )
-from .forest import Forest, TreeGroup, get_path, path_to_rule
-from .persistence import forest_hex_id
+from .forest import Forest, TreeGroup, budget_runs, get_path, path_to_rule
+from .persistence import EncodingMatrix, forest_hex_id
 from .rng import permutation
 from .rules import Rule, calculate_mcr, pick_interval_batch
 
-# The most (row, tree) pairs one walk holds: encode and decode walk
-# max(1, _STEP_PAIRS // n) trees of an n-row batch at once, which bounds the
-# walk's memory whatever the forest's size.
+# About the most (row, tree) pairs one walk holds: encode and decode walk the
+# trees of an n-row batch in runs of about _STEP_PAIRS // n (at least one),
+# which bounds the walk's memory whatever the forest's size.
 _STEP_PAIRS = 1 << 18
 
 
@@ -88,28 +86,6 @@ class TreeMask:
         return cls(tuple(permutation(seed, n_trees)[:k]))
 
 
-@dataclass(frozen=True)
-class EncodingMatrix:
-    """Leaf ordinals of n instances under T trees, tied to a model by its hash."""
-
-    leaf_ids: np.ndarray
-    forest_id: str
-
-    def __post_init__(self):
-        if np.ndim(self.leaf_ids) != 2:
-            raise ShapeError(f"leaf_ids must be a 2-d array, got {np.ndim(self.leaf_ids)}-d")
-        leaf_ids = integer_array(self.leaf_ids, np.int32, LeafIndexError, "leaf ordinals")
-        object.__setattr__(self, "leaf_ids", leaf_ids)
-
-    @property
-    def n(self) -> int:
-        return self.leaf_ids.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.leaf_ids.shape[1]
-
-
 def _check_schema(model: Schema, data: Schema, reuse: bool) -> None:
     if reuse:
         if model.d != data.d:
@@ -142,11 +118,9 @@ def _resolve_mask(mask: TreeMask | None, n_trees: int) -> tuple[int, ...]:
 
 
 def _groups(trees, n: int):
-    """``trees`` in runs that one walk holds at once: at most ``_STEP_PAIRS``
+    """``trees`` in runs that one walk holds at once: about ``_STEP_PAIRS``
     (row, tree) pairs, and always at least one tree."""
-    size = max(1, _STEP_PAIRS // max(n, 1))
-    for i in range(0, len(trees), size):
-        yield trees[i:i + size]
+    return [trees[run] for run in budget_runs(np.full(len(trees), max(n, 1)), _STEP_PAIRS)]
 
 
 def encode_batch(forest: Forest, dataset: Dataset, reuse: bool = False) -> EncodingMatrix:

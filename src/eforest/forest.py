@@ -11,6 +11,8 @@ the vector of those leaf ordinals, one per tree.
 Encode and decode share one walk: a ``TreeGroup`` lays a group of trees end to
 end as one set of node arrays and moves every (row, tree) pair down one level
 per step, so a group of trees costs as many steps as its deepest tree.
+Training routes rows and encoding routes pairs with one ``node_test``, and
+lockstep groups, kernel calls and walks are all cut by one ``budget_runs``.
 """
 
 from __future__ import annotations
@@ -164,6 +166,32 @@ def _true_children(leaf: np.ndarray) -> np.ndarray:
     return true_child
 
 
+def node_test(values: np.ndarray, attr: np.ndarray, param: np.ndarray,
+              is_cat: np.ndarray) -> np.ndarray:
+    """Which values take the true branch of their node's test: ``value ==
+    param`` where the attribute ``attr`` is categorical (``is_cat``), else
+    ``value >= param``; the three arrays line up. An all-numeric schema skips
+    the per-value kind lookup."""
+    if not is_cat.any():
+        return values >= param
+    return np.where(is_cat[attr], values == param, values >= param)
+
+
+def budget_runs(costs: np.ndarray, budget: int) -> list[slice]:
+    """Consecutive runs of items, none empty, each costing about ``budget``:
+    an item starts a new run when the cost of the items before it crosses a
+    multiple of ``budget``, so a run exceeds it by at most its last item's
+    cost, and one run holds every item when their total fits."""
+    if not len(costs):
+        return []
+    ends = np.cumsum(costs)
+    if ends[-1] <= budget:
+        return [slice(0, len(costs))]
+    run = (ends - costs) // budget
+    cuts = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1), len(costs)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 class TreeGroup:
     """Trees laid end to end as one set of node arrays, walked together.
 
@@ -207,9 +235,7 @@ class TreeGroup:
 
         def go_true(pairs, nodes):
             a = self.attr[nodes]
-            v = values[pairs // k * d + a]
-            p = self.param[nodes]
-            return np.where(is_cat[a], v == p, v >= p)
+            return node_test(values[pairs // k * d + a], a, self.param[nodes], is_cat)
 
         return self.leaf_ordinals(self.descend(n, go_true))
 

@@ -7,7 +7,8 @@ value. Each tree is stored as its two arrays, ``{"nodes": {"attr": [...],
 from the pre-order layout, so neither is written. Files of other versions,
 such as version 2's four arrays per tree, are refused. The embedded hash is
 64-bit FNV-1a over the canonical bytes of the record without its hash field,
-so equal forests always produce equal bytes and equal hashes.
+so equal forests always produce equal bytes and equal hashes. An
+``EncodingMatrix`` is defined here, beside its file format.
 
 ``fnv1a64`` computes that digest with array arithmetic, 64 KiB at a time.
 With ``s = h mod 256``, the step ``h <- (h ^ b) * P`` is ``h <- (h + d) * P``
@@ -24,15 +25,17 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Bounds, Categorical, Numeric, Schema, atomic_write_bytes
+from .data import Bounds, Categorical, Numeric, Schema, atomic_write_bytes, integer_array
 from .errors import (
     CorruptModelError,
     FormatError,
     InvalidModelError,
+    LeafIndexError,
     ShapeError,
     VersionError,
 )
@@ -254,10 +257,32 @@ def load_model(path):
     return forest
 
 
+@dataclass(frozen=True)
+class EncodingMatrix:
+    """Leaf ordinals of n instances under T trees, tied to a model by its hash."""
+
+    leaf_ids: np.ndarray
+    forest_id: str
+
+    def __post_init__(self):
+        if np.ndim(self.leaf_ids) != 2:
+            raise ShapeError(f"leaf_ids must be a 2-d array, got {np.ndim(self.leaf_ids)}-d")
+        leaf_ids = integer_array(self.leaf_ids, np.int32, LeafIndexError, "leaf ordinals")
+        object.__setattr__(self, "leaf_ids", leaf_ids)
+
+    @property
+    def n(self) -> int:
+        return self.leaf_ids.shape[0]
+
+    @property
+    def T(self) -> int:
+        return self.leaf_ids.shape[1]
+
+
 _ENC_HEADER = re.compile(rb"eforest-enc v2 n=(\d+) T=(\d+) forest=([0-9a-f]{16})\n")
 
 
-def save_encodings(matrix, path) -> None:
+def save_encodings(matrix: EncodingMatrix, path) -> None:
     """Write an encoding matrix: a header line, then n*T little-endian int32
     leaf ordinals in row-major order."""
     header = f"eforest-enc v2 n={matrix.n} T={matrix.T} forest={matrix.forest_id}\n"
@@ -265,11 +290,9 @@ def save_encodings(matrix, path) -> None:
     atomic_write_bytes(Path(path), header.encode("ascii") + body)
 
 
-def load_encodings(path):
+def load_encodings(path) -> EncodingMatrix:
     """Read an encoding matrix; the body must hold exactly the header's n*T
     ordinals. The returned ``leaf_ids`` may be a read-only view of the file bytes."""
-    from .codec import EncodingMatrix
-
     path = Path(path)
     try:
         blob = path.read_bytes()

@@ -12,9 +12,10 @@ node, in depth-first pre-order with the false branch first, of every tree of
 the group not yet finished, and one batched split kernel decides all of those
 nodes at once. Within a tree, nodes are decided and draw from the tree's
 stream in pre-order, so neither the grouping nor the thread count changes a
-tree. Two fixed bounds cap the memory: a group's row buffers hold
-``_GROUP_ROWS`` rows, and one kernel call takes nodes whose rows, each
-weighted by the kernel's ``width``, add up to about ``_STEP_CELLS``.
+tree. ``forest.budget_runs`` cuts groups so their row buffers hold about
+``_GROUP_ROWS`` rows, and kernel calls so their nodes' rows, each weighted by
+the kernel's ``width``, add up to about ``_STEP_CELLS``. Rows are routed by
+encoding's ``forest.node_test``, and each tree is built from its arrays once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     ShapeError,
     UnknownCategoryError,
 )
-from .forest import Forest, Tree
+from .forest import Forest, Tree, budget_runs, node_test
 from .rng import GOLDEN, SplitMix64, peek_words, skip_words, tree_stream
 
 MODES = ("supervised", "unsupervised")
@@ -44,7 +45,7 @@ MODES = ("supervised", "unsupervised")
 
 @dataclass
 class TrainConfig:
-    """Training parameters; bootstrap defaults to true only for supervised mode."""
+    """Training parameters; an unset bootstrap becomes true only for supervised mode."""
 
     mode: str
     n_trees: int
@@ -73,12 +74,8 @@ class TrainConfig:
             raise ConfigError("max_depth_cap must be >= 0")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-
-    @property
-    def resolved_bootstrap(self) -> bool:
         if self.bootstrap is None:
-            return self.mode == "supervised"
-        return self.bootstrap
+            self.bootstrap = self.mode == "supervised"
 
     def to_meta(self) -> dict:
         """Training summary persisted with the model; excludes execution details."""
@@ -88,7 +85,7 @@ class TrainConfig:
             "seed": self.seed,
             "min_node_size": self.min_node_size,
             "max_depth_cap": self.max_depth_cap,
-            "bootstrap": self.resolved_bootstrap,
+            "bootstrap": self.bootstrap,
         }
 
 
@@ -147,16 +144,13 @@ class _Kernel:
         self.flat = self.XT.ravel()
         self.d, self.n = self.XT.shape
         self.is_cat = schema.category_sizes > 0
-        self.any_cat = bool(self.is_cat.any())
         self.min_node_size = min_node_size
 
     def _route(self, col, size, attr, param):
         """Which rows take the true branch, given each row's value of its
         node's attribute; a leaf sends none there."""
         p = np.where(attr < 0, np.inf, param).repeat(size)
-        if not self.any_cat:
-            return col >= p
-        return np.where(self.is_cat[attr].repeat(size), col == p, col >= p)
+        return node_test(col, attr.repeat(size), p, self.is_cat)
 
 
 class _RandomSplits(_Kernel):
@@ -192,13 +186,10 @@ class _RandomSplits(_Kernel):
             split = attr >= 0
         t = lo + ((spare >> np.uint64(11)) * 2.0**-53) * (hi - lo)
         param = np.where(split, t, 0.0)
-        numeric = split
-        if self.any_cat:
-            cat = split & self.is_cat[attr]
-            if cat.any():
-                param[cat] = _pick_present(col, offsets, cat.nonzero()[0], spare)
-            numeric = split > cat
-        off = numeric & ((t <= lo) | (t >= hi))
+        cat = split & self.is_cat[attr]
+        if cat.any():
+            param[cat] = _pick_present(col, offsets, cat.nonzero()[0], spare)
+        off = (split > cat) & ((t <= lo) | (t >= hi))
         if off.any():
             for i in off.nonzero()[0]:
                 stream = _stream_at(states[i], int(used[i]))
@@ -478,27 +469,13 @@ def build_supervised_node(
 # -- tree growth --------------------------------------------------------------
 
 _GROUP_ROWS = 1 << 22
-"""Rows in one lockstep group's buffer: a group grows ``_GROUP_ROWS // n``
-trees (at least one) of ``n`` root rows each."""
+"""About the most rows in one lockstep group's buffer: a group grows trees of
+``n`` root rows each, at least one."""
 
 _STEP_CELLS = 1 << 17
 """About the most gathered values one kernel call holds at once, a node row
 counting as the kernel's ``width`` of them; a step whose nodes would hold
 more splits them in consecutive parts."""
-
-
-def _parts(size: np.ndarray, width: int) -> list:
-    """Consecutive runs of nodes, each holding about ``_STEP_CELLS`` values at
-    most: a node starts a new run when the values before it cross a multiple
-    of ``_STEP_CELLS``."""
-    if not len(size):
-        return []
-    cells = size.cumsum() * width
-    if cells[-1] <= _STEP_CELLS:
-        return [slice(None)]
-    run = (cells - size * width) // _STEP_CELLS
-    cuts = [0, *((run[1:] != run[:-1]).nonzero()[0] + 1), len(size)]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _split_ranges(split, rows, states, trees, lo, hi):
@@ -507,9 +484,8 @@ def _split_ranges(split, rows, states, trees, lo, hi):
     range stably, false rows first. Returns attr, param and where each
     range's true rows start."""
     size = hi - lo
-    offsets = np.zeros(len(lo) + 1, dtype=np.int64)
-    size.cumsum(out=offsets[1:])
-    cells = np.arange(offsets[-1]) + (lo - offsets[:-1]).repeat(size)
+    offsets = np.concatenate([[0], size.cumsum()])
+    cells = _ranges(lo, size)
     node_rows = rows[cells]
     node_states = states[trees]
     attr, param, goes_true = split(node_rows, offsets, node_states)
@@ -519,9 +495,9 @@ def _split_ranges(split, rows, states, trees, lo, hi):
     return attr, param, hi - np.add.reduceat(goes_true, offsets[:-1], dtype=np.int64)
 
 
-def _grow(split, n: int, cfg: TrainConfig, trees: Sequence[int]) -> list[Tree]:
+def _grow(split, n: int, cfg: TrainConfig, trees: Sequence[int]) -> list[tuple]:
     """Grow the given trees in lockstep, each in depth-first pre-order with
-    the false branch first.
+    the false branch first; returns each tree's ``attr`` and ``param`` arrays.
 
     Each tree's rows live in its own slice of one buffer, and every node is a
     range of it. A step pops the top of every unfinished tree's stack, splits
@@ -530,7 +506,7 @@ def _grow(split, n: int, cfg: TrainConfig, trees: Sequence[int]) -> list[Tree]:
     """
     streams = [tree_stream(cfg.seed, t) for t in trees]
     g = len(streams)
-    if cfg.resolved_bootstrap:
+    if cfg.bootstrap:
         rows = np.concatenate([s.below_block(n, n) for s in streams])
     else:
         rows = np.tile(np.arange(n, dtype=np.int64), g)
@@ -567,7 +543,7 @@ def _grow(split, n: int, cfg: TrainConfig, trees: Sequence[int]) -> list[Tree]:
             attr[live, step] = -1
             go = (level < cfg.max_depth_cap).nonzero()[0]
             size = size[go]
-        for part in _parts(size, split.width):
+        for part in budget_runs(size * split.width, _STEP_CELLS):
             i = part if go is None else go[part]
             t, lo_i, hi_i = live[i], lo[i], hi[i]
             a, p, mid = _split_ranges(split, rows, states, t, lo_i, hi_i)
@@ -582,21 +558,20 @@ def _grow(split, n: int, cfg: TrainConfig, trees: Sequence[int]) -> list[Tree]:
             height[t] = h + 2
         live = live[height[live] > 0]
     n_nodes = (attr != -2).sum(axis=1)
-    return [Tree(a[:k].copy(), p[:k].copy()) for a, p, k in zip(attr, param, n_nodes)]
+    return [(a[:k].copy(), p[:k].copy()) for a, p, k in zip(attr, param, n_nodes)]
 
 
-def _grow_block(split, n: int, cfg: TrainConfig, trees: range) -> list[Tree]:
-    """Grow a block of trees, one lockstep group after another."""
-    size = max(1, _GROUP_ROWS // n)
-    return [tree for i in range(0, len(trees), size)
-            for tree in _grow(split, n, cfg, trees[i:i + size])]
+def _grow_block(split, n: int, cfg: TrainConfig, trees: range) -> list[tuple]:
+    """Node arrays of a block of trees, grown one lockstep group after another."""
+    return [arrays for run in budget_runs(np.full(len(trees), n), _GROUP_ROWS)
+            for arrays in _grow(split, n, cfg, trees[run])]
 
 
 _FORK_PAYLOAD: list = []  # the (split, n, cfg) arguments of _grow_block, inherited by fork
 
 
-def _train_worker(trees: range) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(tree.attr, tree.param) for tree in _grow_block(*_FORK_PAYLOAD, trees)]
+def _train_worker(trees: range) -> list[tuple]:
+    return _grow_block(*_FORK_PAYLOAD, trees)
 
 
 def _splitter(dataset: Dataset, config: TrainConfig):
@@ -640,14 +615,13 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
         try:
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                raw = [arrays for block in pool.map(_train_worker, blocks) for arrays in block]
-            trees = [Tree(*arrays) for arrays in raw]
+                grown = [arrays for block in pool.map(_train_worker, blocks) for arrays in block]
         finally:
             _FORK_PAYLOAD.clear()
     else:
-        trees = _grow_block(*args, range(config.n_trees))
+        grown = _grow_block(*args, range(config.n_trees))
     return Forest(
-        trees,
+        [Tree(attr, param) for attr, param in grown],
         dataset.schema,
         compute_bounds(dataset.schema, dataset.X),
         kind=config.mode,

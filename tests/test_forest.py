@@ -15,6 +15,7 @@ from eforest.forest import (
     Forest,
     Tree,
     TreeGroup,
+    budget_runs,
     depth_stats,
     get_path,
     path_to_rule,
@@ -70,6 +71,27 @@ class TestNodeRouting:
         tree, taken = tree_from_path([((1, 1), True)], MIXED)
         X = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
         assert encode(tree, X, MIXED).tolist() == [taken, 1 - taken, 1 - taken]
+
+
+class TestBudgetRuns:
+    @given(st.lists(st.integers(0, 50), max_size=40), st.integers(1, 120))
+    @settings(max_examples=300, deadline=None)
+    def test_cuts_items_into_runs_under_a_budget(self, costs, budget):
+        costs = np.array(costs, dtype=np.int64)
+        runs = budget_runs(costs, budget)
+        order = np.arange(len(costs))
+        # every item once, in order, and no run empty
+        assert [i for r in runs for i in order[r].tolist()] == order.tolist()
+        assert all(len(order[r]) > 0 for r in runs)
+        if costs.sum() <= budget:
+            assert len(runs) == min(1, len(costs))
+        else:
+            # a run starts where the cost before an item crosses a multiple of the budget
+            before = (np.cumsum(costs) - costs) // budget
+            starts = [i for i in order if i == 0 or before[i] != before[i - 1]]
+            assert [r.start for r in runs] == starts
+        for r in runs:
+            assert costs[r].sum() <= budget + costs[r][-1]
 
 
 class TestEncode:

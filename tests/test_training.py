@@ -16,7 +16,7 @@ from eforest.codec import encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema, compute_bounds
 from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
 from eforest.forest import Tree
-from eforest.rng import SplitMix64
+from eforest.rng import SplitMix64, tree_stream
 from eforest.training import (
     TrainConfig,
     _GainSplits,
@@ -89,16 +89,10 @@ class TestTrainConfig:
             TrainConfig(**{"mode": "supervised", "n_trees": 1, field: value})
 
     def test_bootstrap_defaults(self):
-        assert TrainConfig(mode="supervised", n_trees=1).resolved_bootstrap is True
-        assert TrainConfig(mode="unsupervised", n_trees=1).resolved_bootstrap is False
-        assert (
-            TrainConfig(mode="unsupervised", n_trees=1, bootstrap=True).resolved_bootstrap
-            is True
-        )
-        assert (
-            TrainConfig(mode="supervised", n_trees=1, bootstrap=False).resolved_bootstrap
-            is False
-        )
+        assert TrainConfig(mode="supervised", n_trees=1).bootstrap is True
+        assert TrainConfig(mode="unsupervised", n_trees=1).bootstrap is False
+        assert TrainConfig(mode="unsupervised", n_trees=1, bootstrap=True).bootstrap is True
+        assert TrainConfig(mode="supervised", n_trees=1, bootstrap=False).bootstrap is False
 
     def test_meta_excludes_execution_details(self):
         meta = TrainConfig(mode="supervised", n_trees=3, seed=9, threads=4).to_meta()
@@ -672,6 +666,26 @@ def tree_arrays(trees):
     return [(t.attr.tolist(), t.param.tolist()) for t in trees]
 
 
+def grown_arrays(split, n, cfg, trees):
+    """``_grow``'s node arrays of ``trees``, as lists like ``tree_arrays``'."""
+    return [(attr.tolist(), param.tolist()) for attr, param in _grow(split, n, cfg, trees)]
+
+
+class TestRoutesAgree:
+    @given(forest_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_training_rows_encode_to_every_leaf(self, problem):
+        """Every leaf keeps at least one of its tree's training rows, so if
+        training and encoding route rows alike, encoding those rows reaches
+        every leaf of every tree."""
+        ds, cfg = problem
+        forest = train_forest(ds, cfg)
+        leaf_ids = encode_batch(forest, ds).leaf_ids
+        for t, tree in enumerate(forest.trees):
+            rows = tree_stream(cfg.seed, t).below_block(ds.n, ds.n) if cfg.bootstrap else np.arange(ds.n)
+            assert set(leaf_ids[rows, t].tolist()) == set(range(tree.leaf_count))
+
+
 class TestLockstep:
     @given(forest_problems(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -679,13 +693,13 @@ class TestLockstep:
         ds, cfg = problem
         split = _splitter(ds, cfg)
         T = cfg.n_trees
-        together = tree_arrays(_grow(split, ds.n, cfg, range(T)))
-        alone = tree_arrays([tree for t in range(T) for tree in _grow(split, ds.n, cfg, [t])])
+        together = grown_arrays(split, ds.n, cfg, range(T))
+        alone = [tree for t in range(T) for tree in grown_arrays(split, ds.n, cfg, [t])]
         cuts = sorted(data.draw(st.sets(st.integers(1, T - 1), max_size=T)) if T > 1 else set())
         bounds = [0, *cuts, T]
-        blocks = tree_arrays([tree for a, b in zip(bounds, bounds[1:])
-                              for tree in _grow(split, ds.n, cfg, range(a, b))])
-        backwards = tree_arrays(_grow(split, ds.n, cfg, range(T - 1, -1, -1)))[::-1]
+        blocks = [tree for a, b in zip(bounds, bounds[1:])
+                  for tree in grown_arrays(split, ds.n, cfg, range(a, b))]
+        backwards = grown_arrays(split, ds.n, cfg, range(T - 1, -1, -1))[::-1]
         assert together == alone == blocks == backwards
         assert together == tree_arrays(train_forest(ds, cfg).trees)
 
