@@ -33,7 +33,7 @@ def _emit(payload: dict) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    data.atomic_write_bytes(Path(path), text.encode("utf-8"))
+    data.atomic_write_bytes(Path(path), [text.encode("utf-8")])
 
 
 def _write_json(path, payload: dict) -> None:

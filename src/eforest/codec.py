@@ -37,7 +37,7 @@ from .errors import (
 from .forest import Forest, TreeGroup, budget_runs, get_path, path_to_rule
 from .persistence import EncodingMatrix, forest_hex_id
 from .rng import permutation
-from .rules import Rule, calculate_mcr, pick_interval_batch
+from .rules import Rule, calculate_mcr, normalize_strategy, pick_interval_batch
 
 # About the most (row, tree) pairs one walk holds: encode and decode walk the
 # trees of an n-row batch in runs of about _STEP_PAIRS // n (at least one),
@@ -224,19 +224,24 @@ def _finish(forest: Forest, state, strategy: str) -> np.ndarray:
     # each attribute's lowest free value, or its size when none is free
     first = np.minimum.reduceat(np.where(free, value, sizes[owner]), start[cat], axis=1)
 
-    hi_open = hi != np.inf
-    lo = np.where(lo == -np.inf, forest.bounds.lo, lo)
-    hi = np.where(hi_open, hi, forest.bounds.hi)
-    empty = np.equal(lo, hi)
-    empty &= hi_open
-    empty |= lo > hi
+    X = np.where(lo == -np.inf, forest.bounds.lo, lo)  # the clamped lower ends: the output
+    # ``hi`` is an open end unless it is +inf, where the bound is the closed
+    # end; so the empty test needs no clamped copy of ``hi``
+    empty = np.greater(X, forest.bounds.hi)
+    empty &= hi == np.inf
+    empty |= X >= hi
     empty[:, cat] = first == sizes[cat]  # their hi is a closed end, not open
     if empty.any():
         i, j = np.argwhere(empty)[0]
         raise EmptyMCRError(
             f"row {i}, attribute {forest.schema.names[j]}: rule intersection is empty"
         )
-    X = pick_interval_batch(lo, hi, hi_open, strategy)
+    strategy = normalize_strategy(strategy)
+    if strategy != "min":  # "min" picks the lower ends themselves
+        num = slice(None) if not len(cat) else np.flatnonzero(sizes == 0)  # views when all numeric
+        hi_open = hi[:, num] != np.inf
+        hi = np.where(hi_open, hi[:, num], forest.bounds.hi[num])
+        X[:, num] = pick_interval_batch(X[:, num], hi, hi_open, strategy)
     X[:, cat] = first
     return X
 

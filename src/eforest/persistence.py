@@ -7,8 +7,13 @@ value. Each tree is stored as its two arrays, ``{"nodes": {"attr": [...],
 from the pre-order layout, so neither is written. Files of other versions,
 such as version 2's four arrays per tree, are refused. The embedded hash is
 64-bit FNV-1a over the canonical bytes of the record without its hash field,
-so equal forests always produce equal bytes and equal hashes. An
-``EncodingMatrix`` is defined here, beside its file format.
+so equal forests always produce equal bytes and equal hashes. Sorted keys put
+the top-level ``"hash":"<16 hex digits>",`` member right after ``config``, so
+those bytes are the file with that member and the final newline cut out:
+``save_model`` serialises the record once and hashes what it writes, and
+``load_model`` hashes the bytes it read. A file in any other layout, such as
+a pretty-printed one, is refused even when its record would hash the same.
+An ``EncodingMatrix`` is defined here, beside its file format.
 
 ``fnv1a64`` computes that digest with array arithmetic, 64 KiB at a time.
 With ``s = h mod 256``, the step ``h <- (h ^ b) * P`` is ``h <- (h + d) * P``
@@ -76,13 +81,17 @@ def _prefix_xor(x: np.ndarray) -> np.ndarray:
     return w.view(np.uint8)
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash (see the module docstring for how it is computed)."""
+def fnv1a64(*parts) -> int:
+    """64-bit FNV-1a hash of the concatenated bytes-like ``parts`` (see the
+    module docstring for how it is computed)."""
     h = _FNV_OFFSET
-    data = np.frombuffer(data, dtype=np.uint8)
-    d = np.empty(min(len(data), _FNV_CHUNK), dtype=np.int64)
-    for start in range(0, len(data), _FNV_CHUNK):
-        chunk = data[start:start + _FNV_CHUNK]
+    chunks = (
+        np.frombuffer(part, dtype=np.uint8)[start:start + _FNV_CHUNK]
+        for part in parts
+        for start in range(0, len(part), _FNV_CHUNK)
+    )
+    d = np.empty(_FNV_CHUNK, dtype=np.int64)
+    for chunk in chunks:
         m = len(chunk)
         b = np.zeros(-(-m // 8) * 8, dtype=np.uint8)
         b[:m] = chunk
@@ -171,25 +180,47 @@ def forest_record(forest: Forest) -> dict:
     }
 
 
-def _content_hash(record: dict) -> str:
-    """16 hex digits of the FNV-1a hash of a record's canonical bytes."""
-    return f"{fnv1a64(canonical_json_bytes(record)):016x}"
-
-
 def forest_hex_id(forest: Forest) -> str:
     """Content hash of a forest as 16 hex digits; cached on the forest."""
     if forest._hex_id is None:
-        forest._hex_id = _content_hash(forest_record(forest))
+        forest._hex_id = f"{fnv1a64(canonical_json_bytes(forest_record(forest))):016x}"
     return forest._hex_id
 
 
+def _head(record: dict) -> bytes:
+    """A model file's canonical bytes before its top-level ``hash`` member,
+    which sorted keys place right after ``config``."""
+    return (b'{"bounds":' + canonical_json_bytes(record["bounds"])
+            + b',"config":' + canonical_json_bytes(record["config"]) + b",")
+
+
+def _hash_member(hex_id) -> bytes:
+    return b'"hash":' + canonical_json_bytes(hex_id) + b","
+
+
+def _hashed_parts(blob: bytes, record: dict):
+    """The bytes of a model file that its hash covers: all but the top-level
+    hash member and the final newline. None unless the file is laid out as
+    ``save_model`` writes it, the one layout where that cut is exact."""
+    try:
+        head, member = _head(record), _hash_member(record["hash"])
+    except ValueError:  # a float too large to write, which save_model never does
+        return None
+    if not (blob.startswith(head) and blob.startswith(member, len(head))
+            and blob.endswith(b"\n")):
+        return None
+    view = memoryview(blob)
+    return view[:len(head)], view[len(head) + len(member):-1]
+
+
 def save_model(forest: Forest, path) -> str:
-    """Write the canonical model file atomically; returns the content hash."""
+    """Write the canonical model file atomically; returns the content hash,
+    which the forest then caches."""
     record = forest_record(forest)
-    if forest._hex_id is None:
-        forest._hex_id = _content_hash(record)
-    record["hash"] = forest._hex_id
-    atomic_write_bytes(Path(path), canonical_json_bytes(record) + b"\n")
+    blob = memoryview(canonical_json_bytes(record))
+    cut = len(_head(record))
+    forest._hex_id = f"{fnv1a64(blob):016x}"
+    atomic_write_bytes(Path(path), [blob[:cut], _hash_member(forest._hex_id), blob[cut:], b"\n"])
     return forest._hex_id
 
 
@@ -220,8 +251,10 @@ def load_model(path):
             f"{path}: unsupported model version {version!r} (this release reads {MODEL_VERSION})"
         )
 
-    stated_hash = record.pop("hash")
-    actual_hash = _content_hash(record)
+    parts = _hashed_parts(blob, record)
+    if parts is None:
+        raise CorruptModelError(f"{path}: not laid out as save_model writes a model")
+    stated_hash, actual_hash = record["hash"], f"{fnv1a64(*parts):016x}"
     if stated_hash != actual_hash:
         raise CorruptModelError(
             f"{path}: content hash {actual_hash} does not match stated {stated_hash}"
@@ -286,8 +319,8 @@ def save_encodings(matrix: EncodingMatrix, path) -> None:
     """Write an encoding matrix: a header line, then n*T little-endian int32
     leaf ordinals in row-major order."""
     header = f"eforest-enc v2 n={matrix.n} T={matrix.T} forest={matrix.forest_id}\n"
-    body = matrix.leaf_ids.astype("<i4").tobytes()
-    atomic_write_bytes(Path(path), header.encode("ascii") + body)
+    body = np.ascontiguousarray(matrix.leaf_ids, dtype="<i4")  # no copy of int32 ordinals
+    atomic_write_bytes(Path(path), [header.encode("ascii"), body])
 
 
 def load_encodings(path) -> EncodingMatrix:

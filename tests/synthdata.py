@@ -9,6 +9,7 @@ seeds.
 
 from __future__ import annotations
 
+import operator
 import struct
 from pathlib import Path
 
@@ -219,6 +220,28 @@ def decode(forest: Forest, encoding, strategy: str = "min", mask: TreeMask | Non
     """One instance's reconstruction by the rule algebra of ``rules.py``: the
     per-row reference that ``decode_batch`` is checked against."""
     return representative(decode_region(forest, encoding, mask), strategy)
+
+
+def csv_bytes(dataset: Dataset, header: bool = True, label_name: str | None = None) -> bytes:
+    """The bytes ``data.save_csv`` writes, rendered line by line and cell by
+    cell: ``repr`` of every numeric cell, the value name of every categorical
+    one, and the label last when ``label_name`` is given and labels exist. The
+    reference that the block writer is checked against."""
+    schema = dataset.schema
+    with_labels = label_name is not None and dataset.labels is not None
+    lines = []
+    if header:
+        lines.append(",".join(list(schema.names) + ([label_name] if with_labels else [])))
+    cell_text = [
+        (lambda v, names=kind.values: names[int(v)]) if isinstance(kind, Categorical) else repr
+        for kind in schema.kinds
+    ]
+    for i in range(dataset.n):
+        cells = list(map(operator.call, cell_text, dataset.X[i].tolist()))
+        if with_labels:
+            cells.append(str(int(dataset.labels[i])))
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def sample_without_replacement(stream: SplitMix64, n: int, k: int) -> np.ndarray:

@@ -644,10 +644,11 @@ class TestWalkMemory:
 
     def test_finish_holds_no_spare_copies(self):
         # the fold's state is two n x d float64 arrays and the finish adds the
-        # clamped ends; the output is the clamped lower ends, not a copy of them
+        # clamped lower ends, which are the output, and a few n x d bool masks;
+        # the empty test reads hi unclamped
         train, test = mnist_like(300), mnist_like(3000, seed=1)
         forest = train_forest(train, TrainConfig(mode="unsupervised", n_trees=4, seed=0))
         matrix = encode_batch(forest, test)
         out = []
         peak = traced_peak(lambda: out.append(decode_batch(forest, matrix)))
-        assert peak <= 4.5 * out[0].X.nbytes
+        assert peak <= 3.3 * out[0].X.nbytes

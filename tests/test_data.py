@@ -5,13 +5,14 @@ import csv
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eforest import cli
+from eforest import cli, data
 from eforest.data import (
     Bounds,
     Categorical,
@@ -32,7 +33,7 @@ from eforest.errors import (
     UnknownCategoryError,
 )
 
-from synthdata import mnist_like, write_idx_images, write_idx_labels
+from synthdata import csv_bytes, mnist_like, write_idx_images, write_idx_labels
 
 
 def mixed_schema() -> Schema:
@@ -424,8 +425,8 @@ class TestCsv:
         assert back.X.tobytes() == ds.X.tobytes()
 
 
-# Reference implementations: the cell-by-cell reader and writer that
-# load_csv and save_csv must match byte for byte and error for error.
+# Reference implementation: the cell-by-cell reader that load_csv must match
+# error for error (the writer's reference is synthdata.csv_bytes).
 
 
 @st.composite
@@ -493,30 +494,15 @@ def _load_csv_by_cells(path, kinds, label_idx=None, has_header=False):
     return X, (labels if label_idx is not None else None)
 
 
-def _save_csv_by_cells(dataset, header=True, label_name=None) -> bytes:
-    schema = dataset.schema
-    with_labels = label_name is not None and dataset.labels is not None
-    lines = []
-    if header:
-        lines.append(",".join(list(schema.names) + ([label_name] if with_labels else [])))
-    for i in range(dataset.n):
-        cells = []
-        for j, kind in enumerate(schema.kinds):
-            v = dataset.X[i, j]
-            if isinstance(kind, Categorical):
-                cells.append(kind.values[int(v)])
-            else:
-                cells.append(repr(float(v)))
-        if with_labels:
-            cells.append(str(int(dataset.labels[i])))
-        lines.append(",".join(cells))
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 COLORS = Categorical(("red", "green", "blue"))
-SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 2.0**53 + 2, 0.1, 1e308, -1e308, 1 / 3]
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e16, 2.0**53 + 2, 0.1,
+                  1e-5, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3]
 _kinds = st.lists(st.sampled_from([Numeric(), COLORS]), min_size=1, max_size=5).map(tuple)
-_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
+_raw_floats = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.uint64(bits).view(np.float64))).filter(math.isfinite)
+_floats = (st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
+           | _raw_floats)
+_labels = st.sampled_from([-(2**63), 2**63 - 1]) | st.integers(-(2**63), 2**63 - 1)
 
 
 @st.composite
@@ -528,7 +514,7 @@ def _datasets(draw):
           for k in kinds] for _ in range(n)],
         dtype=np.float64,
     ).reshape(n, len(kinds))
-    labels = draw(st.none() | st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    labels = draw(st.none() | st.lists(_labels, min_size=n, max_size=n))
     schema = Schema(tuple(f"a{j}" for j in range(len(kinds))), kinds)
     return Dataset(schema, X, labels)
 
@@ -588,12 +574,18 @@ def _outcome(read):
 
 
 class TestCsvAgainstReference:
-    @given(ds=_datasets(), header=st.booleans(), label_name=st.none() | st.just("label"))
-    @settings(max_examples=150, deadline=None)
-    def test_save_csv_bytes_equal_cell_writer(self, tmp_path_factory, ds, header, label_name):
+    @given(ds=_datasets(), header=st.booleans(), label_name=st.none() | st.just("label"),
+           block=st.integers(1, 4) | st.just(data._CSV_BLOCK_ROWS))
+    @settings(max_examples=200, deadline=None)
+    @example(ds=Dataset(Schema.numeric(["a"]), np.zeros((0, 1))), header=False,
+             label_name=None, block=1)
+    def test_save_csv_bytes_equal_cell_writer(self, tmp_path_factory, ds, header, label_name,
+                                              block):
+        # blocks of 1-4 rows split most datasets
         p = tmp_path_factory.mktemp("save") / "out.csv"
-        save_csv(ds, p, header=header, label_name=label_name)
-        assert p.read_bytes() == _save_csv_by_cells(ds, header=header, label_name=label_name)
+        with mock.patch.object(data, "_CSV_BLOCK_ROWS", block):
+            save_csv(ds, p, header=header, label_name=label_name)
+        assert p.read_bytes() == csv_bytes(ds, header=header, label_name=label_name)
 
     @given(case=_csv_files())
     @settings(max_examples=300, deadline=None)

@@ -7,6 +7,7 @@ import json
 import os
 import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,14 @@ class TestFnv:
     def test_equals_byte_loop_on_short_inputs(self, data):
         assert fnv1a64(data) == _fnv1a64_by_bytes(data)
 
+    @given(data=st.binary(max_size=300), cuts=st.lists(st.integers(0, 300), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    @example(data=b"\x07" * 65540, cuts=[3, 65538])  # parts that straddle a chunk
+    def test_parts_hash_as_their_concatenation(self, data, cuts):
+        ends = [0, *sorted(min(c, len(data)) for c in cuts), len(data)]
+        parts = [memoryview(data)[a:b] for a, b in zip(ends, ends[1:])]
+        assert fnv1a64(*parts) == _fnv1a64_by_bytes(data)
+
     def test_low_byte_runs(self):
         # runs of one byte value keep the low state byte on short cycles
         for value in (0x00, 0x01, 0x80, 0xB3, 0xFF):
@@ -113,8 +122,8 @@ class TestCanonicalJson:
 class TestAtomicWrite:
     def test_overwrites_existing(self, tmp_path):
         p = tmp_path / "f.bin"
-        atomic_write_bytes(p, b"one")
-        atomic_write_bytes(p, b"two")
+        atomic_write_bytes(p, [b"one"])
+        atomic_write_bytes(p, [b"two"])
         assert p.read_bytes() == b"two"
         leftovers = [q for q in tmp_path.iterdir() if q != p]
         assert leftovers == []
@@ -124,7 +133,7 @@ class TestAtomicWrite:
         p = tmp_path / "f.bin"
         old = os.umask(umask)
         try:
-            atomic_write_bytes(p, b"one")
+            atomic_write_bytes(p, [b"one"])
         finally:
             os.umask(old)
         assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~umask
@@ -133,7 +142,7 @@ class TestAtomicWrite:
         target = tmp_path / "taken"
         target.mkdir()
         with pytest.raises(FormatError):
-            atomic_write_bytes(target, b"one")
+            atomic_write_bytes(target, [b"one"])
         assert list(tmp_path.iterdir()) == [target]
 
 
@@ -316,6 +325,64 @@ def rewrite_with_fresh_hash(path, mutate):
     path.write_bytes(canonical_json_bytes(record) + b"\n")
 
 
+def stamp_bytes(blob: bytes) -> bytes:
+    """Stamp a model file with the FNV-1a of its own bytes, its top-level
+    hash member and final newline cut out, however they spell the record."""
+    at = blob.index(b'"hash":"')
+    end = at + len(b'"hash":"0123456789abcdef",')
+    return blob[:at] + b'"hash":"%016x",' % fnv1a64(blob[:at] + blob[end:-1]) + blob[end:]
+
+
+class TestModelLayout:
+    @pytest.mark.parametrize("edit", [
+        lambda blob: (json.dumps(json.loads(blob), sort_keys=True, indent=2) + "\n").encode(),
+        lambda blob: (json.dumps(dict(reversed(json.loads(blob).items())),
+                                 separators=(",", ":")) + "\n").encode(),
+        lambda blob: blob.rstrip(b"\n"),
+        lambda blob: blob.replace(b'{"bounds":', b'{ "bounds":', 1),
+        lambda blob: blob.replace(b'"hash":', b'"hash" :', 1),
+    ], ids=["pretty-printed", "key-reordered", "no-final-newline", "space-in-head",
+            "space-in-member"])
+    def test_any_other_layout_is_refused(self, tmp_path, edit):
+        # even where the record, and so the stated hash, is unchanged
+        forest, _ = small_forest()
+        p = tmp_path / "m.json"
+        save_model(forest, p)
+        p.write_bytes(edit(p.read_bytes()))
+        with pytest.raises(CorruptModelError, match="not laid out as save_model writes"):
+            load_model(p)
+
+    def test_hash_key_in_the_config_round_trips(self, tmp_path):
+        # the cut takes the top-level member, not the config's
+        forest, _ = small_forest()
+        p, again = tmp_path / "m.json", tmp_path / "again.json"
+        save_model(forest, p)
+        rewrite_with_fresh_hash(p, lambda r: r["config"].update({"hash": "0123456789abcdef"}))
+        stamped = json.loads(p.read_bytes())["hash"]
+        loaded = load_model(p)
+        assert loaded.config["hash"] == "0123456789abcdef"
+        assert forest_hex_id(loaded) == stamped
+        assert save_model(loaded, again) == stamped
+        assert again.read_bytes() == p.read_bytes()
+
+    def test_forest_from_a_restamped_file_saves_a_file_that_loads(self, tmp_path):
+        # the first param spelled with an "e0" exponent, and a hash over those
+        # bytes, loads; the id it loads with is not the canonical one, so
+        # saving must not write it
+        forest, _ = small_forest()
+        p, again = tmp_path / "m.json", tmp_path / "again.json"
+        save_model(forest, p)
+        blob = p.read_bytes()
+        start = blob.index(b'"param":[')
+        end = min(blob.index(b",", start), blob.index(b"]", start))
+        p.write_bytes(stamp_bytes(blob[:end] + b"e0" + blob[end:]))
+        loaded = load_model(p)
+        assert forest_hex_id(loaded) != forest_hex_id(forest)
+        assert save_model(loaded, again) == forest_hex_id(forest) == forest_hex_id(loaded)
+        assert again.read_bytes() == blob
+        assert forest_hex_id(load_model(again)) == forest_hex_id(forest)
+
+
 class TestModelDamage:
     def test_tampered_file_is_detected(self, tmp_path):
         forest, _ = small_forest()
@@ -382,7 +449,7 @@ class TestModelFormatErrors:
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_constant(self, tmp_path, constant):
-        # json.loads reads these, but the canonical re-dump for the hash cannot
+        # json.loads reads these, but save_model never writes them
         p = self.make_saved(tmp_path)
         blob = p.read_bytes()
         p.write_bytes(blob.replace(b'"config":{', b'"config":{"x":' + constant.encode() + b",", 1))
@@ -620,6 +687,19 @@ class TestEncodingsFile:
         # the body is the ordinals as little-endian int32, row by row
         assert body == matrix.leaf_ids.astype("<i4").tobytes()
         assert p.stat().st_size == len(header) + 1 + 4 * matrix.n * matrix.T
+
+    def test_save_holds_no_copy_of_the_body(self, tmp_path):
+        matrix = EncodingMatrix(np.arange(2000 * 1000, dtype=np.int32).reshape(2000, 1000),
+                                "0" * 16)
+        p = tmp_path / "enc"
+        tracemalloc.start()
+        try:
+            save_encodings(matrix, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * matrix.leaf_ids.nbytes
+        assert np.array_equal(load_encodings(p).leaf_ids, matrix.leaf_ids)
 
     def test_empty_matrix_round_trip(self, tmp_path):
         matrix = EncodingMatrix(np.zeros((0, 4), dtype=np.int32), "0" * 16)
