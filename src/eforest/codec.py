@@ -239,9 +239,7 @@ def _finish(forest: Forest, state, strategy: str) -> np.ndarray:
     strategy = normalize_strategy(strategy)
     if strategy != "min":  # "min" picks the lower ends themselves
         num = slice(None) if not len(cat) else np.flatnonzero(sizes == 0)  # views when all numeric
-        hi_open = hi[:, num] != np.inf
-        hi = np.where(hi_open, hi[:, num], forest.bounds.hi[num])
-        X[:, num] = pick_interval_batch(X[:, num], hi, hi_open, strategy)
+        X[:, num] = pick_interval_batch(X[:, num], hi[:, num], forest.bounds.hi[num], strategy)
     X[:, cat] = first
     return X
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import itertools
 import math
-import operator
 import os
 import struct
 from array import array
@@ -326,12 +326,12 @@ def parse_kind_spec(spec: str, width: int) -> tuple[AttributeKind, ...]:
     return tuple(kinds)
 
 
-def _csv_rows(path: Path) -> Iterator[list[str]]:
-    """The rows of a CSV file, read as they are consumed; a read error is a FormatError."""
+def _csv_rows(path: Path, blob: bytes) -> Iterator[list[str]]:
+    """The rows of a CSV file's bytes, decoded as ``open`` decodes the file and
+    read as they are consumed; a read error is a FormatError."""
     try:
-        with path.open(newline="") as fh:
-            yield from csv.reader(fh)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        yield from csv.reader(io.TextIOWrapper(io.BytesIO(blob), newline=""))
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read csv file {path}: {exc}") from None
 
 
@@ -372,6 +372,56 @@ def _parse_row(path, row, i, data_cols, cat_index, label_idx) -> tuple[list[floa
     return values, label
 
 
+def _parse_whole(blob: bytes, data_cols, cat_index, label_idx, has_header):
+    """The data rows of a CSV file's bytes as ``(X, labels)``, parsed in one
+    pass by numpy's C reader; None when the cell reader must parse them.
+
+    The pass takes only bytes that the cell reader reads as the same rows:
+    ASCII without quotes or carriage returns, so that every line is one row
+    of plain cells, with no blank line (loadtxt skips those) and no line
+    longer than the csv module's field limit. It hands back any cell that
+    loadtxt refuses, such as ``1_0`` or a categorical value with spaces
+    around it, and any non-finite value, so the cell reader decides those.
+    A label cell goes through ``int``, as in the cell reader: loadtxt's
+    int64 parser would also take more digits than ``int`` reads.
+    """
+    if (not blob or not blob.isascii() or b'"' in blob or b"\r" in blob
+            or blob.startswith(b"\n") or b"\n\n" in blob):
+        return None
+    skip = 1 if has_header else 0
+    n = blob.count(b"\n") + (not blob.endswith(b"\n")) - skip  # lines after the header
+    if n < 1 or max(map(len, io.BytesIO(blob))) > csv.field_size_limit():
+        return None
+    d = len(data_cols)
+    if label_idx is None:
+        dtype = [("x", np.float64, (d,))]
+    else:
+        dtype = [("head", np.float64, (label_idx,)), ("label", np.int64),
+                 ("tail", np.float64, (d - label_idx,))]
+    # the cell reader strips a cell before it looks it up, so the pass looks up
+    # only the names that equal their own strip, and hands back any other cell
+    converters = {c: {v: i for v, i in lookup.items() if v == v.strip()}.__getitem__
+                  for c, lookup in zip(data_cols, cat_index) if lookup is not None}
+    if label_idx is not None:
+        converters[label_idx] = int
+    try:
+        table = np.loadtxt(io.BytesIO(blob), dtype=dtype, comments=None, delimiter=",",
+                           converters=converters, skiprows=skip, max_rows=n,
+                           encoding="ascii", ndmin=1)  # n rows: allocated once
+    except ValueError:
+        return None
+    if len(table) != n:
+        return None
+    if label_idx is None:
+        X, labels = table["x"], None
+    else:
+        X, labels = np.concatenate((table["head"], table["tail"]), axis=1), table["label"]
+    # min or max is NaN or infinite exactly when some cell is
+    if not np.isfinite([X.min(), X.max()]).all():
+        return None
+    return X, labels
+
+
 def load_csv(
     path,
     kinds: Sequence[AttributeKind] | str | None = None,
@@ -386,12 +436,19 @@ def load_csv(
     makes every data column of the first row numeric. ``label_column`` may be
     a column index, or a header name when ``has_header`` is true.
 
-    Rows are parsed as they are read. A row that fails to parse is parsed
-    again cell by cell, so the error names the first bad cell of the first
-    bad row.
+    The file is read whole, and numpy's C reader parses every row in one
+    pass. A file that pass might read otherwise than the cell reader (one
+    with quoted cells, carriage returns, non-ASCII text or blank lines), or
+    one holding a cell it refuses (``1_0``, a categorical value with spaces
+    around it, a bad cell), is parsed again cell by cell; so an error names
+    the first bad cell of the first bad row.
     """
     path = Path(path)
-    with contextlib.closing(_csv_rows(path)) as rows:
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read csv file {path}: {exc}") from None
+    with contextlib.closing(_csv_rows(path, blob)) as rows:
         first = next(rows, None)
         if kinds is None or isinstance(kinds, str):
             ncols = max(len(first) - (label_column is not None), 0) if first else 0
@@ -439,33 +496,22 @@ def load_csv(
             {v: i for i, v in enumerate(k.values)} if isinstance(k, Categorical) else None
             for k in kinds
         ]
-        # float for a numeric cell, the value's index for a categorical one
-        convert = [float if lookup is None else lookup.__getitem__ for lookup in cat_index]
-        X = array("d")
-        labels = array("q")
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise FormatError(
-                    f"{path}: row {i} has {len(row)} fields, expected {width}"
-                )
-            cells = row if label_idx is None else row[:label_idx] + row[label_idx + 1:]
-            try:
-                values = list(map(operator.call, convert, cells))
-                label = 0 if label_idx is None else int(row[label_idx])
-                parsed = math.isfinite(sum(values)) and _INT64_MIN <= label <= _INT64_MAX
-            except (ValueError, KeyError):
-                parsed = False
-            if not parsed:
-                # raises at the first bad cell; returns when no cell is bad but a
-                # categorical cell has surrounding spaces or the sum overflowed
+        parsed = _parse_whole(blob, data_cols, cat_index, label_idx, has_header)
+        if parsed is None:
+            X = array("d")
+            labels = array("q")
+            for i, row in enumerate(rows):
+                if len(row) != width:
+                    raise FormatError(
+                        f"{path}: row {i} has {len(row)} fields, expected {width}"
+                    )
                 values, label = _parse_row(path, row, i, data_cols, cat_index, label_idx)
-            X.extend(values)
-            labels.append(label)
-    return Dataset(
-        schema,
-        np.frombuffer(X, dtype=np.float64).reshape(-1, schema.d),
-        np.frombuffer(labels, dtype=np.int64) if label_idx is not None else None,
-    )
+                X.extend(values)
+                labels.append(label)
+            parsed = (np.frombuffer(X, dtype=np.float64).reshape(-1, schema.d),
+                      np.frombuffer(labels, dtype=np.int64))
+    X, labels = parsed
+    return Dataset._adopt(schema, X, labels if label_idx is not None else None)
 
 
 def atomic_write_bytes(path: Path, chunks: Iterable) -> None:

@@ -279,26 +279,40 @@ def representative(mcr: Rule, strategy: str = "min") -> np.ndarray:
 
 
 def pick_interval_batch(
-    lo: np.ndarray, hi: np.ndarray, hi_open: np.ndarray, strategy: str
+    lo: np.ndarray, hi: np.ndarray, closed_hi: np.ndarray, strategy: str
 ) -> np.ndarray:
-    """Vectorized pick_in_interval for intervals with closed lower ends.
+    """Vectorized pick_in_interval for intervals with closed lower ends ``lo``.
 
-    Mirrors the scalar routine operation for operation so both decode routes
-    produce bitwise-identical representatives. "min" returns ``lo`` itself.
+    An upper end is open at ``hi``, or closed at ``closed_hi`` (which
+    broadcasts against ``lo``) where ``hi`` is +inf: decode's region state,
+    read without a clamped copy. Mirrors the scalar routine operation for
+    operation so both decode routes produce bitwise-identical
+    representatives. "min" returns ``lo`` itself; otherwise the result is
+    the one new float array, beside boolean masks, and only the intervals
+    it misses are worked on again.
     """
     strategy = normalize_strategy(strategy)
     if strategy == "min":
         return lo
+    closed = hi == np.inf
     if strategy == "max":
-        x = np.where(hi_open, hi - EPS_INSET * (hi - lo), hi)
+        x = np.subtract(hi, lo)  # +inf where closed, which the last step overwrites
+        x *= EPS_INSET
+        np.subtract(hi, x, out=x, where=~closed)
+        np.copyto(x, closed_hi, where=closed)
     else:
-        x = 0.5 * (lo + hi)
-    inside = (x >= lo) & ((x < hi) | ((x == hi) & ~hi_open))
+        x = np.where(closed, closed_hi, hi)
+        x += lo
+        x *= 0.5
+    # lo <= x < hi, and x <= closed_hi at a closed end, one mask at a time
+    inside = np.logical_not(closed, out=closed)
+    inside |= x <= closed_hi
+    inside &= x >= lo
+    inside &= x < hi
     if not inside.all():
-        fallback = np.where(
-            x <= lo,
-            lo,
-            np.where(hi_open, np.nextafter(hi, lo), hi),
-        )
-        x = np.where(inside, x, fallback)
+        miss = np.nonzero(~inside)
+        lo, hi, picked = lo[miss], hi[miss], x[miss]
+        hi_open = hi != np.inf
+        hi = np.where(hi_open, hi, np.broadcast_to(closed_hi, x.shape)[miss])
+        x[miss] = np.where(picked <= lo, lo, np.where(hi_open, np.nextafter(hi, lo), hi))
     return x

@@ -2,6 +2,7 @@
 exit codes, driven through main() so the tests see exactly what a shell would."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from eforest.errors import ConfigError, FormatError, ParseError, VersionError
 from synthdata import write_idx_images, write_idx_labels
 
 D = 16  # 4x4 test images
+HEADER = ",".join(f"c{i}" for i in range(D)) + "\n"
 
 
 def run_cli(capsys, argv):
@@ -424,6 +426,26 @@ class TestEncodeDecode:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text, flags, expected",
+        [("", [], 1), (HEADER, [], 1), (HEADER, ["--csv-header"], 0)],
+        ids=["empty", "header-as-data", "header-only"],
+    )
+    def test_encode_on_a_csv_without_rows_warns_nothing(self, workdir, model_path, capsys,
+                                                        text, flags, expected):
+        # a header read as a header leaves a valid dataset of no rows
+        src = workdir / "no_rows.csv"
+        src.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(
+                capsys,
+                ["encode", "--data", str(src), "--format", "csv", *flags,
+                 "--model", str(model_path), "--reuse", "--out", str(workdir / "no_rows.enc")],
+            )
+        assert code == expected
+        assert not caught and "Warning" not in err
 
     def test_encode_strict_rejects_renamed_schema(self, workdir, model_path, capsys):
         code, _, err = run_cli(

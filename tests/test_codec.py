@@ -642,13 +642,16 @@ class TestWalkMemory:
         assert enc_big - enc_small < 4 * added_pairs + 200_000
         assert dec_big - dec_small < 200_000
 
-    def test_finish_holds_no_spare_copies(self):
+    @pytest.mark.parametrize("strategy, outputs", [("min", 3.3), ("mean", 4.5), ("max", 4.5)],
+                             ids=["min", "mean", "max"])
+    def test_finish_holds_no_spare_copies(self, strategy, outputs):
         # the fold's state is two n x d float64 arrays and the finish adds the
         # clamped lower ends, which are the output, and a few n x d bool masks;
-        # the empty test reads hi unclamped
+        # the empty test reads hi unclamped. "mean" and "max" add one n x d
+        # array of picks: neither a clamped hi nor where() results
         train, test = mnist_like(300), mnist_like(3000, seed=1)
         forest = train_forest(train, TrainConfig(mode="unsupervised", n_trees=4, seed=0))
         matrix = encode_batch(forest, test)
         out = []
-        peak = traced_peak(lambda: out.append(decode_batch(forest, matrix)))
-        assert peak <= 3.3 * out[0].X.nbytes
+        peak = traced_peak(lambda: out.append(decode_batch(forest, matrix, strategy)))
+        assert peak <= outputs * out[0].X.nbytes

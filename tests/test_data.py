@@ -455,8 +455,11 @@ def _mixed_rows(draw, min_n=0, any_cells=False):
 
 
 def _load_csv_by_cells(path, kinds, label_idx=None, has_header=False):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"cannot read csv file {path}: {exc}") from None
     if has_header:
         rows = rows[1:]
     width = len(kinds) + (label_idx is not None)
@@ -497,6 +500,9 @@ def _load_csv_by_cells(path, kinds, label_idx=None, has_header=False):
 COLORS = Categorical(("red", "green", "blue"))
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e16, 2.0**53 + 2, 0.1,
                   1e-5, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3]
+# names with spaces around them, as `cat:a| a|b ` gives: the cell reader strips
+# a cell, so the cell " a" is the value "a" and no cell is the value "b "
+PADDED = Categorical(("a", " a", "b "))
 _kinds = st.lists(st.sampled_from([Numeric(), COLORS]), min_size=1, max_size=5).map(tuple)
 _raw_floats = st.integers(0, 2**64 - 1).map(
     lambda bits: float(np.uint64(bits).view(np.float64))).filter(math.isfinite)
@@ -519,17 +525,21 @@ def _datasets(draw):
     return Dataset(schema, X, labels)
 
 
-_PADS = st.sampled_from(["", " ", "\t", " \u00a0"])
+_PADS = st.sampled_from(["", " ", "\t", "\x0b", "\x1f", " \u00a0"])
 # one bad cell (or row) per kind of defect, by the column it lands in
-_BAD_NUMBERS = st.sampled_from(["x1", "inf", "-inf", "nan", "1e999", "", "1.0.0", "0x10"])
+_BAD_NUMBERS = st.sampled_from(["x1", "inf", "-inf", "nan", "1e999", "", "1.0.0", "0x10", "#1",
+                                '"1,5"'])
 _BAD_CATEGORIES = st.sampled_from(["purple", "RED", "", "0"])
-_BAD_LABELS = st.sampled_from(["1.5", "abc", "", "99999999999999999999", "-9223372036854775809"])
+_BAD_LABELS = st.sampled_from(["1.5", "abc", "", "99999999999999999999", "-9223372036854775809",
+                               "0" * 4400 + "1"])
 
 
 @st.composite
 def _csv_files(draw):
-    """(kinds, label index, has_header, rows) for a valid file or one with a single defect."""
-    kinds = draw(_kinds)
+    """(kinds, label index, has_header, file text) for a valid file or one
+    with a single defect or oddity, with either line ending."""
+    kinds = draw(st.lists(st.sampled_from([Numeric(), COLORS, PADDED]), min_size=1,
+                          max_size=5).map(tuple))
     label_idx = draw(st.none() | st.integers(0, len(kinds)))
     width = len(kinds) + (label_idx is not None)
     data_kind = iter(kinds)
@@ -545,23 +555,34 @@ def _csv_files(draw):
         return draw(_PADS) + text + draw(_PADS)
 
     rows = [[cell(k) for k in column_kinds] for _ in range(draw(st.integers(0, 6)))]
-    defect = draw(st.sampled_from(["none", "cell", "short-row", "long-row"]))
+    defect = draw(st.sampled_from(["none", "cell", "short-row", "long-row", "quoted-cell",
+                                   "underscore", "blank-line", "space-line"]))
     if rows and defect != "none":
         r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, width - 1))
+        kind = column_kinds[c]
         if defect == "short-row":
-            rows[r].pop(draw(st.integers(0, width - 1)))
+            rows[r].pop(c)
         elif defect == "long-row":
             rows[r].append("1")
+        elif defect == "quoted-cell":  # read as the cell within the quotes
+            rows[r][c] = f'"{rows[r][c]}"'
+        elif defect == "underscore":  # float and int read 1_0 as 10
+            rows[r][c] = rows[r][c] if isinstance(kind, Categorical) else "1_0"
+        elif defect.endswith("-line"):
+            rows.insert(r, [] if defect == "blank-line" else [draw(_PADS) or " "])
         else:
-            c = draw(st.integers(0, width - 1))
-            kind = column_kinds[c]
             bad = (_BAD_LABELS if kind == "label"
                    else _BAD_CATEGORIES if isinstance(kind, Categorical) else _BAD_NUMBERS)
             rows[r][c] = draw(bad)
     has_header = draw(st.booleans())
     if has_header:
         rows.insert(0, [f"h{c}" for c in range(width)])
-    return kinds, label_idx, has_header, rows
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(map(",".join, rows))
+    if rows and draw(st.booleans()):  # else the last line has no line ending
+        text += eol
+    return kinds, label_idx, has_header, text
 
 
 def _outcome(read):
@@ -589,12 +610,29 @@ class TestCsvAgainstReference:
 
     @given(case=_csv_files())
     @settings(max_examples=300, deadline=None)
-    @example(case=((Numeric(), Numeric()), None, False, [["1e308", "1e308"]]))  # sum overflows
-    @example(case=((COLORS,), 1, False, [[" red ", "7"], ["blue", "99999999999999999999"]]))
+    @example(case=((Numeric(), Numeric()), None, False, "1e308,1e308\n"))  # sum overflows
+    @example(case=((COLORS,), 1, False, " red ,7\nblue,99999999999999999999\n"))
+    @example(case=((Numeric(),), None, False, "1\n\n2\n"))  # blank line
+    @example(case=((Numeric(),), None, False, "\n"))
+    @example(case=((Numeric(),), None, False, "1\n \t\n2\n"))  # whitespace-only line
+    @example(case=((Numeric(),), None, False, "1\r2\n"))
+    @example(case=((Numeric(), Numeric()), None, False, "1,2\r\n3,4\r\n"))
+    @example(case=((Numeric(), Numeric()), 2, False, "1,2,3\n4,5,6"))  # no final newline
+    @example(case=((Numeric(), Numeric()), None, False, '1,"2.5"\n3,4\n'))  # quoted cell
+    @example(case=((Categorical(('"a"', "b")),), None, False, '"a"\n'))  # read as a
+    @example(case=((Numeric(),), 1, False, "1_0,1_0\n"))
+    @example(case=((Numeric(), Numeric()), None, False, "1,2\n#3,4\n"))  # no comments
+    @example(case=((COLORS, Numeric()), None, False, "red,1\n blue ,2\n"))
+    @example(case=((Categorical(("a", " a")),), None, False, "a\n a\n"))  # both read as a
+    @example(case=((Categorical(("red", " blue")),), None, False, "red\n blue\n"))  # unknown
+    @example(case=((Numeric(), Numeric()), None, False, "1,2,3\n4,5,6\n"))  # one field too many
+    @example(case=((Numeric(), Numeric()), 0, True, "y,a,b\n"))  # only a header
+    @example(case=((Numeric(),), 1, False, "1," + "0" * 4400 + "1\n"))  # more digits than int reads
+    @example(case=((Numeric(),), None, False, "1\n" + " " * 131072 + "2\n"))  # over the field limit
     def test_load_csv_equals_cell_reader(self, tmp_path_factory, case):
-        kinds, label_idx, has_header, rows = case
+        kinds, label_idx, has_header, text = case
         p = tmp_path_factory.mktemp("load") / "in.csv"
-        p.write_text("".join(",".join(row) + "\n" for row in rows))
+        p.write_bytes(text.encode())
 
         def fast():
             ds = load_csv(p, kinds, label_column=label_idx, has_header=has_header)
@@ -603,3 +641,34 @@ class TestCsvAgainstReference:
         assert _outcome(fast) == _outcome(
             lambda: _load_csv_by_cells(p, kinds, label_idx, has_header)
         )
+
+    def test_plain_files_skip_the_cell_reader(self, tmp_path):
+        # ASCII files of plain cells, as save_csv writes them, are parsed in one pass
+        ds = Dataset(mixed_schema(), np.array([[1.5, 0.0, -0.0], [2e-300, 2.0, 7.0]]),
+                     labels=np.array([3, -(2**63)]))
+        p = tmp_path / "plain.csv"
+        save_csv(ds, p, header=True, label_name="y")
+        with mock.patch.object(data, "_parse_row", side_effect=AssertionError):
+            back = load_csv(p, ds.schema.kinds, label_column="y", has_header=True)
+        assert back.X.tobytes() == ds.X.tobytes()
+        assert back.labels.tolist() == ds.labels.tolist()
+
+    @pytest.mark.parametrize("label_name, matrices", [(None, 1.5), ("y", 2.2)])
+    def test_load_peaks_at_the_file_and_the_parsed_table(self, tmp_path, label_name, matrices):
+        # the file's bytes, loadtxt's table and, with a label column, X gathered
+        # out of the table: a decoded copy of the text, or a mask over its
+        # bytes, would not fit
+        rng = np.random.default_rng(0)
+        ds = Dataset(Schema.numeric([f"a{j}" for j in range(200)]), rng.random((2000, 200)),
+                     labels=rng.integers(0, 5, 2000))
+        p = tmp_path / "big.csv"
+        save_csv(ds, p, header=False, label_name=label_name)
+        label_column = None if label_name is None else 200
+        tracemalloc.start()
+        try:
+            back = load_csv(p, ds.schema.kinds, label_column=label_column)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.X.tobytes() == ds.X.tobytes()
+        assert peak <= p.stat().st_size + matrices * back.X.nbytes

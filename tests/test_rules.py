@@ -385,15 +385,16 @@ class TestPickIntervalBatch:
             hi_open = False
         iv = Interval(lo, hi, lo_closed=True, hi_closed=not hi_open)
         scalar = pick_in_interval(iv, strategy)
+        # an open end is hi itself, a closed one is +inf with hi as its bound
         batch = pick_interval_batch(
-            np.array([lo]), np.array([hi]), np.array([hi_open]), strategy
+            np.array([lo]), np.array([hi if hi_open else np.inf]), np.array([hi]), strategy
         )
         assert np.float64(scalar).tobytes() == batch[0].tobytes()
 
     def test_overflowing_midpoint_falls_back(self):
         lo, hi = -1.7e308, 1.7e308
         batch = pick_interval_batch(
-            np.array([lo]), np.array([hi]), np.array([False]), "mean"
+            np.array([lo]), np.array([np.inf]), np.array([hi]), "mean"
         )
         iv = Interval(lo, hi)
         assert iv.contains(float(batch[0]))
@@ -401,9 +402,9 @@ class TestPickIntervalBatch:
 
     def test_vector_shapes(self):
         lo = np.array([0.0, 1.0, 2.0])
-        hi = np.array([1.0, 1.0, 4.0])
-        hi_open = np.array([False, False, True])
-        got = pick_interval_batch(lo, hi, hi_open, "max")
+        hi = np.array([np.inf, np.inf, 4.0])  # closed, closed, open
+        closed_hi = np.array([1.0, 1.0, 99.0])  # an open end ignores it
+        got = pick_interval_batch(lo, hi, closed_hi, "max")
         assert got.shape == (3,)
         assert got[0] == 1.0 and got[1] == 1.0
         assert 2.0 <= got[2] < 4.0
