@@ -152,10 +152,12 @@ class Dataset:
         X: np.ndarray,
         labels: np.ndarray | None = None,
     ):
-        self._hold(schema, _frozen_copy(X, np.float64), labels)
+        self._hold(schema, np.array(X, dtype=np.float64, order="C"), labels)
 
     def _hold(self, schema: Schema, X: np.ndarray, labels) -> None:
-        """Check and keep ``X``, a read-only float64 matrix this dataset owns."""
+        """Check and keep ``X``, a float64 matrix this dataset owns and makes
+        read-only. A categorical -0.0 cell becomes +0.0, so no sort order can
+        put ``x == -0.0`` into a model."""
         if X.ndim != 2 or X.shape[1] != schema.d:
             raise ShapeError(
                 f"instance matrix must be (n, {schema.d}), got {X.shape}"
@@ -175,7 +177,7 @@ class Dataset:
             raise ShapeError("instance matrix contains non-finite values")
         sizes = schema.category_sizes
         cat = np.flatnonzero(sizes)
-        cells = X[:, cat]
+        cells = X[:, cat] + 0.0
         bad = (cells != np.floor(cells)) | (cells < 0) | (cells >= sizes[cat])
         if bad.any():
             j = cat[bad.any(axis=0).argmax()]
@@ -183,6 +185,9 @@ class Dataset:
                 f"attribute {schema.names[j]} holds a value outside "
                 f"its {sizes[j]} declared categories"
             )
+        if len(cat):
+            X[:, cat] = cells
+        X.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -196,7 +201,6 @@ class Dataset:
     def _adopt(cls, schema: Schema, X: np.ndarray, labels=None) -> "Dataset":
         """Dataset that keeps ``X`` itself: a new C-ordered float64 matrix that
         its maker hands over, so making it was the one copy."""
-        X.flags.writeable = False
         dataset = cls.__new__(cls)
         dataset._hold(schema, X, labels)
         return dataset
@@ -286,7 +290,9 @@ def parse_kind_spec(spec: str, width: int) -> tuple[AttributeKind, ...]:
     """Parse a compact attribute-kind string that declares ``width`` columns.
 
     Comma-separated entries; ``num`` is numeric, ``cat:A|B|C`` is categorical
-    with those values, and a ``*k`` suffix repeats an entry k times
+    with those values (each stripped of surrounding spaces, as CSV cells are
+    before their lookup, so names that collide once stripped are refused), and
+    a ``*k`` suffix repeats an entry k times
     (e.g. ``num*784`` or ``num*2,cat:YES|NO``). The entries must add up to
     ``width``, which is checked before any repeat is expanded.
     """
@@ -307,7 +313,7 @@ def parse_kind_spec(spec: str, width: int) -> tuple[AttributeKind, ...]:
         if entry == "num":
             kind: AttributeKind = Numeric()
         elif entry.startswith("cat:"):
-            values = tuple(v for v in entry[4:].split("|") if v)
+            values = tuple(v for v in map(str.strip, entry[4:].split("|")) if v)
             if not values:
                 raise FormatError(f"categorical entry {entry!r} has no values")
             try:

@@ -84,19 +84,6 @@ class Tree:
                 node = tr
         return steps
 
-    def leaf_depths(self) -> np.ndarray:
-        """Depth of every leaf in ordinal order, derived level by level."""
-        depth = np.zeros(self.n_nodes, dtype=np.int32)
-        internal = self.attr >= 0
-        level = np.nonzero(internal[:1])[0]
-        d = 0
-        while len(level):
-            d += 1
-            children = np.concatenate([level + 1, self.true_child[level]])
-            depth[children] = d
-            level = children[internal[children]]
-        return depth[~internal]
-
     def node_records(self) -> dict[str, list]:
         """The two stored node arrays as JSON lists."""
         return {"attr": self.attr.tolist(), "param": self.param.tolist()}
@@ -307,6 +294,19 @@ def path_to_rule(path, schema: Schema) -> Rule:
 
 
 def depth_stats(forest: Forest) -> tuple[int, float]:
-    """(max leaf depth over all trees, mean per-tree average leaf depth)."""
-    depths = [t.leaf_depths() for t in forest.trees]
-    return max(int(d.max()) for d in depths), float(np.mean([d.mean() for d in depths]))
+    """(max leaf depth over all trees, mean per-tree average leaf depth),
+    walking the levels of every tree at once with the trees laid end to end."""
+    group = TreeGroup(forest.trees)
+    depth = np.zeros(len(group.attr), dtype=np.int64)
+    internal = group.attr >= 0
+    level = group.roots[internal[group.roots]]
+    d = 0
+    while len(level):
+        d += 1
+        children = np.concatenate([level + 1, group.true_child[level]])
+        depth[children] = d
+        level = children[internal[children]]
+    leaf_depth = depth[~internal]
+    sizes = np.diff(np.append(group.leaf_base, len(leaf_depth)))
+    means = np.add.reduceat(leaf_depth, group.leaf_base) / sizes
+    return int(leaf_depth.max()), float(np.mean(means))

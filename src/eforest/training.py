@@ -7,15 +7,18 @@ pick one attribute uniformly among those not constant in the node, and split
 at a uniform random point inside the node's value range. All randomness comes
 from one splitmix64 stream per tree, so a seed fixes the forest exactly.
 
-Growth order: the trees of a group grow in lockstep. Each step takes the next
-node, in depth-first pre-order with the false branch first, of every tree of
-the group not yet finished, and one batched split kernel decides all of those
-nodes at once. Within a tree, nodes are decided and draw from the tree's
-stream in pre-order, so neither the grouping nor the thread count changes a
-tree. ``forest.budget_runs`` cuts groups so their row buffers hold about
-``_GROUP_ROWS`` rows, and kernel calls so their nodes' rows, each weighted by
-the kernel's ``width``, add up to about ``_STEP_CELLS``. Rows are routed by
-encoding's ``forest.node_test``, and each tree is built from its arrays once.
+Growth order: the trees of a group grow in lockstep, each in depth-first
+pre-order with the false branch first. A node that draws no words (too few
+rows, labels all one class, or at the depth cap) is known to be a leaf as soon
+as its parent splits, and is stored without a kernel call. Each step decides
+the next drawing node of every tree of the group not yet finished, and one
+batched split kernel decides all of those nodes at once. Within a tree, nodes
+draw from the tree's stream in pre-order, so neither the grouping nor the
+thread count changes a tree. ``forest.budget_runs`` cuts groups so their row
+buffers hold about ``_GROUP_ROWS`` rows, and kernel calls so their nodes'
+rows, each weighted by the kernel's ``width``, add up to about
+``_STEP_CELLS``. Rows are routed by encoding's ``forest.node_test``, and each
+tree is built from its arrays once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,7 +119,7 @@ def _numeric_threshold(lo, hi):
 # states[i]; the kernel advances each state exactly as deciding that node
 # alone would. It returns (attr, param, goes_true): attr is -1 where the node
 # is a leaf, and goes_true flags the rows of split nodes that take the true
-# branch. A node of at most ``min_node_size`` rows is a leaf without a draw.
+# branch. A node that ``draws`` no words is a leaf decided without a draw.
 # Kernels read each node's words ahead of use (``peek_words``) and then skip
 # every stream past the words its node used.
 
@@ -146,6 +148,12 @@ class _Kernel:
         self.is_cat = schema.category_sizes > 0
         self.min_node_size = min_node_size
 
+    def draws(self, rows, lo, hi):
+        """Which of the nodes whose rows are rows[lo[i]:hi[i]] draw words when
+        decided: a node of at most ``min_node_size`` rows is a leaf without a
+        draw. A kernel call is given only nodes that draw."""
+        return hi - lo > self.min_node_size
+
     def _route(self, col, size, attr, param):
         """Which rows take the true branch, given each row's value of its
         node's attribute; a leaf sends none there."""
@@ -169,18 +177,17 @@ class _RandomSplits(_Kernel):
 
     def __call__(self, rows, offsets, states):
         size = offsets[1:] - offsets[:-1]
-        eligible = size > self.min_node_size
         # every node's first candidate attribute, and the word after it
         words = peek_words(states, 2)
         cand = (words[:, 0] % np.uint64(self.d)).astype(np.int64)
         col = self.flat[(cand * self.n).repeat(size) + rows]
         lo = np.minimum.reduceat(col, offsets[:-1])
         hi = np.maximum.reduceat(col, offsets[:-1])
-        split = eligible & (lo < hi)
+        split = lo < hi
         attr = np.where(split, cand, -1)
         spare = words[:, 1]
-        used = np.where(eligible, 2, 0)
-        missed = (eligible > split).nonzero()[0]
+        used = np.full(len(size), 2)
+        missed = (~split).nonzero()[0]
         if len(missed):
             self._more_rounds(rows, offsets, missed, states, attr, lo, hi, col, spare, used)
             split = attr >= 0
@@ -308,9 +315,9 @@ def _column_ranks(XT: np.ndarray):
 class _GainSplits(_Kernel):
     """Best-gain tests over a random attribute sample, for a batch of nodes.
 
-    A node is a leaf when its labels are all equal or no candidate's gain is
-    positive. Otherwise it draws ``sample`` = ceil(sqrt(d)) distinct
-    attributes from its next ``sample`` words (``_sample_attributes``). One sort
+    A node whose labels are all equal draws nothing (``draws``). Any other
+    draws ``sample`` = ceil(sqrt(d)) distinct attributes from its next
+    ``sample`` words (``_sample_attributes``). One sort
     of (node, attribute, value rank, class) keys cuts every node's sampled
     attributes into runs of equal values and counts the classes of every run.
     A numeric candidate ends any run but its attribute's last; the rows below
@@ -318,7 +325,8 @@ class _GainSplits(_Kernel):
     of an attribute with at least two; its rows take the true branch. Gains
     are computed at candidates only, in (attribute, value) order, so each
     node's first maximum breaks ties to the lowest attribute index, then the
-    lowest threshold or category value.
+    lowest threshold or category value. A node no candidate of which has a
+    positive gain is a leaf.
     """
 
     def __init__(self, XT, y: np.ndarray, n_classes: int, schema: Schema, min_node_size: int):
@@ -340,32 +348,40 @@ class _GainSplits(_Kernel):
         keys += y
         self.row_keys = keys.ravel()
 
+    def draws(self, rows, lo, hi):
+        """Which nodes draw words, as for ``_Kernel``; a node whose labels
+        are all one class is a leaf without a draw too."""
+        out = super().draws(rows, lo, hi)
+        big = out.nonzero()[0]
+        if len(big):
+            size = hi[big] - lo[big]
+            y = self.y[rows[_ranges(lo[big], size)]]
+            starts = size.cumsum() - size
+            out[big] = np.minimum.reduceat(y, starts) < np.maximum.reduceat(y, starts)
+        return out
+
     def __call__(self, rows, offsets, states):
         size = offsets[1:] - offsets[:-1]
-        y = self.y[rows]
-        mixed = np.minimum.reduceat(y, offsets[:-1]) < np.maximum.reduceat(y, offsets[:-1])
-        todo = ((size > self.min_node_size) & mixed).nonzero()[0]
         attr = np.full(len(size), -1, dtype=np.int64)
         param = np.zeros(len(size))
-        if len(todo):
-            words = peek_words(states[todo], self.sample)
-            states[todo] = skip_words(states[todo], self.sample)
-            self._best(rows, offsets, todo, words, attr, param)
+        words = peek_words(states, self.sample)
+        states[:] = skip_words(states, self.sample)
+        self._best(rows, offsets, words, attr, param)
         col = self.flat[(np.maximum(attr, 0) * self.n).repeat(size) + rows]
         return attr, param, self._route(col, size, attr, param)
 
-    def _best(self, rows, offsets, nodes, words, attr, param):
+    def _best(self, rows, offsets, words, attr, param):
         k, C, R = self.sample, self.n_classes, self.n_ranks
-        m = len(nodes)
-        nn = offsets[nodes + 1] - offsets[nodes]
-        total = np.bincount((np.arange(m) * C).repeat(nn) + self.y[rows[_ranges(offsets[nodes], nn)]],
+        nn = offsets[1:] - offsets[:-1]
+        m = len(nn)
+        total = np.bincount((np.arange(m) * C).repeat(nn) + self.y[rows],
                             minlength=m * C).reshape(m, C)
         attrs = np.sort(_sample_attributes(words, self.d), axis=1).ravel()
         # segment s holds the rows of node s // k under its (s % k)-th sampled
         # attribute; sorted keys put each segment's rows in runs of equal value
         seg_len = nn.repeat(k)
         cell = (attrs * self.n).repeat(seg_len)
-        cell += rows[_ranges(offsets[nodes].repeat(k), seg_len)]
+        cell += rows[_ranges(offsets[:-1].repeat(k), seg_len)]
         key = (np.arange(m * k) * (R * C)).repeat(seg_len)
         key += self.row_keys[cell]
         del cell
@@ -412,7 +428,7 @@ class _GainSplits(_Kernel):
         num = ~cat[r]
         after = self.values[self.value_start[a[num]] + run_key[r[num] + 1] % R]
         value[num] = _numeric_threshold(value[num], after)
-        chosen = nodes[node[heads[keep]]]
+        chosen = node[heads[keep]]
         attr[chosen] = a
         param[chosen] = value
 
@@ -426,11 +442,13 @@ def _changes(a: np.ndarray) -> np.ndarray:
 
 
 def _decide_one(split, n: int, rng: SplitMix64) -> tuple[int, float] | None:
-    """Run a kernel on a batch of one node that holds all ``n`` rows of its data."""
-    if n == 0:
+    """Run a kernel on a batch of one node that holds all ``n`` rows of its
+    data, if that node draws; a node that does not is a leaf."""
+    rows, offsets = np.arange(n), np.array([0, n])
+    if n == 0 or not split.draws(rows, offsets[:1], offsets[1:])[0]:
         return None
     states = np.array([rng.state], dtype=np.uint64)
-    attr, param, _ = split(np.arange(n), np.array([0, n]), states)
+    attr, param, _ = split(rows, offsets, states)
     rng.state = int(states[0])
     return None if attr[0] < 0 else (int(attr[0]), float(param[0]))
 
@@ -500,9 +518,12 @@ def _grow(split, n: int, cfg: TrainConfig, trees: Sequence[int]) -> list[tuple]:
     the false branch first; returns each tree's ``attr`` and ``param`` arrays.
 
     Each tree's rows live in its own slice of one buffer, and every node is a
-    range of it. A step pops the top of every unfinished tree's stack, splits
-    those nodes with one kernel call (or a few, for large nodes), and pushes
-    each split node's true child, then its false one.
+    range of it. A node draws no words when ``split.draws`` says so or it sits
+    at the depth cap; that is known when its parent splits, and the stack
+    entry records it. A step stores the run of such nodes on top of every
+    unfinished tree's stack as leaves, pops the drawing node below them,
+    decides those nodes with one kernel call (or a few, for large nodes), and
+    pushes each split node's true child, then its false one.
     """
     streams = [tree_stream(cfg.seed, t) for t in trees]
     g = len(streams)
@@ -511,54 +532,60 @@ def _grow(split, n: int, cfg: TrainConfig, trees: Sequence[int]) -> list[tuple]:
     else:
         rows = np.tile(np.arange(n, dtype=np.int64), g)
     states = np.array([s.state for s in streams], dtype=np.uint64)
-    # per tree, a stack of pending nodes: row range [start, end) and depth
+    cap = math.inf if cfg.max_depth_cap is None else cfg.max_depth_cap
+
+    def drawless(lo, hi, level):
+        """Which nodes rows[lo[i]:hi[i]] at depth level[i] draw no words."""
+        return ~split.draws(rows, lo, hi) | (level >= cap)
+
+    # per tree, a stack of pending nodes: row range [start, end), depth, and
+    # the length of the run of drawless entries that ends with this one; the
+    # top entry is at column top[t], above a bottom entry that is no node and
+    # ends no run, so an empty stack's top reads a run of 0
     start = np.zeros((g, 64), dtype=np.int64)
-    end = np.zeros_like(start)
-    depth = np.zeros_like(start)
-    start[:, 0] = np.arange(g) * n
-    end[:, 0] = start[:, 0] + n
-    height = np.ones(g, dtype=np.int64)
-    live = np.arange(g)
-    # tree t's node s is decided at step s, while t is live; -2 pads
-    attr = np.full((g, 1024), -2, dtype=np.int32)
+    end, depth, run = (np.zeros_like(start) for _ in range(3))
+    start[:, 1] = np.arange(g) * n
+    end[:, 1] = start[:, 1] + n
+    run[:, 1] = drawless(start[:, 1], end[:, 1], depth[:, 1])
+    top = np.ones(g, dtype=np.int64)
+    # tree t's nodes so far are attr[t, :fill[t]]; a leaf keeps -1 and 0.0
+    fill = np.zeros(g, dtype=np.int64)
+    attr = np.full((g, 1024), -1, dtype=np.int32)
     param = np.zeros((g, 1024))
-    capped = cfg.max_depth_cap is not None
-    go = None
-    step = -1
-    while len(live):
-        step += 1
-        top = height[live] - 1
-        height[live] = top
-        lo, hi = start[live, top], end[live, top]
-        if height.max() + 2 > start.shape[1]:
-            start, end, depth = (np.concatenate([a, np.zeros_like(a)], axis=1)
-                                 for a in (start, end, depth))
-        if step == attr.shape[1]:
-            attr = np.concatenate([attr, np.full_like(attr, -2)], axis=1)
+    live = np.arange(g)
+    while True:
+        leaves = run[live, top[live]]
+        fill[live] += leaves
+        top[live] -= leaves
+        live = live[top[live] > 0]
+        while fill.max() >= attr.shape[1]:
+            attr = np.concatenate([attr, np.full_like(attr, -1)], axis=1)
             param = np.concatenate([param, np.zeros_like(param)], axis=1)
-        size = hi - lo
-        if capped:
-            # nodes at the depth cap are leaves without a draw
-            level = depth[live, top]
-            attr[live, step] = -1
-            go = (level < cfg.max_depth_cap).nonzero()[0]
-            size = size[go]
-        for part in budget_runs(size * split.width, _STEP_CELLS):
-            i = part if go is None else go[part]
-            t, lo_i, hi_i = live[i], lo[i], hi[i]
-            a, p, mid = _split_ranges(split, rows, states, t, lo_i, hi_i)
-            attr[t, step], param[t, step] = a, p
-            inner = a >= 0
-            t, mid = t[inner], mid[inner]
-            h = height[t]
-            start[t, h], end[t, h] = mid, hi_i[inner]
-            start[t, h + 1], end[t, h + 1] = lo_i[inner], mid
-            if capped:
-                depth[t, h] = depth[t, h + 1] = level[i][inner] + 1
-            height[t] = h + 2
-        live = live[height[live] > 0]
-    n_nodes = (attr != -2).sum(axis=1)
-    return [(a[:k].copy(), p[:k].copy()) for a, p, k in zip(attr, param, n_nodes)]
+        if not len(live):
+            break
+        h = top[live]
+        lo, hi, level = start[live, h], end[live, h], depth[live, h]
+        if h.max() + 2 > start.shape[1]:
+            start, end, depth, run = (np.concatenate([x, np.zeros_like(x)], axis=1)
+                                      for x in (start, end, depth, run))
+        a, p, mid = (np.concatenate(parts) for parts in zip(*(
+            _split_ranges(split, rows, states, live[part], lo[part], hi[part])
+            for part in budget_runs((hi - lo) * split.width, _STEP_CELLS))))
+        attr[live, fill[live]], param[live, fill[live]] = a, p
+        fill[live] += 1
+        top[live] = h - 1
+        inner = a >= 0
+        t, h, lo, mid, hi = live[inner], h[inner], lo[inner], mid[inner], hi[inner]
+        below = level[inner] + 1
+        true_run, false_run = drawless(np.concatenate([mid, lo]), np.concatenate([hi, mid]),
+                                       np.concatenate([below, below])).reshape(2, -1)
+        start[t, h], end[t, h] = mid, hi
+        start[t, h + 1], end[t, h + 1] = lo, mid
+        depth[t, h] = depth[t, h + 1] = below
+        run[t, h] = true_run * (run[t, h - 1] + 1)
+        run[t, h + 1] = false_run * (run[t, h] + 1)
+        top[t] = h + 1
+    return [(a[:k].copy(), p[:k].copy()) for a, p, k in zip(attr, param, fill)]
 
 
 def _grow_block(split, n: int, cfg: TrainConfig, trees: range) -> list[tuple]:
@@ -610,6 +637,7 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
 
     if workers > 1 and hasattr(os, "fork"):
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         _FORK_PAYLOAD[:] = args
         try:

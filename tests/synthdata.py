@@ -216,6 +216,22 @@ def walk_codes(forest: Forest, x: np.ndarray) -> np.ndarray:
     return np.asarray([walk_leaf(t, x, forest.schema) for t in forest.trees], dtype=np.int32)
 
 
+def leaf_depths(tree: Tree) -> np.ndarray:
+    """Depth of every leaf of one tree in ordinal order, derived level by
+    level: the per-tree reference that ``forest.depth_stats`` is checked
+    against."""
+    depth = np.zeros(tree.n_nodes, dtype=np.int32)
+    internal = tree.attr >= 0
+    level = np.nonzero(internal[:1])[0]
+    d = 0
+    while len(level):
+        d += 1
+        children = np.concatenate([level + 1, tree.true_child[level]])
+        depth[children] = d
+        level = children[internal[children]]
+    return depth[~internal]
+
+
 def decode(forest: Forest, encoding, strategy: str = "min", mask: TreeMask | None = None):
     """One instance's reconstruction by the rule algebra of ``rules.py``: the
     per-row reference that ``decode_batch`` is checked against."""

@@ -316,6 +316,16 @@ class TestKindSpec:
         kinds = parse_kind_spec("num*3,cat:A|B*2", 5)
         assert kinds == (Numeric(),) * 3 + (Categorical(("A", "B")),) * 2
 
+    def test_value_names_are_stripped(self, tmp_path):
+        assert parse_kind_spec("cat:red| blue ,num", 2) == (Categorical(("red", "blue")), Numeric())
+        path = tmp_path / "t.csv"
+        path.write_text("blue,1\nred,2\n")
+        assert load_csv(path, "cat:red| blue,num").X.tolist() == [[1.0, 1.0], [0.0, 2.0]]
+
+    def test_names_that_collide_once_stripped_are_refused(self):
+        with pytest.raises(FormatError, match="unique"):
+            parse_kind_spec("cat:red|red ,num", 2)
+
     @pytest.mark.parametrize("spec", ["", "num,,num", "float", "cat:", "num*0", "num*x"])
     def test_rejects_malformed(self, spec):
         with pytest.raises(FormatError):

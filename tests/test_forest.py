@@ -24,7 +24,14 @@ from eforest.persistence import forest_hex_id
 from eforest.rules import Interval, contains
 from eforest.training import TrainConfig, train_forest
 
-from synthdata import decode, random_mixed, tree_from_path, walk_codes, walk_leaf
+from synthdata import (
+    decode,
+    leaf_depths,
+    random_mixed,
+    tree_from_path,
+    walk_codes,
+    walk_leaf,
+)
 
 NUM2 = Schema.numeric(["a", "b"])
 MIXED = Schema(
@@ -104,7 +111,7 @@ class TestEncode:
     def test_single_leafy(self):
         tree = leaf_only_tree()
         assert walk_leaf(tree, np.array([1.0, 2.0]), NUM2) == 0
-        assert tree.leaf_count == 1 and tree.leaf_depths().max() == 0
+        assert tree.leaf_count == 1 and leaf_depths(tree).max() == 0
 
     def test_batch_matches_scalar_on_trained_trees(self):
         ds = random_mixed(5)
@@ -444,8 +451,17 @@ class TestDepthStats:
         assert max_depth == 2
         assert avg == pytest.approx((5 / 3 + 2.0) / 2)
 
+    @given(st.lists(preorder_layouts().filter(lambda layout: layout[2]), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_equals_per_tree_depths(self, layouts):
+        trees = [Tree(np.where(leaf, -1, 0), np.zeros(len(leaf))) for leaf, _, _ in layouts]
+        forest = Forest(trees, NUM2, Bounds(np.zeros(2), np.ones(2)), "unsupervised", 0)
+        depths = [leaf_depths(tree) for tree in trees]
+        assert depth_stats(forest) == (max(int(d.max()) for d in depths),
+                                       float(np.mean([d.mean() for d in depths])))
+
     def test_leaf_depths(self):
-        assert small_tree().leaf_depths().tolist() == [1, 2, 2]
+        assert leaf_depths(small_tree()).tolist() == [1, 2, 2]
 
     def test_leaf_depths_match_path_lengths(self):
         ds = random_mixed(5)
@@ -453,5 +469,5 @@ class TestDepthStats:
             forest = train_forest(ds, TrainConfig(mode=mode, n_trees=3, seed=3))
             for tree in forest.trees:
                 lengths = [len(tree.path_steps(leaf)) for leaf in range(tree.leaf_count)]
-                assert tree.leaf_depths().tolist() == lengths
-                assert tree.leaf_depths().max() == max(lengths)
+                assert leaf_depths(tree).tolist() == lengths
+                assert leaf_depths(tree).max() == max(lengths)

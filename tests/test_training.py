@@ -16,6 +16,7 @@ from eforest.codec import encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema, compute_bounds
 from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
 from eforest.forest import Tree
+from eforest.persistence import save_model
 from eforest.rng import SplitMix64, tree_stream
 from eforest.training import (
     TrainConfig,
@@ -30,7 +31,13 @@ from eforest.training import (
     train_forest,
 )
 
-from synthdata import mnist_like, random_mixed, sample_without_replacement, tfidf_like
+from synthdata import (
+    leaf_depths,
+    mnist_like,
+    random_mixed,
+    sample_without_replacement,
+    tfidf_like,
+)
 
 
 def reference_entropy(labels) -> float:
@@ -244,7 +251,10 @@ class TestSupervisedSplit:
         kernel = _GainSplits(X.T, y, int(y.max()) + 1, schema, min_node_size=1)
         kernel.sample = schema.d
         n = len(X)
-        attr, param, goes_true = kernel(np.arange(n), np.array([0, n]), np.zeros(1, np.uint64))
+        rows, offsets = np.arange(n), np.array([0, n])
+        if not kernel.draws(rows, offsets[:1], offsets[1:])[0]:
+            return None
+        attr, param, goes_true = kernel(rows, offsets, np.zeros(1, np.uint64))
         if attr[0] < 0:
             return None
         return (int(attr[0]), float(param[0])), goes_true
@@ -466,7 +476,7 @@ class TestTrainForest:
         forest = train_forest(
             ds, TrainConfig(mode="unsupervised", n_trees=3, seed=2, max_depth_cap=3)
         )
-        assert all(t.leaf_depths().max() <= 3 for t in forest.trees)
+        assert all(leaf_depths(t).max() <= 3 for t in forest.trees)
         stump = train_forest(
             ds, TrainConfig(mode="unsupervised", n_trees=2, seed=2, max_depth_cap=0)
         )
@@ -533,6 +543,24 @@ class TestTrainForest:
         bounds = compute_bounds(ds.schema, ds.X)
         assert forest.bounds.lo.tolist() == bounds.lo.tolist()
         assert forest.bounds.hi.tolist() == bounds.hi.tolist()
+
+    def test_categorical_zero_signs_train_the_same_model(self, tmp_path):
+        # with these rows, a 4-tree forest held ``x == -0.0`` while -0.0 cells
+        # reached training: which zero led its run rested on the sort kernel
+        rng = np.random.default_rng(9)
+        col = rng.choice([0.0, -0.0, 1.0, 2.0], size=3000)
+        x = rng.normal(size=3000)
+        labels = (col == 0).astype(np.int64) + (x > 0.5)
+        schema = Schema(("c", "x"), (Categorical(("a", "b", "c")), Numeric()))
+        cfg = TrainConfig(mode="supervised", n_trees=4, seed=0)
+        models = []
+        for cells in (col, np.abs(col)):
+            ds = Dataset(schema, np.column_stack([cells, x]), labels=labels)
+            assert not np.signbit(ds.X).any(axis=0)[0]
+            path = tmp_path / f"m{len(models)}.json"
+            save_model(train_forest(ds, cfg), path)
+            models.append(path.read_bytes())
+        assert models[0] == models[1]
 
     @pytest.mark.parametrize("make", [lambda: tfidf_like(120, 40, seed=3),
                                       lambda: mnist_like(80, seed=4)],
@@ -662,6 +690,90 @@ def forest_problems(draw):
     return Dataset(schema, np.column_stack(cols), labels=labels), config
 
 
+def reference_forest(ds, cfg):
+    """The node arrays, as lists, of the trees ``train_forest(ds, cfg)``
+    grows, each grown one node at a time, recursively, in pre-order with the
+    false branch first, from its own stream; and the rows, sorted, of every
+    node that drew words. A node at the depth cap is a leaf without a draw;
+    any other is decided by the one-node oracles, and its rows are
+    partitioned stably."""
+    XT = np.ascontiguousarray(ds.X.T)
+    is_cat = ds.schema.category_sizes > 0
+    supervised = cfg.mode == "supervised"
+    y = np.unique(ds.labels, return_inverse=True)[1] if supervised else None
+    trees, drew = [], []
+    for t in range(cfg.n_trees):
+        stream = tree_stream(cfg.seed, t)
+        attr, param = [], []
+
+        def grow(rows, depth):
+            node = len(attr)
+            attr.append(-1)
+            param.append(0.0)
+            if cfg.max_depth_cap is not None and depth >= cfg.max_depth_cap:
+                return
+            state = stream.state
+            if supervised:
+                test = reference_gain_split(XT, rows, y, stream, is_cat, y.max() + 1,
+                                            cfg.min_node_size)
+            else:
+                test = reference_random_split(XT, rows, stream, is_cat, cfg.min_node_size)
+            if stream.state != state:
+                drew.append(tuple(sorted(rows.tolist())))
+            if test is None:
+                return
+            attr[node], param[node] = test
+            col = XT[test[0], rows]
+            goes_true = col == test[1] if is_cat[test[0]] else col >= test[1]
+            grow(rows[~goes_true], depth + 1)
+            grow(rows[goes_true], depth + 1)
+
+        grow(stream.below_block(ds.n, ds.n) if cfg.bootstrap else np.arange(ds.n), 0)
+        trees.append((attr, param))
+    return trees, drew
+
+
+class RecordingSplit:
+    """A split kernel that records the rows, sorted, of every node it decides."""
+
+    def __init__(self, split):
+        self.split = split
+        self.nodes = []
+
+    def __getattr__(self, name):
+        return getattr(self.split, name)
+
+    def __call__(self, rows, offsets, states):
+        self.nodes += [tuple(sorted(rows[a:b].tolist())) for a, b in zip(offsets, offsets[1:])]
+        return self.split(rows, offsets, states)
+
+
+def recorded_training(ds, cfg):
+    """The forest ``train_forest`` grows, and the nodes its kernel decided."""
+    kernels = []
+
+    def splitter(dataset, config):
+        kernels.append(RecordingSplit(_splitter(dataset, config)))
+        return kernels[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_splitter", splitter)
+        forest = train_forest(ds, cfg)
+    return forest, kernels[0].nodes
+
+
+def stack_peak(tree):
+    """The most nodes pending at once when ``tree`` grows in pre-order with
+    the false branch first, each split pushing both its children."""
+    stack, peak = [0], 1
+    while stack:
+        i = stack.pop()
+        if tree.attr[i] >= 0:
+            stack += [int(tree.true_child[i]), i + 1]
+            peak = max(peak, len(stack))
+    return peak
+
+
 def tree_arrays(trees):
     return [(t.attr.tolist(), t.param.tolist()) for t in trees]
 
@@ -703,9 +815,77 @@ class TestLockstep:
         assert together == alone == blocks == backwards
         assert together == tree_arrays(train_forest(ds, cfg).trees)
 
+    @given(forest_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_grows_the_trees_of_a_one_node_grower(self, problem):
+        ds, cfg = problem
+        assert tree_arrays(train_forest(ds, cfg).trees) == reference_forest(ds, cfg)[0]
+
+    @given(forest_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_decides_only_nodes_that_draw(self, problem):
+        ds, cfg = problem
+        _, nodes = recorded_training(ds, cfg)
+        for node in nodes:
+            assert len(node) > cfg.min_node_size
+            if cfg.mode == "supervised":
+                assert len(set(ds.labels[list(node)].tolist())) > 1
+        # the reference draws for no node at the depth cap, so this also
+        # keeps every node the kernel decides above it
+        assert Counter(nodes) == Counter(reference_forest(ds, cfg)[1])
+
+    def test_deep_trees_outgrow_the_first_buffers(self):
+        # a uniform threshold between these values mostly peels the largest
+        # off as a one-row leaf, so the trees are deep chains of many nodes
+        ds = Dataset(Schema.numeric(["x"]), 2.0 ** np.arange(520)[:, None])
+        cfg = TrainConfig(mode="unsupervised", n_trees=2, seed=1, min_node_size=1)
+        trees = train_forest(ds, cfg).trees
+        assert all(leaf_depths(t).max() > 64 and t.n_nodes > 1024 for t in trees)
+        assert tree_arrays(trees) == reference_forest(ds, cfg)[0]
+
+    @pytest.mark.parametrize("seed", [16, 17, 24])
+    def test_a_drawing_leaf_at_the_stack_bottom_ends_its_tree(self, seed):
+        # the last node of the all-true path holds the three equal rows: it
+        # draws but is a leaf, decided last from the bottom of the stack,
+        # after these seeds' trees held exactly 64 pending nodes at once
+        X = np.concatenate([2.0 ** np.arange(120), np.full(3, 2.0 ** 120)])[:, None]
+        ds = Dataset(Schema.numeric(["x"]), X)
+        cfg = TrainConfig(mode="unsupervised", n_trees=1, seed=seed, min_node_size=1)
+        forest = train_forest(ds, cfg)
+        tree, = forest.trees
+        assert stack_peak(tree) == 64
+        last = encode_batch(forest, ds).leaf_ids[:, 0] == tree.leaf_count - 1
+        assert last.nonzero()[0].tolist() == [120, 121, 122]
+        assert tree_arrays([tree]) == reference_forest(ds, cfg)[0]
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_kernel_decides_inner_nodes_and_leaves_that_drew(self, mode):
+        # few attributes: many leaves hold rows that no test separates
+        ds = random_mixed(3, n=300, d=3)
+        cfg = TrainConfig(mode=mode, n_trees=6, seed=3, min_node_size=4, max_depth_cap=7)
+        forest, nodes = recorded_training(ds, cfg)
+        codes = encode_batch(forest, ds).leaf_ids
+        drew = capped = small = 0
+        for t, tree in enumerate(forest.trees):
+            rows = tree_stream(cfg.seed, t).below_block(ds.n, ds.n) if cfg.bootstrap else np.arange(ds.n)
+            leaf = codes[rows, t]
+            size = np.bincount(leaf, minlength=tree.leaf_count)
+            classes = np.array([len(set(ds.labels[rows[leaf == i]].tolist()))
+                                for i in range(tree.leaf_count)])
+            could = (size > cfg.min_node_size) & ((classes > 1) | (mode == "unsupervised"))
+            depth = leaf_depths(tree)
+            drew += (could & (depth < cfg.max_depth_cap)).sum()
+            capped += (could & (depth == cfg.max_depth_cap)).sum()
+            small += ((size <= cfg.min_node_size) & (depth < cfg.max_depth_cap)).sum()
+        inner = sum(tree.n_nodes - tree.leaf_count for tree in forest.trees)
+        assert drew > 0 and capped > 0 and small > 0
+        assert len(nodes) == inner + drew
+
     @given(forest_problems(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_batched_kernel_equals_one_node_at_a_time(self, problem, data):
+        """The kernel is given only nodes that draw; the one-node oracles and
+        builders declare any other a leaf without a draw."""
         ds, cfg = problem
         split = _splitter(ds, cfg)
         nodes = data.draw(st.lists(
@@ -714,8 +894,19 @@ class TestLockstep:
                                    max_size=len(nodes)))
         rows = np.concatenate([np.array(r, dtype=np.int64) for r in nodes])
         offsets = np.cumsum([0] + [len(r) for r in nodes])
+        drawing = split.draws(rows, offsets[:-1], offsets[1:])
         states = np.array(seeds, dtype=np.uint64)
-        attr, param, goes_true = split(rows, offsets, states)
+        attr = np.full(len(nodes), -1)
+        param = np.zeros(len(nodes))
+        goes_true = np.zeros(len(rows), dtype=bool)
+        if drawing.any():
+            kept = np.concatenate([np.arange(a, b) for a, b, keep
+                                   in zip(offsets, offsets[1:], drawing) if keep])
+            size = np.diff(offsets)[drawing]
+            sub_states = states[drawing]
+            attr[drawing], param[drawing], goes_true[kept] = split(
+                rows[kept], np.concatenate([[0], size.cumsum()]), sub_states)
+            states[drawing] = sub_states
         XT = np.ascontiguousarray(ds.X.T)
         is_cat = ds.schema.category_sizes > 0
         y = np.unique(ds.labels, return_inverse=True)[1]
@@ -736,6 +927,7 @@ class TestLockstep:
             else:
                 alone = build_unsupervised_node(ds.X, node, rng, ds.schema, cfg.min_node_size)
             assert int(states[i]) == rng.state
+            assert drawing[i] or rng.state == seed
             col = ds.X[node, max(attr[i], 0)]
             mask = goes_true[offsets[i]:offsets[i + 1]]
             if alone is None:
@@ -791,7 +983,7 @@ class TestLockstep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(training, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         ds = dataset_numeric(seed=1)
         serial = tree_arrays(train_forest(ds, TrainConfig(mode="unsupervised", n_trees=2)).trees)
         cfg = TrainConfig(mode="unsupervised", n_trees=2, threads=5000)
