@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-node", type=int, help="leaf size threshold (default 2)")
     p.add_argument("--max-depth", type=int, help="optional depth cap")
     p.add_argument("--bootstrap", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--threads", type=int, help="worker processes (default 1)")
+    p.add_argument("--threads", type=int,
+                   help="worker processes (default 1), at most one per tree and per usable CPU")
     p.add_argument("--config", help="JSON file with TrainConfig fields; flags override")
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)

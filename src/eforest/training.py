@@ -17,8 +17,11 @@ draw from the tree's stream in pre-order, so neither the grouping nor the
 thread count changes a tree. ``forest.budget_runs`` cuts groups so their row
 buffers hold about ``_GROUP_ROWS`` rows, and kernel calls so their nodes'
 rows, each weighted by the kernel's ``width``, add up to about
-``_STEP_CELLS``. Rows are routed by encoding's ``forest.node_test``, and each
-tree is built from its arrays once.
+``_STEP_CELLS``. The best-gain kernel charges a row one sort key per sampled
+attribute, and sweeps the class counts of the runs its sort finds over parts
+of whole nodes that hold about ``_STEP_CELLS`` counts each. Rows are routed
+by encoding's ``forest.node_test``, and each tree is built from its arrays
+once.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 class _Kernel:
     """The data both kernels split, one attribute per row of ``XT``. A
-    kernel's ``width`` is the most values a node row costs one of its calls."""
+    kernel's ``width`` is the most values a node row costs one of its calls:
+    the values it gathers for that row."""
 
     def __init__(self, XT: np.ndarray, schema: Schema, min_node_size: int):
         self.XT = np.ascontiguousarray(XT, dtype=np.float64)
@@ -327,6 +331,13 @@ class _GainSplits(_Kernel):
     node's first maximum breaks ties to the lowest attribute index, then the
     lowest threshold or category value. A node no candidate of which has a
     positive gain is a leaf.
+
+    A node row costs a call one sort key per sampled attribute (``width``).
+    The keys sort as int32 when every key of the call fits, else as int64.
+    The class counts of the runs take C values a run, as do their running
+    sums and the gains' gathers; a call sweeps them over consecutive parts of
+    whole nodes whose runs times C add up to about ``_STEP_CELLS``, so its
+    memory does not grow with the class count.
     """
 
     def __init__(self, XT, y: np.ndarray, n_classes: int, schema: Schema, min_node_size: int):
@@ -334,12 +345,14 @@ class _GainSplits(_Kernel):
         self.y = y
         self.n_classes = n_classes
         self.sample = attribute_sample_size(self.d)
-        # a gathered value costs about one index, and one class count per class
-        self.width = self.sample * (n_classes + 1)
+        # a node row gathers one sort key per sampled attribute
+        self.width = self.sample
         self.xlogx = _xlogx_table(self.n)
         self.values, self.value_start, keys = _column_ranks(self.XT)
         self.n_ranks = R = int(keys.max(initial=0)) + 1
-        # a kernel call's segments number at most the values it gathers
+        # a call gathers at most _STEP_CELLS values plus its last node's, a
+        # node holds at most n rows, and its segments number at most the
+        # values it gathers: every key is below (_STEP_CELLS + n * sample) * R * C
         if (_STEP_CELLS + self.n * self.sample) * R * n_classes >= 2**63:
             raise ShapeError("too many distinct values and classes for 64-bit split keys")
         # rank and class of every (attribute, row), the low part of a sort key
@@ -374,70 +387,87 @@ class _GainSplits(_Kernel):
         k, C, R = self.sample, self.n_classes, self.n_ranks
         nn = offsets[1:] - offsets[:-1]
         m = len(nn)
-        total = np.bincount((np.arange(m) * C).repeat(nn) + self.y[rows],
-                            minlength=m * C).reshape(m, C)
         attrs = np.sort(_sample_attributes(words, self.d), axis=1).ravel()
         # segment s holds the rows of node s // k under its (s % k)-th sampled
         # attribute; sorted keys put each segment's rows in runs of equal value
         seg_len = nn.repeat(k)
-        cell = (attrs * self.n).repeat(seg_len)
-        cell += rows[_ranges(offsets[:-1].repeat(k), seg_len)]
-        key = (np.arange(m * k) * (R * C)).repeat(seg_len)
+        cell = rows[_ranges(offsets[:-1].repeat(k), seg_len)]
+        cell += (attrs * self.n).repeat(seg_len)
+        # every key is below m * k * R * C; int32 keys sort about twice as fast
+        key = np.arange(m * k, dtype=np.int32 if m * k * R * C < 2**31 else np.int64)
+        key = (key * (R * C)).repeat(seg_len)
         key += self.row_keys[cell]
         del cell
         key.sort()
         # the distinct keys are (run, class) pairs; a run is a segment and a rank
-        pair = _changes(key).nonzero()[0]
-        pair_key = key[pair]
+        edges = _changes(key).nonzero()[0]
+        pair_key = key[edges[:-1]].astype(np.int64, copy=False)  # int64 indexes faster
+        pair_count = np.diff(edges)
+        del key, edges
         run_new = _changes(pair_key // C)
-        run_of_pair = run_new.cumsum() - 1
-        counts = np.zeros((run_of_pair[-1] + 1, C), dtype=np.int64)
-        counts[run_of_pair, pair_key % C] = np.append(pair[1:], len(key)) - pair
-        first = pair[run_new]
-        end = np.append(first[1:], len(key))
-        run_key = pair_key[run_new] // C
-        run_seg = run_key // R
-        run_node = run_seg // k
-        cat = self.is_cat[attrs[run_seg]]
-        cand = np.where(cat, end - first < nn[run_node], end < seg_len.cumsum()[run_seg])
-        cand = cand.nonzero()[0]
-        if not len(cand):
-            return
-        # every segment's runs hold all its node's rows, so a running sum less
-        # the totals of the segments before gives the counts below each run
-        seg_total = total.repeat(k, axis=0)
-        before = seg_total.cumsum(axis=0) - seg_total
-        below = counts.cumsum(axis=0)[cand] - before[run_seg[cand]]
-        left = np.where(cat[cand, None], counts[cand], below)
-        node = run_node[cand]
+        run_pair = run_new.nonzero()[0]  # each run's first pair, then the pair count
+        run_key = pair_key[run_pair[:-1]] // C
+        # class counts cost C values a run: sweep them over parts of whole
+        # nodes whose runs stay within the budget
+        node_run = np.searchsorted(run_key, np.arange(m + 1) * (k * R))
         xlogx = self.xlogx
-        nl = left.sum(axis=1)
-        parent_term = xlogx[nn] - xlogx[total].sum(axis=1)
-        left_term = xlogx[nl] - xlogx[left].sum(axis=1)
-        right_term = xlogx[nn[node] - nl] - xlogx[total[node] - left].sum(axis=1)
-        gains = parent_term[node] - left_term - right_term
-        # each node's first maximum, taken only when positive
-        new_node = _changes(node)
-        heads = new_node.nonzero()[0]
-        best = np.maximum.reduceat(gains, heads)
-        at_max = (gains == best[new_node.cumsum() - 1]).nonzero()[0]
-        keep = best > 0.0
-        r = cand[at_max[np.searchsorted(at_max, heads[keep])]]
-        a = attrs[run_seg[r]]
-        value = self.values[self.value_start[a] + run_key[r] % R]
-        num = ~cat[r]
-        after = self.values[self.value_start[a[num]] + run_key[r[num] + 1] % R]
-        value[num] = _numeric_threshold(value[num], after)
-        chosen = node[heads[keep]]
-        attr[chosen] = a
-        param[chosen] = value
+        for part in budget_runs(np.diff(node_run) * C, _STEP_CELLS):
+            a, b = part.start, part.stop
+            ra, rb = node_run[a], node_run[b]
+            seg = run_key[ra:rb] // R
+            node = seg // k - a
+            cat = self.is_cat[attrs[seg]]
+            # a numeric candidate ends any run but its segment's last; a
+            # categorical one is any run of a segment with at least two
+            seg_new = _changes(seg)
+            cand = (~seg_new[1:] | (cat & ~seg_new[:-1])).nonzero()[0]
+            if not len(cand):
+                continue
+            sub = nn[part]
+            pairs = slice(run_pair[ra], run_pair[rb])
+            counts = np.zeros((rb - ra, C), dtype=np.int64)
+            counts[run_new[pairs].cumsum() - 1, pair_key[pairs] % C] = pair_count[pairs]
+            total = np.bincount((np.arange(b - a) * C).repeat(sub)
+                                + self.y[rows[offsets[a]:offsets[b]]],
+                                minlength=(b - a) * C).reshape(-1, C)
+            # every segment's runs hold all its node's rows, so a running sum
+            # less the totals of the part's segments before gives the counts
+            # below each run
+            seg_total = total.repeat(k, axis=0)
+            before = seg_total.cumsum(axis=0) - seg_total
+            below = counts.cumsum(axis=0)[cand] - before[seg[cand] - a * k]
+            left = np.where(cat[cand, None], counts[cand], below)
+            del counts, below, before, seg_total  # few C-wide arrays live at once
+            node = node[cand]
+            nl = left.sum(axis=1)
+            parent_term = xlogx[sub] - xlogx[total].sum(axis=1)
+            left_term = xlogx[nl] - xlogx[left].sum(axis=1)
+            right_term = xlogx[sub[node] - nl] - xlogx[total[node] - left].sum(axis=1)
+            del left
+            gains = parent_term[node] - left_term - right_term
+            # each node's first maximum, taken only when positive
+            new_node = _changes(node)[:-1]
+            heads = new_node.nonzero()[0]
+            best = np.maximum.reduceat(gains, heads)
+            at_max = (gains == best[new_node.cumsum() - 1]).nonzero()[0]
+            keep = best > 0.0
+            r = ra + cand[at_max[np.searchsorted(at_max, heads[keep])]]
+            chosen_attr = attrs[run_key[r] // R]
+            value = self.values[self.value_start[chosen_attr] + run_key[r] % R]
+            num = ~self.is_cat[chosen_attr]
+            after = self.values[self.value_start[chosen_attr[num]] + run_key[r[num] + 1] % R]
+            value[num] = _numeric_threshold(value[num], after)
+            chosen = a + node[heads[keep]]
+            attr[chosen] = chosen_attr
+            param[chosen] = value
 
 
 def _changes(a: np.ndarray) -> np.ndarray:
-    """Where ``a`` differs from its previous element; true at 0."""
-    new = np.empty(len(a), dtype=bool)
-    new[:1] = True
-    np.not_equal(a[1:], a[:-1], out=new[1:])
+    """Where ``a`` differs from its previous element; true at 0, and one more
+    true entry past the end."""
+    new = np.empty(len(a) + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:-1])
     return new
 
 
@@ -493,7 +523,8 @@ _GROUP_ROWS = 1 << 22
 _STEP_CELLS = 1 << 17
 """About the most gathered values one kernel call holds at once, a node row
 counting as the kernel's ``width`` of them; a step whose nodes would hold
-more splits them in consecutive parts."""
+more splits them in consecutive parts. The best-gain kernel sweeps the class
+counts of a call's runs in parts of about as many counts."""
 
 
 def _split_ranges(split, rows, states, trees, lo, hi):
@@ -611,13 +642,22 @@ def _splitter(dataset: Dataset, config: TrainConfig):
     return _GainSplits(XT, y, len(classes), dataset.schema, config.min_node_size)
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
     """Train a forest on a dataset; identical seeds give identical forests.
 
     Tree ``t`` consumes only its own random stream, so results do not depend
     on the thread count or the grouping, and trees always come back ordered
     by index. With ``threads`` > 1, each worker grows one contiguous block of
-    trees, and no more workers start than there are trees.
+    trees, and no more workers start than there are trees or CPUs this
+    process may run on.
     """
     if dataset.n == 0:
         raise EmptyDataError("cannot train on an empty dataset")
@@ -631,7 +671,7 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
             )
     split = _splitter(dataset, config)
     args = (split, dataset.n, config)
-    workers = min(config.threads, config.n_trees)
+    workers = min(config.threads, config.n_trees, _usable_cpus())
     cuts = [config.n_trees * w // workers for w in range(workers + 1)]
     blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
 

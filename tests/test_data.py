@@ -4,7 +4,9 @@ round-trips through the IDX and CSV formats."""
 import csv
 import math
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -305,6 +307,47 @@ class TestIdx:
                 "--out", str(tmp_path / "m.json")]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @given(
+        damaged=st.sampled_from(["images", "labels"]),
+        cut=st.integers(0, 40),
+        extra=st.binary(max_size=8),
+        flips=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=3),
+        mode=st.sampled_from(["sup", "unsup"]),
+    )
+    @example(damaged="images", cut=0, extra=b"", flips=[(7, 5)], mode="sup")  # n=6 becomes 5
+    @example(damaged="images", cut=0, extra=b"", flips=[(11, 1)], mode="unsup")  # h=3 becomes 1
+    @example(damaged="labels", cut=0, extra=b"", flips=[(3, 3)], mode="sup")  # 1 dimension becomes 3
+    @example(damaged="labels", cut=0, extra=b"\x07", flips=[(7, 7)], mode="sup")  # 7 labels, 6 images
+    @settings(max_examples=120, deadline=None)
+    def test_damaged_files_load_or_raise_typed_errors(self, damaged, cut, extra, flips, mode):
+        # truncate (cut bytes off the end), extend, then overwrite bytes of
+        # one file of a valid image/label pair; loading it and training on it
+        # through the CLI either work or fail with a typed error, exit 1
+        rng = np.random.default_rng(1)
+        with tempfile.TemporaryDirectory() as tmp:
+            ip, lp = Path(tmp) / "images.idx", Path(tmp) / "labels.idx"
+            write_idx_images(ip, rng.integers(0, 256, (6, 3, 2)))
+            write_idx_labels(lp, rng.integers(0, 3, 6))
+            path = ip if damaged == "images" else lp
+            blob = bytearray(path.read_bytes())
+            blob = blob[: len(blob) - min(cut, len(blob))] + extra
+            for pos, value in flips:
+                if blob:
+                    blob[pos % len(blob)] = value
+            path.write_bytes(bytes(blob))
+            try:
+                ds = load_idx(ip, lp)
+            except EForestError:
+                loaded = False
+            else:
+                loaded = True
+                n, h, w = struct.unpack(">3I", ip.read_bytes()[4:16])
+                assert ds.X.shape == (n, h * w) and len(ds.labels) == n
+                assert ((ds.X >= 0) & (ds.X <= 255)).all()
+            argv = ["train", "--data", str(ip), "--labels", str(lp), "--format", "idx",
+                    "--mode", mode, "--trees", "2", "--out", str(Path(tmp) / "m.json")]
+            assert cli.main(argv) == (0 if loaded else 1)
 
 
 class TestKindSpec:

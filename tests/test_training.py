@@ -4,6 +4,8 @@ reference splitters, stop conditions, determinism, and invariance under
 lockstep grouping and thread count."""
 
 import math
+import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,7 +16,13 @@ from hypothesis import strategies as st
 from eforest import training
 from eforest.codec import encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema, compute_bounds
-from eforest.errors import ConfigError, EmptyDataError, MissingLabelsError, UnknownCategoryError
+from eforest.errors import (
+    ConfigError,
+    EmptyDataError,
+    MissingLabelsError,
+    ShapeError,
+    UnknownCategoryError,
+)
 from eforest.forest import Tree
 from eforest.persistence import save_model
 from eforest.rng import SplitMix64, tree_stream
@@ -23,6 +31,7 @@ from eforest.training import (
     _GainSplits,
     _grow,
     _numeric_threshold,
+    _split_ranges,
     _splitter,
     _xlogx_table,
     attribute_sample_size,
@@ -455,7 +464,9 @@ class TestTrainForest:
         assert [t.node_records() for t in a.trees] != [t.node_records() for t in c.trees]
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
-    def test_thread_count_does_not_change_results(self, mode):
+    def test_thread_count_does_not_change_results(self, mode, monkeypatch):
+        # fork the workers asked for, however few CPUs this machine has
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 64)
         ds = dataset_numeric(seed=3)
         serial = train_forest(ds, TrainConfig(mode=mode, n_trees=6, seed=5, threads=1))
         parallel = train_forest(ds, TrainConfig(mode=mode, n_trees=6, seed=5, threads=2))
@@ -734,22 +745,25 @@ def reference_forest(ds, cfg):
 
 
 class RecordingSplit:
-    """A split kernel that records the rows, sorted, of every node it decides."""
+    """A split kernel that records the rows, sorted, of every node it
+    decides, and how many rows each of its calls held."""
 
     def __init__(self, split):
         self.split = split
         self.nodes = []
+        self.calls = []
 
     def __getattr__(self, name):
         return getattr(self.split, name)
 
     def __call__(self, rows, offsets, states):
         self.nodes += [tuple(sorted(rows[a:b].tolist())) for a, b in zip(offsets, offsets[1:])]
+        self.calls.append(len(rows))
         return self.split(rows, offsets, states)
 
 
 def recorded_training(ds, cfg):
-    """The forest ``train_forest`` grows, and the nodes its kernel decided."""
+    """The forest ``train_forest`` grows, and its recording kernel."""
     kernels = []
 
     def splitter(dataset, config):
@@ -759,7 +773,7 @@ def recorded_training(ds, cfg):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(training, "_splitter", splitter)
         forest = train_forest(ds, cfg)
-    return forest, kernels[0].nodes
+    return forest, kernels[0]
 
 
 def stack_peak(tree):
@@ -825,7 +839,7 @@ class TestLockstep:
     @settings(max_examples=150, deadline=None)
     def test_kernel_decides_only_nodes_that_draw(self, problem):
         ds, cfg = problem
-        _, nodes = recorded_training(ds, cfg)
+        nodes = recorded_training(ds, cfg)[1].nodes
         for node in nodes:
             assert len(node) > cfg.min_node_size
             if cfg.mode == "supervised":
@@ -863,7 +877,8 @@ class TestLockstep:
         # few attributes: many leaves hold rows that no test separates
         ds = random_mixed(3, n=300, d=3)
         cfg = TrainConfig(mode=mode, n_trees=6, seed=3, min_node_size=4, max_depth_cap=7)
-        forest, nodes = recorded_training(ds, cfg)
+        forest, kernel = recorded_training(ds, cfg)
+        nodes = kernel.nodes
         codes = encode_batch(forest, ds).leaf_ids
         drew = capped = small = 0
         for t, tree in enumerate(forest.trees):
@@ -892,6 +907,15 @@ class TestLockstep:
             st.lists(st.integers(0, ds.n - 1), min_size=1, max_size=ds.n), min_size=1, max_size=6))
         seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(nodes),
                                    max_size=len(nodes)))
+        # a budget of one sweeps the class counts of one node at a time
+        budget = data.draw(st.sampled_from([training._STEP_CELLS, 1]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "_STEP_CELLS", budget)
+            self._check_batch(ds, cfg, split, nodes, seeds)
+
+    def _check_batch(self, ds, cfg, split, nodes, seeds):
+        """Decide ``nodes`` in one kernel call, each from its seed's stream,
+        and check every node against the one-node oracles and builders."""
         rows = np.concatenate([np.array(r, dtype=np.int64) for r in nodes])
         offsets = np.cumsum([0] + [len(r) for r in nodes])
         drawing = split.draws(rows, offsets[:-1], offsets[1:])
@@ -963,7 +987,44 @@ class TestLockstep:
             with monkeypatch.context() as patch:
                 patch.setattr(training, "_STEP_CELLS", 64)
                 patch.setattr(training, "_GROUP_ROWS", 700)
+                forest, kernel = recorded_training(ds, cfg)
+                assert tree_arrays(forest.trees) == whole
+                # a call gathers at most the budget and its last node's
+                # values, the bound the 64-bit key guard rests on
+                assert len(kernel.calls) > 1
+                assert max(kernel.calls) * kernel.width <= 64 + ds.n * kernel.width
+        # a rank stride past 2**31 makes every key need 64 bits; ranks sort
+        # as before, so int64 keys grow the trees int32 ones do, whole or in
+        # parts
+        cfg = TrainConfig(mode="supervised", n_trees=6, seed=3)
+        whole = tree_arrays(train_forest(ds, cfg).trees)
+
+        def wide_keys(dataset, config):
+            split = _splitter(dataset, config)
+            assert split.row_keys.dtype == np.int32
+            split.n_ranks = 2**31
+            return split
+
+        for budget in (training._STEP_CELLS, 64):
+            with monkeypatch.context() as patch:
+                patch.setattr(training, "_splitter", wide_keys)
+                patch.setattr(training, "_STEP_CELLS", budget)
                 assert tree_arrays(train_forest(ds, cfg).trees) == whole
+
+    def test_split_keys_beyond_64_bits_are_refused(self, monkeypatch):
+        ds = dataset_numeric(seed=2, n=12, d=4)
+        split = _splitter(ds, TrainConfig(mode="supervised", n_trees=1))
+        # every key of a call is below (budget + n * sample) * R * C
+        per_budget = split.n_ranks * split.n_classes
+        largest = (2**63 - 1) // per_budget - ds.n * split.sample
+        cfg = TrainConfig(mode="supervised", n_trees=2)
+        whole = tree_arrays(train_forest(ds, cfg).trees)
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_STEP_CELLS", largest)
+            assert tree_arrays(train_forest(ds, cfg).trees) == whole
+            patch.setattr(training, "_STEP_CELLS", largest + 1)
+            with pytest.raises(ShapeError, match="too many distinct values and classes"):
+                train_forest(ds, cfg)
 
     def test_threads_start_no_more_workers_than_trees(self, monkeypatch):
         started = []
@@ -984,6 +1045,7 @@ class TestLockstep:
                 return map(fn, items)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         ds = dataset_numeric(seed=1)
         serial = tree_arrays(train_forest(ds, TrainConfig(mode="unsupervised", n_trees=2)).trees)
         cfg = TrainConfig(mode="unsupervised", n_trees=2, threads=5000)
@@ -991,12 +1053,58 @@ class TestLockstep:
         assert started == [2]
         train_forest(ds, TrainConfig(mode="supervised", n_trees=7, threads=3))
         assert started == [2, 3]
+        # nor more than the CPUs the process may run on, or, where it cannot
+        # ask that, the machine's CPUs
+        many = TrainConfig(mode="unsupervised", n_trees=9, threads=5000)
+        serial = tree_arrays(train_forest(ds, TrainConfig(mode="unsupervised", n_trees=9)).trees)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert tree_arrays(train_forest(ds, many).trees) == serial
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert tree_arrays(train_forest(ds, many).trees) == serial
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert tree_arrays(train_forest(ds, many).trees) == serial
+        assert started == [2, 3, 3, 4]
 
     @pytest.mark.parametrize("n_trees, threads", [(7, 3), (3, 5)])
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
-    def test_uneven_thread_blocks_change_nothing(self, mode, n_trees, threads):
+    def test_uneven_thread_blocks_change_nothing(self, mode, n_trees, threads, monkeypatch):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 64)
         ds = random_mixed(9, n=80, d=5)
         serial = train_forest(ds, TrainConfig(mode=mode, n_trees=n_trees, seed=4))
         parallel = train_forest(ds, TrainConfig(mode=mode, n_trees=n_trees, seed=4,
                                                 threads=threads))
         assert tree_arrays(parallel.trees) == tree_arrays(serial.trees)
+
+
+class TestSplitMemory:
+    @staticmethod
+    def call_peak(n, n_classes, node_rows=40, d=100):
+        """The traced peak of one supervised ``_split_ranges`` call on dense
+        data whose every column holds n distinct values, with its nodes of
+        ``node_rows`` rows filling the budget, in units of budget × 8 B."""
+        rng = np.random.default_rng(n + n_classes)
+        X = rng.random((n, d)).argsort(axis=0).astype(float)
+        labels = rng.permutation(np.arange(n) % n_classes)
+        ds = Dataset(Schema.numeric([f"a{j}" for j in range(d)]), X, labels=labels)
+        split = _splitter(ds, TrainConfig(mode="supervised", n_trees=1))
+        m = training._STEP_CELLS // (node_rows * split.width)
+        rows = rng.integers(0, n, m * node_rows)
+        lo = np.arange(m) * node_rows
+        states = np.arange(m, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            attr, _, _ = _split_ranges(split, rows, states, np.arange(m), lo, lo + node_rows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (attr >= 0).all()
+        return peak / (training._STEP_CELLS * 8)
+
+    def test_a_call_holds_a_fixed_multiple_of_the_budget(self):
+        # every run holds one value, so a call's runs number about the budget;
+        # their class counts alone would take C budgets at once
+        peaks = [self.call_peak(n, c) for n, c in [(1000, 20), (1000, 50), (4000, 50)]]
+        assert max(peaks) <= 12
+        assert max(peaks) <= 1.25 * min(peaks)
