@@ -37,7 +37,7 @@ from .errors import (
     UnknownCategoryError,
     VersionError,
 )
-from .forest import Forest, Tree
+from .forest import Forest
 from .metrics import ReconReport, damage_curve, reconstruction_report
 from .persistence import EncodingMatrix, load_encodings, load_model, save_encodings, save_model
 from .rules import CategorySet, Interval, Rule, calculate_mcr, contains, representative
@@ -74,7 +74,6 @@ __all__ = [
     "SchemaMismatchError",
     "ShapeError",
     "TrainConfig",
-    "Tree",
     "TreeMask",
     "UnknownCategoryError",
     "VersionError",

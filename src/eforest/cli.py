@@ -15,8 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import codec, data, metrics, persistence, training
 from .errors import ConfigError, EForestError
 from .forest import depth_stats
@@ -78,7 +76,7 @@ def _build_train_config(args) -> training.TrainConfig:
         try:
             with open(args.config) as fh:
                 base = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # deep nesting is not a ValueError
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(base, dict):
             raise ConfigError(f"{args.config}: config file must hold a JSON object")
@@ -263,8 +261,8 @@ def cmd_damage(args) -> int:
 def cmd_stats(args) -> int:
     forest = persistence.load_model(args.model)
     max_depth, avg_depth = depth_stats(forest)
-    leaf_counts = [t.leaf_count for t in forest.trees]
-    max_leaves = max(leaf_counts)
+    leaf_counts = forest.leaf_counts
+    max_leaves = int(leaf_counts.max())
     bits_per_tree = max(1, (max_leaves - 1).bit_length())
     encoding_bits = forest.T * bits_per_tree
     input_bits = forest.d * 32
@@ -278,9 +276,9 @@ def cmd_stats(args) -> int:
             "d": forest.d,
             "max_depth": max_depth,
             "avg_depth": avg_depth,
-            "leaf_count_min": int(min(leaf_counts)),
-            "leaf_count_max": int(max_leaves),
-            "leaf_count_mean": float(np.mean(leaf_counts)),
+            "leaf_count_min": int(leaf_counts.min()),
+            "leaf_count_max": max_leaves,
+            "leaf_count_mean": float(leaf_counts.mean()),
             "bits_per_tree": bits_per_tree,
             "encoding_bits": encoding_bits,
             "input_bits": input_bits,

@@ -5,10 +5,10 @@ path rules of the leaves named by an encoding into the maximal compatible
 rule and returns a representative point of that region. Decoding under a
 tree mask uses only the kept trees, which models operating a damaged model.
 
-Both batch directions walk a group of trees at once through
-``forest.TreeGroup.descend``: every (row, tree) pair moves down one level per
-step, so a group costs its deepest tree's depth in steps, and a group holds
-about ``_STEP_PAIRS`` pairs. Encoding steers each pair by the row's values
+Both batch directions walk a run of trees, named by their roots, at once
+through ``forest.descend``: every (row, tree) pair moves down one level per
+step, so a run costs its deepest tree's depth in steps, and a run holds about
+``_STEP_PAIRS`` pairs. Encoding steers each pair by the row's values
 through ``forest.node_test``, the test training routes its rows by. Batch
 decoding steers it by the stored position of the leaf its ordinal names, as
 a fold that tightens a per-row region state once per kept tree: lower and
@@ -34,7 +34,7 @@ from .errors import (
     ModelMismatchError,
     SchemaMismatchError,
 )
-from .forest import Forest, TreeGroup, budget_runs, get_path, path_to_rule
+from .forest import Forest, budget_runs, descend, encode, get_path, path_to_rule
 from .persistence import EncodingMatrix, forest_hex_id
 from .rng import permutation
 from .rules import Rule, calculate_mcr, normalize_strategy, pick_interval_batch
@@ -133,8 +133,7 @@ def encode_batch(forest: Forest, dataset: Dataset, reuse: bool = False) -> Encod
     n = dataset.n
     leaf_ids = np.empty((n, forest.T), dtype=np.int32)
     for ts in _groups(range(forest.T), n):
-        group = TreeGroup([forest.trees[t] for t in ts])
-        leaf_ids[:, ts] = group.encode(dataset.X, forest.schema)
+        leaf_ids[:, ts] = encode(forest, forest.roots[ts], dataset.X)
     return EncodingMatrix(leaf_ids, forest_hex_id(forest))
 
 
@@ -144,14 +143,13 @@ def _check_ordinals(forest: Forest, leaf_ids: np.ndarray) -> None:
         raise LeafIndexError(
             f"encoding rows have shape {leaf_ids.shape[1:]}, forest has {forest.T} trees"
         )
-    counts = np.array([tree.leaf_count for tree in forest.trees])
     low, high = leaf_ids.min(axis=0, initial=0), leaf_ids.max(axis=0, initial=0)
-    bad = (low < 0) | (high >= counts)
+    bad = (low < 0) | (high >= forest.leaf_counts)
     if bad.any():
         t = int(bad.argmax())
         raise LeafIndexError(
             f"tree {t}: leaf ordinal {low[t] if low[t] < 0 else high[t]} out of range "
-            f"(tree has {counts[t]} leaves)"
+            f"(tree has {forest.leaf_counts[t]} leaves)"
         )
 
 
@@ -168,9 +166,9 @@ def decode_region(forest: Forest, encoding, mask: TreeMask | None = None) -> Rul
     return calculate_mcr(rules, forest.bounds, forest.schema)
 
 
-def _absorb(state, trees, leaf_ids: np.ndarray, sizes: np.ndarray) -> None:
+def _absorb(state, forest: Forest, roots, leaf_ids: np.ndarray, sizes: np.ndarray) -> None:
     """Tighten the per-row region state by every test on the paths to the
-    leaves that ``leaf_ids`` (one column per tree of ``trees``) names.
+    leaves that ``leaf_ids`` (one column per tree, rooted at ``roots``) names.
 
     Every attribute kind shares one state: per-row ends ``lo``/``hi`` of every
     attribute and a ``banned`` mask whose columns hold each categorical
@@ -188,17 +186,16 @@ def _absorb(state, trees, leaf_ids: np.ndarray, sizes: np.ndarray) -> None:
     lo, hi, banned = state
     n, d = lo.shape
     width, is_cat, start = banned.shape[1], sizes > 0, np.cumsum(sizes) - sizes
-    group = TreeGroup(trees)
-    k = group.n_trees
-    target = group.leaf_nodes(leaf_ids).ravel()
+    attr, param, true_child, k = forest.attr, forest.param, forest.true_child, len(roots)
+    target = forest.leaf_pos[leaf_ids + forest.leaf_rank[roots]].ravel()
     lo, hi, banned = lo.ravel(), hi.ravel(), banned.ravel()  # views of the state
 
     def go_true(pairs, nodes):
-        taken = target[pairs] >= group.true_child[nodes]
-        a = group.attr[nodes]
+        taken = target[pairs] >= true_child[nodes]
+        a = attr[nodes]
         rows = pairs // k
         cells = rows * d + a
-        p = group.param[nodes]
+        p = param[nodes]
         cat = is_cat[a]
         np.maximum.at(lo, cells[taken], p[taken])
         down = taken == cat
@@ -207,7 +204,7 @@ def _absorb(state, trees, leaf_ids: np.ndarray, sizes: np.ndarray) -> None:
         banned[rows[ban] * width + start[a[ban]] + p[ban].astype(np.intp)] = True
         return taken
 
-    group.descend(n, go_true)
+    descend(forest, roots, n, go_true)
 
 
 def _finish(forest: Forest, state, strategy: str) -> np.ndarray:
@@ -271,7 +268,7 @@ def decode_masks(forest: Forest, matrix: EncodingMatrix, masks, strategy: str = 
             absorbed = set()
         new = [t for t in keep if t not in absorbed]
         for ts in _groups(new, n):
-            _absorb(state, [forest.trees[t] for t in ts], leaf_ids[:, ts], sizes)
+            _absorb(state, forest, forest.roots[ts], leaf_ids[:, ts], sizes)
         absorbed = set(keep)
         yield Dataset._adopt(schema, _finish(forest, state, strategy))
 

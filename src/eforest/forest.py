@@ -1,4 +1,4 @@
-"""Tree and forest structures, batch tree walks, and decision-path extraction.
+"""Forest structure, batch tree walks, and decision-path extraction.
 
 A tree is two flat node arrays in depth-first pre-order with the false branch
 visited first: ``attr`` (-1 marks a leaf) and ``param``. Node 0 is the root.
@@ -8,11 +8,13 @@ where every true child sits, so it is derived, never stored. Leaves are
 numbered 0..L-1 in storage order, and an instance's encoding under a forest is
 the vector of those leaf ordinals, one per tree.
 
-Encode and decode share one walk: a ``TreeGroup`` lays a group of trees end to
-end as one set of node arrays and moves every (row, tree) pair down one level
-per step, so a group of trees costs as many steps as its deepest tree.
-Training routes rows and encoding routes pairs with one ``node_test``, and
-lockstep groups, kernel calls and walks are all cut by one ``budget_runs``.
+A ``Forest`` lays its trees end to end as one set of node arrays, deriving
+true children and leaf maps for all of them at once; a ``Tree`` views one.
+Encode and decode share one walk over the trees whose roots it is given: it
+moves every (row, tree) pair down one level per step, so a run of trees costs
+as many steps as its deepest tree. Training routes rows and encoding routes
+pairs with one ``node_test``, and lockstep groups, kernel calls and walks are
+all cut by one ``budget_runs``.
 """
 
 from __future__ import annotations
@@ -25,27 +27,18 @@ from .rules import Rule, predicate_to_constraint, simplify
 
 
 class Tree:
-    """One decision tree as two flat node arrays in depth-first pre-order.
-
-    ``attr`` (int32, -1 on leaves) and ``param`` (float64, 0.0 on leaves) are
-    the tree. Since the false branch is stored first, the false child of
-    internal node ``i`` is ``i + 1``; ``true_child`` (-1 on leaves) is derived
-    from the leaf flags once, at construction, which also refuses a layout
-    that is not one tree. Leaf ordinals count leaves in storage order.
-    Ordinals, paths and depths are derived, never stored, and the arrays are
-    read-only so a forest's cached content hash cannot go stale.
+    """Tree ``t`` of a forest, as a view: ``attr`` and ``param`` are slices of
+    the forest's arrays, no copies. Leaf ordinals count the tree's leaves in
+    storage order; ordinals, paths and depths are derived, never stored.
     """
 
-    __slots__ = ("attr", "param", "true_child")
+    __slots__ = ("attr", "param", "_true_child", "_root")
 
-    def __init__(self, attr, param):
-        attr = np.asarray(attr, dtype=np.int32)
-        param = np.asarray(param, dtype=np.float64)
-        if len(attr) == 0 or len(param) != len(attr):
-            raise InvalidModelError("tree node arrays must be non-empty and of equal length")
-        for name, arr in zip(self.__slots__, (attr, param, _true_children(attr < 0))):
-            arr.flags.writeable = False
-            setattr(self, name, arr)
+    def __init__(self, forest: "Forest", t: int):
+        self._root = root = int(forest.roots[t])
+        end = forest.roots[t + 1]
+        self.attr, self.param = forest.attr[root:end], forest.param[root:end]
+        self._true_child = forest.true_child[root:end]
 
     @property
     def n_nodes(self) -> int:
@@ -59,7 +52,8 @@ class Tree:
         """(internal node index, branch taken) pairs from root to the leaf.
 
         Walks down from the root: the false subtree of node ``i`` holds
-        ``(true_child[i] - i) // 2`` leaves.
+        ``(true_child[i] - i) // 2`` leaves, where ``true_child`` is the
+        forest's, less the tree's offset.
         """
         below = self.leaf_count
         if not 0 <= leaf < below:
@@ -67,11 +61,11 @@ class Tree:
                 f"leaf ordinal {leaf} out of range for a tree with {below} leaves"
             )
         leaf = int(leaf)
-        true_child = self.true_child
+        true_child, root = self._true_child, self._root
         steps = []
         node = 0
         while below > 1:
-            tr = int(true_child[node])
+            tr = int(true_child[node]) - root
             in_false = (tr - node) // 2
             if leaf < in_false:
                 steps.append((node, False))
@@ -88,15 +82,15 @@ class Tree:
         """The two stored node arrays as JSON lists."""
         return {"attr": self.attr.tolist(), "param": self.param.tolist()}
 
-    @classmethod
-    def from_records(cls, nodes: dict, schema: Schema) -> "Tree":
-        """Build and fully validate a tree from ``node_records`` output.
+    @staticmethod
+    def from_records(nodes: dict, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
+        """The checked ``(attr, param)`` arrays of ``node_records`` output.
 
-        ``attr`` must be a list of ints (never bools) in ``[-1, d)`` and
-        ``param`` a list of floats. Leaves hold ``param = 0.0``; an internal
-        node holds an integral category index in range when its attribute is
-        categorical, else a finite threshold. Construction refuses a layout
-        that is not one tree.
+        ``attr`` must be a non-empty list of ints (never bools) in ``[-1, d)``
+        and ``param`` a list of as many floats. An internal node holds an
+        integral category index in range when its attribute is categorical,
+        else a finite threshold. ``Forest`` checks what needs no schema: the
+        layout, and ``param = 0.0`` on every leaf.
         """
         if type(nodes) is not dict or nodes.keys() != {"attr", "param"}:
             raise InvalidModelError("tree nodes must be an object with keys ('attr', 'param')")
@@ -105,20 +99,20 @@ class Tree:
             if type(values) is not list or set(map(type, values)) - {want}:
                 raise InvalidModelError(f"tree {name} must be a list of {want.__name__}s")
         attr = nodes["attr"]
+        if not attr or len(nodes["param"]) != len(attr):
+            raise InvalidModelError("tree node arrays must be non-empty and of equal length")
         # checked on the Python ints, so the int32 conversion cannot wrap
-        if attr and not (-1 <= min(attr) and max(attr) < schema.d):
+        if not (-1 <= min(attr) and max(attr) < schema.d):
             i = next(i for i, a in enumerate(attr) if not -1 <= a < schema.d)
             raise InvalidModelError(f"node {i}: attribute out of range")
-        tree = cls(attr, nodes["param"])
-        leaf = tree.attr < 0
-        _refuse(np.arange(tree.n_nodes), leaf & (tree.param != 0.0), "a leaf must hold param 0.0")
-        inner = np.flatnonzero(~leaf)
-        sizes, p = schema.category_sizes[tree.attr[inner]], tree.param[inner]
+        attr, param = np.array(attr, dtype=np.int32), np.array(nodes["param"])
+        inner = np.flatnonzero(attr >= 0)
+        sizes, p = schema.category_sizes[attr[inner]], param[inner]
         cat = sizes > 0
         bad_category = cat & ((p != np.floor(p)) | (p < 0) | (p >= sizes))
         _refuse(inner, bad_category, "category out of range")
         _refuse(inner, ~cat & ~np.isfinite(p), "threshold is not finite")
-        return tree
+        return attr, param
 
 
 def _refuse(nodes: np.ndarray, bad: np.ndarray, what: str) -> None:
@@ -126,28 +120,42 @@ def _refuse(nodes: np.ndarray, bad: np.ndarray, what: str) -> None:
         raise InvalidModelError(f"node {int(nodes[bad.argmax()])}: {what}")
 
 
-def _true_children(leaf: np.ndarray) -> np.ndarray:
-    """True child of every node (-1 on leaves), derived from the leaf flags in
-    a fixed number of array passes; refuses flags that are not one binary
-    tree in depth-first pre-order with the false branch first.
+def _refuse_in(roots: np.ndarray, bad: np.ndarray, what) -> None:
+    """Refuse trees laid end to end from ``roots`` if any node is ``bad``,
+    naming the first such node, its tree and ``what(node)`` is wrong there."""
+    if bad.any():
+        i = int(bad.argmax())
+        t = int(np.searchsorted(roots, i, side="right")) - 1
+        raise InvalidModelError(f"tree {t}: node {i - roots[t]}: {what(i)}")
 
-    Storing a node leaves ``open`` subtrees still to store: one at the start,
-    one more after an internal node and one fewer after a leaf. The count must
-    stay positive until the last node and reach zero there. The false
-    subtree of internal node ``i`` then holds only nodes stored with more
-    subtrees open than ``i``, so its true child is the next node stored with
-    as many open as ``i``.
+
+def _true_children(leaf: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """True child of every node (-1 on leaves) of trees laid end to end, tree
+    ``t`` from ``roots[t]``, in a fixed number of array passes; refuses leaf
+    flags that are not one tree in pre-order with the false branch first.
+
+    Storing a node leaves ``open`` subtrees of its tree still to store: one at
+    its root, one more after an internal node and one fewer after a leaf. The
+    count must stay positive until the tree's last node and reach zero there.
+    The false subtree of internal node ``i`` then holds only nodes stored with
+    more subtrees open than ``i``, so its true child is the next node stored
+    with as many open as ``i``, in the same tree. A stable sort by that count
+    (at most a tree's depth plus one, so a narrow integer sorted by radix)
+    puts each internal node right before it.
     """
-    n = len(leaf)
     step = np.where(leaf, -1, 1)
-    after = 1 + np.cumsum(step)
-    before = after - step
-    _refuse(np.arange(n - 1), after[:-1] <= 0, "nodes after this leaf are unreachable")
-    if after[-1] != 0:
-        raise InvalidModelError(f"node {n - 1}: {after[-1]} subtrees are missing after it")
-    order = np.argsort(before, kind="stable")  # by count, then by position
-    same = before[order[1:]] == before[order[:-1]]
-    true_child = np.full(n, -1, dtype=np.int32)
+    run = np.cumsum(step)
+    first, last = roots[:-1], roots[1:] - 1
+    after = 1 + run - np.repeat(run[first] - step[first], np.diff(roots))
+    bad = after <= 0
+    bad[last] = after[last] != 0  # and positive, unless an earlier node was bad
+    _refuse_in(roots, bad, lambda i: f"{after[i]} subtrees are missing after it" if after[i] > 0
+               else "nodes after this leaf are unreachable")
+    key = after - step
+    key = key.astype(np.min_scalar_type(key.max()))
+    order = np.argsort(key, kind="stable")  # by count, then by position
+    same = key[order[1:]] == key[order[:-1]]
+    true_child = np.full(len(leaf), -1, dtype=np.int32)
     true_child[order[:-1][same]] = order[1:][same]
     true_child[leaf] = -1
     return true_child
@@ -179,75 +187,54 @@ def budget_runs(costs: np.ndarray, budget: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-class TreeGroup:
-    """Trees laid end to end as one set of node arrays, walked together.
-
-    Tree ``t``'s nodes start at ``roots[t]``, ``true_child`` holds these group
-    positions (-1 on leaves), and tree ``t``'s leaves follow the
-    ``leaf_base[t]`` leaves of the trees before it.
+def descend(forest: "Forest", roots: np.ndarray, n: int, go_true) -> np.ndarray:
+    """Leaf node reached by every (row, tree) pair of ``n`` rows in the trees
+    rooted at ``roots``, as an (n, len(roots)) array of forest positions,
+    moving every pair down one level per step. Pair ``p`` is row
+    ``p // len(roots)`` in tree ``p % len(roots)``. ``go_true(pairs, nodes)``
+    gets the pending pairs and the internal node each one sits at, and
+    returns which take the true branch.
     """
+    cur = np.tile(roots, n)
+    pending = np.flatnonzero(forest.attr[cur] >= 0)
+    while len(pending):
+        nodes = cur[pending]
+        nxt = np.where(go_true(pending, nodes), forest.true_child[nodes], nodes + 1)
+        cur[pending] = nxt
+        pending = pending[forest.attr[nxt] >= 0]
+    return cur.reshape(n, len(roots))
 
-    __slots__ = ("attr", "param", "true_child", "roots", "leaf_base")
 
-    def __init__(self, trees):
-        sizes = np.array([t.n_nodes for t in trees])
-        self.roots = np.concatenate([[0], np.cumsum(sizes[:-1])])
-        self.attr = np.concatenate([t.attr for t in trees])
-        self.param = np.concatenate([t.param for t in trees])
-        true_child = np.concatenate([t.true_child for t in trees]).astype(np.intp)
-        true_child += np.repeat(self.roots, sizes)
-        self.true_child = np.where(self.attr < 0, -1, true_child)
-        self.leaf_base = np.concatenate([[0], np.cumsum((sizes + 1) // 2)[:-1]])
+def encode(forest: "Forest", roots: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(n, len(roots)) leaf ordinals of the rows of ``X`` in the trees rooted
+    at ``roots``; the attributes of ``X`` are the forest schema's."""
+    n, d = X.shape
+    values = X.ravel()
+    is_cat = forest.schema.category_sizes > 0
+    attr, param, k = forest.attr, forest.param, len(roots)
 
-    @property
-    def n_trees(self) -> int:
-        return len(self.roots)
+    def go_true(pairs, nodes):
+        a = attr[nodes]
+        return node_test(values[pairs // k * d + a], a, param[nodes], is_cat)
 
-    def leaf_nodes(self, ordinals: np.ndarray) -> np.ndarray:
-        """Group position of every leaf ordinal in an (n, n_trees) array."""
-        return np.flatnonzero(self.attr < 0)[ordinals + self.leaf_base]
-
-    def leaf_ordinals(self, nodes: np.ndarray) -> np.ndarray:
-        """Ordinal within its tree of every leaf node in an (n, n_trees) array."""
-        # a leaf's group-wide index is the number of leaves stored before it
-        return (np.cumsum(self.attr < 0) - 1)[nodes] - self.leaf_base
-
-    def encode(self, X: np.ndarray, schema: Schema) -> np.ndarray:
-        """(n, n_trees) leaf ordinals of the rows of ``X``, whose attributes
-        are ``schema``'s."""
-        n, d = X.shape
-        values = X.ravel()
-        is_cat = schema.category_sizes > 0
-        k = self.n_trees
-
-        def go_true(pairs, nodes):
-            a = self.attr[nodes]
-            return node_test(values[pairs // k * d + a], a, self.param[nodes], is_cat)
-
-        return self.leaf_ordinals(self.descend(n, go_true))
-
-    def descend(self, n: int, go_true) -> np.ndarray:
-        """Leaf node reached by every (row, tree) pair of ``n`` rows, as an
-        (n, n_trees) array, moving every pair down one level per step.
-
-        Pair ``p`` is row ``p // n_trees`` in tree ``p % n_trees``.
-        ``go_true(pairs, nodes)`` receives the pairs still pending and the
-        internal node each one sits at, and returns which take the true branch.
-        """
-        cur = np.tile(self.roots, n)
-        pending = np.flatnonzero(self.attr[cur] >= 0)
-        while len(pending):
-            nodes = cur[pending]
-            nxt = np.where(go_true(pending, nodes), self.true_child[nodes], nodes + 1)
-            cur[pending] = nxt
-            pending = pending[self.attr[nxt] >= 0]
-        return cur.reshape(n, self.n_trees)
+    # a leaf's ordinal is the number of leaves stored between its root and it
+    return forest.leaf_rank[descend(forest, roots, n, go_true)] - forest.leaf_rank[roots]
 
 
 class Forest:
-    """An ordered tuple of trees trained on one schema, plus training metadata."""
+    """Trees laid end to end as one set of read-only node arrays (so the
+    cached content hash cannot go stale), plus schema, bounds and metadata.
 
-    __slots__ = ("trees", "schema", "bounds", "kind", "seed", "config", "_hex_id")
+    ``trees`` takes one ``(attr, param)`` pair per tree, copied once into
+    ``attr`` and ``param``; tree ``t`` sits from ``roots[t]`` to
+    ``roots[t + 1]`` and is viewed as ``trees[t]``. Construction refuses
+    trees whose layout or leaf params are wrong, and derives ``true_child``
+    (-1 on leaves), ``leaf_pos`` (each leaf's position) and ``leaf_rank``
+    (the leaves stored before each position).
+    """
+
+    __slots__ = ("attr", "param", "roots", "true_child", "leaf_pos", "leaf_rank", "trees",
+                 "schema", "bounds", "kind", "seed", "config", "_hex_id")
 
     def __init__(
         self,
@@ -260,12 +247,25 @@ class Forest:
     ):
         if kind not in ("supervised", "unsupervised"):
             raise ValueError(f"unknown forest kind {kind!r}")
-        trees = tuple(trees)
+        trees = list(trees)
         if not trees:
             raise ValueError("a forest needs at least one tree")
         if bounds.d != schema.d:
             raise ValueError("bounds length does not match schema")
-        self.trees = trees
+        sizes = [len(attr) for attr, _ in trees]
+        if 0 in sizes or sizes != [len(param) for _, param in trees]:
+            raise InvalidModelError("tree node arrays must be non-empty and of equal length")
+        self.roots = np.concatenate([[0], np.cumsum(sizes)])
+        self.attr = np.concatenate([attr for attr, _ in trees], dtype=np.int32)
+        self.param = np.concatenate([param for _, param in trees], dtype=np.float64)
+        leaf = self.attr < 0
+        self.true_child = _true_children(leaf, self.roots)
+        _refuse_in(self.roots, leaf & (self.param != 0.0), lambda i: "a leaf must hold param 0.0")
+        self.leaf_pos = np.flatnonzero(leaf).astype(np.int32)
+        self.leaf_rank = np.concatenate([[0], np.cumsum(leaf)], dtype=np.int32)
+        for name in ("attr", "param", "roots", "true_child", "leaf_pos", "leaf_rank"):
+            getattr(self, name).flags.writeable = False
+        self.trees = tuple(Tree(self, t) for t in range(len(trees)))
         self.schema = schema
         self.bounds = bounds
         self.kind = kind
@@ -281,6 +281,11 @@ class Forest:
     def d(self) -> int:
         return self.schema.d
 
+    @property
+    def leaf_counts(self) -> np.ndarray:
+        """How many leaves each tree holds."""
+        return (np.diff(self.roots) + 1) // 2
+
 
 def get_path(tree: Tree, leaf: int) -> list[tuple[tuple[int, float], bool]]:
     """Root-to-leaf list of ((attr, param) node test, branch taken)."""
@@ -295,18 +300,18 @@ def path_to_rule(path, schema: Schema) -> Rule:
 
 def depth_stats(forest: Forest) -> tuple[int, float]:
     """(max leaf depth over all trees, mean per-tree average leaf depth),
-    walking the levels of every tree at once with the trees laid end to end."""
-    group = TreeGroup(forest.trees)
-    depth = np.zeros(len(group.attr), dtype=np.int64)
-    internal = group.attr >= 0
-    level = group.roots[internal[group.roots]]
+    walking the levels of every tree of the forest at once."""
+    attr, true_child, roots = forest.attr, forest.true_child, forest.roots
+    depth = np.zeros(len(attr), dtype=np.int64)
+    internal = attr >= 0
+    level = roots[:-1][internal[roots[:-1]]]
     d = 0
     while len(level):
         d += 1
-        children = np.concatenate([level + 1, group.true_child[level]])
+        children = np.concatenate([level + 1, true_child[level]])
         depth[children] = d
         level = children[internal[children]]
     leaf_depth = depth[~internal]
-    sizes = np.diff(np.append(group.leaf_base, len(leaf_depth)))
-    means = np.add.reduceat(leaf_depth, group.leaf_base) / sizes
+    base = forest.leaf_rank[roots]
+    means = np.add.reduceat(leaf_depth, base[:-1]) / np.diff(base)
     return int(leaf_depth.max()), float(np.mean(means))

@@ -241,7 +241,7 @@ def load_model(path):
         raise FormatError(f"cannot read model file {path}: {exc}") from exc
     try:
         record = json.loads(blob, parse_constant=_refuse_constant)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # deep nesting is not a ValueError
         raise FormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(record, dict) or set(record.keys()) != _TOP_KEYS:
         raise FormatError(f"{path}: model file must hold exactly keys {sorted(_TOP_KEYS)}")

@@ -42,7 +42,7 @@ from .errors import (
     ShapeError,
     UnknownCategoryError,
 )
-from .forest import Forest, Tree, budget_runs, node_test
+from .forest import Forest, budget_runs, node_test
 from .rng import GOLDEN, SplitMix64, peek_words, skip_words, tree_stream
 
 MODES = ("supervised", "unsupervised")
@@ -71,8 +71,8 @@ class TrainConfig:
             raise ConfigError(f"bootstrap must be a boolean, got {self.bootstrap!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n_trees < 1:
-            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
+        if not 1 <= self.n_trees < 2**31:  # a forest's node positions are int32
+            raise ConfigError(f"n_trees must be >= 1 and < 2**31, got {self.n_trees}")
         if self.min_node_size < 1:
             raise ConfigError(f"min_node_size must be >= 1, got {self.min_node_size}")
         if self.max_depth_cap is not None and self.max_depth_cap < 0:
@@ -616,7 +616,7 @@ def _grow(split, n: int, cfg: TrainConfig, trees: Sequence[int]) -> list[tuple]:
         run[t, h] = true_run * (run[t, h - 1] + 1)
         run[t, h + 1] = false_run * (run[t, h] + 1)
         top[t] = h + 1
-    return [(a[:k].copy(), p[:k].copy()) for a, p, k in zip(attr, param, fill)]
+    return [(a[:k], p[:k]) for a, p, k in zip(attr, param, fill)]
 
 
 def _grow_block(split, n: int, cfg: TrainConfig, trees: range) -> list[tuple]:
@@ -689,7 +689,7 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
     else:
         grown = _grow_block(*args, range(config.n_trees))
     return Forest(
-        [Tree(attr, param) for attr, param in grown],
+        grown,
         dataset.schema,
         compute_bounds(dataset.schema, dataset.X),
         kind=config.mode,

@@ -193,6 +193,29 @@ def write_idx_labels(path, labels) -> None:
 # -- hand-built trees -----------------------------------------------------------
 
 
+def forest_of(pairs, schema: Schema) -> Forest:
+    """An unsupervised forest of ``(attr, param)`` pairs over ``schema``, with
+    unit bounds."""
+    return Forest(pairs, schema, Bounds(np.zeros(schema.d), np.ones(schema.d)),
+                  "unsupervised", 0)
+
+
+def true_children(attr) -> np.ndarray:
+    """True child of every node of one tree (-1 on leaves), by a stack parse
+    of its pre-order layout: each internal node pushes the slot of its true
+    child under that of its false child, and each node fills the slot on
+    top. The reference that the forest's one-pass derivation is checked
+    against."""
+    true_child, slots = np.full(len(attr), -1), [-1]
+    for i, a in enumerate(attr):
+        parent = slots.pop()  # -1 for the root and every false child
+        if parent >= 0:
+            true_child[parent] = i
+        if a >= 0:
+            slots += [i, -1]
+    return true_child
+
+
 def walk_leaf(tree: Tree, x: np.ndarray, schema: Schema) -> int:
     """Leaf ordinal of one instance by a plain root-to-leaf walk.
 
@@ -202,12 +225,13 @@ def walk_leaf(tree: Tree, x: np.ndarray, schema: Schema) -> int:
     false child of node ``i`` is ``i + 1`` and a leaf's ordinal is the number
     of leaves stored before it.
     """
+    true_child = true_children(tree.attr)
     i = 0
     while tree.attr[i] >= 0:
         a = tree.attr[i]
         v = x[a]
         go = v == tree.param[i] if schema.category_sizes[a] > 0 else v >= tree.param[i]
-        i = int(tree.true_child[i]) if go else i + 1
+        i = int(true_child[i]) if go else i + 1
     return int((tree.attr[:i] < 0).sum())
 
 
@@ -222,11 +246,12 @@ def leaf_depths(tree: Tree) -> np.ndarray:
     against."""
     depth = np.zeros(tree.n_nodes, dtype=np.int32)
     internal = tree.attr >= 0
+    true_child = true_children(tree.attr)
     level = np.nonzero(internal[:1])[0]
     d = 0
     while len(level):
         d += 1
-        children = np.concatenate([level + 1, tree.true_child[level]])
+        children = np.concatenate([level + 1, true_child[level]])
         depth[children] = d
         level = children[internal[children]]
     return depth[~internal]
@@ -282,11 +307,11 @@ def sample_without_replacement(stream: SplitMix64, n: int, k: int) -> np.ndarray
     return np.array(picked, dtype=np.int64)
 
 
-def tree_from_path(steps: list[tuple[tuple, bool]], schema: Schema) -> tuple[Tree, int]:
+def tree_from_path(steps: list[tuple[tuple, bool]], schema: Schema) -> tuple[tuple, int]:
     """Chain tree realizing one root-to-leaf path of ((attr, param), branch) steps.
 
-    Every off-path branch ends in a leaf. Returns the tree and the ordinal of
-    the leaf at the end of the path.
+    Every off-path branch ends in a leaf. Returns the tree's checked
+    ``(attr, param)`` pair and the ordinal of the leaf at the end of the path.
     """
     cols = {"attr": [], "param": []}
 

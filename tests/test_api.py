@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "SchemaMismatchError",
     "ShapeError",
     "TrainConfig",
-    "Tree",
     "TreeMask",
     "UnknownCategoryError",
     "VersionError",

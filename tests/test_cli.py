@@ -2,10 +2,14 @@
 exit codes, driven through main() so the tests see exactly what a shell would."""
 
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eforest import cli, codec, metrics, persistence
 from eforest.data import Categorical, Dataset, Numeric, Schema, load_csv, save_csv
@@ -75,6 +79,21 @@ def encodings_path(workdir, model_path):
     )
     assert code == 0
     return path
+
+
+# a valid --config file: every TrainConfig field, none large
+CONFIG = {"mode": "unsupervised", "n_trees": 2, "seed": 3, "min_node_size": 2,
+          "max_depth_cap": 4, "bootstrap": False, "threads": 1}
+
+
+def train_on_config(workdir, text) -> list[str]:
+    """``train`` arguments that read a config file holding ``text`` (str or bytes)."""
+    blob = text.encode() if isinstance(text, str) else text
+    fd, cfg = tempfile.mkstemp(suffix=".cfg.json", dir=workdir)
+    with open(fd, "wb") as fh:
+        fh.write(blob)
+    return ["train", "--data", str(workdir / "images.idx"), "--config", cfg,
+            "--out", str(Path(cfg).with_suffix(".model"))]
 
 
 class TestTrain:
@@ -327,6 +346,42 @@ class TestTrain:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("field", sorted(CONFIG))
+    @pytest.mark.parametrize("value", [1.5, True, [2], 2**70, -(2**70), None, "2", {}],
+                             ids=["float", "bool", "list", "huge", "huge-negative", "null",
+                                  "string", "object"])
+    def test_config_field_of_any_json_type_exits_0_or_1(self, workdir, capsys, field, value):
+        text = json.dumps({**CONFIG, field: value})
+        code, _, err = run_cli(capsys, train_on_config(workdir, text))
+        assert code in (0, 1)
+        assert code == 0 or err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["[]", "2", '"x"', "null", "true"])
+    def test_config_that_is_no_object_exits_1(self, workdir, capsys, text):
+        code, _, err = run_cli(capsys, train_on_config(workdir, text))
+        assert code == 1 and "JSON object" in err
+
+    def test_config_nested_past_the_parser_depth_exits_1(self, workdir, capsys):
+        code, _, err = run_cli(capsys, train_on_config(workdir, "[" * 100_000))
+        assert code == 1 and err.startswith("error: cannot read config file")
+
+    @given(
+        cut=st.integers(0, 80),
+        extra=st.binary(max_size=8),
+        flips=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
+    )
+    @example(cut=0, extra=b"", flips=[])
+    @example(cut=0, extra=b"", flips=[(0, 0xFF)])  # not UTF-8
+    @settings(max_examples=100, deadline=None)
+    def test_damaged_config_file_exits_0_or_1(self, workdir, cut, extra, flips):
+        # truncate (cut bytes off the end), extend, then overwrite bytes
+        blob = bytearray(json.dumps(CONFIG).encode())
+        blob = blob[: len(blob) - min(cut, len(blob))] + extra
+        for pos, value in flips:
+            if blob:
+                blob[pos % len(blob)] = value
+        assert cli.main(train_on_config(workdir, bytes(blob))) in (0, 1)
 
     def test_thread_count_keeps_hash(self, workdir, capsys):
         argv = ["train", "--data", str(workdir / "images.idx"), "--mode",

@@ -627,7 +627,8 @@ class TestWalkMemory:
         # once would hold several int64 arrays of one entry per (row, tree)
         ds = numeric_dataset(seed=31, n=2000, d=4)
         big = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=128, seed=3))
-        small = Forest(big.trees[:16], big.schema, big.bounds, big.kind, big.seed)
+        small = Forest([(t.attr, t.param) for t in big.trees[:16]], big.schema, big.bounds,
+                       big.kind, big.seed)
         added_pairs = ds.n * (big.T - small.T)
         peaks = {}
         with trees_per_walk(1, ds.n):

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eforest import forest as forest_mod
 from eforest.codec import EncodingMatrix, TreeMask, decode_batch
 from eforest.data import Bounds, Categorical, Numeric, Schema, compute_bounds
 from eforest.errors import InvalidModelError, LeafIndexError
 from eforest.forest import (
     Forest,
     Tree,
-    TreeGroup,
     budget_runs,
     depth_stats,
     get_path,
@@ -26,9 +26,11 @@ from eforest.training import TrainConfig, train_forest
 
 from synthdata import (
     decode,
+    forest_of,
     leaf_depths,
     random_mixed,
     tree_from_path,
+    true_children,
     walk_codes,
     walk_leaf,
 )
@@ -40,9 +42,18 @@ MIXED = Schema(
 )
 
 
+def view(pair, schema=NUM2) -> Tree:
+    """The view of an ``(attr, param)`` pair as the one tree of a forest."""
+    return forest_of([pair], schema).trees[0]
+
+
+def pair(tree: Tree) -> tuple:
+    return tree.attr, tree.param
+
+
 def make_tree(attr, param, schema=NUM2) -> Tree:
     """A tree from its two node columns, through the model-file record."""
-    return Tree.from_records({"attr": attr, "param": param}, schema)
+    return view(Tree.from_records({"attr": attr, "param": param}, schema), schema)
 
 
 def small_tree() -> Tree:
@@ -60,7 +71,8 @@ def leaf_only_tree(schema=NUM2) -> Tree:
 
 def encode(tree: Tree, X, schema) -> np.ndarray:
     """Leaf ordinals of the rows of ``X`` under one tree, by the batch walk."""
-    return TreeGroup([tree]).encode(X, schema)[:, 0]
+    forest = forest_of([pair(tree)], schema)
+    return forest_mod.encode(forest, forest.roots[:1], X)[:, 0]
 
 
 def stump(attr=0, param=0.0, schema=NUM2) -> Tree:
@@ -72,12 +84,12 @@ class TestNodeRouting:
     def test_numeric_passes_at_threshold(self):
         tree, taken = tree_from_path([((0, 2.0), True)], NUM2)
         X = np.array([[2.0, 0.0], [1.9999, 0.0]])
-        assert encode(tree, X, NUM2).tolist() == [taken, 1 - taken]
+        assert encode(view(tree), X, NUM2).tolist() == [taken, 1 - taken]
 
     def test_categorical_passes_on_equality(self):
         tree, taken = tree_from_path([((1, 1), True)], MIXED)
         X = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0]])
-        assert encode(tree, X, MIXED).tolist() == [taken, 1 - taken, 1 - taken]
+        assert encode(view(tree, MIXED), X, MIXED).tolist() == [taken, 1 - taken, 1 - taken]
 
 
 class TestBudgetRuns:
@@ -228,25 +240,30 @@ class TestFromRecordsValidation:
         record = tree.node_records()
         assert list(record) == ["attr", "param"]
         again = Tree.from_records(record, NUM2)
-        assert again.node_records() == record
-        for name in Tree.__slots__:
-            assert getattr(again, name).dtype == getattr(tree, name).dtype
-            assert getattr(again, name).tolist() == getattr(tree, name).tolist()
+        assert view(again).node_records() == record
+        for mine, stored in zip(again, pair(tree)):
+            assert mine.dtype == stored.dtype
+            assert mine.tolist() == stored.tolist()
 
     def test_true_children_are_derived(self):
-        assert small_tree().true_child.tolist() == [2, -1, 4, -1, -1]
-        assert complete_depth2_tree().true_child.tolist() == [4, 3, -1, -1, 6, -1, -1]
-        assert leaf_only_tree().true_child.tolist() == [-1]
+        # forest positions: the trees start at nodes 0, 5 and 12
+        forest = forest_of([pair(small_tree()), pair(complete_depth2_tree()),
+                            pair(leaf_only_tree())], NUM2)
+        assert forest.roots.tolist() == [0, 5, 12, 13]
+        assert forest.true_child.tolist() == [2, -1, 4, -1, -1,
+                                              9, 8, -1, -1, 11, -1, -1,
+                                              -1]
 
     def test_arrays_are_read_only(self):
         trained = train_forest(
-            random_mixed(5), TrainConfig(mode="unsupervised", n_trees=1, seed=0)
-        ).trees[0]
-        for tree in (small_tree(), trained):
+            random_mixed(5), TrainConfig(mode="unsupervised", n_trees=2, seed=0)
+        )
+        for forest in (forest_of([pair(small_tree())], NUM2), trained):
+            for name in ("attr", "param", "roots", "true_child", "leaf_pos", "leaf_rank"):
+                with pytest.raises(ValueError):
+                    getattr(forest, name)[0] = 1
             with pytest.raises(ValueError):
-                tree.param[0] = 1.0
-            with pytest.raises(ValueError):
-                tree.true_child[0] = 0
+                forest.trees[-1].param[0] = 1.0
 
 
 def walk_preorder(leaf):
@@ -308,6 +325,11 @@ def preorder_layouts(draw):
     return np.array(leaf), np.array(true_child), change == "none"
 
 
+def layout_pair(leaf):
+    """Node arrays with the given leaf flags: every test is ``x[0] >= 0``."""
+    return np.where(leaf, -1, 0), np.zeros(len(leaf))
+
+
 class TestPreorderCheck:
     @given(preorder_layouts())
     @settings(max_examples=400, deadline=None)
@@ -315,22 +337,42 @@ class TestPreorderCheck:
         leaf, true_child, untouched = layout
         expect = walk_preorder(leaf)
         try:
-            derived = Tree(np.where(leaf, -1, 0), np.zeros(len(leaf))).true_child.tolist()
+            derived = forest_of([layout_pair(leaf)], NUM2).true_child.tolist()
         except InvalidModelError:
             derived = None
         assert derived == (None if expect is None else expect.tolist())
         if untouched:
-            assert derived == true_child.tolist()
+            assert derived == true_child.tolist() == true_children(layout_pair(leaf)[0]).tolist()
+
+    @given(st.lists(preorder_layouts(), min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_forest_refuses_its_first_tree_the_level_walk_refuses(self, layouts):
+        # one derivation over all the trees: no true child crosses into another tree
+        expect = [walk_preorder(leaf) for leaf, _, _ in layouts]
+        pairs = [layout_pair(leaf) for leaf, _, _ in layouts]
+        broken = [t for t, children in enumerate(expect) if children is None]
+        if broken:
+            with pytest.raises(InvalidModelError, match=f"^tree {broken[0]}: node "):
+                forest_of(pairs, NUM2)
+            return
+        forest = forest_of(pairs, NUM2)
+        roots = forest.roots[:-1]
+        assert forest.true_child.tolist() == np.concatenate(
+            [np.where(c < 0, -1, c + r) for c, r in zip(expect, roots)]).tolist()
+        assert forest.leaf_pos.tolist() == np.flatnonzero(np.concatenate(
+            [leaf for leaf, _, _ in layouts])).tolist()
+        assert forest.leaf_counts.tolist() == [t.leaf_count for t in forest.trees]
 
 
 class TestPaths:
     def test_path_steps_reach_leaf(self):
         tree = complete_depth2_tree()
+        true_child = true_children(tree.attr)
         for leaf in range(tree.leaf_count):
             node = 0
             for idx, branch in tree.path_steps(leaf):
                 assert idx == node
-                node = int(tree.true_child[node]) if branch else node + 1
+                node = int(true_child[node]) if branch else node + 1
             assert tree.attr[node] == -1
             assert (tree.attr[:node] == -1).sum() == leaf
 
@@ -401,7 +443,8 @@ class TestTreeFromPath:
             ((1, 2.0), False),
             ((0, 0.5), True),
         ]
-        tree, end_leaf = tree_from_path(steps, NUM2)
+        built, end_leaf = tree_from_path(steps, NUM2)
+        tree = view(built)
         assert get_path(tree, end_leaf) == steps
         x = np.array([1.0, 1.5])
         assert walk_leaf(tree, x, NUM2) == end_leaf
@@ -409,7 +452,7 @@ class TestTreeFromPath:
 
 class TestForest:
     def test_validation(self):
-        tree = small_tree()
+        tree = pair(small_tree())
         bounds = Bounds(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError):
             Forest((), NUM2, bounds, "unsupervised", 0)
@@ -417,35 +460,44 @@ class TestForest:
             Forest((tree,), NUM2, bounds, "other", 0)
         with pytest.raises(ValueError):
             Forest((tree,), NUM2, Bounds(np.zeros(3), np.ones(3)), "supervised", 0)
+        for broken in (([], []), ([0, -1, -1], [0.0, 0.0])):
+            with pytest.raises(InvalidModelError, match="node arrays must be"):
+                Forest((tree, broken), NUM2, bounds, "supervised", 0)
+        # what needs no schema is checked on every forest, not only on loaded ones
+        with pytest.raises(InvalidModelError, match="^tree 1: node 2: a leaf must hold param 0.0$"):
+            Forest((tree, ([0, -1, -1], [0.5, 0.0, 1.0])), NUM2, bounds, "supervised", 0)
 
     def test_properties_and_encode(self):
         tree = small_tree()
         other = complete_depth2_tree()
         forest = Forest(
-            (tree, other), NUM2, Bounds(np.zeros(2), np.ones(2)), "unsupervised", 7
+            (pair(tree), pair(other)), NUM2, Bounds(np.zeros(2), np.ones(2)), "unsupervised", 7
         )
         assert forest.T == 2 and forest.d == 2
+        assert forest.leaf_counts.tolist() == [3, 4]
         x = np.array([6.0, 3.0])
         assert walk_codes(forest, x).tolist() == [2, 3]
-        assert TreeGroup(forest.trees).encode(x[None, :], NUM2)[0].tolist() == [2, 3]
+        assert forest_mod.encode(forest, forest.roots[:-1], x[None, :])[0].tolist() == [2, 3]
+        # a run of trees is the slice of their roots
+        assert forest_mod.encode(forest, forest.roots[1:2], x[None, :])[0].tolist() == [3]
 
 
 class TestDepthStats:
     def test_single_leaf_forest(self):
         bounds = Bounds(np.zeros(2), np.ones(2))
-        forest = Forest((leaf_only_tree(),), NUM2, bounds, "unsupervised", 0)
+        forest = Forest((pair(leaf_only_tree()),), NUM2, bounds, "unsupervised", 0)
         assert depth_stats(forest) == (0, 0.0)
 
     def test_complete_tree(self):
         bounds = Bounds(np.zeros(2), np.ones(2))
-        forest = Forest((complete_depth2_tree(),), NUM2, bounds, "unsupervised", 0)
+        forest = Forest((pair(complete_depth2_tree()),), NUM2, bounds, "unsupervised", 0)
         assert depth_stats(forest) == (2, 2.0)
 
     def test_mixed_forest_averages_tree_means(self):
         bounds = Bounds(np.zeros(2), np.ones(2))
         # small_tree leaf depths are (1, 2, 2); the complete tree's are all 2
         forest = Forest(
-            (small_tree(), complete_depth2_tree()), NUM2, bounds, "unsupervised", 0
+            (pair(small_tree()), pair(complete_depth2_tree())), NUM2, bounds, "unsupervised", 0
         )
         max_depth, avg = depth_stats(forest)
         assert max_depth == 2
@@ -454,9 +506,8 @@ class TestDepthStats:
     @given(st.lists(preorder_layouts().filter(lambda layout: layout[2]), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_one_pass_equals_per_tree_depths(self, layouts):
-        trees = [Tree(np.where(leaf, -1, 0), np.zeros(len(leaf))) for leaf, _, _ in layouts]
-        forest = Forest(trees, NUM2, Bounds(np.zeros(2), np.ones(2)), "unsupervised", 0)
-        depths = [leaf_depths(tree) for tree in trees]
+        forest = forest_of([layout_pair(leaf) for leaf, _, _ in layouts], NUM2)
+        depths = [leaf_depths(tree) for tree in forest.trees]
         assert depth_stats(forest) == (max(int(d.max()) for d in depths),
                                        float(np.mean([d.mean() for d in depths])))
 

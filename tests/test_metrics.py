@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from eforest import codec, forest as forest_mod
 from eforest.codec import TreeMask, encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema
 from eforest.errors import ConfigError, MetricDomainError, ShapeError
-from eforest.forest import TreeGroup
 from eforest.metrics import (
     ReconReport,
     damage_curve,
@@ -201,13 +201,15 @@ class TestDamageCurve:
         ds = numeric_dataset(seed=18)
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=8, seed=5))
         walked = []
-        descend = TreeGroup.descend
+        descend = forest_mod.descend
 
-        def counted(group, n, go_true):
-            walked.append(group.n_trees)
-            return descend(group, n, go_true)
+        def counted(forest, roots, n, go_true):
+            walked.append(len(roots))
+            return descend(forest, roots, n, go_true)
 
-        monkeypatch.setattr(TreeGroup, "descend", counted)
+        # encode walks from the forest module, the decode fold from the codec
+        monkeypatch.setattr(forest_mod, "descend", counted)
+        monkeypatch.setattr(codec, "descend", counted)
         damage_curve(forest, ds, (0.75, 0.25, 1.0, 0.5, 0.25), seed=2)
         # T trees walked to encode plus T to decode the nested masks, smallest first
         assert sum(walked) == 2 * forest.T

@@ -20,6 +20,7 @@ from eforest.codec import EncodingMatrix, encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema, atomic_write_bytes
 from eforest.errors import (
     CorruptModelError,
+    EForestError,
     FormatError,
     InvalidModelError,
     ShapeError,
@@ -38,7 +39,7 @@ from eforest.persistence import (
 )
 from eforest.training import TrainConfig, train_forest
 
-from synthdata import mnist_like, random_mixed, tfidf_like
+from synthdata import mnist_like, random_mixed, tfidf_like, true_children
 
 # Published FNV-1a 64-bit reference digests.
 FNV_VECTORS = {
@@ -281,7 +282,7 @@ def v2_kind_and_true_child(tree, schema):
     2 categorical test; int8) from the schema, and the derived ``true_child``."""
     is_cat = schema.category_sizes > 0
     kind = np.where(tree.attr < 0, 0, np.where(is_cat[tree.attr], 2, 1)).astype(np.int8)
-    return kind, tree.true_child
+    return kind, true_children(tree.attr)
 
 
 def has_categorical_test(tree, schema) -> bool:
@@ -554,10 +555,10 @@ JSON_SCALARS = (
 
 @functools.lru_cache(maxsize=1)
 def small_mixed_model() -> bytes:
-    """Saved bytes of a two-tree model with numeric and categorical tests."""
+    """Saved bytes of a three-tree model with numeric and categorical tests."""
     ds = random_mixed(2, n=30, d=4)
     forest = train_forest(
-        ds, TrainConfig(mode="unsupervised", n_trees=2, seed=1, max_depth_cap=3)
+        ds, TrainConfig(mode="unsupervised", n_trees=3, seed=1, max_depth_cap=3)
     )
     assert all(has_categorical_test(t, ds.schema) for t in forest.trees)
     with tempfile.TemporaryDirectory() as tmp:
@@ -646,6 +647,96 @@ class TestStrictFieldTypes:
         rewrite_with_fresh_hash(p, lambda r: r.update({"version": version}))
         with pytest.raises(VersionError):
             load_model(p)
+
+
+def loads_or_exits_1(blob: bytes) -> bool:
+    """Whether a model file of these bytes loads; if not, ``load_model``
+    raised a typed error and ``stats`` on it exited 1, else ``stats`` exited 0.
+    Any other exception fails the caller."""
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "m.json"
+        p.write_bytes(blob)
+        try:
+            load_model(p)
+        except EForestError:
+            loaded = False
+        else:
+            loaded = True
+        assert cli.main(["stats", "--model", str(p)]) == (0 if loaded else 1)
+    return loaded
+
+
+class TestModelFuzz:
+    @given(
+        cut=st.integers(0, 3000),
+        extra=st.binary(max_size=12),
+        flips=st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 255)), max_size=4),
+    )
+    @example(cut=0, extra=b"", flips=[])
+    @example(cut=1, extra=b"", flips=[])
+    @example(cut=0, extra=b" ", flips=[])
+    @example(cut=0, extra=b"", flips=[(len('{"bounds":{"hi":['), ord("9"))])
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_file_loads_or_raises_typed_error(self, cut, extra, flips):
+        # truncate (cut bytes off the end), extend, then overwrite bytes
+        blob = bytearray(small_mixed_model())
+        blob = blob[: len(blob) - min(cut, len(blob))] + extra
+        for pos, value in flips:
+            if blob:
+                blob[pos % len(blob)] = value
+        loaded = loads_or_exits_1(bytes(blob))
+        assert loaded == (blob == small_mixed_model())
+
+    def test_nesting_past_the_parser_depth_is_a_format_error(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_bytes(b"[" * 100_000)
+        with pytest.raises(FormatError, match="not valid JSON"):
+            load_model(p)
+        assert not loads_or_exits_1(p.read_bytes())
+
+    @given(
+        damage=st.sampled_from(["attr", "leaf-param", "category", "flags"]),
+        tree=st.integers(0, 2),
+        pick=st.integers(0, 2**16),
+        value=st.integers(1, 2**40),
+    )
+    @example(damage="flags", tree=1, pick=0, value=1)
+    @settings(max_examples=120, deadline=None)
+    def test_restamped_tree_damage_names_the_tree(self, damage, tree, pick, value):
+        # each edit is re-hashed, so it reaches the tree checks
+        record = json.loads(small_mixed_model())
+        record.pop("hash")
+        sizes = np.array([len(k.get("values", ())) for k in record["schema"]["kinds"]])
+        nodes = record["trees"][tree]["nodes"]
+        attr, param = nodes["attr"], nodes["param"]
+        if damage == "attr":
+            i = pick % len(attr)
+            attr[i] = len(sizes) + value - 1 if value % 2 else -1 - value
+            want = f"node {i}: attribute out of range$"
+        elif damage == "leaf-param":
+            leaves = [i for i, a in enumerate(attr) if a < 0]
+            i = leaves[pick % len(leaves)]
+            param[i] = float(value) * (1 if value % 2 else -1)
+            want = f"node {i}: a leaf must hold param 0.0$"
+        elif damage == "category":
+            tests = [i for i, a in enumerate(attr) if a >= 0 and sizes[a]]
+            i = tests[pick % len(tests)]
+            size = int(sizes[attr[i]])
+            param[i] = [float(size + value - 1), -float(value), value % size + 0.5][value % 3]
+            want = f"node {i}: category out of range$"
+        else:
+            # a leaf made a test, or a test a leaf: leaves no longer outnumber tests by one
+            i = pick % len(attr)
+            attr[i] = 1 if attr[i] < 0 else -1
+            want = r"node \d+: (nodes after this leaf are unreachable|\d+ subtrees are missing)"
+        record["hash"] = f"{fnv1a64(canonical_json_bytes(record)):016x}"
+        blob = canonical_json_bytes(record) + b"\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "m.json"
+            p.write_bytes(blob)
+            with pytest.raises(InvalidModelError, match=f"^tree {tree}: {want}"):
+                load_model(p)
+        assert not loads_or_exits_1(blob)
 
 
 @functools.lru_cache(maxsize=1)

@@ -39,9 +39,20 @@ def test_from_records_rebuilds_every_tree_of_the_file(saved):
     parsed = json.loads(path.read_bytes())
     rebuilt = [forest_mod.Tree.from_records(t["nodes"], forest.schema) for t in parsed["trees"]]
     assert len(rebuilt) == forest.T
-    for again, tree in zip(rebuilt, forest.trees):
-        for name in forest_mod.Tree.__slots__:
-            assert np.array_equal(getattr(again, name), getattr(tree, name))
+    for (attr, param), tree in zip(rebuilt, forest.trees):
+        assert attr.dtype == tree.attr.dtype and np.array_equal(attr, tree.attr)
+        assert param.dtype == tree.param.dtype and np.array_equal(param, tree.param)
+
+
+def test_trees_are_views_of_read_only_forest_arrays(saved):
+    # the content hash is cached on the forest, so nothing may write its arrays
+    forest = saved[1]
+    for t, tree in enumerate(forest.trees):
+        assert np.shares_memory(tree.attr, forest.attr)
+        assert np.shares_memory(tree.param, forest.param)
+        assert tree.n_nodes == forest.roots[t + 1] - forest.roots[t]
+    for arr in (forest.attr, forest.param, forest.true_child):
+        assert not arr.flags.writeable
 
 
 def test_node_builders_take_the_replay_arguments(saved):

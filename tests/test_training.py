@@ -46,6 +46,7 @@ from synthdata import (
     random_mixed,
     sample_without_replacement,
     tfidf_like,
+    true_children,
 )
 
 
@@ -479,8 +480,8 @@ class TestTrainForest:
         for mode in ("supervised", "unsupervised"):
             forest = train_forest(ds, TrainConfig(mode=mode, n_trees=5, seed=1))
             for tree in forest.trees:
-                rebuilt = Tree.from_records(tree.node_records(), ds.schema)
-                assert rebuilt.node_records() == tree.node_records()
+                attr, param = Tree.from_records(tree.node_records(), ds.schema)
+                assert (attr.tolist(), param.tolist()) == (tree.attr.tolist(), tree.param.tolist())
 
     def test_max_depth_cap(self):
         ds = dataset_numeric(seed=8, n=200)
@@ -516,7 +517,7 @@ class TestTrainForest:
         )
         for tree in forest.trees:
             assert tree.node_records() == {"attr": [0, -1, -1], "param": [0.5, 0.0, 0.0]}
-            assert tree.true_child.tolist() == [2, -1, -1]
+            assert true_children(tree.attr).tolist() == [2, -1, -1]
 
     def test_bootstrap_changes_supervised_trees(self):
         ds = dataset_numeric(seed=21, n=80)
@@ -779,11 +780,11 @@ def recorded_training(ds, cfg):
 def stack_peak(tree):
     """The most nodes pending at once when ``tree`` grows in pre-order with
     the false branch first, each split pushing both its children."""
-    stack, peak = [0], 1
+    stack, peak, true_child = [0], 1, true_children(tree.attr)
     while stack:
         i = stack.pop()
         if tree.attr[i] >= 0:
-            stack += [int(tree.true_child[i]), i + 1]
+            stack += [int(true_child[i]), i + 1]
             peak = max(peak, len(stack))
     return peak
 
