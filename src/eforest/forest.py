@@ -65,7 +65,7 @@ class Tree:
         steps = []
         node = 0
         while below > 1:
-            tr = int(true_child[node]) - root
+            tr = true_child.item(node) - root
             in_false = (tr - node) // 2
             if leaf < in_false:
                 steps.append((node, False))
@@ -289,8 +289,10 @@ class Forest:
 
 def get_path(tree: Tree, leaf: int) -> list[tuple[tuple[int, float], bool]]:
     """Root-to-leaf list of ((attr, param) node test, branch taken)."""
-    attr, param = tree.attr, tree.param
-    return [((int(attr[i]), float(param[i])), branch) for i, branch in tree.path_steps(leaf)]
+    steps = tree.path_steps(leaf)
+    nodes = [i for i, _ in steps]
+    tests = zip(tree.attr[nodes].tolist(), tree.param[nodes].tolist())
+    return [(test, branch) for test, (_, branch) in zip(tests, steps)]
 
 
 def path_to_rule(path, schema: Schema) -> Rule:

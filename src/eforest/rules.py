@@ -6,13 +6,19 @@ maximal compatible rule (MCR) for an encoding, which is the region every tree
 routes to the same leaves. Endpoint openness is tracked explicitly because a
 numeric node test ``x >= t`` taken false contributes the open interval
 ``(-inf, t)``.
+
+Constraints are immutable tuples, ``NamedTuple`` subclasses whose constructors
+validate: an ``Interval`` is ``(lo, hi, lo_closed, hi_closed)`` and a
+``CategorySet`` is ``(allowed,)``. They hash and compare as tuples, so a bare
+tuple of the same fields compares equal. Building a region one row at a time
+here (``codec.decode_region`` with ``representative``) stays the reference
+that the vectorized batch decoder is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Union
+from typing import Dict, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -26,51 +32,55 @@ POS_INF = float("inf")
 EPS_INSET = 1e-9
 
 
-@dataclass(frozen=True)
-class Interval:
+def _notation(lo: float, hi: float, lo_closed: bool, hi_closed: bool) -> str:
+    left = "[" if lo_closed else "("
+    right = "]" if hi_closed else ")"
+    return f"{left}{lo}, {hi}{right}"
+
+
+class _IntervalFields(NamedTuple):
+    lo: float
+    hi: float
+    lo_closed: bool = True
+    hi_closed: bool = True
+
+
+class Interval(_IntervalFields):
     """Numeric interval with independently open or closed ends.
 
     Infinite ends are always open. Construction rejects empty intervals;
     use intersect(), which reports emptiness as None, to combine them.
     """
 
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
+    def __new__(cls, lo: float, hi: float, lo_closed: bool = True, hi_closed: bool = True):
+        lo, hi = float(lo), float(hi)
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError("interval ends must not be NaN")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
         if lo == NEG_INF:
-            object.__setattr__(self, "lo_closed", False)
+            lo_closed = False
         if hi == POS_INF:
-            object.__setattr__(self, "hi_closed", False)
-        if lo > hi or (lo == hi and not (self.lo_closed and self.hi_closed)):
-            raise ValueError(f"empty interval {self._notation(lo, hi)}")
+            hi_closed = False
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+            raise ValueError(f"empty interval {_notation(lo, hi, lo_closed, hi_closed)}")
+        return tuple.__new__(cls, (lo, hi, lo_closed, hi_closed))
 
-    def _notation(self, lo: float, hi: float) -> str:
-        left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{lo}, {hi}{right}"
+    @classmethod
+    def _make(cls, fields) -> "Interval":
+        return cls(*fields)  # so _replace validates too
 
     def __repr__(self) -> str:
-        return self._notation(self.lo, self.hi)
+        return _notation(*self)
 
     @property
     def is_finite(self) -> bool:
         return self.lo > NEG_INF and self.hi < POS_INF
 
     def contains(self, v: float) -> bool:
-        if v < self.lo or (v == self.lo and not self.lo_closed):
-            return False
-        if v > self.hi or (v == self.hi and not self.hi_closed):
-            return False
-        return True
+        """Whether ``v`` lies in the interval; NaN lies in none."""
+        lo, hi, lo_closed, hi_closed = self
+        return (lo < v or lo_closed and v == lo) and (v < hi or hi_closed and v == hi)
 
     def intersect(self, other: "Interval") -> "Interval | None":
         if other.lo > self.lo:
@@ -90,23 +100,32 @@ class Interval:
         return Interval(lo, hi, lo_closed, hi_closed)
 
 
-@dataclass(frozen=True)
-class CategorySet:
-    """Non-empty set of allowed category indexes."""
-
+class _CategoryFields(NamedTuple):
     allowed: frozenset
 
-    def __post_init__(self):
-        allowed = frozenset(int(v) for v in self.allowed)
+
+class CategorySet(_CategoryFields):
+    """Non-empty set of allowed category indexes."""
+
+    __slots__ = ()
+
+    def __new__(cls, allowed):
+        allowed = frozenset(map(int, allowed))
         if not allowed:
             raise ValueError("empty category set")
-        object.__setattr__(self, "allowed", allowed)
+        return tuple.__new__(cls, (allowed,))
+
+    @classmethod
+    def _make(cls, fields) -> "CategorySet":
+        return cls(*fields)  # so _replace validates too
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(v) for v in sorted(self.allowed)) + "}"
 
     def contains(self, v: float) -> bool:
-        return int(v) in self.allowed and v == int(v)
+        """Whether ``v`` equals an allowed index: 2.0 and True count as the
+        integers they equal; NaN, infinities and fractions lie in no set."""
+        return v in self.allowed
 
     def intersect(self, other: "CategorySet") -> "CategorySet | None":
         merged = self.allowed & other.allowed
@@ -181,6 +200,7 @@ def calculate_mcr(rules: Sequence[Rule], bounds: Bounds, schema: Schema) -> Rule
     if not rules:
         raise ValueError("calculate_mcr needs at least one rule")
     folded = _fold((item for rule in rules for item in rule.items()), EmptyMCRError)
+    lo_bounds, hi_bounds = bounds.lo.tolist(), bounds.hi.tolist()
     mcr: Rule = {}
     for j, kind in enumerate(schema.kinds):
         combined = folded.get(j)
@@ -188,18 +208,17 @@ def calculate_mcr(rules: Sequence[Rule], bounds: Bounds, schema: Schema) -> Rule
             if combined is None:
                 combined = CategorySet(frozenset(range(kind.size)))
         elif combined is None:
-            combined = Interval(bounds.lo[j], bounds.hi[j])
+            combined = Interval(lo_bounds[j], hi_bounds[j])
         else:
-            lo, lo_closed = combined.lo, combined.lo_closed
-            hi, hi_closed = combined.hi, combined.hi_closed
+            lo, hi, lo_closed, hi_closed = combined
             if lo == NEG_INF:
-                lo, lo_closed = float(bounds.lo[j]), True
+                lo, lo_closed = lo_bounds[j], True
             if hi == POS_INF:
-                hi, hi_closed = float(bounds.hi[j]), True
+                hi, hi_closed = hi_bounds[j], True
             if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
                 raise EmptyMCRError(
                     f"attribute {schema.names[j]}: interval collapses after "
-                    f"clamping to bounds [{bounds.lo[j]}, {bounds.hi[j]}]"
+                    f"clamping to bounds [{lo_bounds[j]}, {hi_bounds[j]}]"
                 )
             combined = Interval(lo, hi, lo_closed, hi_closed)
         mcr[j] = combined
@@ -268,14 +287,10 @@ def representative(mcr: Rule, strategy: str = "min") -> np.ndarray:
     d = len(mcr)
     if set(mcr.keys()) != set(range(d)):
         raise ValueError("representative requires a complete rule over attributes 0..d-1")
-    x = np.zeros(d)
-    for j in range(d):
-        c = mcr[j]
-        if isinstance(c, CategorySet):
-            x[j] = min(c.allowed)
-        else:
-            x[j] = pick_in_interval(c, strategy)
-    return x
+    return np.array([
+        min(c.allowed) if isinstance(c, CategorySet) else pick_in_interval(c, strategy)
+        for c in map(mcr.__getitem__, range(d))
+    ], dtype=np.float64)
 
 
 def pick_interval_batch(

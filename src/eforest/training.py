@@ -273,35 +273,24 @@ def _redraw_threshold(lo: float, hi: float, stream: SplitMix64) -> tuple[float, 
 
 def _sample_attributes(words: np.ndarray, d: int) -> np.ndarray:
     """Row i: ``k`` distinct attributes of ``range(d)`` in draw order, picked
-    by a partial Fisher-Yates from the ``k`` words ``words[i]``, as one pass
-    for all rows.
+    by a partial Fisher-Yates from the ``k`` words ``words[i]``, every row's
+    draw j at once.
 
-    Draw j of a row swaps slot j with slot ``slot[j] = j + word % (d - j)``,
-    where ``word`` is the row's word j. What a slot holds before draw j was
-    put there by the last earlier draw that swapped that slot, or is the
-    slot's own index if none did.
+    Draw j of a row swaps slot j with slot ``j + word % (d - j)``, where
+    ``word`` is the row's word j, on that row of an (m, d) permutation that
+    starts as ``range(d)``; the first ``k`` slots are then the sample.
     """
     m, k = words.shape
     index = np.arange(k)
     slot = index + (words % (np.uint64(d) - index.astype(np.uint64))).astype(np.int64)
-    earlier = np.where(index[:, None] > index, index + 1, 0)  # [i, j]: j + 1 if j < i
-
-    def last_swap(targets):
-        """Per draw i, the last earlier draw that swapped slot targets[..., i], or -1."""
-        return ((slot[:, None, :] == targets[..., None]) * earlier).max(axis=2) - 1
-
-    # draw j puts into slot[j] what slot j held: follow each slot's swaps back
-    # to a draw whose own slot no earlier draw swapped
-    row = np.arange(m)[:, None]
-    origin = last_swap(index)
-    origin = np.where(origin < 0, index, origin)
-    while True:
-        further = origin[row, origin]
-        if (further == origin).all():
-            break
-        origin = further
-    source = last_swap(slot)
-    return np.where(source < 0, slot, origin[row, np.maximum(source, 0)])
+    perm = np.tile(np.arange(d), (m, 1))
+    row = np.arange(m)
+    for j in range(k):
+        swap = slot[:, j]
+        held = perm[row, swap]
+        perm[row, swap] = perm[:, j]
+        perm[:, j] = held
+    return perm[:, :k]
 
 
 def _column_ranks(XT: np.ndarray):

@@ -187,7 +187,34 @@ class TestEncodeBatch:
             encode_batch(forest, wider, reuse=True)
 
 
+# decode_region reprs of random_mixed(50, n=60, d=4) (two numeric, two
+# categorical attributes) under 4-tree forests of seed 7: rows 0-2 and row 0
+# under the mask (1, 3), recorded when Interval was a frozen dataclass
+REGION_REPRS = {
+    "supervised": (
+        "{0: [5.5, 6.5), 1: [15.779089137931255, 25.30585979495902), 2: {0}, 3: {0, 2, 3}}",
+        "{0: [5.5, 6.5), 1: [15.779089137931255, 25.30585979495902), 2: {0}, 3: {1}}",
+        "{0: [3.5, 4.5), 1: [-46.84804610942733, -44.31066390630056), 2: {0}, 3: {0}}",
+        "{0: [3.5, 6.5), 1: [15.779089137931255, 25.30585979495902), 2: {0, 1}, 3: {0, 1, 2, 3}}",
+    ),
+    "unsupervised": (
+        "{0: [4.4453065638203295, 7.0], 1: [20.432993458798826, 35.397225388265014), 2: {0}, 3: {3}}",
+        "{0: [5.502341777594114, 6.000221886331927), 1: [16.870283931288007, 18.519342760544312), 2: {0}, 3: {1}}",
+        "{0: [3.006010246146285, 4.35456168648697), 1: [-49.641857562432115, -42.480339405904104), 2: {0}, 3: {0}}",
+        "{0: [4.4453065638203295, 7.0], 1: [20.432993458798826, 38.22414968026638), 2: {0}, 3: {3}}",
+    ),
+}
+
+
 class TestDecodeRegion:
+    @pytest.mark.parametrize("mode", sorted(REGION_REPRS))
+    def test_region_reprs_are_unchanged(self, mode):
+        ds = random_mixed(50, n=60, d=4)
+        forest = train_forest(ds, TrainConfig(mode=mode, n_trees=4, seed=7))
+        regions = [decode_region(forest, walk_codes(forest, x)) for x in ds.X[:3]]
+        regions.append(decode_region(forest, walk_codes(forest, ds.X[0]), mask=TreeMask((1, 3))))
+        assert tuple(map(repr, regions)) == REGION_REPRS[mode]
+
     def test_instance_lies_in_own_region(self):
         ds = random_mixed(43)
         for mode in ("supervised", "unsupervised"):

@@ -477,6 +477,52 @@ class TestCsv:
         back = load_csv(p, ds.schema.kinds)
         assert back.X.tobytes() == ds.X.tobytes()
 
+    @given(
+        cut=st.integers(0, 60),
+        extra=st.binary(max_size=8) | st.sampled_from([b"\n", b"1,red,2,0\n", b",", b"\r\n\n"]),
+        flips=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)
+                                 | st.sampled_from(b',\n\r" .-e0')), max_size=3),
+        mode=st.sampled_from(["sup", "unsup"]),
+    )
+    @example(cut=0, extra=b"", flips=[(7, ord("\n"))], mode="sup")  # header splits in two
+    @example(cut=0, extra=b"1,red,2\n", flips=[], mode="unsup")  # a row without its label
+    @example(cut=0, extra=b"1,mauve,2,0\n", flips=[], mode="sup")  # unknown category
+    @example(cut=0, extra=b"", flips=[(200, ord("e"))], mode="sup")  # a cell reads 73.2840e13037621
+    @settings(max_examples=60, deadline=None)
+    def test_damaged_files_train_and_encode_or_fail_typed(self, cut, extra, flips, mode):
+        # truncate, extend, then overwrite bytes of a valid labelled CSV file;
+        # training on it and encoding it through the CLI either work or fail
+        # with a typed error, exit 1
+        rng = np.random.default_rng(2)
+        ds = Dataset(mixed_schema(), np.column_stack(
+            [rng.normal(170, 10, 12).round(1), rng.integers(0, 3, 12), rng.normal(70, 8, 12)]),
+            labels=rng.integers(0, 3, 12))
+        flags = ["--format", "csv", "--csv-header", "--label-column", "label",
+                 "--csv-kinds", "num,cat:red|green|blue,num"]
+        with tempfile.TemporaryDirectory() as tmp:
+            good, bad = Path(tmp) / "good.csv", Path(tmp) / "bad.csv"
+            save_csv(ds, good, header=True, label_name="label")
+            blob = bytearray(good.read_bytes())
+            blob = blob[: len(blob) - min(cut, len(blob))] + extra
+            for pos, value in flips:
+                if blob:
+                    blob[pos % len(blob)] = value
+            bad.write_bytes(bytes(blob))
+            models = {}
+            for name, path in (("good", good), ("bad", bad)):
+                models[name] = Path(tmp) / f"{name}.json"
+                argv = ["train", "--data", str(path), *flags, "--mode", mode,
+                        "--trees", "2", "--out", str(models[name])]
+                code = cli.main(argv)
+                assert code == 0 if name == "good" else code in (0, 1)
+            for name, model in models.items():
+                if model.exists():
+                    argv = ["encode", "--data", str(bad), *flags, "--model", str(model),
+                            "--out", str(Path(tmp) / f"{name}.enc")]
+                    code = cli.main(argv)
+                    # a file that trained a model encodes under it
+                    assert code == 0 if name == "bad" else code in (0, 1)
+
 
 # Reference implementation: the cell-by-cell reader that load_csv must match
 # error for error (the writer's reference is synthdata.csv_bytes).

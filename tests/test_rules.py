@@ -1,7 +1,9 @@
 """Rule algebra: interval/category intersection, path-predicate conversion,
 region assembly, and representative picking on both code paths."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -69,6 +71,18 @@ class TestInterval:
         assert iv.contains(2.0)
         assert not iv.contains(2.5)
 
+    def test_contains_refuses_nan(self):
+        for iv in (Interval(0.0, 1.0), Interval(-INF, INF), Interval(0.5, 0.5)):
+            assert not iv.contains(math.nan)
+
+    def test_contains_infinite_values(self):
+        assert not Interval(0.0, 1.0).contains(INF)
+        assert not Interval(0.0, 1.0).contains(-INF)
+        # infinite ends are open, so no interval holds an infinity
+        assert not Interval(0.0, INF).contains(INF)
+        assert not Interval(-INF, 0.0).contains(-INF)
+        assert Interval(0.0, INF).contains(1e308)
+
     def test_repr_notation(self):
         assert repr(Interval(1.0, 2.0, True, False)) == "[1.0, 2.0)"
 
@@ -127,6 +141,82 @@ class TestCategorySet:
 
     def test_repr_sorted(self):
         assert repr(CategorySet(frozenset({2, 0}))) == "{0, 2}"
+
+    def test_contains_equal_numbers(self):
+        cs = CategorySet(frozenset({0, 1}))
+        assert cs.contains(1.0) and cs.contains(True)
+        assert cs.contains(-0.0) and cs.contains(np.float64(0.0))
+        assert not cs.contains(0.5)
+
+    def test_contains_refuses_nan_and_infinities(self):
+        cs = CategorySet(frozenset({0, 1, 2}))
+        for v in (math.nan, INF, -INF):
+            assert not cs.contains(v)
+
+    def test_rule_with_nan_row_contains_nothing(self):
+        rule = {0: Interval(-INF, INF), 1: CategorySet(frozenset({0, 1}))}
+        assert contains(rule, np.array([0.0, 1.0]))
+        assert not contains(rule, np.array([math.nan, 1.0]))
+        assert not contains(rule, np.array([0.0, math.nan]))
+
+
+VALUES = (
+    Interval(1.0, 2.0, lo_closed=True, hi_closed=False),
+    Interval(-INF, 3.0, hi_closed=False),
+    Interval(4.0, 4.0),
+    CategorySet(frozenset({2, 0})),
+)
+
+
+class TestValueSemantics:
+    """Intervals and category sets are immutable values: equal fields make
+    equal, interchangeable objects."""
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_fields_cannot_be_assigned(self, value):
+        name = "allowed" if isinstance(value, CategorySet) else "lo"
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            value.extra = 1  # no instance dict either
+
+    def test_hash_and_equality_by_value(self):
+        assert Interval(1, 2) == Interval(1.0, 2.0)
+        assert hash(Interval(1, 2)) == hash(Interval(1.0, 2.0))
+        assert Interval(1.0, 2.0) != Interval(1.0, 2.0, hi_closed=False)
+        assert CategorySet([1.0, 0]) == CategorySet(frozenset({0, 1}))
+        assert len({Interval(0.0, 1.0), Interval(0.0, 1.0), CategorySet({1}), CategorySet({1})}) == 2
+        assert Interval(-INF, 1.0) == Interval(-INF, 1.0, lo_closed=True)
+
+    def test_a_bare_tuple_of_the_same_fields_compares_equal(self):
+        # the values are tuples, so equality is tuple equality
+        assert Interval(1.0, 2.0, True, False) == (1.0, 2.0, True, False)
+        assert CategorySet({1}) == (frozenset({1}),)
+        assert Interval(1.0, 2.0) != CategorySet({1})
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_copy_and_pickle_keep_type_and_value(self, value):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and repr(twin) == repr(value)
+
+    def test_replace_validates(self):
+        iv = Interval(0.0, 1.0)
+        assert iv._replace(hi=5.0) == Interval(0.0, 5.0)
+        with pytest.raises(ValueError):
+            iv._replace(hi=-1.0)
+        with pytest.raises(ValueError):
+            CategorySet({1})._replace(allowed=frozenset())
+
+    def test_construction_still_validates(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            Interval(0.0, math.nan)
+        with pytest.raises(ValueError, match=r"empty interval \[2.0, 1.0\]"):
+            Interval(2.0, 1.0)
+        with pytest.raises(ValueError, match=r"empty interval \(1.0, 1.0\]"):
+            Interval(1.0, 1.0, lo_closed=False)
+        with pytest.raises(ValueError, match="empty category set"):
+            CategorySet(frozenset())
 
 
 MIXED = Schema(

@@ -25,12 +25,13 @@ from eforest.errors import (
 )
 from eforest.forest import Tree
 from eforest.persistence import save_model
-from eforest.rng import SplitMix64, tree_stream
+from eforest.rng import SplitMix64, peek_words, tree_stream
 from eforest.training import (
     TrainConfig,
     _GainSplits,
     _grow,
     _numeric_threshold,
+    _sample_attributes,
     _split_ranges,
     _splitter,
     _xlogx_table,
@@ -170,6 +171,23 @@ class TestAttributeSampleSize:
     )
     def test_values(self, d, expect):
         assert attribute_sample_size(d) == expect
+
+
+class TestSampleAttributes:
+    @given(
+        d=st.integers(1, 900),
+        states=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_sequential_fisher_yates(self, d, states, data):
+        k = data.draw(st.integers(1, min(d, 40)))
+        states = np.array(states, dtype=np.uint64)
+        got = _sample_attributes(peek_words(states, k), d)
+        assert got.shape == (len(states), k)
+        for row, state in zip(got, states.tolist()):
+            want = sample_without_replacement(SplitMix64(state), d, k)
+            assert row.tolist() == want.tolist()
 
 
 def brute_force_candidates(X, y, schema):
