@@ -20,22 +20,12 @@ from .data import (
 )
 from .errors import (
     ConfigError,
-    ContradictionError,
-    CorruptModelError,
     EForestError,
-    EmptyDataError,
     EmptyMCRError,
     FormatError,
     InvalidModelError,
-    LeafIndexError,
-    MetricDomainError,
-    MissingLabelsError,
     ModelMismatchError,
     ParseError,
-    SchemaMismatchError,
-    ShapeError,
-    UnknownCategoryError,
-    VersionError,
 )
 from .forest import Forest
 from .metrics import ReconReport, damage_curve, reconstruction_report
@@ -51,32 +41,22 @@ __all__ = [
     "Categorical",
     "CategorySet",
     "ConfigError",
-    "ContradictionError",
-    "CorruptModelError",
     "Dataset",
     "EForestError",
-    "EmptyDataError",
     "EmptyMCRError",
     "EncodingMatrix",
     "Forest",
     "FormatError",
     "Interval",
     "InvalidModelError",
-    "LeafIndexError",
-    "MetricDomainError",
-    "MissingLabelsError",
     "ModelMismatchError",
     "Numeric",
     "ParseError",
     "ReconReport",
     "Rule",
     "Schema",
-    "SchemaMismatchError",
-    "ShapeError",
     "TrainConfig",
     "TreeMask",
-    "UnknownCategoryError",
-    "VersionError",
     "calculate_mcr",
     "contains",
     "damage_curve",

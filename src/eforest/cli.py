@@ -52,7 +52,16 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 def _load_dataset(args) -> data.Dataset:
     if args.format == "idx":
+        stray = [flag for flag, given in (("--csv-kinds", args.csv_kinds is not None),
+                                          ("--csv-header", args.csv_header),
+                                          ("--label-column", args.label_column is not None))
+                 if given]
+        if stray:
+            raise ConfigError(f"--format idx does not take {', '.join(stray)}")
         return data.load_idx(args.data, args.labels)
+    if args.labels is not None:
+        raise ConfigError("--format csv does not take --labels; name the label column "
+                          "with --label-column")
     label_col = args.label_column
     if label_col is not None and label_col.lstrip("-").isdigit():
         label_col = int(label_col)

@@ -27,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Schema, integer_array
-from .errors import (
-    ConfigError,
-    EmptyMCRError,
-    LeafIndexError,
-    ModelMismatchError,
-    SchemaMismatchError,
-)
+from .errors import ConfigError, EmptyMCRError, ModelMismatchError
 from .forest import Forest, budget_runs, descend, encode, get_path, path_to_rule
 from .persistence import EncodingMatrix, forest_hex_id
 from .rng import permutation
@@ -52,9 +46,10 @@ class TreeMask:
     keep: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in self.keep):
+        keep = tuple(self.keep)  # read once: ``keep`` may be a one-shot iterable
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in keep):
             raise ConfigError(f"tree indexes must be integers, got {self.keep!r}")
-        keep = tuple(int(i) for i in self.keep)
+        keep = tuple(int(i) for i in keep)
         if not keep:
             raise ConfigError("a tree mask must keep at least one tree")
         if any(i < 0 for i in keep):
@@ -89,7 +84,7 @@ class TreeMask:
 def _check_schema(model: Schema, data: Schema, reuse: bool) -> None:
     if reuse:
         if model.d != data.d:
-            raise SchemaMismatchError(
+            raise ModelMismatchError(
                 f"model expects d={model.d}, data has d={data.d}"
             )
         ms, ds = model.category_sizes, data.category_sizes
@@ -97,14 +92,14 @@ def _check_schema(model: Schema, data: Schema, reuse: bool) -> None:
         if len(differ):
             j = int(differ[0])
             if ms[j] and ds[j]:
-                raise SchemaMismatchError(
+                raise ModelMismatchError(
                     f"attribute {j}: model has {ms[j]} categories, data {ds[j]}"
                 )
-            raise SchemaMismatchError(
+            raise ModelMismatchError(
                 f"attribute {j}: model kind {model.kinds[j]!r} vs data kind {data.kinds[j]!r}"
             )
     elif model != data:
-        raise SchemaMismatchError("dataset schema differs from the model schema")
+        raise ModelMismatchError("dataset schema differs from the model schema")
 
 
 def _resolve_mask(mask: TreeMask | None, n_trees: int) -> tuple[int, ...]:
@@ -140,14 +135,14 @@ def encode_batch(forest: Forest, dataset: Dataset, reuse: bool = False) -> Encod
 def _check_ordinals(forest: Forest, leaf_ids: np.ndarray) -> None:
     """Refuse encodings unless every row holds one in-range leaf ordinal per tree."""
     if leaf_ids.shape[1:] != (forest.T,):
-        raise LeafIndexError(
+        raise ModelMismatchError(
             f"encoding rows have shape {leaf_ids.shape[1:]}, forest has {forest.T} trees"
         )
     low, high = leaf_ids.min(axis=0, initial=0), leaf_ids.max(axis=0, initial=0)
     bad = (low < 0) | (high >= forest.leaf_counts)
     if bad.any():
         t = int(bad.argmax())
-        raise LeafIndexError(
+        raise ModelMismatchError(
             f"tree {t}: leaf ordinal {low[t] if low[t] < 0 else high[t]} out of range "
             f"(tree has {forest.leaf_counts[t]} leaves)"
         )
@@ -156,7 +151,7 @@ def _check_ordinals(forest: Forest, leaf_ids: np.ndarray) -> None:
 def decode_region(forest: Forest, encoding, mask: TreeMask | None = None) -> Rule:
     """Maximal compatible rule of an encoding: the intersection of every kept
     tree's decision-path rule, clamped to the training bounds."""
-    enc = integer_array(encoding, np.int32, LeafIndexError, "leaf ordinals")
+    enc = integer_array(encoding, np.int32, ModelMismatchError, "leaf ordinals")
     _check_ordinals(forest, enc[None])
     keep = _resolve_mask(mask, forest.T)
     rules = [

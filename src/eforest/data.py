@@ -26,13 +26,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    EForestError,
-    FormatError,
-    ParseError,
-    ShapeError,
-    UnknownCategoryError,
-)
+from .errors import EForestError, FormatError, ParseError
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ class Dataset:
         read-only. A categorical -0.0 cell becomes +0.0, so no sort order can
         put ``x == -0.0`` into a model."""
         if X.ndim != 2 or X.shape[1] != schema.d:
-            raise ShapeError(
+            raise FormatError(
                 f"instance matrix must be (n, {schema.d}), got {X.shape}"
             )
         self.schema = schema
@@ -167,21 +161,21 @@ class Dataset:
         if labels is not None:
             labels = np.asarray(labels)
             if labels.shape != (len(X),):
-                raise ShapeError(f"labels must be ({len(X)},), got {labels.shape}")
-            labels = integer_array(labels, np.int64, UnknownCategoryError, "labels")
+                raise FormatError(f"labels must be ({len(X)},), got {labels.shape}")
+            labels = integer_array(labels, np.int64, FormatError, "labels")
             labels = _frozen_copy(labels, np.int64)
         self.labels = labels
         # min or max is NaN or infinite exactly when some cell is; unlike an
         # isfinite mask, they allocate nothing
         if X.size and not np.isfinite([X.min(), X.max()]).all():
-            raise ShapeError("instance matrix contains non-finite values")
+            raise FormatError("instance matrix contains non-finite values")
         sizes = schema.category_sizes
         cat = np.flatnonzero(sizes)
         cells = X[:, cat] + 0.0
         bad = (cells != np.floor(cells)) | (cells < 0) | (cells >= sizes[cat])
         if bad.any():
             j = cat[bad.any(axis=0).argmax()]
-            raise UnknownCategoryError(
+            raise FormatError(
                 f"attribute {schema.names[j]} holds a value outside "
                 f"its {sizes[j]} declared categories"
             )
@@ -278,7 +272,7 @@ def load_idx(images_path, labels_path=None) -> Dataset:
         labels_path = Path(labels_path)
         (ln,), lraw = _read_idx(labels_path, expect_ndim=1)
         if ln != n:
-            raise ShapeError(
+            raise FormatError(
                 f"{labels_path}: {ln} labels for {n} images"
             )
         labels = lraw
@@ -359,7 +353,7 @@ def _parse_row(path, row, i, data_cols, cat_index, label_idx) -> tuple[list[floa
                 raise ParseError(f"{path}: non-finite cell {cell!r}", i, c)
         else:
             if cell not in lookup:
-                raise UnknownCategoryError(
+                raise FormatError(
                     f"{path}: row {i} col {c}: unknown category {cell!r}"
                 )
             value = lookup[cell]

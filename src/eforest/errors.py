@@ -1,4 +1,8 @@
-"""Exception hierarchy for the eforest package."""
+"""Exception hierarchy for the eforest package.
+
+One class per thing a caller can do about the error; the message carries
+the detail.
+"""
 
 
 class EForestError(Exception):
@@ -6,14 +10,12 @@ class EForestError(Exception):
 
 
 class FormatError(EForestError):
-    """A file's container format is malformed (bad magic, truncation, bad header)."""
+    """Input data or a data file is malformed: bad magic, truncation, bad
+    header, disagreeing dimensions or counts, or a category outside the
+    declared value list. Fix the input."""
 
 
-class ShapeError(EForestError):
-    """Dimensions or counts disagree (image/label counts, row widths, channel splits)."""
-
-
-class ParseError(EForestError):
+class ParseError(FormatError):
     """A cell could not be parsed; carries the offending row and column."""
 
     def __init__(self, message: str, row: int, col: int):
@@ -22,53 +24,21 @@ class ParseError(EForestError):
         self.col = col
 
 
-class UnknownCategoryError(EForestError):
-    """A categorical cell holds a value outside the declared value list."""
-
-
-class ContradictionError(EForestError):
-    """A conjunction of constraints is unsatisfiable; genuine decision paths never produce this."""
-
-
-class EmptyMCRError(EForestError):
-    """Rule intersection is empty; only possible with rules not taken from one instance's encoding."""
-
-
-class LeafIndexError(EForestError):
-    """A leaf ordinal is out of range for its tree."""
-
-
-class SchemaMismatchError(EForestError):
-    """Dataset schema is incompatible with the model schema."""
+class InvalidModelError(EForestError):
+    """A model file is damaged, of an unsupported version, or violates
+    structural invariants. Use an intact model file, or retrain."""
 
 
 class ModelMismatchError(EForestError):
-    """An encoding matrix was produced by a different model than the one decoding it."""
-
-
-class MissingLabelsError(EForestError):
-    """Supervised training requested on a dataset without labels."""
-
-
-class EmptyDataError(EForestError):
-    """Training requested on an empty dataset."""
-
-
-class MetricDomainError(EForestError):
-    """A metric was applied to data outside its domain (e.g. categorical attributes)."""
+    """A model does not fit the data or encodings it is given: another
+    schema, a leaf ordinal out of range, or another model's encodings."""
 
 
 class ConfigError(EForestError):
-    """Invalid configuration value (tree counts, fractions, masks)."""
+    """A request is invalid: a configuration value, missing labels, empty
+    training data, or a metric outside its domain."""
 
 
-class CorruptModelError(EForestError):
-    """Model file content does not match its embedded hash."""
-
-
-class VersionError(EForestError):
-    """Model file version is not supported."""
-
-
-class InvalidModelError(EForestError):
-    """Model file parsed but violates structural invariants."""
+class EmptyMCRError(EForestError):
+    """Rules or encodings describe an empty region; never produced by rules
+    taken from one instance's encoding."""

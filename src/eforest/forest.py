@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Bounds, Schema
-from .errors import InvalidModelError, LeafIndexError
+from .errors import InvalidModelError, ModelMismatchError
 from .rules import Rule, predicate_to_constraint, simplify
 
 
@@ -57,7 +57,7 @@ class Tree:
         """
         below = self.leaf_count
         if not 0 <= leaf < below:
-            raise LeafIndexError(
+            raise ModelMismatchError(
                 f"leaf ordinal {leaf} out of range for a tree with {below} leaves"
             )
         leaf = int(leaf)

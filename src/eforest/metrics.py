@@ -14,7 +14,7 @@ import numpy as np
 
 from .codec import TreeMask, decode_masks, encode_batch
 from .data import Dataset
-from .errors import ConfigError, MetricDomainError, ShapeError
+from .errors import ConfigError, FormatError
 from .forest import Forest
 
 METRICS = ("mse", "cosine")
@@ -23,7 +23,7 @@ METRICS = ("mse", "cosine")
 def _as_rows(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
-        raise ShapeError(f"expected a matrix, got shape {arr.shape}")
+        raise FormatError(f"expected a matrix, got shape {arr.shape}")
     return arr
 
 
@@ -51,9 +51,9 @@ def metric_rows(metric: str, A, B) -> np.ndarray:
     A = _as_rows(A)
     B = _as_rows(B)
     if A.shape != B.shape:
-        raise ShapeError(f"shape mismatch {A.shape} vs {B.shape}")
+        raise FormatError(f"shape mismatch {A.shape} vs {B.shape}")
     if A.shape[1] == 0:
-        raise ShapeError("metrics need at least one attribute")
+        raise FormatError("metrics need at least one attribute")
     return _mse_rows(A, B) if metric == "mse" else _cosine_rows(A, B)
 
 
@@ -102,7 +102,7 @@ def _reports(forest, dataset, metric, strategy, masks, echoes, reuse=False):
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     if not dataset.schema.all_numeric:
-        raise MetricDomainError(
+        raise ConfigError(
             f"metric {metric!r} needs an all-numeric schema; this one has "
             "categorical attributes"
         )

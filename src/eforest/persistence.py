@@ -36,14 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Bounds, Categorical, Numeric, Schema, atomic_write_bytes, integer_array
-from .errors import (
-    CorruptModelError,
-    FormatError,
-    InvalidModelError,
-    LeafIndexError,
-    ShapeError,
-    VersionError,
-)
+from .errors import FormatError, InvalidModelError, ModelMismatchError
 from .forest import Forest, Tree
 
 MODEL_VERSION = 3
@@ -247,16 +240,16 @@ def load_model(path):
         raise FormatError(f"{path}: model file must hold exactly keys {sorted(_TOP_KEYS)}")
     version = record["version"]
     if type(version) is not int or version != MODEL_VERSION:
-        raise VersionError(
+        raise InvalidModelError(
             f"{path}: unsupported model version {version!r} (this release reads {MODEL_VERSION})"
         )
 
     parts = _hashed_parts(blob, record)
     if parts is None:
-        raise CorruptModelError(f"{path}: not laid out as save_model writes a model")
+        raise InvalidModelError(f"{path}: not laid out as save_model writes a model")
     stated_hash, actual_hash = record["hash"], f"{fnv1a64(*parts):016x}"
     if stated_hash != actual_hash:
-        raise CorruptModelError(
+        raise InvalidModelError(
             f"{path}: content hash {actual_hash} does not match stated {stated_hash}"
         )
 
@@ -290,6 +283,9 @@ def load_model(path):
     return forest
 
 
+_FOREST_ID = re.compile("[0-9a-f]{16}")  # the forest ids _ENC_HEADER reads
+
+
 @dataclass(frozen=True)
 class EncodingMatrix:
     """Leaf ordinals of n instances under T trees, tied to a model by its hash."""
@@ -298,9 +294,13 @@ class EncodingMatrix:
     forest_id: str
 
     def __post_init__(self):
+        if not (isinstance(self.forest_id, str) and _FOREST_ID.fullmatch(self.forest_id)):
+            raise FormatError(
+                f"forest id must be 16 lowercase hex digits, got {self.forest_id!r}"
+            )
         if np.ndim(self.leaf_ids) != 2:
-            raise ShapeError(f"leaf_ids must be a 2-d array, got {np.ndim(self.leaf_ids)}-d")
-        leaf_ids = integer_array(self.leaf_ids, np.int32, LeafIndexError, "leaf ordinals")
+            raise FormatError(f"leaf_ids must be a 2-d array, got {np.ndim(self.leaf_ids)}-d")
+        leaf_ids = integer_array(self.leaf_ids, np.int32, ModelMismatchError, "leaf ordinals")
         object.__setattr__(self, "leaf_ids", leaf_ids)
 
     @property
@@ -337,12 +337,12 @@ def load_encodings(path) -> EncodingMatrix:
     n, T = int(m.group(1)), int(m.group(2))
     body = memoryview(blob)[m.end():]
     if len(body) != 4 * n * T:
-        raise ShapeError(f"{path}: header promises {n}x{T} ordinals in {4 * n * T} bytes, "
-                         f"the body has {len(body)}")
+        raise FormatError(f"{path}: header promises {n}x{T} ordinals in {4 * n * T} bytes, "
+                          f"the body has {len(body)}")
     try:
         leaf_ids = np.frombuffer(body, dtype="<i4").reshape(n, T)
     except ValueError as exc:  # an empty body under a shape numpy cannot hold
-        raise ShapeError(f"{path}: header shape n={n} T={T}: {exc}") from None
+        raise FormatError(f"{path}: header shape n={n} T={T}: {exc}") from None
     if (leaf_ids < 0).any():
         raise FormatError(f"{path}: negative leaf ordinal")
     return EncodingMatrix(leaf_ids, m.group(3).decode("ascii"))

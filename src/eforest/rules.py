@@ -23,7 +23,7 @@ from typing import Dict, Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .data import Bounds, Categorical, Schema
-from .errors import ConfigError, ContradictionError, EmptyMCRError
+from .errors import ConfigError, EmptyMCRError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -156,18 +156,16 @@ def predicate_to_constraint(test, branch: bool, schema: Schema) -> tuple[int, Co
         return attr, CategorySet(frozenset([v]))
     rest = frozenset(range(akind.size)) - {v}
     if not rest:
-        raise ContradictionError(
+        raise EmptyMCRError(
             f"refusing the only category of attribute {attr} leaves nothing"
         )
     return attr, CategorySet(rest)
 
 
-def _fold(constraints: Iterable[tuple[int, Constraint]], empty: type) -> Rule:
-    """Intersect a constraint list per attribute, in list order.
-
-    Mixed interval and category constraints raise ContradictionError; an
-    empty intersection raises ``empty``.
-    """
+def simplify(constraints: Iterable[tuple[int, Constraint]]) -> Rule:
+    """Fold a constraint list into one rule, intersecting per attribute in
+    list order. Mixed interval and category constraints, or an empty
+    intersection, raise EmptyMCRError."""
     rule: Rule = {}
     for attr, c in constraints:
         held = rule.get(attr)
@@ -175,19 +173,14 @@ def _fold(constraints: Iterable[tuple[int, Constraint]], empty: type) -> Rule:
             rule[attr] = c
             continue
         if type(held) is not type(c):
-            raise ContradictionError(
+            raise EmptyMCRError(
                 f"attribute {attr} mixes interval and category constraints"
             )
         merged = held.intersect(c)
         if merged is None:
-            raise empty(f"attribute {attr}: {held} and {c} do not overlap")
+            raise EmptyMCRError(f"attribute {attr}: {held} and {c} do not overlap")
         rule[attr] = merged
     return rule
-
-
-def simplify(constraints: Iterable[tuple[int, Constraint]]) -> Rule:
-    """Fold a constraint list into one rule, intersecting per attribute."""
-    return _fold(constraints, ContradictionError)
 
 
 def calculate_mcr(rules: Sequence[Rule], bounds: Bounds, schema: Schema) -> Rule:
@@ -199,7 +192,7 @@ def calculate_mcr(rules: Sequence[Rule], bounds: Bounds, schema: Schema) -> Rule
     """
     if not rules:
         raise ValueError("calculate_mcr needs at least one rule")
-    folded = _fold((item for rule in rules for item in rule.items()), EmptyMCRError)
+    folded = simplify(item for rule in rules for item in rule.items())
     lo_bounds, hi_bounds = bounds.lo.tolist(), bounds.hi.tolist()
     mcr: Rule = {}
     for j, kind in enumerate(schema.kinds):

@@ -35,13 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, Schema, compute_bounds
-from .errors import (
-    ConfigError,
-    EmptyDataError,
-    MissingLabelsError,
-    ShapeError,
-    UnknownCategoryError,
-)
+from .errors import ConfigError, FormatError
 from .forest import Forest, budget_runs, node_test
 from .rng import GOLDEN, SplitMix64, peek_words, skip_words, tree_stream
 
@@ -343,7 +337,7 @@ class _GainSplits(_Kernel):
         # node holds at most n rows, and its segments number at most the
         # values it gathers: every key is below (_STEP_CELLS + n * sample) * R * C
         if (_STEP_CELLS + self.n * self.sample) * R * n_classes >= 2**63:
-            raise ShapeError("too many distinct values and classes for 64-bit split keys")
+            raise FormatError("too many distinct values and classes for 64-bit split keys")
         # rank and class of every (attribute, row), the low part of a sort key
         keys = keys.astype(np.int64 if R * n_classes >= 2**31 else np.int32, copy=False)
         keys *= n_classes
@@ -649,13 +643,13 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
     process may run on.
     """
     if dataset.n == 0:
-        raise EmptyDataError("cannot train on an empty dataset")
+        raise ConfigError("cannot train on an empty dataset")
     labels = dataset.labels
     if config.mode == "supervised":
         if labels is None:
-            raise MissingLabelsError("supervised training requires labels")
+            raise ConfigError("supervised training requires labels")
         if labels.min() < 0:
-            raise UnknownCategoryError(
+            raise FormatError(
                 f"supervised training needs class labels >= 0, got {labels.min()}"
             )
     split = _splitter(dataset, config)

@@ -14,32 +14,22 @@ PUBLIC_NAMES = [
     "Categorical",
     "CategorySet",
     "ConfigError",
-    "ContradictionError",
-    "CorruptModelError",
     "Dataset",
     "EForestError",
-    "EmptyDataError",
     "EmptyMCRError",
     "EncodingMatrix",
     "Forest",
     "FormatError",
     "Interval",
     "InvalidModelError",
-    "LeafIndexError",
-    "MetricDomainError",
-    "MissingLabelsError",
     "ModelMismatchError",
     "Numeric",
     "ParseError",
     "ReconReport",
     "Rule",
     "Schema",
-    "SchemaMismatchError",
-    "ShapeError",
     "TrainConfig",
     "TreeMask",
-    "UnknownCategoryError",
-    "VersionError",
     "calculate_mcr",
     "contains",
     "damage_curve",
@@ -64,6 +54,28 @@ def test_all_is_pinned_and_resolves():
     assert sorted(eforest.__all__) == PUBLIC_NAMES
     assert len(set(eforest.__all__)) == len(eforest.__all__)
     assert [name for name in PUBLIC_NAMES if not hasattr(eforest, name)] == []
+    assert len(PUBLIC_NAMES) == 37
+
+
+def test_error_hierarchy_is_one_class_per_remedy():
+    """Seven exported error classes: ParseError is a FormatError, every other
+    class sits directly under EForestError."""
+    exported = {name: getattr(eforest, name) for name in eforest.__all__}
+    errors = {name: cls for name, cls in exported.items()
+              if isinstance(cls, type) and issubclass(cls, Exception)}
+    parents = {name: cls.__bases__ for name, cls in errors.items()}
+    assert parents == {
+        "EForestError": (Exception,),
+        "FormatError": (eforest.EForestError,),
+        "ParseError": (eforest.FormatError,),
+        "InvalidModelError": (eforest.EForestError,),
+        "ModelMismatchError": (eforest.EForestError,),
+        "ConfigError": (eforest.EForestError,),
+        "EmptyMCRError": (eforest.EForestError,),
+    }
+    defined = {name for name, obj in vars(eforest.errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert defined == set(errors)
 
 
 def test_pythonpath_checkout_wins(tmp_path):

@@ -2,6 +2,7 @@
 exit codes, driven through main() so the tests see exactly what a shell would."""
 
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eforest import cli, codec, metrics, persistence
-from eforest.data import Categorical, Dataset, Numeric, Schema, load_csv, save_csv
-from eforest.errors import ConfigError, FormatError, ParseError, VersionError
+from eforest.data import Categorical, Dataset, Numeric, Schema, load_csv, load_idx, save_csv
+from eforest.errors import ConfigError, EmptyMCRError, FormatError, InvalidModelError, ParseError
 
 from synthdata import write_idx_images, write_idx_labels
 
@@ -307,6 +308,33 @@ class TestTrain:
         )
         assert code == 1
         assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--format", "csv", "--data", "wide.csv", "--labels", "absent.idx"],
+             "--format csv does not take --labels; name the label column with --label-column"),
+            (["--data", "images.idx", "--csv-kinds", "cat:A|B", "--csv-header",
+              "--label-column", "7"],
+             "--format idx does not take --csv-kinds, --csv-header, --label-column"),
+            (["--data", "images.idx", "--csv-kinds", "num*16"],
+             "--format idx does not take --csv-kinds"),
+            (["--data", "images.idx", "--format", "idx", "--csv-header"],
+             "--format idx does not take --csv-header"),
+            (["--data", "images.idx", "--label-column", "0"],
+             "--format idx does not take --label-column"),
+        ],
+        ids=["csv-labels", "idx-every-csv-flag", "idx-csv-kinds", "idx-csv-header",
+             "idx-label-column"],
+    )
+    def test_data_flags_of_the_other_format_are_refused(self, workdir, capsys, flags, named):
+        flags = [str(workdir / f) if f.endswith((".csv", ".idx")) else f for f in flags]
+        argv = ["train", *flags, "--mode", "unsup", "--trees", "2",
+                "--out", str(workdir / "nope.json")]
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):
+            args.func(args)
+        assert run_cli(capsys, argv) == (1, None, f"error: {named}\n")
 
     @pytest.mark.parametrize(
         "flags",
@@ -712,7 +740,7 @@ class TestStats:
         old = workdir / "version-1.json"
         old.write_bytes(persistence.canonical_json_bytes(record) + b"\n")
         args = cli.build_parser().parse_args(["stats", "--model", str(old)])
-        with pytest.raises(VersionError):
+        with pytest.raises(InvalidModelError, match="unsupported model version 1 "):
             args.func(args)
         code, _, err = run_cli(capsys, ["stats", "--model", str(old)])
         assert code == 1
@@ -732,3 +760,185 @@ class TestStats:
         assert line["max_depth"] == 0
         assert line["bits_per_tree"] == 1
         assert line["encoding_bits"] == 4
+
+
+# -- error lines -------------------------------------------------------------------
+
+
+def _model_copy(workdir, model_path, name, edit, rehash=True):
+    """A copy of the model file edited by ``edit``; returns (path, the hash of
+    its content, the hash it states)."""
+    record = json.loads(model_path.read_text())
+    stated = record.pop("hash")
+    edit(record)
+    fresh = f"{persistence.fnv1a64(persistence.canonical_json_bytes(record)):016x}"
+    record["hash"] = fresh if rehash else stated
+    path = workdir / name
+    path.write_bytes(persistence.canonical_json_bytes(record) + b"\n")
+    return path, fresh, stated
+
+
+def _encodings_file(workdir, name, leaf_ids, forest_id):
+    path = workdir / name
+    matrix = persistence.EncodingMatrix(np.asarray(leaf_ids, np.int32), forest_id)
+    persistence.save_encodings(matrix, path)
+    return path
+
+
+def _train(workdir, *flags):
+    return ["train", "--trees", "2", "--out", str(workdir / "nope.json"), *flags]
+
+
+def _short_idx(workdir, model_path):
+    p = workdir / "short.idx"
+    p.write_bytes(b"\0\0")
+    argv = _train(workdir, "--data", str(p), "--mode", "unsup")
+    return argv, f"{p}: too short for an idx header"
+
+
+def _label_count(workdir, model_path):
+    lp = workdir / "four-labels.idx"
+    write_idx_labels(lp, np.zeros(4, dtype=np.uint8))
+    argv = _train(workdir, "--data", str(workdir / "images.idx"), "--labels", str(lp),
+                  "--mode", "sup")
+    return argv, f"{lp}: 4 labels for 60 images"
+
+
+def _bad_cell(workdir, model_path):
+    p = workdir / "bad-cell.csv"
+    p.write_text("1,x\n2,3\n")
+    argv = _train(workdir, "--data", str(p), "--format", "csv", "--mode", "unsup")
+    return argv, f"{p}: bad numeric cell 'x' (row 0, col 1)"
+
+
+def _unknown_category(workdir, model_path):
+    p = workdir / "unknown-category.csv"
+    p.write_text("C\n")
+    argv = _train(workdir, "--data", str(p), "--format", "csv", "--csv-kinds", "cat:A|B",
+                  "--mode", "unsup")
+    return argv, f"{p}: row 0 col 0: unknown category 'C'"
+
+
+def _zero_trees(workdir, model_path):
+    argv = _train(workdir, "--data", str(workdir / "images.idx"), "--mode", "unsup",
+                  "--trees", "0")
+    return argv, "n_trees must be >= 1 and < 2**31, got 0"
+
+
+def _no_labels(workdir, model_path):
+    argv = _train(workdir, "--data", str(workdir / "images.idx"), "--mode", "sup")
+    return argv, "supervised training requires labels"
+
+
+def _no_rows(workdir, model_path):
+    p = workdir / "header-only.csv"
+    p.write_text("a,b\n")
+    argv = _train(workdir, "--data", str(p), "--format", "csv", "--csv-header",
+                  "--mode", "unsup")
+    return argv, "cannot train on an empty dataset"
+
+
+def _cosine_on_categories(workdir, model_path):
+    argv = ["reconstruct", "--data", str(workdir / "mixed.csv"), "--format", "csv",
+            "--csv-kinds", "num,cat:RED|BLUE", "--model", str(model_path), "--metric", "cosine",
+            "--report", str(workdir / "nope.json")]
+    return argv, "metric 'cosine' needs an all-numeric schema; this one has categorical attributes"
+
+
+def _tampered_model(workdir, model_path):
+    path, fresh, stated = _model_copy(
+        workdir, model_path, "tampered.json", lambda r: r.update(seed=r["seed"] + 1), rehash=False)
+    return ["stats", "--model", str(path)], (
+        f"{path}: content hash {fresh} does not match stated {stated}")
+
+
+def _future_version(workdir, model_path):
+    path, _, _ = _model_copy(workdir, model_path, "future.json", lambda r: r.update(version=99))
+    return ["stats", "--model", str(path)], (
+        f"{path}: unsupported model version 99 (this release reads {persistence.MODEL_VERSION})")
+
+
+def _text_seed(workdir, model_path):
+    path, _, _ = _model_copy(workdir, model_path, "text-seed.json", lambda r: r.update(seed="x"))
+    return ["stats", "--model", str(path)], f"{path}: seed must be an integer"
+
+
+def _other_schema(workdir, model_path):
+    argv = ["encode", "--data", str(workdir / "wide.csv"), "--format", "csv",
+            "--model", str(model_path), "--out", str(workdir / "nope.enc")]
+    return argv, "dataset schema differs from the model schema"
+
+
+def _decode(workdir, model_path, encodings):
+    return ["decode", "--model", str(model_path), "--encodings", str(encodings),
+            "--out", str(workdir / "nope.csv")]
+
+
+def _leaf_out_of_range(workdir, model_path):
+    forest = persistence.load_model(model_path)
+    leaves = int(forest.leaf_counts[0])
+    ids = np.zeros((1, forest.T))
+    ids[0, 0] = leaves
+    path = _encodings_file(workdir, "out-of-range.enc", ids, persistence.forest_hex_id(forest))
+    return _decode(workdir, model_path, path), (
+        f"tree 0: leaf ordinal {leaves} out of range (tree has {leaves} leaves)")
+
+
+def _other_model(workdir, model_path):
+    forest = persistence.load_model(model_path)
+    path = _encodings_file(workdir, "other-model.enc", np.zeros((1, forest.T)), "0" * 16)
+    return _decode(workdir, model_path, path), (
+        f"encodings were produced by model {'0' * 16}, "
+        f"decoding with {persistence.forest_hex_id(forest)}")
+
+
+def _empty_region(workdir, model_path):
+    # row 0's leaves, with tree 0's leaf swapped for the first one whose
+    # region misses the others'
+    forest = persistence.load_model(model_path)
+    ids = codec.encode_batch(forest, load_idx(workdir / "images.idx")).leaf_ids[:1].copy()
+    for leaf in range(int(forest.leaf_counts[0])):
+        ids[0, 0] = leaf
+        try:
+            codec.decode_region(forest, ids[0])
+        except EmptyMCRError:
+            break
+    else:
+        pytest.fail("no leaf of tree 0 empties row 0's region")
+    path = _encodings_file(workdir, "empty-region.enc", ids, persistence.forest_hex_id(forest))
+    return _decode(workdir, model_path, path), (
+        re.compile(r"row 0, attribute p\d+: rule intersection is empty"))
+
+
+# one case for each distinct error class the command line could hit before
+# the classes were folded into one per remedy (see the README's Errors table)
+ERROR_LINES = {
+    "idx-too-short": _short_idx,
+    "label-count": _label_count,
+    "bad-cell": _bad_cell,
+    "unknown-category": _unknown_category,
+    "zero-trees": _zero_trees,
+    "no-labels": _no_labels,
+    "no-rows": _no_rows,
+    "cosine-on-categories": _cosine_on_categories,
+    "tampered-model": _tampered_model,
+    "future-version": _future_version,
+    "text-seed": _text_seed,
+    "other-schema": _other_schema,
+    "leaf-out-of-range": _leaf_out_of_range,
+    "other-model": _other_model,
+    "empty-region": _empty_region,
+}
+
+
+@pytest.mark.parametrize("case", ERROR_LINES.values(), ids=ERROR_LINES.keys())
+def test_error_line_is_pinned(workdir, model_path, capsys, case):
+    """Each error reaches the shell as exactly one stderr line and exit code 1."""
+    argv, message = case(workdir, model_path)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, None)
+    if isinstance(message, str):
+        assert err == f"error: {message}\n"
+    else:
+        assert message.fullmatch(err.removeprefix("error: ").removesuffix("\n")), err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,6 +1,7 @@
 """Encoding and decoding: mask handling, region extraction, representative
 reconstruction on both code paths, and every mismatch error."""
 
+import re
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
@@ -20,14 +21,7 @@ from eforest.codec import (
     encode_batch,
 )
 from eforest.data import Bounds, Categorical, Dataset, Numeric, Schema
-from eforest.errors import (
-    ConfigError,
-    EmptyMCRError,
-    LeafIndexError,
-    ModelMismatchError,
-    SchemaMismatchError,
-    ShapeError,
-)
+from eforest.errors import ConfigError, EmptyMCRError, FormatError, ModelMismatchError
 from eforest.forest import Forest
 from eforest.persistence import forest_hex_id
 from eforest.rules import Interval, contains
@@ -61,17 +55,25 @@ class TestTreeMask:
         assert m.keep == (1, 2, 4)
         assert len(m) == 3
 
+    def test_reads_a_one_shot_iterable_once(self):
+        assert TreeMask(i for i in (4, 1, 2)).keep == (1, 2, 4)
+        assert TreeMask([4, 1, 2]).keep == (1, 2, 4)
+
     def test_rejects_empty(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="a tree mask must keep at least one tree"):
             TreeMask(())
+        with pytest.raises(ConfigError, match="a tree mask must keep at least one tree"):
+            TreeMask(i for i in ())
 
     def test_rejects_negative(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="tree indexes must be >= 0"):
             TreeMask((0, -1))
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="tree mask holds duplicate indexes"):
             TreeMask((1, 1))
+        with pytest.raises(ConfigError, match="tree mask holds duplicate indexes"):
+            TreeMask(i for i in (1, 1))
 
     @pytest.mark.parametrize(
         "keep",
@@ -119,8 +121,20 @@ class TestEncodingMatrix:
 
     def test_rejects_non_2d(self):
         for leaf_ids in (np.zeros(3, dtype=np.int32), np.zeros((1, 2, 3), dtype=np.int32)):
-            with pytest.raises(ShapeError):
+            with pytest.raises(FormatError, match="leaf_ids must be a 2-d array, got [13]-d"):
                 EncodingMatrix(leaf_ids, "ab" * 8)
+
+    @pytest.mark.parametrize(
+        "forest_id",
+        ["not-a-model-id", 12345, "AB" * 8, "ab" * 7, "ab" * 9, "ab" * 8 + "\n", b"ab" * 8],
+        ids=["text", "int", "upper-case", "short", "long", "newline", "bytes"],
+    )
+    def test_refuses_a_forest_id_the_file_cannot_hold(self, forest_id):
+        # save_encodings would write a header that load_encodings refuses
+        with pytest.raises(FormatError,
+                           match=f"^forest id must be 16 lowercase hex digits, got "
+                                 f"{re.escape(repr(forest_id))}$"):
+            EncodingMatrix(np.zeros((2, 3), np.int32), forest_id)
 
     @pytest.mark.parametrize(
         "leaf_ids",
@@ -129,7 +143,8 @@ class TestEncodingMatrix:
     )
     def test_refuses_ordinals_a_cast_would_change(self, leaf_ids):
         # an unsafe cast would turn these into other, valid-looking ordinals
-        with pytest.raises(LeafIndexError):
+        with pytest.raises(ModelMismatchError,
+                           match="^leaf ordinals (must be integers|beyond int32)"):
             EncodingMatrix(np.array(leaf_ids), "ab" * 8)
 
     def test_keeps_integer_ordinals(self):
@@ -153,7 +168,8 @@ class TestEncodeBatch:
         renamed = Dataset(
             Schema.numeric([f"w{j}" for j in range(ds.d)]), ds.X
         )
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(ModelMismatchError,
+                           match="dataset schema differs from the model schema"):
             encode_batch(forest, renamed)
         # the same data under reuse is fine: kinds line up positionally
         assert encode_batch(forest, renamed, reuse=True).n == ds.n
@@ -162,7 +178,7 @@ class TestEncodeBatch:
         ds = numeric_dataset(d=4)
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=2, seed=0))
         narrow = Dataset(Schema.numeric(["a", "b"]), np.zeros((3, 2)))
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(ModelMismatchError, match="model expects d=4, data has d=2"):
             encode_batch(forest, narrow, reuse=True)
 
     def test_reuse_requires_matching_kinds(self):
@@ -173,7 +189,7 @@ class TestEncodeBatch:
             Schema(("a", "c"), (Categorical(("x", "y")), Numeric())),
             np.array([[0.0, 5.0]]),
         )
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(ModelMismatchError, match="attribute 0: model kind .* vs data kind "):
             encode_batch(forest, flipped, reuse=True)
 
     def test_reuse_requires_same_category_count(self):
@@ -183,7 +199,7 @@ class TestEncodeBatch:
         wider = Dataset(
             Schema(("c",), (Categorical(("x", "y", "z")),)), np.array([[2.0]])
         )
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(ModelMismatchError, match="attribute 0: model has 2 categories, data 3"):
             encode_batch(forest, wider, reuse=True)
 
 
@@ -248,16 +264,19 @@ class TestDecodeRegion:
     def test_bad_encoding_shape(self):
         ds = numeric_dataset()
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=0))
-        with pytest.raises(LeafIndexError):
+        with pytest.raises(ModelMismatchError,
+                           match=r"encoding rows have shape \(2,\), forest has 3 trees"):
             decode_region(forest, np.array([0, 0]))
 
     def test_float_ordinals_are_refused(self):
         ds = numeric_dataset()
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=0))
         enc = walk_codes(forest, ds.X[0])
-        with pytest.raises(LeafIndexError):
+        with pytest.raises(ModelMismatchError,
+                           match="leaf ordinals must be integers, got dtype float64"):
             decode_region(forest, enc + 0.5)
-        with pytest.raises(LeafIndexError):
+        with pytest.raises(ModelMismatchError,
+                           match="leaf ordinals must be integers, got dtype float64"):
             decode_region(forest, enc.astype(float))
 
     def test_bad_leaf_ordinal(self):
@@ -265,7 +284,7 @@ class TestDecodeRegion:
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=0))
         enc = walk_codes(forest, ds.X[0]).copy()
         enc[1] = forest.trees[1].leaf_count
-        with pytest.raises(LeafIndexError):
+        with pytest.raises(ModelMismatchError, match=r"tree 1: leaf ordinal \d+ out of range"):
             decode_region(forest, enc)
 
     def test_disjoint_paths_are_empty(self):
@@ -273,7 +292,7 @@ class TestDecodeRegion:
         above, e_above = tree_from_path([((0, 5.0), True)], NUM1)
         below, e_below = tree_from_path([((0, 5.0), False)], NUM1)
         forest = Forest((above, below), NUM1, bounds, "unsupervised", 0)
-        with pytest.raises(EmptyMCRError):
+        with pytest.raises(EmptyMCRError, match="do not overlap"):
             decode_region(forest, np.array([e_above, e_below]))
 
 
@@ -414,7 +433,7 @@ class TestDecodeBatch:
         a = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=1))
         b = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=3, seed=2))
         matrix = encode_batch(forest=a, dataset=ds)
-        with pytest.raises(ModelMismatchError):
+        with pytest.raises(ModelMismatchError, match="encodings were produced by model "):
             decode_batch(b, matrix)
 
     def test_wrong_column_count(self):
@@ -423,7 +442,8 @@ class TestDecodeBatch:
         bad = EncodingMatrix(
             np.zeros((2, 2), dtype=np.int32), forest_hex_id(forest)
         )
-        with pytest.raises(LeafIndexError):
+        with pytest.raises(ModelMismatchError,
+                           match=r"encoding rows have shape \(2,\), forest has 3 trees"):
             decode_batch(forest, bad)
 
     def test_out_of_range_ordinal(self):
@@ -435,7 +455,8 @@ class TestDecodeBatch:
             bad_ids = matrix.leaf_ids.copy()
             bad_ids[0, 0] = ordinal
             bad = EncodingMatrix(bad_ids, matrix.forest_id)
-            with pytest.raises(LeafIndexError):
+            with pytest.raises(ModelMismatchError,
+                               match=f"tree 0: leaf ordinal {ordinal} out of range"):
                 decode_batch(forest, bad)
 
     def test_empty_matrix(self):

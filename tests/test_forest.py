@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from eforest import forest as forest_mod
 from eforest.codec import EncodingMatrix, TreeMask, decode_batch
 from eforest.data import Bounds, Categorical, Numeric, Schema, compute_bounds
-from eforest.errors import InvalidModelError, LeafIndexError
+from eforest.errors import InvalidModelError, ModelMismatchError
 from eforest.forest import (
     Forest,
     Tree,
@@ -378,9 +378,11 @@ class TestPaths:
 
     def test_path_steps_bad_leaf(self):
         tree = small_tree()
-        with pytest.raises(LeafIndexError):
+        with pytest.raises(ModelMismatchError,
+                           match="leaf ordinal 3 out of range for a tree with 3 leaves"):
             tree.path_steps(3)
-        with pytest.raises(LeafIndexError):
+        with pytest.raises(ModelMismatchError,
+                           match="leaf ordinal -1 out of range for a tree with 3 leaves"):
             tree.path_steps(-1)
 
     def test_get_path_tests(self):

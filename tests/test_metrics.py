@@ -9,7 +9,7 @@ import pytest
 from eforest import codec, forest as forest_mod
 from eforest.codec import TreeMask, encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema
-from eforest.errors import ConfigError, MetricDomainError, ShapeError
+from eforest.errors import ConfigError, FormatError
 from eforest.metrics import (
     ReconReport,
     damage_curve,
@@ -86,13 +86,13 @@ class TestScalarMetrics:
                 assert rows[i] == row(name, A[i], B[i])
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(FormatError, match=r"shape mismatch \(2, 3\) vs \(2, 4\)"):
             metric_rows("mse", np.zeros((2, 3)), np.zeros((2, 4)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(FormatError, match="metrics need at least one attribute"):
             metric_rows("mse", np.zeros((2, 0)), np.zeros((2, 0)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(FormatError, match=r"expected a matrix, got shape \(2, 2, 2\)"):
             metric_rows("mse", np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(FormatError, match=r"expected a matrix, got shape \(3,\)"):
             metric_rows("mse", np.zeros(3), np.zeros(3))
 
     def test_unknown_metric(self):
@@ -155,7 +155,9 @@ class TestReconstructionReport:
         schema = Schema(("a", "c"), (Numeric(), Categorical(("x", "y"))))
         ds = Dataset(schema, np.array([[0.5, 0.0], [1.5, 1.0], [2.5, 0.0], [0.0, 1.0]]))
         forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=2, seed=0))
-        with pytest.raises(MetricDomainError):
+        with pytest.raises(ConfigError,
+                           match="metric 'cosine' needs an all-numeric schema; "
+                                 "this one has categorical attributes"):
             reconstruction_report(forest, ds, metric="cosine")
 
     def test_unknown_metric(self):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eforest.data import Bounds, Categorical, Numeric, Schema
-from eforest.errors import ConfigError, ContradictionError, EmptyMCRError
+from eforest.errors import ConfigError, EmptyMCRError
 from eforest.rules import (
     EPS_INSET,
     CategorySet,
@@ -246,7 +246,8 @@ class TestPredicateToConstraint:
 
     def test_refusing_only_category_contradicts(self):
         schema = Schema(("only",), (Categorical(("sole",)),))
-        with pytest.raises(ContradictionError):
+        with pytest.raises(EmptyMCRError,
+                           match="refusing the only category of attribute 0 leaves nothing"):
             predicate_to_constraint((0, 0), False, schema)
 
 
@@ -266,11 +267,12 @@ class TestSimplify:
         assert simplify([]) == {}
 
     def test_disjoint_constraints_contradict(self):
-        with pytest.raises(ContradictionError):
+        with pytest.raises(EmptyMCRError, match="attribute 0: .* and .* do not overlap"):
             simplify([(0, Interval(0.0, 1.0)), (0, Interval(2.0, 3.0))])
 
     def test_mixed_kinds_contradict(self):
-        with pytest.raises(ContradictionError):
+        with pytest.raises(EmptyMCRError,
+                           match="attribute 0 mixes interval and category constraints"):
             simplify([(0, Interval(0.0, 1.0)), (0, CategorySet(frozenset({1})))])
 
 

@@ -16,13 +16,7 @@ from hypothesis import strategies as st
 from eforest import training
 from eforest.codec import encode_batch
 from eforest.data import Categorical, Dataset, Numeric, Schema, compute_bounds
-from eforest.errors import (
-    ConfigError,
-    EmptyDataError,
-    MissingLabelsError,
-    ShapeError,
-    UnknownCategoryError,
-)
+from eforest.errors import ConfigError, FormatError
 from eforest.forest import Tree
 from eforest.persistence import save_model
 from eforest.rng import SplitMix64, peek_words, tree_stream
@@ -456,18 +450,19 @@ class TestTrainForest:
     def test_requires_data(self):
         ds = dataset_numeric()
         empty = Dataset(ds.schema, np.empty((0, 3)))
-        with pytest.raises(EmptyDataError):
+        with pytest.raises(ConfigError, match="cannot train on an empty dataset"):
             train_forest(empty, TrainConfig(mode="unsupervised", n_trees=1))
 
     def test_supervised_requires_labels(self):
         ds = dataset_numeric()
         unlabeled = Dataset(ds.schema, ds.X)
-        with pytest.raises(MissingLabelsError):
+        with pytest.raises(ConfigError, match="supervised training requires labels"):
             train_forest(unlabeled, TrainConfig(mode="supervised", n_trees=1))
 
     def test_supervised_rejects_negative_labels(self):
         ds = Dataset(Schema.numeric(["a"]), np.arange(4.0)[:, None], labels=[-1, 0, 1, 2])
-        with pytest.raises(UnknownCategoryError):
+        with pytest.raises(FormatError,
+                           match="supervised training needs class labels >= 0, got -1"):
             train_forest(ds, TrainConfig(mode="supervised", n_trees=1))
         # unsupervised training ignores labels
         assert train_forest(ds, TrainConfig(mode="unsupervised", n_trees=1)).T == 1
@@ -1042,7 +1037,7 @@ class TestLockstep:
             patch.setattr(training, "_STEP_CELLS", largest)
             assert tree_arrays(train_forest(ds, cfg).trees) == whole
             patch.setattr(training, "_STEP_CELLS", largest + 1)
-            with pytest.raises(ShapeError, match="too many distinct values and classes"):
+            with pytest.raises(FormatError, match="too many distinct values and classes"):
                 train_forest(ds, cfg)
 
     def test_threads_start_no_more_workers_than_trees(self, monkeypatch):
