@@ -17,17 +17,18 @@ from pathlib import Path
 
 from . import codec, data, metrics, persistence, training
 from .errors import ConfigError, EForestError
-from .forest import depth_stats
+from .forest import MODES, depth_stats
+from .rules import STRATEGIES
 
-MODE_NAMES = {"sup": "supervised", "unsup": "unsupervised"}
+MODE_NAMES = {mode.removesuffix("ervised"): mode for mode in MODES}  # sup, unsup
 
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _emit(**summary) -> None:
+    print(json.dumps(summary, sort_keys=True))
 
 
 def _write_text(path, text: str) -> None:
@@ -50,6 +51,14 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-column", help="csv label column index or header name")
 
 
+def _add_decode_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True)
+    p.add_argument("--strategy", choices=tuple(STRATEGIES), default="min")
+    p.add_argument("--mask-keep", type=float, help="keep fraction of trees")
+    p.add_argument("--mask-seed", type=int, help="seed of the kept trees (default 0); "
+                   "needs --mask-keep")
+
+
 def _load_dataset(args) -> data.Dataset:
     if args.format == "idx":
         stray = [flag for flag, given in (("--csv-kinds", args.csv_kinds is not None),
@@ -62,18 +71,25 @@ def _load_dataset(args) -> data.Dataset:
     if args.labels is not None:
         raise ConfigError("--format csv does not take --labels; name the label column "
                           "with --label-column")
+    if args.csv_kinds == "":
+        raise ConfigError("--csv-kinds is empty; omit it to read every column as numeric")
     label_col = args.label_column
     if label_col is not None and label_col.lstrip("-").isdigit():
         label_col = int(label_col)
     return data.load_csv(
-        args.data, args.csv_kinds or None, label_column=label_col, has_header=args.csv_header
+        args.data, args.csv_kinds, label_column=label_col, has_header=args.csv_header
     )
 
 
-def _mask_from_args(n_trees: int, args) -> codec.TreeMask | None:
+def _mask_from_args(n_trees: int, args) -> tuple[codec.TreeMask | None, int | None]:
+    """The ``--mask-keep`` tree mask and the ``--mask-seed`` it is drawn with
+    (default 0), or (None, None) without ``--mask-keep``."""
     if args.mask_keep is None:
-        return None
-    return codec.TreeMask.from_fraction(n_trees, args.mask_keep, args.mask_seed)
+        if args.mask_seed is not None:
+            raise ConfigError("--mask-seed needs --mask-keep")
+        return None, None
+    seed = 0 if args.mask_seed is None else args.mask_seed
+    return codec.TreeMask.from_fraction(n_trees, args.mask_keep, seed), seed
 
 
 # -- train ---------------------------------------------------------------------
@@ -116,21 +132,9 @@ def cmd_train(args) -> int:
     seconds = time.perf_counter() - started
     content_hash = persistence.save_model(forest, args.out)
     max_depth, avg_depth = depth_stats(forest)
-    _emit(
-        {
-            "command": "train",
-            "model": str(args.out),
-            "hash": content_hash,
-            "mode": config.mode,
-            "trees": config.n_trees,
-            "seed": config.seed,
-            "n": dataset.n,
-            "d": dataset.d,
-            "max_depth": max_depth,
-            "avg_depth": avg_depth,
-            "train_seconds": seconds,
-        }
-    )
+    _emit(command="train", model=str(args.out), hash=content_hash, mode=config.mode,
+          trees=config.n_trees, seed=config.seed, n=dataset.n, d=dataset.d,
+          max_depth=max_depth, avg_depth=avg_depth, train_seconds=seconds)
     return 0
 
 
@@ -142,125 +146,68 @@ def cmd_encode(args) -> int:
     dataset = _load_dataset(args)
     matrix = codec.encode_batch(forest, dataset, reuse=args.reuse)
     persistence.save_encodings(matrix, args.out)
-    _emit(
-        {
-            "command": "encode",
-            "encodings": str(args.out),
-            "model_hash": matrix.forest_id,
-            "n": matrix.n,
-            "trees": matrix.T,
-        }
-    )
+    _emit(command="encode", encodings=str(args.out), model_hash=matrix.forest_id,
+          n=matrix.n, trees=matrix.T)
     return 0
 
 
 def cmd_decode(args) -> int:
     forest = persistence.load_model(args.model)
     matrix = persistence.load_encodings(args.encodings)
-    mask = _mask_from_args(forest.T, args)
+    mask, _ = _mask_from_args(forest.T, args)
     recon = codec.decode_batch(forest, matrix, strategy=args.strategy, mask=mask)
     data.save_csv(recon, args.out)
-    _emit(
-        {
-            "command": "decode",
-            "out": str(args.out),
-            "n": recon.n,
-            "strategy": args.strategy,
-            "kept_trees": len(mask) if mask else forest.T,
-        }
-    )
+    _emit(command="decode", out=str(args.out), n=recon.n, strategy=args.strategy,
+          kept_trees=len(mask) if mask else forest.T)
     return 0
 
 
-# -- reconstruct / reuse -------------------------------------------------------
+# -- studies: reconstruct / reuse / damage ---------------------------------------
 
 
-def _run_reconstruction(args, reuse: bool) -> int:
-    command = "reuse" if reuse else "reconstruct"
+def _load_study(args) -> tuple:
+    """The model and dataset a study runs on, and the report echo naming them."""
     forest = persistence.load_model(args.model)
     dataset = _load_dataset(args)
-    mask = _mask_from_args(forest.T, args)
-    config = {
-        "command": command,
-        "model": str(args.model),
-        "model_hash": persistence.forest_hex_id(forest),
-        "data": str(args.data),
-        "mask_keep": args.mask_keep,
-        "mask_seed": args.mask_seed if args.mask_keep is not None else None,
-    }
+    echo = {"command": args.command, "model": str(args.model),
+            "model_hash": persistence.forest_hex_id(forest), "data": str(args.data)}
+    return forest, dataset, echo
+
+
+def cmd_reconstruction(args) -> int:
+    """``reconstruct``, or ``reuse`` through a model trained on other data."""
+    forest, dataset, echo = _load_study(args)
+    mask, seed = _mask_from_args(forest.T, args)
     report, recon = metrics.reconstruction_report(
-        forest,
-        dataset,
-        metric=args.metric,
-        strategy=args.strategy,
-        mask=mask,
-        reuse=reuse,
-        config=config,
+        forest, dataset, metric=args.metric, strategy=args.strategy, mask=mask,
+        reuse=args.command == "reuse",
+        config={**echo, "mask_keep": args.mask_keep, "mask_seed": seed},
     )
     _write_json(args.report, report.to_json_dict(include_values=True))
     if args.report_csv:
         _write_text(args.report_csv, report.to_csv_text())
     if args.dump_recon:
         data.save_csv(recon, args.dump_recon)
-    _emit(
-        {
-            "command": command,
-            "report": str(args.report),
-            "metric": args.metric,
-            "mean": report.mean,
-            "n": report.n,
-        }
-    )
+    _emit(command=args.command, report=str(args.report), metric=args.metric,
+          mean=report.mean, n=report.n)
     return 0
 
 
-def cmd_reconstruct(args) -> int:
-    return _run_reconstruction(args, reuse=False)
-
-
-def cmd_reuse(args) -> int:
-    return _run_reconstruction(args, reuse=True)
-
-
-# -- damage ---------------------------------------------------------------------
-
-
 def cmd_damage(args) -> int:
-    forest = persistence.load_model(args.model)
-    dataset = _load_dataset(args)
+    forest, dataset, echo = _load_study(args)
     try:
         fractions = [float(f) for f in args.keep.split(",") if f.strip()]
     except ValueError:
         raise ConfigError(f"--keep expects comma-separated floats, got {args.keep!r}") from None
-    reports = metrics.damage_curve(
-        forest,
-        dataset,
-        fractions,
-        seed=args.seed,
-        metric=args.metric,
-        strategy=args.strategy,
-    )
-    payload = {
-        "command": "damage",
-        "model": str(args.model),
-        "model_hash": persistence.forest_hex_id(forest),
-        "data": str(args.data),
-        "seed": args.seed,
-        "metric": args.metric,
-        "strategy": args.strategy,
-        "keep_fractions": fractions,
-        "means": [r.mean for r in reports],
+    reports = metrics.damage_curve(forest, dataset, fractions, seed=args.seed,
+                                   metric=args.metric, strategy=args.strategy)
+    means = [r.mean for r in reports]
+    _write_json(args.report, {
+        **echo, "seed": args.seed, "metric": args.metric, "strategy": args.strategy,
+        "keep_fractions": fractions, "means": means,
         "curve": [r.to_json_dict(include_values=False) for r in reports],
-    }
-    _write_json(args.report, payload)
-    _emit(
-        {
-            "command": "damage",
-            "report": str(args.report),
-            "keep_fractions": fractions,
-            "means": [r.mean for r in reports],
-        }
-    )
+    })
+    _emit(command="damage", report=str(args.report), keep_fractions=fractions, means=means)
     return 0
 
 
@@ -275,25 +222,12 @@ def cmd_stats(args) -> int:
     bits_per_tree = max(1, (max_leaves - 1).bit_length())
     encoding_bits = forest.T * bits_per_tree
     input_bits = forest.d * 32
-    _emit(
-        {
-            "command": "stats",
-            "model": str(args.model),
-            "model_hash": persistence.forest_hex_id(forest),
-            "kind": forest.kind,
-            "trees": forest.T,
-            "d": forest.d,
-            "max_depth": max_depth,
-            "avg_depth": avg_depth,
-            "leaf_count_min": int(leaf_counts.min()),
-            "leaf_count_max": max_leaves,
-            "leaf_count_mean": float(leaf_counts.mean()),
-            "bits_per_tree": bits_per_tree,
-            "encoding_bits": encoding_bits,
-            "input_bits": input_bits,
-            "size_ratio": encoding_bits / input_bits,
-        }
-    )
+    _emit(command="stats", model=str(args.model), model_hash=persistence.forest_hex_id(forest),
+          kind=forest.kind, trees=forest.T, d=forest.d, max_depth=max_depth,
+          avg_depth=avg_depth, leaf_count_min=int(leaf_counts.min()),
+          leaf_count_max=max_leaves, leaf_count_mean=float(leaf_counts.mean()),
+          bits_per_tree=bits_per_tree, encoding_bits=encoding_bits, input_bits=input_bits,
+          size_ratio=encoding_bits / input_bits)
     return 0
 
 
@@ -310,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a forest and save it as a model file")
     _add_data_flags(p)
-    p.add_argument("--mode", choices=("sup", "unsup", "supervised", "unsupervised"))
+    p.add_argument("--mode", choices=(*MODE_NAMES, *MODES))
     p.add_argument("--trees", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--min-node", type=int, help="leaf size threshold (default 2)")
@@ -330,41 +264,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode an encodings file back to instances")
-    p.add_argument("--model", required=True)
+    _add_decode_flags(p)
     p.add_argument("--encodings", required=True)
-    p.add_argument("--strategy", choices=("min", "mean", "max", "median-of-bounds"), default="min")
-    p.add_argument("--mask-keep", type=float, help="keep fraction of trees")
-    p.add_argument("--mask-seed", type=int, default=0)
     p.add_argument("--out", required=True, help="reconstruction csv to write")
     p.set_defaults(func=cmd_decode)
 
-    for name, fn in (("reconstruct", cmd_reconstruct), ("reuse", cmd_reuse)):
-        p = sub.add_parser(
-            name,
-            help=(
-                "encode + decode + metric"
-                if name == "reconstruct"
-                else "reconstruct through a model trained on another dataset"
-            ),
-        )
+    for name, text in (("reconstruct", "encode + decode + metric"),
+                       ("reuse", "reconstruct through a model trained on another dataset")):
+        p = sub.add_parser(name, help=text)
         _add_data_flags(p)
-        p.add_argument("--model", required=True)
-        p.add_argument("--strategy", choices=("min", "mean", "max", "median-of-bounds"), default="min")
-        p.add_argument("--metric", choices=("mse", "cosine"), default="mse")
-        p.add_argument("--mask-keep", type=float, help="keep fraction of trees")
-        p.add_argument("--mask-seed", type=int, default=0)
+        _add_decode_flags(p)
+        p.add_argument("--metric", choices=metrics.METRICS, default="mse")
         p.add_argument("--report", required=True, help="report JSON to write")
         p.add_argument("--report-csv", help="optional per-sample metric csv")
         p.add_argument("--dump-recon", help="optional reconstruction csv")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_reconstruction)
 
     p = sub.add_parser("damage", help="reconstruction quality under dropped trees")
     _add_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--keep", default="0.25,0.5,0.75,1.0", help="comma-separated keep fractions")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--metric", choices=("mse", "cosine"), default="mse")
-    p.add_argument("--strategy", choices=("min", "mean", "max", "median-of-bounds"), default="min")
+    p.add_argument("--metric", choices=metrics.METRICS, default="mse")
+    p.add_argument("--strategy", choices=tuple(STRATEGIES), default="min")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_damage)
 

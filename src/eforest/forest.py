@@ -25,6 +25,8 @@ from .data import Bounds, Schema
 from .errors import InvalidModelError, ModelMismatchError
 from .rules import Rule, predicate_to_constraint, simplify
 
+MODES = ("supervised", "unsupervised")  # how a forest was trained: its kind
+
 
 class Tree:
     """Tree ``t`` of a forest, as a view: ``attr`` and ``param`` are slices of
@@ -245,7 +247,7 @@ class Forest:
         seed: int,
         config: dict | None = None,
     ):
-        if kind not in ("supervised", "unsupervised"):
+        if kind not in MODES:
             raise ValueError(f"unknown forest kind {kind!r}")
         trees = list(trees)
         if not trees:

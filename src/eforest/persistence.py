@@ -225,6 +225,21 @@ def _refuse_constant(name: str):
 _TOP_KEYS = {"version", "kind", "seed", "schema", "bounds", "config", "trees", "hash"}
 
 
+def _tree_arrays(tree_records: list, schema) -> list:
+    """Each tree record's checked ``(attr, param)`` arrays. A record is
+    released once read, so the parsed lists never coexist with all arrays."""
+    trees = []
+    for i, trec in enumerate(tree_records):
+        tree_records[i] = None
+        if not isinstance(trec, dict) or set(trec.keys()) != {"nodes"}:
+            raise InvalidModelError(f"tree {i}: expected a {{'nodes': {{...}}}} record")
+        try:
+            trees.append(Tree.from_records(trec["nodes"], schema))
+        except InvalidModelError as exc:
+            raise InvalidModelError(f"tree {i}: {exc}") from None
+    return trees
+
+
 def load_model(path):
     """Load and validate a model file; its content hash must match."""
     path = Path(path)
@@ -248,6 +263,7 @@ def load_model(path):
     if parts is None:
         raise InvalidModelError(f"{path}: not laid out as save_model writes a model")
     stated_hash, actual_hash = record["hash"], f"{fnv1a64(*parts):016x}"
+    del blob, parts  # hashed: only the parsed record is read from here on
     if stated_hash != actual_hash:
         raise InvalidModelError(
             f"{path}: content hash {actual_hash} does not match stated {stated_hash}"
@@ -259,19 +275,10 @@ def load_model(path):
         raise InvalidModelError(f"{path}: seed must be an integer")
     if not isinstance(record["config"], dict):
         raise InvalidModelError(f"{path}: config must be an object")
-    tree_records = record["trees"]
-    if type(tree_records) is not list:
+    if type(record["trees"]) is not list:
         raise InvalidModelError(f"{path}: trees must be a list")
 
-    trees = []
-    for i, trec in enumerate(tree_records):
-        if not isinstance(trec, dict) or set(trec.keys()) != {"nodes"}:
-            raise InvalidModelError(f"tree {i}: expected a {{'nodes': {{...}}}} record")
-        try:
-            trees.append(Tree.from_records(trec["nodes"], schema))
-        except InvalidModelError as exc:
-            raise InvalidModelError(f"tree {i}: {exc}") from None
-
+    trees = _tree_arrays(record.pop("trees"), schema)
     try:
         forest = Forest(
             trees, schema, bounds, kind=record["kind"], seed=record["seed"],

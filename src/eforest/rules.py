@@ -226,11 +226,13 @@ def contains(rule: Rule, x: np.ndarray) -> bool:
     return True
 
 
+# representative strategies by name; median-of-bounds is an alias of mean
+STRATEGIES = {"min": "min", "mean": "mean", "max": "max", "median-of-bounds": "mean"}
+
+
 def normalize_strategy(strategy: str) -> str:
-    name = strategy.strip().lower()
-    if name == "median-of-bounds":
-        name = "mean"
-    if name not in ("min", "mean", "max"):
+    name = STRATEGIES.get(strategy.strip().lower())
+    if name is None:
         raise ConfigError(f"unknown representative strategy {strategy!r}")
     return name
 

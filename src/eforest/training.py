@@ -36,10 +36,8 @@ import numpy as np
 
 from .data import Dataset, Schema, compute_bounds
 from .errors import ConfigError, FormatError
-from .forest import Forest, budget_runs, node_test
+from .forest import MODES, Forest, budget_runs, node_test
 from .rng import GOLDEN, SplitMix64, peek_words, skip_words, tree_stream
-
-MODES = ("supervised", "unsupervised")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Command-line interface: flag parsing, JSON summaries, report files, and
 exit codes, driven through main() so the tests see exactly what a shell would."""
 
+import argparse
 import json
 import re
 import tempfile
@@ -612,6 +613,22 @@ class TestReconstruct:
         dumped = load_csv(dump_path, [Numeric()] * D, has_header=True)
         assert dumped.n == 60
 
+    @pytest.mark.parametrize("command", ["reconstruct", "reuse"])
+    def test_mask_seed_defaults_to_0(self, workdir, model_path, capsys, command):
+        data = "images.idx" if command == "reconstruct" else "wide.csv"
+        base = [command, "--data", str(workdir / data), "--model", str(model_path),
+                "--mask-keep", "0.6"]
+        if command == "reuse":
+            base += ["--format", "csv"]
+        reports = []
+        for i, seed in enumerate([[], ["--mask-seed", "0"]]):
+            report_path = workdir / f"{command}-seed-{i}.json"
+            code, _, err = run_cli(capsys, [*base, *seed, "--report", str(report_path)])
+            assert code == 0, err
+            reports.append(report_path.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["mask_seed"] == 0
+
     def test_cosine_on_categorical_fails(self, workdir, capsys):
         model = workdir / "mixed_model.json"
         code, _, _ = run_cli(
@@ -910,8 +927,23 @@ def _empty_region(workdir, model_path):
         re.compile(r"row 0, attribute p\d+: rule intersection is empty"))
 
 
+def _mask_seed_alone(workdir, model_path):
+    forest = persistence.load_model(model_path)
+    path = _encodings_file(workdir, "mask-seed.enc", np.zeros((1, forest.T)),
+                           persistence.forest_hex_id(forest))
+    argv = _decode(workdir, model_path, path) + ["--mask-seed", "5"]
+    return argv, "--mask-seed needs --mask-keep"
+
+
+def _empty_csv_kinds(workdir, model_path):
+    argv = _train(workdir, "--data", str(workdir / "wide.csv"), "--format", "csv",
+                  "--csv-kinds", "", "--mode", "unsup")
+    return argv, "--csv-kinds is empty; omit it to read every column as numeric"
+
+
 # one case for each distinct error class the command line could hit before
-# the classes were folded into one per remedy (see the README's Errors table)
+# the classes were folded into one per remedy (see the README's Errors table),
+# then the flags the parser alone would accept
 ERROR_LINES = {
     "idx-too-short": _short_idx,
     "label-count": _label_count,
@@ -928,6 +960,8 @@ ERROR_LINES = {
     "leaf-out-of-range": _leaf_out_of_range,
     "other-model": _other_model,
     "empty-region": _empty_region,
+    "mask-seed-alone": _mask_seed_alone,
+    "empty-csv-kinds": _empty_csv_kinds,
 }
 
 
@@ -942,3 +976,61 @@ def test_error_line_is_pinned(workdir, model_path, capsys, case):
     else:
         assert message.fullmatch(err.removeprefix("error: ").removesuffix("\n")), err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+DATA_FLAGS = {"--data", "--format", "--labels", "--csv-kinds", "--csv-header", "--label-column"}
+DECODE_FLAGS = {"--model", "--strategy", "--mask-keep", "--mask-seed"}
+STUDY_FLAGS = {"--metric", "--report", "--report-csv", "--dump-recon"}
+OPTIONS = {
+    "train": DATA_FLAGS | {"--mode", "--trees", "--seed", "--min-node", "--max-depth",
+                          "--bootstrap", "--no-bootstrap", "--threads", "--config", "--out"},
+    "encode": DATA_FLAGS | {"--model", "--reuse", "--out"},
+    "decode": DECODE_FLAGS | {"--encodings", "--out"},
+    "reconstruct": DATA_FLAGS | DECODE_FLAGS | STUDY_FLAGS,
+    "reuse": DATA_FLAGS | DECODE_FLAGS | STUDY_FLAGS,
+    "damage": DATA_FLAGS | {"--model", "--keep", "--seed", "--metric", "--strategy", "--report"},
+    "stats": {"--model"},
+}
+
+
+def _subparsers() -> dict:
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_every_subcommand_has_its_pinned_options():
+    subparsers = _subparsers()
+    assert subparsers.keys() == OPTIONS.keys()
+    for name, p in subparsers.items():
+        given = {s for a in p._actions for s in a.option_strings}
+        assert given == OPTIONS[name] | {"-h", "--help"}, name
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: eforest {command} ")
+
+
+def test_choices_are_what_the_library_accepts():
+    from eforest.forest import MODES
+    from eforest.rules import STRATEGIES, normalize_strategy
+    from eforest.training import TrainConfig
+
+    choices = {}
+    for p in _subparsers().values():
+        for a in p._actions:
+            if a.choices is not None:
+                choices.setdefault(a.dest, set()).add(tuple(a.choices))
+    assert choices["strategy"] == {tuple(STRATEGIES)}
+    assert {normalize_strategy(s) for s in STRATEGIES} == {"min", "mean", "max"}
+    assert choices["metric"] == {metrics.METRICS}
+    (modes,) = choices["mode"]
+    assert {cli.MODE_NAMES.get(m, m) for m in modes} == set(MODES)
+    for mode in modes:
+        assert TrainConfig(mode=cli.MODE_NAMES.get(mode, mode), n_trees=1).mode in MODES
+    with pytest.raises(ConfigError, match=re.escape(f"mode must be one of {MODES}, got 'sup'")):
+        TrainConfig(mode="sup", n_trees=1)  # the abbreviations are the command line's

@@ -163,6 +163,24 @@ class TestModelRoundTrip:
         assert loaded.config == forest.config
         assert loaded.bounds.lo.tolist() == forest.bounds.lo.tolist()
 
+    def test_load_peak_leaves_out_the_parsed_record(self, tmp_path):
+        # 43.7k nodes; holding the parsed record, file bytes and hashed-part
+        # views through construction peaked at 155 B/node, releasing them 93
+        forest = train_forest(mnist_like(4000), TrainConfig(mode="unsupervised", n_trees=8,
+                                                            seed=1))
+        p = tmp_path / "m.json"
+        written = save_model(forest, p)
+        tracemalloc.start()
+        try:
+            loaded = load_model(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * len(forest.attr)
+        assert forest_hex_id(loaded) == written
+        for name in ("attr", "param", "roots", "true_child", "leaf_pos", "leaf_rank"):
+            assert np.array_equal(getattr(loaded, name), getattr(forest, name)), name
+
     def test_hash_is_cached_and_matches(self, tmp_path):
         forest, _ = small_forest(seed=9)
         p = tmp_path / "m.json"
@@ -518,7 +536,7 @@ class TestModelFormatErrors:
     def test_empty_tree_list(self, tmp_path):
         p = self.make_saved(tmp_path)
         rewrite_with_fresh_hash(p, lambda r: r.update({"trees": []}))
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError, match="a forest needs at least one tree$"):
             load_model(p)
 
     @pytest.mark.parametrize("nodes", [5, None], ids=["int", "null"])
