@@ -81,15 +81,14 @@ def _load_dataset(args) -> data.Dataset:
     )
 
 
-def _mask_from_args(n_trees: int, args) -> tuple[codec.TreeMask | None, int | None]:
-    """The ``--mask-keep`` tree mask and the ``--mask-seed`` it is drawn with
-    (default 0), or (None, None) without ``--mask-keep``."""
+def _mask_seed(args) -> int | None:
+    """The ``--mask-seed`` that ``--mask-keep`` draws its trees with (default
+    0), or None without ``--mask-keep``; read before any file is."""
     if args.mask_keep is None:
         if args.mask_seed is not None:
             raise ConfigError("--mask-seed needs --mask-keep")
-        return None, None
-    seed = 0 if args.mask_seed is None else args.mask_seed
-    return codec.TreeMask.from_fraction(n_trees, args.mask_keep, seed), seed
+        return None
+    return 0 if args.mask_seed is None else args.mask_seed
 
 
 # -- train ---------------------------------------------------------------------
@@ -152,9 +151,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    seed = _mask_seed(args)
     forest = persistence.load_model(args.model)
     matrix = persistence.load_encodings(args.encodings)
-    mask, _ = _mask_from_args(forest.T, args)
+    mask = None if seed is None else codec.TreeMask.from_fraction(forest.T, args.mask_keep, seed)
     recon = codec.decode_batch(forest, matrix, strategy=args.strategy, mask=mask)
     data.save_csv(recon, args.out)
     _emit(command="decode", out=str(args.out), n=recon.n, strategy=args.strategy,
@@ -176,8 +176,9 @@ def _load_study(args) -> tuple:
 
 def cmd_reconstruction(args) -> int:
     """``reconstruct``, or ``reuse`` through a model trained on other data."""
+    seed = _mask_seed(args)
     forest, dataset, echo = _load_study(args)
-    mask, seed = _mask_from_args(forest.T, args)
+    mask = None if seed is None else codec.TreeMask.from_fraction(forest.T, args.mask_keep, seed)
     report, recon = metrics.reconstruction_report(
         forest, dataset, metric=args.metric, strategy=args.strategy, mask=mask,
         reuse=args.command == "reuse",
@@ -194,11 +195,11 @@ def cmd_reconstruction(args) -> int:
 
 
 def cmd_damage(args) -> int:
-    forest, dataset, echo = _load_study(args)
     try:
         fractions = [float(f) for f in args.keep.split(",") if f.strip()]
     except ValueError:
         raise ConfigError(f"--keep expects comma-separated floats, got {args.keep!r}") from None
+    forest, dataset, echo = _load_study(args)
     reports = metrics.damage_curve(forest, dataset, fractions, seed=args.seed,
                                    metric=args.metric, strategy=args.strategy)
     means = [r.mean for r in reports]

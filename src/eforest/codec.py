@@ -67,9 +67,11 @@ class TreeMask:
 
         The product is rounded to 9 decimals first, so float noise such as
         0.07 * 100 = 7.000000000000001 adds no tree; a product below one keeps
-        none and is refused. The same seed yields one permutation for every
-        fraction, so masks for increasing fractions are nested.
+        none and is refused. The same integer seed yields one permutation for
+        every fraction, so masks for increasing fractions are nested.
         """
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ConfigError(f"mask seed must be an integer, got {seed!r}")
         if not 0.0 < keep_fraction <= 1.0:
             raise ConfigError(f"keep fraction must be in (0, 1], got {keep_fraction}")
         share = round(keep_fraction * n_trees, 9)
@@ -78,7 +80,7 @@ class TreeMask:
                 f"keep fraction {keep_fraction} of {n_trees} trees keeps none"
             )
         k = math.ceil(share)
-        return cls(tuple(permutation(seed, n_trees)[:k]))
+        return cls(tuple(permutation(int(seed), n_trees)[:k]))
 
 
 def _check_schema(model: Schema, data: Schema, reuse: bool) -> None:

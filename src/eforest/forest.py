@@ -19,9 +19,11 @@ all cut by one ``budget_runs``.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .data import Bounds, Schema
+from .data import Bounds, Schema, integer_array
 from .errors import InvalidModelError, ModelMismatchError
 from .rules import Rule, predicate_to_constraint, simplify
 
@@ -86,14 +88,10 @@ class Tree:
 
     @staticmethod
     def from_records(nodes: dict, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
-        """The checked ``(attr, param)`` arrays of ``node_records`` output.
-
-        ``attr`` must be a non-empty list of ints (never bools) in ``[-1, d)``
-        and ``param`` a list of as many floats. An internal node holds an
-        integral category index in range when its attribute is categorical,
-        else a finite threshold. ``Forest`` checks what needs no schema: the
-        layout, and ``param = 0.0`` on every leaf.
-        """
+        """The ``(attr, param)`` arrays of ``node_records`` output, checked as
+        JSON only: ``attr`` must be a non-empty list of ints (never bools) in
+        ``[-1, d)`` and ``param`` a list of as many floats. ``Forest`` checks
+        what they mean."""
         if type(nodes) is not dict or nodes.keys() != {"attr", "param"}:
             raise InvalidModelError("tree nodes must be an object with keys ('attr', 'param')")
         for name, want in (("attr", int), ("param", float)):
@@ -107,19 +105,7 @@ class Tree:
         if not (-1 <= min(attr) and max(attr) < schema.d):
             i = next(i for i, a in enumerate(attr) if not -1 <= a < schema.d)
             raise InvalidModelError(f"node {i}: attribute out of range")
-        attr, param = np.array(attr, dtype=np.int32), np.array(nodes["param"])
-        inner = np.flatnonzero(attr >= 0)
-        sizes, p = schema.category_sizes[attr[inner]], param[inner]
-        cat = sizes > 0
-        bad_category = cat & ((p != np.floor(p)) | (p < 0) | (p >= sizes))
-        _refuse(inner, bad_category, "category out of range")
-        _refuse(inner, ~cat & ~np.isfinite(p), "threshold is not finite")
-        return attr, param
-
-
-def _refuse(nodes: np.ndarray, bad: np.ndarray, what: str) -> None:
-    if bad.any():
-        raise InvalidModelError(f"node {int(nodes[bad.argmax()])}: {what}")
+        return np.array(attr, dtype=np.int32), np.array(nodes["param"])
 
 
 def _refuse_in(roots: np.ndarray, bad: np.ndarray, what) -> None:
@@ -229,10 +215,11 @@ class Forest:
 
     ``trees`` takes one ``(attr, param)`` pair per tree, copied once into
     ``attr`` and ``param``; tree ``t`` sits from ``roots[t]`` to
-    ``roots[t + 1]`` and is viewed as ``trees[t]``. Construction refuses
-    trees whose layout or leaf params are wrong, and derives ``true_child``
-    (-1 on leaves), ``leaf_pos`` (each leaf's position) and ``leaf_rank``
-    (the leaves stored before each position).
+    ``roots[t + 1]`` and is viewed as ``trees[t]``. Construction, the one check
+    of a forest however it was made, refuses nodes the schema cannot run, a bad
+    layout or leaf param, a non-integer seed and a non-dict config; it derives
+    ``true_child`` (-1 on leaves), ``leaf_pos`` (each leaf's position) and
+    ``leaf_rank`` (the leaves stored before each position).
     """
 
     __slots__ = ("attr", "param", "roots", "true_child", "leaf_pos", "leaf_rank", "trees",
@@ -249,6 +236,10 @@ class Forest:
     ):
         if kind not in MODES:
             raise ValueError(f"unknown forest kind {kind!r}")
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError("seed must be an integer")
+        if not isinstance(config, dict | None):
+            raise ValueError("config must be an object")
         trees = list(trees)
         if not trees:
             raise ValueError("a forest needs at least one tree")
@@ -257,12 +248,19 @@ class Forest:
         sizes = [len(attr) for attr, _ in trees]
         if 0 in sizes or sizes != [len(param) for _, param in trees]:
             raise InvalidModelError("tree node arrays must be non-empty and of equal length")
-        self.roots = np.concatenate([[0], np.cumsum(sizes)])
-        self.attr = np.concatenate([attr for attr, _ in trees], dtype=np.int32)
-        self.param = np.concatenate([param for _, param in trees], dtype=np.float64)
-        leaf = self.attr < 0
-        self.true_child = _true_children(leaf, self.roots)
-        _refuse_in(self.roots, leaf & (self.param != 0.0), lambda i: "a leaf must hold param 0.0")
+        self.roots = roots = np.concatenate([[0], np.cumsum(sizes)])
+        attr = np.concatenate([attr for attr, _ in trees])
+        self.attr = attr = integer_array(attr, np.int32, InvalidModelError, "tree attributes")
+        self.param = param = np.concatenate([param for _, param in trees], dtype=np.float64)
+        _refuse_in(roots, (attr < -1) | (attr >= schema.d), lambda i: "attribute out of range")
+        leaf = attr < 0
+        n_cat = np.append(schema.category_sizes, 0)[attr]  # categories tested, 0 on leaves
+        bad_category = (n_cat > 0) & ((param != np.floor(param)) | (param < 0) | (param >= n_cat))
+        _refuse_in(roots, bad_category, lambda i: "category out of range")
+        numeric = (n_cat == 0) & ~leaf
+        _refuse_in(roots, numeric & ~np.isfinite(param), lambda i: "threshold is not finite")
+        self.true_child = _true_children(leaf, roots)
+        _refuse_in(roots, leaf & (param != 0.0), lambda i: "a leaf must hold param 0.0")
         self.leaf_pos = np.flatnonzero(leaf).astype(np.int32)
         self.leaf_rank = np.concatenate([[0], np.cumsum(leaf)], dtype=np.int32)
         for name in ("attr", "param", "roots", "true_child", "leaf_pos", "leaf_rank"):
@@ -271,8 +269,8 @@ class Forest:
         self.schema = schema
         self.bounds = bounds
         self.kind = kind
-        self.seed = seed
-        self.config = dict(config) if config else {}
+        self.seed = int(seed)
+        self.config = dict(config or {})
         self._hex_id: str | None = None
 
     @property

@@ -154,7 +154,7 @@ def damage_curve(
         raise ConfigError("damage_curve needs at least one keep fraction")
     masks = [TreeMask.from_fraction(forest.T, f, seed) for f in fractions]
     order = sorted(range(len(masks)), key=lambda i: len(masks[i]))
-    echoes = [{"keep_fraction": fractions[i], "mask_seed": seed} for i in order]
+    echoes = [{"keep_fraction": fractions[i], "mask_seed": int(seed)} for i in order]
     curve = _reports(forest, dataset, metric, strategy, [masks[i] for i in order], echoes)
     reports = [None] * len(masks)
     for i, (report, _) in zip(order, curve):

@@ -271,9 +271,7 @@ def load_model(path):
 
     schema = _schema_from_record(record["schema"])
     bounds = _bounds_from_record(record["bounds"])
-    if type(record["seed"]) is not int:
-        raise InvalidModelError(f"{path}: seed must be an integer")
-    if not isinstance(record["config"], dict):
+    if record["config"] is None:  # Forest reads None as {}, so the file would not save back
         raise InvalidModelError(f"{path}: config must be an object")
     if type(record["trees"]) is not list:
         raise InvalidModelError(f"{path}: trees must be a list")

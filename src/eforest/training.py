@@ -59,6 +59,7 @@ class TrainConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # numpy ints overflow the seed mix and fail JSON
         if self.bootstrap is not None and not isinstance(self.bootstrap, bool):
             raise ConfigError(f"bootstrap must be a boolean, got {self.bootstrap!r}")
         if self.mode not in MODES:

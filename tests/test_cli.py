@@ -941,6 +941,18 @@ def _empty_csv_kinds(workdir, model_path):
     return argv, "--csv-kinds is empty; omit it to read every column as numeric"
 
 
+def _keep_list_before_model(workdir, model_path):
+    # flags that need no file are refused before the model is read
+    argv = ["damage", "--data", str(workdir / "images.idx"), "--model",
+            str(workdir / "absent.json"), "--keep", "a", "--report", str(workdir / "nope.json")]
+    return argv, "--keep expects comma-separated floats, got 'a'"
+
+
+def _mask_seed_before_model(workdir, model_path):
+    argv = _decode(workdir, workdir / "absent.json", workdir / "absent.enc") + ["--mask-seed", "3"]
+    return argv, "--mask-seed needs --mask-keep"
+
+
 # one case for each distinct error class the command line could hit before
 # the classes were folded into one per remedy (see the README's Errors table),
 # then the flags the parser alone would accept
@@ -962,6 +974,8 @@ ERROR_LINES = {
     "empty-region": _empty_region,
     "mask-seed-alone": _mask_seed_alone,
     "empty-csv-kinds": _empty_csv_kinds,
+    "keep-list-before-model": _keep_list_before_model,
+    "mask-seed-before-model": _mask_seed_before_model,
 }
 
 

@@ -100,6 +100,12 @@ class TestTreeMask:
             TreeMask.from_fraction(100, 1.1, 0)
         with pytest.raises(ConfigError):
             TreeMask.from_fraction(100, 0.001, 0)
+        for seed in (True, 1.5, "2", None):
+            with pytest.raises(ConfigError, match="mask seed must be an integer"):
+                TreeMask.from_fraction(10, 0.5, seed)
+
+    def test_from_fraction_takes_a_numpy_seed(self):
+        assert TreeMask.from_fraction(10, 0.5, np.int64(2)) == TreeMask.from_fraction(10, 0.5, 2)
 
     def test_same_seed_masks_nest(self):
         small = set(TreeMask.from_fraction(60, 0.2, 9).keep)

@@ -149,6 +149,16 @@ class TestEncode:
         assert [walk_leaf(tree, x, MIXED) for x in X] == [1, 0, 0]
 
 
+def assert_stump_refused(attr, param, schema, what):
+    """A stump testing ``(attr, param)`` is refused as the second tree of a
+    forest, whether it is built by hand or read from its record."""
+    nodes = {"attr": [attr, -1, -1], "param": [param, 0.0, 0.0]}
+    with pytest.raises(InvalidModelError, match=f"^tree 1: node 0: {what}$"):
+        forest_of([([-1], [0.0]), (nodes["attr"], nodes["param"])], schema)
+    with pytest.raises(InvalidModelError, match=f"node 0: {what}$"):
+        make_tree(nodes["attr"], nodes["param"], schema)
+
+
 class TestFromRecordsValidation:
     def test_empty(self):
         with pytest.raises(InvalidModelError):
@@ -198,20 +208,16 @@ class TestFromRecordsValidation:
             make_tree([attr], [param])
 
     def test_attr_out_of_range(self):
-        with pytest.raises(InvalidModelError):
-            stump(attr=2)
-        with pytest.raises(InvalidModelError):
-            stump(attr=-2)
+        for attr in (2, -2):
+            assert_stump_refused(attr, 0.0, NUM2, "attribute out of range")
 
     def test_category_out_of_range(self):
-        for category in (3.0, -1.0, 0.5, math.nan):
-            with pytest.raises(InvalidModelError):
-                stump(1, category, schema=MIXED)
+        for category in (3.0, 7.0, -1.0, 0.5, math.nan):
+            assert_stump_refused(1, category, MIXED, "category out of range")
 
     def test_non_finite_threshold(self):
         for threshold in (math.inf, -math.inf, math.nan):
-            with pytest.raises(InvalidModelError):
-                stump(param=threshold)
+            assert_stump_refused(0, threshold, NUM2, "threshold is not finite")
 
     def test_unreachable_node(self):
         with pytest.raises(InvalidModelError):
@@ -234,6 +240,13 @@ class TestFromRecordsValidation:
         record["attr"][0] = value
         with pytest.raises(InvalidModelError, match="attribute out of range"):
             Tree.from_records(record, NUM2)
+
+    def test_node_tests_are_left_to_the_forest(self):
+        # the JSON layer takes a category the schema lacks; the forest refuses it
+        attr, param = Tree.from_records({"attr": [1, -1, -1], "param": [7.0, 0.0, 0.0]}, MIXED)
+        assert (attr.tolist(), param.tolist()) == ([1, -1, -1], [7.0, 0.0, 0.0])
+        with pytest.raises(InvalidModelError, match="^tree 0: node 0: category out of range$"):
+            forest_of([(attr, param)], MIXED)
 
     def test_round_trip_through_records(self):
         tree = complete_depth2_tree()
@@ -462,12 +475,31 @@ class TestForest:
             Forest((tree,), NUM2, bounds, "other", 0)
         with pytest.raises(ValueError):
             Forest((tree,), NUM2, Bounds(np.zeros(3), np.ones(3)), "supervised", 0)
+        for seed in ("0", 1.0, True):
+            with pytest.raises(ValueError, match="^seed must be an integer$"):
+                Forest((tree,), NUM2, bounds, "supervised", seed)
+        for config in ([("a", 1)], ""):
+            with pytest.raises(ValueError, match="^config must be an object$"):
+                Forest((tree,), NUM2, bounds, "supervised", 0, config)
         for broken in (([], []), ([0, -1, -1], [0.0, 0.0])):
             with pytest.raises(InvalidModelError, match="node arrays must be"):
                 Forest((tree, broken), NUM2, bounds, "supervised", 0)
         # what needs no schema is checked on every forest, not only on loaded ones
         with pytest.raises(InvalidModelError, match="^tree 1: node 2: a leaf must hold param 0.0$"):
             Forest((tree, ([0, -1, -1], [0.5, 0.0, 1.0])), NUM2, bounds, "supervised", 0)
+
+    @pytest.mark.parametrize("attr", [[2**32, -1, -1], [0.0, -1.0, -1.0]],
+                             ids=["beyond-int32", "float"])
+    def test_refuses_attributes_that_are_not_int32(self, attr):
+        with pytest.raises(InvalidModelError, match="tree attributes"):
+            forest_of([(np.array(attr), np.zeros(3))], NUM2)
+
+    def test_metadata_is_stored_as_plain_python(self):
+        bounds = Bounds(np.zeros(2), np.ones(2))
+        forest = Forest((pair(small_tree()),), NUM2, bounds, "unsupervised", np.int64(5))
+        assert type(forest.seed) is int and forest.seed == 5
+        assert forest.config == {}
+        forest_hex_id(forest)  # hashes, where a numpy seed could not be written as JSON
 
     def test_properties_and_encode(self):
         tree = small_tree()

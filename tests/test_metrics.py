@@ -235,3 +235,13 @@ class TestDamageCurve:
             damage_curve(forest, ds, (0.1,))
         with pytest.raises(ConfigError):
             damage_curve(forest, ds, (0.5,), metric="l1")
+        with pytest.raises(ConfigError, match="mask seed must be an integer, got True"):
+            damage_curve(forest, ds, (0.5,), seed=True)
+
+    def test_numpy_seed_is_echoed_as_an_int(self):
+        ds = numeric_dataset(seed=23)
+        forest = train_forest(ds, TrainConfig(mode="unsupervised", n_trees=5, seed=7))
+        (report,) = damage_curve(forest, ds, (0.6,), seed=np.int64(2))
+        assert type(report.config["mask_seed"]) is int
+        assert report.to_json_dict(include_values=False) == damage_curve(
+            forest, ds, (0.6,), seed=2)[0].to_json_dict(include_values=False)

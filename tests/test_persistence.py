@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from eforest import cli
 from eforest.codec import EncodingMatrix, encode_batch
-from eforest.data import Categorical, Dataset, Numeric, Schema, atomic_write_bytes
+from eforest.data import Bounds, Categorical, Dataset, Numeric, Schema, atomic_write_bytes
 from eforest.errors import EForestError, FormatError, InvalidModelError
+from eforest.forest import Forest
 from eforest.persistence import (
     MODEL_VERSION,
     canonical_json_bytes,
@@ -752,6 +753,68 @@ class TestModelFuzz:
             with pytest.raises(InvalidModelError, match=f"^tree {tree}: {want}"):
                 load_model(p)
         assert not loads_or_exits_1(blob)
+
+
+MIXED = Schema(("a", "color"), (Numeric(), Categorical(("red", "green", "blue"))))
+
+
+@st.composite
+def hand_built_tree(draw):
+    """A pre-order tree's ``(attr, param)`` lists on ``MIXED``: each test
+    draws an attribute in [-2, 2], mostly 0 or 1, and a finite param around
+    the three category indexes, and a leaf sometimes holds a param."""
+    attr, param = [], []
+
+    def grow(tests):
+        if tests == 0:
+            attr.append(-1)
+            param.append(draw(st.sampled_from([0.0] * 5 + [1.0])))
+            return
+        attr.append(draw(st.sampled_from([0, 0, 0, 1, 1, 1, 1, -2, -1, 2])))
+        param.append(draw(st.sampled_from([0.0, 1.0, 2.0, 0.0, 1.0, 2.0, -1.0, 0.5, 3.0, 7.0])))
+        in_false = draw(st.integers(0, tests - 1))
+        grow(in_false)
+        grow(tests - 1 - in_false)
+
+    grow(draw(st.integers(0, 4)))
+    return attr, param
+
+
+class TestOneGate:
+    @given(st.lists(hand_built_tree(), min_size=1, max_size=2))
+    @example([([1, -1, -1], [7.0, 0.0, 0.0])])  # a category the schema lacks
+    @example([([0, -1, -1], [0.5, 0.0, 0.0]), ([1, -1, -1], [0.5, 0.0, 0.0])])
+    @settings(max_examples=200, deadline=None)
+    def test_a_model_file_holds_what_the_constructor_accepts(self, trees):
+        # a forest the constructor accepts saves and loads back as itself; one
+        # it refuses is refused, with the same message, from a file
+        bounds = Bounds(np.zeros(2), np.ones(2))
+        try:
+            forest = Forest([(np.array(a), np.array(p)) for a, p in trees], MIXED, bounds,
+                            "unsupervised", 0)
+        except InvalidModelError as exc:
+            refused = str(exc)
+        else:
+            refused = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            if refused is None:
+                model_hash = save_model(forest, path)
+                loaded = load_model(path)
+                assert loaded.attr.tolist() == forest.attr.tolist()
+                assert loaded.param.tolist() == forest.param.tolist()
+                assert loaded.roots.tolist() == forest.roots.tolist()
+                assert forest_hex_id(loaded) == model_hash
+                loaded._hex_id = None
+                assert forest_hex_id(loaded) == model_hash
+                return
+            leaf = Forest([([-1], [0.0])], MIXED, bounds, "unsupervised", 0)
+            save_model(leaf, path)
+            rewrite_with_fresh_hash(path, lambda r: r.update(
+                trees=[{"nodes": {"attr": a, "param": p}} for a, p in trees]))
+            with pytest.raises(InvalidModelError) as raised:
+                load_model(path)
+            assert str(raised.value) == refused
 
 
 @functools.lru_cache(maxsize=1)

@@ -100,6 +100,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**{"mode": "supervised", "n_trees": 1, field: value})
 
+    def test_numpy_integers_are_stored_as_python_ints(self, tmp_path):
+        config = TrainConfig(mode="unsupervised", n_trees=np.int64(3), seed=np.int64(1),
+                             min_node_size=np.int32(2), max_depth_cap=np.uint8(4),
+                             threads=np.int16(1))
+        fields = ("n_trees", "seed", "min_node_size", "max_depth_cap", "threads")
+        assert all(type(getattr(config, name)) is int for name in fields)
+        # the seed reaches the stream mix, and the config the model file
+        forest = train_forest(random_mixed(3, n=20, d=3), config)
+        save_model(forest, tmp_path / "m.json")
+        assert forest.seed == 1 and forest.config["n_trees"] == 3
+
     def test_bootstrap_defaults(self):
         assert TrainConfig(mode="supervised", n_trees=1).bootstrap is True
         assert TrainConfig(mode="unsupervised", n_trees=1).bootstrap is False
