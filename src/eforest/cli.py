@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -59,7 +60,9 @@ def _add_decode_flags(p: argparse.ArgumentParser) -> None:
                    "needs --mask-keep")
 
 
-def _load_dataset(args) -> data.Dataset:
+def _data_reader(args):
+    """The function that reads the dataset the data flags name; the flags are
+    checked now, before any file is read."""
     if args.format == "idx":
         stray = [flag for flag, given in (("--csv-kinds", args.csv_kinds is not None),
                                           ("--csv-header", args.csv_header),
@@ -67,7 +70,7 @@ def _load_dataset(args) -> data.Dataset:
                  if given]
         if stray:
             raise ConfigError(f"--format idx does not take {', '.join(stray)}")
-        return data.load_idx(args.data, args.labels)
+        return functools.partial(data.load_idx, args.data, args.labels)
     if args.labels is not None:
         raise ConfigError("--format csv does not take --labels; name the label column "
                           "with --label-column")
@@ -76,9 +79,8 @@ def _load_dataset(args) -> data.Dataset:
     label_col = args.label_column
     if label_col is not None and label_col.lstrip("-").isdigit():
         label_col = int(label_col)
-    return data.load_csv(
-        args.data, args.csv_kinds, label_column=label_col, has_header=args.csv_header
-    )
+    return functools.partial(data.load_csv, args.data, args.csv_kinds,
+                             label_column=label_col, has_header=args.csv_header)
 
 
 def _mask_seed(args) -> int | None:
@@ -124,8 +126,9 @@ def _build_train_config(args) -> training.TrainConfig:
 
 
 def cmd_train(args) -> int:
+    read_data = _data_reader(args)
     config = _build_train_config(args)
-    dataset = _load_dataset(args)
+    dataset = read_data()
     started = time.perf_counter()
     forest = training.train_forest(dataset, config)
     seconds = time.perf_counter() - started
@@ -141,8 +144,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    read_data = _data_reader(args)
     forest = persistence.load_model(args.model)
-    dataset = _load_dataset(args)
+    dataset = read_data()
     matrix = codec.encode_batch(forest, dataset, reuse=args.reuse)
     persistence.save_encodings(matrix, args.out)
     _emit(command="encode", encodings=str(args.out), model_hash=matrix.forest_id,
@@ -167,8 +171,9 @@ def cmd_decode(args) -> int:
 
 def _load_study(args) -> tuple:
     """The model and dataset a study runs on, and the report echo naming them."""
+    read_data = _data_reader(args)
     forest = persistence.load_model(args.model)
-    dataset = _load_dataset(args)
+    dataset = read_data()
     echo = {"command": args.command, "model": str(args.model),
             "model_hash": persistence.forest_hex_id(forest), "data": str(args.data)}
     return forest, dataset, echo

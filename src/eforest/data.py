@@ -146,7 +146,11 @@ class Dataset:
         X: np.ndarray,
         labels: np.ndarray | None = None,
     ):
-        self._hold(schema, np.array(X, dtype=np.float64, order="C"), labels)
+        try:
+            X = np.array(X, dtype=np.float64, order="C")
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"instance matrix must hold numbers: {exc}") from None
+        self._hold(schema, X, labels)
 
     def _hold(self, schema: Schema, X: np.ndarray, labels) -> None:
         """Check and keep ``X``, a float64 matrix this dataset owns and makes
@@ -228,10 +232,7 @@ _IDX_UBYTE = 0x08
 
 
 def _read_idx(path: Path, expect_ndim: int) -> tuple[tuple[int, ...], np.ndarray]:
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read idx file {path}: {exc}") from None
+    blob = read_file(path, "idx")
     if len(blob) < 4:
         raise FormatError(f"{path}: too short for an idx header")
     zero, dtype, ndim = struct.unpack(">HBB", blob[:4])
@@ -444,10 +445,7 @@ def load_csv(
     the first bad cell of the first bad row.
     """
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read csv file {path}: {exc}") from None
+    blob = read_file(path, "csv")
     with contextlib.closing(_csv_rows(path, blob)) as rows:
         first = next(rows, None)
         if kinds is None or isinstance(kinds, str):
@@ -512,6 +510,15 @@ def load_csv(
                       np.frombuffer(labels, dtype=np.int64))
     X, labels = parsed
     return Dataset._adopt(schema, X, labels if label_idx is not None else None)
+
+
+def read_file(path: Path, kind: str) -> bytes:
+    """The bytes of the ``kind`` file at ``path``; an OSError becomes a
+    FormatError that names the kind and the path."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read {kind} file {path}: {exc}") from None
 
 
 def atomic_write_bytes(path: Path, chunks: Iterable) -> None:

@@ -33,7 +33,8 @@ MODES = ("supervised", "unsupervised")  # how a forest was trained: its kind
 class Tree:
     """Tree ``t`` of a forest, as a view: ``attr`` and ``param`` are slices of
     the forest's arrays, no copies. Leaf ordinals count the tree's leaves in
-    storage order; ordinals, paths and depths are derived, never stored.
+    storage order; ordinals, paths (``get_path``) and depths are derived,
+    never stored.
     """
 
     __slots__ = ("attr", "param", "_true_child", "_root")
@@ -52,36 +53,6 @@ class Tree:
     def leaf_count(self) -> int:
         return (len(self.attr) + 1) // 2
 
-    def path_steps(self, leaf: int) -> list[tuple[int, bool]]:
-        """(internal node index, branch taken) pairs from root to the leaf.
-
-        Walks down from the root: the false subtree of node ``i`` holds
-        ``(true_child[i] - i) // 2`` leaves, where ``true_child`` is the
-        forest's, less the tree's offset.
-        """
-        below = self.leaf_count
-        if not 0 <= leaf < below:
-            raise ModelMismatchError(
-                f"leaf ordinal {leaf} out of range for a tree with {below} leaves"
-            )
-        leaf = int(leaf)
-        true_child, root = self._true_child, self._root
-        steps = []
-        node = 0
-        while below > 1:
-            tr = true_child.item(node) - root
-            in_false = (tr - node) // 2
-            if leaf < in_false:
-                steps.append((node, False))
-                below = in_false
-                node += 1
-            else:
-                steps.append((node, True))
-                leaf -= in_false
-                below -= in_false
-                node = tr
-        return steps
-
     def node_records(self) -> dict[str, list]:
         """The two stored node arrays as JSON lists."""
         return {"attr": self.attr.tolist(), "param": self.param.tolist()}
@@ -89,8 +60,8 @@ class Tree:
     @staticmethod
     def from_records(nodes: dict, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
         """The ``(attr, param)`` arrays of ``node_records`` output, checked as
-        JSON only: ``attr`` must be a non-empty list of ints (never bools) in
-        ``[-1, d)`` and ``param`` a list of as many floats. ``Forest`` checks
+        JSON only: ``attr`` must be a list of ints (never bools) in ``[-1, d)``
+        and ``param`` a list of floats. ``Forest`` checks their lengths and
         what they mean."""
         if type(nodes) is not dict or nodes.keys() != {"attr", "param"}:
             raise InvalidModelError("tree nodes must be an object with keys ('attr', 'param')")
@@ -99,10 +70,8 @@ class Tree:
             if type(values) is not list or set(map(type, values)) - {want}:
                 raise InvalidModelError(f"tree {name} must be a list of {want.__name__}s")
         attr = nodes["attr"]
-        if not attr or len(nodes["param"]) != len(attr):
-            raise InvalidModelError("tree node arrays must be non-empty and of equal length")
         # checked on the Python ints, so the int32 conversion cannot wrap
-        if not (-1 <= min(attr) and max(attr) < schema.d):
+        if attr and not (-1 <= min(attr) and max(attr) < schema.d):
             i = next(i for i, a in enumerate(attr) if not -1 <= a < schema.d)
             raise InvalidModelError(f"node {i}: attribute out of range")
         return np.array(attr, dtype=np.int32), np.array(nodes["param"])
@@ -216,8 +185,10 @@ class Forest:
     ``trees`` takes one ``(attr, param)`` pair per tree, copied once into
     ``attr`` and ``param``; tree ``t`` sits from ``roots[t]`` to
     ``roots[t + 1]`` and is viewed as ``trees[t]``. Construction, the one check
-    of a forest however it was made, refuses nodes the schema cannot run, a bad
-    layout or leaf param, a non-integer seed and a non-dict config; it derives
+    of a forest however it was made, refuses a tree whose arrays are empty, of
+    unequal lengths or hold a param that is not a real number (naming the first
+    such tree), nodes the schema cannot run, a bad layout or leaf param, a
+    non-integer seed and a non-dict config; it derives
     ``true_child`` (-1 on leaves), ``leaf_pos`` (each leaf's position) and
     ``leaf_rank`` (the leaves stored before each position).
     """
@@ -245,9 +216,14 @@ class Forest:
             raise ValueError("a forest needs at least one tree")
         if bounds.d != schema.d:
             raise ValueError("bounds length does not match schema")
+        for t, (attr, param) in enumerate(trees):
+            if not len(attr) or len(param) != len(attr):
+                raise InvalidModelError(
+                    f"tree {t}: tree node arrays must be non-empty and of equal length")
+            dtype = np.asarray(param).dtype
+            if dtype.kind not in "iuf":
+                raise InvalidModelError(f"tree {t}: params must be real numbers, not {dtype}")
         sizes = [len(attr) for attr, _ in trees]
-        if 0 in sizes or sizes != [len(param) for _, param in trees]:
-            raise InvalidModelError("tree node arrays must be non-empty and of equal length")
         self.roots = roots = np.concatenate([[0], np.cumsum(sizes)])
         attr = np.concatenate([attr for attr, _ in trees])
         self.attr = attr = integer_array(attr, np.int32, InvalidModelError, "tree attributes")
@@ -288,11 +264,32 @@ class Forest:
 
 
 def get_path(tree: Tree, leaf: int) -> list[tuple[tuple[int, float], bool]]:
-    """Root-to-leaf list of ((attr, param) node test, branch taken)."""
-    steps = tree.path_steps(leaf)
-    nodes = [i for i, _ in steps]
-    tests = zip(tree.attr[nodes].tolist(), tree.param[nodes].tolist())
-    return [(test, branch) for test, (_, branch) in zip(tests, steps)]
+    """Root-to-leaf list of ((attr, param) node test, branch taken), the test
+    read as a Python ``int`` and ``float``. Walks down from the root: the false
+    subtree of node ``i`` holds ``(true_child[i] - i) // 2`` leaves, where
+    ``true_child`` is the forest's, less the tree's offset."""
+    below = tree.leaf_count
+    if not 0 <= leaf < below:
+        raise ModelMismatchError(
+            f"leaf ordinal {leaf} out of range for a tree with {below} leaves"
+        )
+    leaf = int(leaf)
+    attr, param, true_child, root = tree.attr, tree.param, tree._true_child, tree._root
+    path = []
+    node = 0
+    while below > 1:
+        tr = true_child.item(node) - root
+        in_false = (tr - node) // 2
+        branch = leaf >= in_false
+        path.append(((attr.item(node), param.item(node)), branch))
+        if branch:
+            leaf -= in_false
+            below -= in_false
+            node = tr
+        else:
+            below = in_false
+            node += 1
+    return path
 
 
 def path_to_rule(path, schema: Schema) -> Rule:

@@ -35,7 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Bounds, Categorical, Numeric, Schema, atomic_write_bytes, integer_array
+from .data import (
+    Bounds, Categorical, Numeric, Schema, atomic_write_bytes, integer_array, read_file,
+)
 from .errors import FormatError, InvalidModelError, ModelMismatchError
 from .forest import Forest, Tree
 
@@ -243,10 +245,7 @@ def _tree_arrays(tree_records: list, schema) -> list:
 def load_model(path):
     """Load and validate a model file; its content hash must match."""
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read model file {path}: {exc}") from exc
+    blob = read_file(path, "model")
     try:
         record = json.loads(blob, parse_constant=_refuse_constant)
     except (ValueError, RecursionError) as exc:  # deep nesting is not a ValueError
@@ -332,10 +331,7 @@ def load_encodings(path) -> EncodingMatrix:
     """Read an encoding matrix; the body must hold exactly the header's n*T
     ordinals. The returned ``leaf_ids`` may be a read-only view of the file bytes."""
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read encodings file {path}: {exc}") from exc
+    blob = read_file(path, "encodings")
     m = _ENC_HEADER.match(blob)
     if not m:
         raise FormatError(f"{path}: bad encodings header {blob[:80]!r}")

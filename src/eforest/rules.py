@@ -231,7 +231,7 @@ STRATEGIES = {"min": "min", "mean": "mean", "max": "max", "median-of-bounds": "m
 
 
 def normalize_strategy(strategy: str) -> str:
-    name = STRATEGIES.get(strategy.strip().lower())
+    name = STRATEGIES.get(strategy.strip().lower()) if isinstance(strategy, str) else None
     if name is None:
         raise ConfigError(f"unknown representative strategy {strategy!r}")
     return name

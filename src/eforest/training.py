@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -76,15 +76,9 @@ class TrainConfig:
             self.bootstrap = self.mode == "supervised"
 
     def to_meta(self) -> dict:
-        """Training summary persisted with the model; excludes execution details."""
-        return {
-            "mode": self.mode,
-            "n_trees": self.n_trees,
-            "seed": self.seed,
-            "min_node_size": self.min_node_size,
-            "max_depth_cap": self.max_depth_cap,
-            "bootstrap": self.bootstrap,
-        }
+        """Training summary persisted with the model: every field but
+        ``threads``, an execution detail that never changes the forest."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
 
 
 def _xlogx_table(n: int) -> np.ndarray:

@@ -953,6 +953,33 @@ def _mask_seed_before_model(workdir, model_path):
     return argv, "--mask-seed needs --mask-keep"
 
 
+def _csv_header_before_model(workdir, model_path):
+    # data flags are checked before the model is read, and before train's --config
+    argv = ["encode", "--data", str(workdir / "images.idx"), "--csv-header", "--model",
+            str(workdir / "absent.json"), "--out", str(workdir / "nope.enc")]
+    return argv, "--format idx does not take --csv-header"
+
+
+def _labels_before_model(workdir, model_path):
+    argv = ["reconstruct", "--data", str(workdir / "wide.csv"), "--format", "csv",
+            "--labels", str(workdir / "labels.idx"), "--model", str(workdir / "absent.json"),
+            "--report", str(workdir / "nope.json")]
+    return argv, ("--format csv does not take --labels; name the label column "
+                  "with --label-column")
+
+
+def _empty_csv_kinds_before_model(workdir, model_path):
+    argv = ["damage", "--data", str(workdir / "wide.csv"), "--format", "csv", "--csv-kinds", "",
+            "--model", str(workdir / "absent.json"), "--report", str(workdir / "nope.json")]
+    return argv, "--csv-kinds is empty; omit it to read every column as numeric"
+
+
+def _label_column_before_config(workdir, model_path):
+    argv = _train(workdir, "--data", str(workdir / "images.idx"), "--label-column", "0",
+                  "--config", str(workdir / "absent-config.json"))
+    return argv, "--format idx does not take --label-column"
+
+
 # one case for each distinct error class the command line could hit before
 # the classes were folded into one per remedy (see the README's Errors table),
 # then the flags the parser alone would accept
@@ -976,6 +1003,10 @@ ERROR_LINES = {
     "empty-csv-kinds": _empty_csv_kinds,
     "keep-list-before-model": _keep_list_before_model,
     "mask-seed-before-model": _mask_seed_before_model,
+    "csv-header-before-model": _csv_header_before_model,
+    "labels-before-model": _labels_before_model,
+    "empty-csv-kinds-before-model": _empty_csv_kinds_before_model,
+    "label-column-before-config": _label_column_before_config,
 }
 
 

@@ -128,6 +128,11 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.X[0, 0] = 9.0
 
+    def test_cells_that_are_not_numbers(self):
+        with pytest.raises(FormatError, match="^instance matrix must hold numbers: could not "
+                           "convert string to float: 'a'$"):
+            Dataset(Schema.numeric(["a", "b"]), [["a", "b"]])
+
     def test_shape_checks(self):
         with pytest.raises(FormatError, match=r"instance matrix must be \(n, 2\), got \(3, 1\)"):
             Dataset(Schema.numeric(["a", "b"]), np.zeros((3, 1)))

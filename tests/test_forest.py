@@ -378,25 +378,25 @@ class TestPreorderCheck:
 
 
 class TestPaths:
-    def test_path_steps_reach_leaf(self):
-        tree = complete_depth2_tree()
-        true_child = true_children(tree.attr)
-        for leaf in range(tree.leaf_count):
-            node = 0
-            for idx, branch in tree.path_steps(leaf):
-                assert idx == node
-                node = int(true_child[node]) if branch else node + 1
-            assert tree.attr[node] == -1
-            assert (tree.attr[:node] == -1).sum() == leaf
+    def test_get_path_reaches_leaf(self):
+        for tree in (complete_depth2_tree(), small_tree()):
+            true_child = true_children(tree.attr)
+            for leaf in range(tree.leaf_count):
+                node = 0
+                for test, branch in get_path(tree, leaf):
+                    assert test == (tree.attr[node], tree.param[node])
+                    node = int(true_child[node]) if branch else node + 1
+                assert tree.attr[node] == -1
+                assert (tree.attr[:node] == -1).sum() == leaf
 
-    def test_path_steps_bad_leaf(self):
+    def test_get_path_bad_leaf(self):
         tree = small_tree()
         with pytest.raises(ModelMismatchError,
                            match="leaf ordinal 3 out of range for a tree with 3 leaves"):
-            tree.path_steps(3)
+            get_path(tree, 3)
         with pytest.raises(ModelMismatchError,
                            match="leaf ordinal -1 out of range for a tree with 3 leaves"):
-            tree.path_steps(-1)
+            get_path(tree, -1)
 
     def test_get_path_tests(self):
         tree = small_tree()
@@ -482,11 +482,23 @@ class TestForest:
             with pytest.raises(ValueError, match="^config must be an object$"):
                 Forest((tree,), NUM2, bounds, "supervised", 0, config)
         for broken in (([], []), ([0, -1, -1], [0.0, 0.0])):
-            with pytest.raises(InvalidModelError, match="node arrays must be"):
+            with pytest.raises(InvalidModelError, match="^tree 1: tree node arrays must be "
+                               "non-empty and of equal length$"):
                 Forest((tree, broken), NUM2, bounds, "supervised", 0)
         # what needs no schema is checked on every forest, not only on loaded ones
         with pytest.raises(InvalidModelError, match="^tree 1: node 2: a leaf must hold param 0.0$"):
             Forest((tree, ([0, -1, -1], [0.5, 0.0, 1.0])), NUM2, bounds, "supervised", 0)
+
+    @pytest.mark.parametrize("param, dtype", [
+        (np.array(["1.5", "0", "0"]), "<U3"),
+        (np.array([1.5, None, None], dtype=object), "object"),
+        (np.array([1.5, 0, 0], dtype=complex), "complex128"),
+    ], ids=["str", "object", "complex"])
+    def test_refuses_params_that_are_not_real_numbers(self, param, dtype):
+        tree = pair(small_tree())
+        with pytest.raises(InvalidModelError,
+                           match=f"^tree 1: params must be real numbers, not {dtype}$"):
+            forest_of([tree, (np.array([0, -1, -1]), param)], NUM2)
 
     @pytest.mark.parametrize("attr", [[2**32, -1, -1], [0.0, -1.0, -1.0]],
                              ids=["beyond-int32", "float"])
@@ -553,6 +565,6 @@ class TestDepthStats:
         for mode in ("supervised", "unsupervised"):
             forest = train_forest(ds, TrainConfig(mode=mode, n_trees=3, seed=3))
             for tree in forest.trees:
-                lengths = [len(tree.path_steps(leaf)) for leaf in range(tree.leaf_count)]
+                lengths = [len(get_path(tree, leaf)) for leaf in range(tree.leaf_count)]
                 assert leaf_depths(tree).tolist() == lengths
                 assert leaf_depths(tree).max() == max(lengths)

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import stat
 import tempfile
 import tracemalloc
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 from eforest import cli
 from eforest.codec import EncodingMatrix, encode_batch
-from eforest.data import Bounds, Categorical, Dataset, Numeric, Schema, atomic_write_bytes
+from eforest.data import (
+    Bounds, Categorical, Dataset, Numeric, Schema, atomic_write_bytes, load_csv, load_idx,
+)
 from eforest.errors import EForestError, FormatError, InvalidModelError
 from eforest.forest import Forest
 from eforest.persistence import (
@@ -445,6 +448,19 @@ class TestModelDamage:
             load_model(p)
 
 
+@pytest.mark.parametrize("kind, load", [
+    ("model", load_model),
+    ("encodings", load_encodings),
+    ("idx", load_idx),
+    ("csv", load_csv),
+])
+def test_an_absent_file_is_named_with_its_kind(tmp_path, kind, load):
+    path = tmp_path / f"absent.{kind}"
+    message = f"cannot read {kind} file {path}: [Errno 2] No such file or directory: '{path}'"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load(path)
+
+
 class TestModelFormatErrors:
     def make_saved(self, tmp_path):
         forest, _ = small_forest()
@@ -455,6 +471,16 @@ class TestModelFormatErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             load_model(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("damage", [lambda nodes: nodes["param"].pop(),
+                                        lambda nodes: nodes.update(attr=[], param=[])],
+                             ids=["unequal", "empty"])
+    def test_tree_arrays_of_unequal_length(self, tmp_path, damage):
+        p = self.make_saved(tmp_path)
+        rewrite_with_fresh_hash(p, lambda r: damage(r["trees"][1]["nodes"]))
+        with pytest.raises(InvalidModelError, match="^tree 1: tree node arrays must be "
+                           "non-empty and of equal length$"):
+            load_model(p)
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "m.json"

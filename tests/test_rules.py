@@ -387,6 +387,11 @@ class TestStrategies:
         with pytest.raises(ConfigError):
             normalize_strategy("mode")
 
+    @pytest.mark.parametrize("strategy", [None, 5])
+    def test_non_string_rejected(self, strategy):
+        with pytest.raises(ConfigError, match=f"^unknown representative strategy {strategy}$"):
+            normalize_strategy(strategy)
+
 
 class TestPickInInterval:
     def test_closed_interval(self):
