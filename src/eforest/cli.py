@@ -85,11 +85,12 @@ def _data_reader(args):
 
 def _mask_seed(args) -> int | None:
     """The ``--mask-seed`` that ``--mask-keep`` draws its trees with (default
-    0), or None without ``--mask-keep``; read before any file is."""
+    0), or None without ``--mask-keep``; both are checked before any file is read."""
     if args.mask_keep is None:
         if args.mask_seed is not None:
             raise ConfigError("--mask-seed needs --mask-keep")
         return None
+    codec.check_keep_fractions([args.mask_keep])
     return 0 if args.mask_seed is None else args.mask_seed
 
 
@@ -204,6 +205,7 @@ def cmd_damage(args) -> int:
         fractions = [float(f) for f in args.keep.split(",") if f.strip()]
     except ValueError:
         raise ConfigError(f"--keep expects comma-separated floats, got {args.keep!r}") from None
+    codec.check_keep_fractions(fractions)
     forest, dataset, echo = _load_study(args)
     reports = metrics.damage_curve(forest, dataset, fractions, seed=args.seed,
                                    metric=args.metric, strategy=args.strategy)

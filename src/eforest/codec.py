@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Dataset, Schema, integer_array
 from .errors import ConfigError, EmptyMCRError, ModelMismatchError
-from .forest import Forest, budget_runs, descend, encode, get_path, path_to_rule
+from .forest import Forest, budget_runs, descend, encode, get_path, path_to_rule, ranges
 from .persistence import EncodingMatrix, forest_hex_id
 from .rng import permutation
 from .rules import Rule, calculate_mcr, normalize_strategy, pick_interval_batch
@@ -72,8 +72,7 @@ class TreeMask:
         """
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
             raise ConfigError(f"mask seed must be an integer, got {seed!r}")
-        if not 0.0 < keep_fraction <= 1.0:
-            raise ConfigError(f"keep fraction must be in (0, 1], got {keep_fraction}")
+        check_keep_fractions([keep_fraction])
         share = round(keep_fraction * n_trees, 9)
         if share < 1.0:
             raise ConfigError(
@@ -81,6 +80,16 @@ class TreeMask:
             )
         k = math.ceil(share)
         return cls(tuple(permutation(int(seed), n_trees)[:k]))
+
+
+def check_keep_fractions(fractions) -> None:
+    """Refuse an empty list of keep fractions, or one outside (0, 1]; these
+    need no model, so the command line checks them before it reads one."""
+    if not fractions:
+        raise ConfigError("damage_curve needs at least one keep fraction")
+    for f in fractions:
+        if not 0.0 < f <= 1.0:
+            raise ConfigError(f"keep fraction must be in (0, 1], got {f}")
 
 
 def _check_schema(model: Schema, data: Schema, reuse: bool) -> None:
@@ -163,9 +172,9 @@ def decode_region(forest: Forest, encoding, mask: TreeMask | None = None) -> Rul
     return calculate_mcr(rules, forest.bounds, forest.schema)
 
 
-def _absorb(state, forest: Forest, roots, leaf_ids: np.ndarray, sizes: np.ndarray) -> None:
+def _absorb(state, forest: Forest, ts, leaf_ids: np.ndarray, sizes: np.ndarray) -> None:
     """Tighten the per-row region state by every test on the paths to the
-    leaves that ``leaf_ids`` (one column per tree, rooted at ``roots``) names.
+    leaves that ``leaf_ids`` (one column per tree of ``ts``) names.
 
     Every attribute kind shares one state: per-row ends ``lo``/``hi`` of every
     attribute and a ``banned`` mask whose columns hold each categorical
@@ -183,8 +192,11 @@ def _absorb(state, forest: Forest, roots, leaf_ids: np.ndarray, sizes: np.ndarra
     lo, hi, banned = state
     n, d = lo.shape
     width, is_cat, start = banned.shape[1], sizes > 0, np.cumsum(sizes) - sizes
-    attr, param, true_child, k = forest.attr, forest.param, forest.true_child, len(roots)
-    target = forest.leaf_pos[leaf_ids + forest.leaf_rank[roots]].ravel()
+    attr, param, true_child, k = forest.attr, forest.param, forest.true_child, len(ts)
+    roots, counts = forest.roots[ts], forest.leaf_counts[ts]
+    nodes = ranges(roots, 2 * counts - 1)  # of the trees ts, tree by tree
+    # pick their leaves' positions by ordinal plus the leaves of earlier trees
+    target = np.compress(attr[nodes] < 0, nodes)[leaf_ids + (np.cumsum(counts) - counts)].ravel()
     lo, hi, banned = lo.ravel(), hi.ravel(), banned.ravel()  # views of the state
 
     def go_true(pairs, nodes):
@@ -265,7 +277,7 @@ def decode_masks(forest: Forest, matrix: EncodingMatrix, masks, strategy: str = 
             absorbed = set()
         new = [t for t in keep if t not in absorbed]
         for ts in _groups(new, n):
-            _absorb(state, forest, forest.roots[ts], leaf_ids[:, ts], sizes)
+            _absorb(state, forest, ts, leaf_ids[:, ts], sizes)
         absorbed = set(keep)
         yield Dataset._adopt(schema, _finish(forest, state, strategy))
 

@@ -146,6 +146,8 @@ class Dataset:
         X: np.ndarray,
         labels: np.ndarray | None = None,
     ):
+        if isinstance(X, np.ndarray) and X.dtype.kind == "c":  # a cast keeps the real parts
+            raise FormatError(f"instance matrix must hold real numbers, not {X.dtype}")
         try:
             X = np.array(X, dtype=np.float64, order="C")
         except (TypeError, ValueError) as exc:

@@ -9,7 +9,7 @@ numbered 0..L-1 in storage order, and an instance's encoding under a forest is
 the vector of those leaf ordinals, one per tree.
 
 A ``Forest`` lays its trees end to end as one set of node arrays, deriving
-true children and leaf maps for all of them at once; a ``Tree`` views one.
+true children for all of them at once (walks derive leaf maps); a ``Tree`` views one.
 Encode and decode share one walk over the trees whose roots it is given: it
 moves every (row, tree) pair down one level per step, so a run of trees costs
 as many steps as its deepest tree. Training routes rows and encoding routes
@@ -129,6 +129,16 @@ def node_test(values: np.ndarray, attr: np.ndarray, param: np.ndarray,
     return np.where(is_cat[attr], values == param, values >= param)
 
 
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [starts[i], starts[i] + lengths[i])."""
+    ends = lengths.cumsum()
+    if not len(ends):
+        return ends
+    out = (starts - ends + lengths).repeat(lengths)
+    out += np.arange(ends[-1])
+    return out
+
+
 def budget_runs(costs: np.ndarray, budget: int) -> list[slice]:
     """Consecutive runs of items, none empty, each costing about ``budget``:
     an item starts a new run when the cost of the items before it crosses a
@@ -174,8 +184,12 @@ def encode(forest: "Forest", roots: np.ndarray, X: np.ndarray) -> np.ndarray:
         a = attr[nodes]
         return node_test(values[pairs // k * d + a], a, param[nodes], is_cat)
 
-    # a leaf's ordinal is the number of leaves stored between its root and it
-    return forest.leaf_rank[descend(forest, roots, n, go_true)] - forest.leaf_rank[roots]
+    leaves = descend(forest, roots, n, go_true)
+    # a leaf's ordinal is the number of leaves stored between its root and it,
+    # counted over the nodes from the first root to the last root or leaf
+    first, last = roots.min(), leaves.max(initial=roots.max())
+    before = np.concatenate([[0], np.cumsum(forest.attr[first:last] < 0, dtype=np.int32)])
+    return before[leaves - first] - before[roots - first]
 
 
 class Forest:
@@ -188,12 +202,12 @@ class Forest:
     of a forest however it was made, refuses a tree whose arrays are empty, of
     unequal lengths or hold a param that is not a real number (naming the first
     such tree), nodes the schema cannot run, a bad layout or leaf param, a
-    non-integer seed and a non-dict config; it derives
-    ``true_child`` (-1 on leaves), ``leaf_pos`` (each leaf's position) and
-    ``leaf_rank`` (the leaves stored before each position).
+    non-integer seed and a non-dict config; it derives ``true_child`` (-1 on
+    leaves), kept as every walk step reads it and ``get_path`` would pay its
+    stable sort per query. Walks derive the leaf maps they read from ``attr``.
     """
 
-    __slots__ = ("attr", "param", "roots", "true_child", "leaf_pos", "leaf_rank", "trees",
+    __slots__ = ("attr", "param", "roots", "true_child", "trees",
                  "schema", "bounds", "kind", "seed", "config", "_hex_id")
 
     def __init__(
@@ -237,9 +251,7 @@ class Forest:
         _refuse_in(roots, numeric & ~np.isfinite(param), lambda i: "threshold is not finite")
         self.true_child = _true_children(leaf, roots)
         _refuse_in(roots, leaf & (param != 0.0), lambda i: "a leaf must hold param 0.0")
-        self.leaf_pos = np.flatnonzero(leaf).astype(np.int32)
-        self.leaf_rank = np.concatenate([[0], np.cumsum(leaf)], dtype=np.int32)
-        for name in ("attr", "param", "roots", "true_child", "leaf_pos", "leaf_rank"):
+        for name in ("attr", "param", "roots", "true_child"):
             getattr(self, name).flags.writeable = False
         self.trees = tuple(Tree(self, t) for t in range(len(trees)))
         self.schema = schema
@@ -311,6 +323,6 @@ def depth_stats(forest: Forest) -> tuple[int, float]:
         depth[children] = d
         level = children[internal[children]]
     leaf_depth = depth[~internal]
-    base = forest.leaf_rank[roots]
-    means = np.add.reduceat(leaf_depth, base[:-1]) / np.diff(base)
+    counts = forest.leaf_counts
+    means = np.add.reduceat(leaf_depth, np.cumsum(counts) - counts) / counts
     return int(leaf_depth.max()), float(np.mean(means))

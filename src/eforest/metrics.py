@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import TreeMask, decode_masks, encode_batch
+from .codec import TreeMask, check_keep_fractions, decode_masks, encode_batch
 from .data import Dataset
 from .errors import ConfigError, FormatError
 from .forest import Forest
@@ -150,8 +150,7 @@ def damage_curve(
     keep the order of ``keep_fractions``.
     """
     fractions = [float(f) for f in keep_fractions]
-    if not fractions:
-        raise ConfigError("damage_curve needs at least one keep fraction")
+    check_keep_fractions(fractions)
     masks = [TreeMask.from_fraction(forest.T, f, seed) for f in fractions]
     order = sorted(range(len(masks)), key=lambda i: len(masks[i]))
     echoes = [{"keep_fraction": fractions[i], "mask_seed": int(seed)} for i in order]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .data import Dataset, Schema, compute_bounds
 from .errors import ConfigError, FormatError
-from .forest import MODES, Forest, budget_runs, node_test
+from .forest import MODES, Forest, budget_runs, node_test, ranges
 from .rng import GOLDEN, SplitMix64, peek_words, skip_words, tree_stream
 
 
@@ -117,16 +117,6 @@ _REJECT_ROUNDS = 16
 _THRESHOLD_ROUNDS = 8
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenated ranges [starts[i], starts[i] + lengths[i])."""
-    ends = lengths.cumsum()
-    if not len(ends):
-        return ends
-    out = (starts - ends + lengths).repeat(lengths)
-    out += np.arange(ends[-1])
-    return out
-
-
 class _Kernel:
     """The data both kernels split, one attribute per row of ``XT``. A
     kernel's ``width`` is the most values a node row costs one of its calls:
@@ -201,7 +191,7 @@ class _RandomSplits(_Kernel):
         constant, drawn at once with the word after each round; an exact
         scan of the node follows the last miss."""
         size = offsets[nodes + 1] - offsets[nodes]
-        cells = _ranges(offsets[nodes], size)
+        cells = ranges(offsets[nodes], size)
         words = peek_words(skip_words(states[nodes], 1), _REJECT_ROUNDS)
         cand = (words[:, :-1] % np.uint64(self.d)).astype(np.int64)
         values = self.flat[(cand * self.n).repeat(size, axis=0) + rows[cells, None]]
@@ -237,7 +227,7 @@ def _stream_at(state, skipped: int) -> SplitMix64:
 def _pick_present(col, offsets, nodes, words):
     """Per node, the distinct value of its ``col`` that its word picks."""
     size = offsets[nodes + 1] - offsets[nodes]
-    values = col[_ranges(offsets[nodes], size)]
+    values = col[ranges(offsets[nodes], size)]
     seg = np.arange(len(nodes)).repeat(size)
     order = np.lexsort((values, seg))
     values, seg = values[order], seg[order]
@@ -344,7 +334,7 @@ class _GainSplits(_Kernel):
         big = out.nonzero()[0]
         if len(big):
             size = hi[big] - lo[big]
-            y = self.y[rows[_ranges(lo[big], size)]]
+            y = self.y[rows[ranges(lo[big], size)]]
             starts = size.cumsum() - size
             out[big] = np.minimum.reduceat(y, starts) < np.maximum.reduceat(y, starts)
         return out
@@ -367,7 +357,7 @@ class _GainSplits(_Kernel):
         # segment s holds the rows of node s // k under its (s % k)-th sampled
         # attribute; sorted keys put each segment's rows in runs of equal value
         seg_len = nn.repeat(k)
-        cell = rows[_ranges(offsets[:-1].repeat(k), seg_len)]
+        cell = rows[ranges(offsets[:-1].repeat(k), seg_len)]
         cell += (attrs * self.n).repeat(seg_len)
         # every key is below m * k * R * C; int32 keys sort about twice as fast
         key = np.arange(m * k, dtype=np.int32 if m * k * R * C < 2**31 else np.int64)
@@ -510,7 +500,7 @@ def _split_ranges(split, rows, states, trees, lo, hi):
     range's true rows start."""
     size = hi - lo
     offsets = np.concatenate([[0], size.cumsum()])
-    cells = _ranges(lo, size)
+    cells = ranges(lo, size)
     node_rows = rows[cells]
     node_states = states[trees]
     attr, param, goes_true = split(node_rows, offsets, node_states)
@@ -522,7 +512,8 @@ def _split_ranges(split, rows, states, trees, lo, hi):
 
 def _grow(split, n: int, cfg: TrainConfig, trees: Sequence[int]) -> list[tuple]:
     """Grow the given trees in lockstep, each in depth-first pre-order with
-    the false branch first; returns each tree's ``attr`` and ``param`` arrays.
+    the false branch first; returns each tree's ``attr`` and ``param`` arrays,
+    copied out of the group's buffers so that these can be freed.
 
     Each tree's rows live in its own slice of one buffer, and every node is a
     range of it. A node draws no words when ``split.draws`` says so or it sits
@@ -592,20 +583,14 @@ def _grow(split, n: int, cfg: TrainConfig, trees: Sequence[int]) -> list[tuple]:
         run[t, h] = true_run * (run[t, h - 1] + 1)
         run[t, h + 1] = false_run * (run[t, h] + 1)
         top[t] = h + 1
-    return [(a[:k], p[:k]) for a, p, k in zip(attr, param, fill)]
+    return [(a[:k].copy(), p[:k].copy()) for a, p, k in zip(attr, param, fill)]
 
 
-def _grow_block(split, n: int, cfg: TrainConfig, trees: range) -> list[tuple]:
-    """Node arrays of a block of trees, grown one lockstep group after another."""
-    return [arrays for run in budget_runs(np.full(len(trees), n), _GROUP_ROWS)
-            for arrays in _grow(split, n, cfg, trees[run])]
-
-
-_FORK_PAYLOAD: list = []  # the (split, n, cfg) arguments of _grow_block, inherited by fork
+_FORK_PAYLOAD: list = []  # the (split, n, cfg) arguments of _grow, inherited by fork
 
 
 def _train_worker(trees: range) -> list[tuple]:
-    return _grow_block(*_FORK_PAYLOAD, trees)
+    return _grow(*_FORK_PAYLOAD, trees)
 
 
 def _splitter(dataset: Dataset, config: TrainConfig):
@@ -631,9 +616,9 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
 
     Tree ``t`` consumes only its own random stream, so results do not depend
     on the thread count or the grouping, and trees always come back ordered
-    by index. With ``threads`` > 1, each worker grows one contiguous block of
-    trees, and no more workers start than there are trees or CPUs this
-    process may run on.
+    by index. The trees are cut into lockstep groups once, by rows alone when
+    serial; with ``threads`` > 1 into at least one group per worker, and no
+    more workers start than there are trees or CPUs this process may run on.
     """
     if dataset.n == 0:
         raise ConfigError("cannot train on an empty dataset")
@@ -647,11 +632,12 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
             )
     split = _splitter(dataset, config)
     args = (split, dataset.n, config)
-    workers = min(config.threads, config.n_trees, _usable_cpus())
-    cuts = [config.n_trees * w // workers for w in range(workers + 1)]
-    blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    n_trees = config.n_trees
+    workers = min(config.threads, n_trees, _usable_cpus()) if hasattr(os, "fork") else 1
+    budget = min(_GROUP_ROWS, n_trees // workers * dataset.n)  # at least one group per worker
+    groups = [range(n_trees)[run] for run in budget_runs(np.full(n_trees, dataset.n), budget)]
 
-    if workers > 1 and hasattr(os, "fork"):
+    if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -659,13 +645,13 @@ def train_forest(dataset: Dataset, config: TrainConfig) -> Forest:
         try:
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                grown = [arrays for block in pool.map(_train_worker, blocks) for arrays in block]
+                grown = list(pool.map(_train_worker, groups))
         finally:
             _FORK_PAYLOAD.clear()
     else:
-        grown = _grow_block(*args, range(config.n_trees))
+        grown = [_grow(*args, trees) for trees in groups]
     return Forest(
-        grown,
+        [arrays for group in grown for arrays in group],
         dataset.schema,
         compute_bounds(dataset.schema, dataset.X),
         kind=config.mode,

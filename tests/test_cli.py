@@ -948,6 +948,31 @@ def _keep_list_before_model(workdir, model_path):
     return argv, "--keep expects comma-separated floats, got 'a'"
 
 
+def _damage_keep(workdir, keep):
+    return ["damage", "--data", str(workdir / "images.idx"), "--model",
+            str(workdir / "absent.json"), "--keep", keep, "--report", str(workdir / "nope.json")]
+
+
+def _empty_keep_before_model(workdir, model_path):
+    return _damage_keep(workdir, ","), "damage_curve needs at least one keep fraction"
+
+
+def _keep_above_one_before_model(workdir, model_path):
+    return _damage_keep(workdir, "0.5,1.5"), "keep fraction must be in (0, 1], got 1.5"
+
+
+def _mask_keep_zero_before_model(workdir, model_path):
+    argv = _decode(workdir, workdir / "absent.json", workdir / "absent.enc") + ["--mask-keep", "0"]
+    return argv, "keep fraction must be in (0, 1], got 0.0"
+
+
+def _mask_keep_nan_before_model(workdir, model_path):
+    argv = ["reconstruct", "--data", str(workdir / "images.idx"), "--model",
+            str(workdir / "absent.json"), "--mask-keep", "nan", "--report",
+            str(workdir / "nope.json")]
+    return argv, "keep fraction must be in (0, 1], got nan"
+
+
 def _mask_seed_before_model(workdir, model_path):
     argv = _decode(workdir, workdir / "absent.json", workdir / "absent.enc") + ["--mask-seed", "3"]
     return argv, "--mask-seed needs --mask-keep"
@@ -1007,6 +1032,10 @@ ERROR_LINES = {
     "labels-before-model": _labels_before_model,
     "empty-csv-kinds-before-model": _empty_csv_kinds_before_model,
     "label-column-before-config": _label_column_before_config,
+    "empty-keep-before-model": _empty_keep_before_model,
+    "keep-above-one-before-model": _keep_above_one_before_model,
+    "mask-keep-zero-before-model": _mask_keep_zero_before_model,
+    "mask-keep-nan-before-model": _mask_keep_nan_before_model,
 }
 
 

@@ -133,6 +133,16 @@ class TestDataset:
                            "convert string to float: 'a'$"):
             Dataset(Schema.numeric(["a", "b"]), [["a", "b"]])
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_complex_matrix_is_refused_not_cast(self, dtype):
+        # a float64 cast would keep the real parts, with only numpy's warning
+        with pytest.raises(FormatError, match=f"^instance matrix must hold real numbers, "
+                           f"not {np.dtype(dtype)}$"):
+            Dataset(Schema.numeric(["a", "b"]), np.array([[1 + 2j, 0]], dtype=dtype))
+        # numbers held as strings still convert
+        assert Dataset(Schema.numeric(["a", "b"]), np.array([["1.5", "2"]])).X.tolist() == [
+            [1.5, 2.0]]
+
     def test_shape_checks(self):
         with pytest.raises(FormatError, match=r"instance matrix must be \(n, 2\), got \(3, 1\)"):
             Dataset(Schema.numeric(["a", "b"]), np.zeros((3, 1)))

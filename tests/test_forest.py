@@ -2,16 +2,18 @@
 paths, path extraction, and depth statistics."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eforest import codec
 from eforest import forest as forest_mod
-from eforest.codec import EncodingMatrix, TreeMask, decode_batch
+from eforest.codec import EncodingMatrix, TreeMask, decode_batch, decode_masks
 from eforest.data import Bounds, Categorical, Numeric, Schema, compute_bounds
-from eforest.errors import InvalidModelError, ModelMismatchError
+from eforest.errors import EmptyMCRError, InvalidModelError, ModelMismatchError
 from eforest.forest import (
     Forest,
     Tree,
@@ -272,7 +274,7 @@ class TestFromRecordsValidation:
             random_mixed(5), TrainConfig(mode="unsupervised", n_trees=2, seed=0)
         )
         for forest in (forest_of([pair(small_tree())], NUM2), trained):
-            for name in ("attr", "param", "roots", "true_child", "leaf_pos", "leaf_rank"):
+            for name in ("attr", "param", "roots", "true_child"):
                 with pytest.raises(ValueError):
                     getattr(forest, name)[0] = 1
             with pytest.raises(ValueError):
@@ -372,9 +374,82 @@ class TestPreorderCheck:
         roots = forest.roots[:-1]
         assert forest.true_child.tolist() == np.concatenate(
             [np.where(c < 0, -1, c + r) for c, r in zip(expect, roots)]).tolist()
-        assert forest.leaf_pos.tolist() == np.flatnonzero(np.concatenate(
-            [leaf for leaf, _, _ in layouts])).tolist()
+        # the leaf counts read off the tree sizes, against a count of the flags
+        assert forest.leaf_counts.tolist() == [int(np.sum(leaf)) for leaf, _, _ in layouts]
         assert forest.leaf_counts.tolist() == [t.leaf_count for t in forest.trees]
+
+
+@st.composite
+def random_forests(draw):
+    """A forest of valid random trees over ``NUM2`` with random tests, a
+    one-leaf tree among them; an ascending set of its trees, contiguous or
+    not; rows to encode; a leaf ordinal per row and tree; and how many trees
+    one walk holds."""
+    layouts = draw(st.lists(preorder_layouts().filter(lambda layout: layout[2]),
+                            min_size=0, max_size=5))
+    leaves = [leaf for leaf, _, _ in layouts]
+    leaves.insert(draw(st.integers(0, len(leaves))), np.array([True]))
+    pairs = []
+    for leaf in leaves:
+        tests = st.lists(st.tuples(st.integers(0, 1), st.sampled_from([-0.5, 0.0, 0.5])),
+                         min_size=len(leaf), max_size=len(leaf))
+        attr, param = np.array(draw(tests)).T
+        pairs.append((np.where(leaf, -1, attr).astype(np.int32), np.where(leaf, 0.0, param)))
+    forest = forest_of(pairs, NUM2)
+    ts = sorted(draw(st.sets(st.integers(0, forest.T - 1), min_size=1)))
+    n = draw(st.integers(1, 5))
+    values = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    X = np.array(draw(st.lists(st.tuples(values, values), min_size=n, max_size=n)))
+    ids = np.array([[draw(st.integers(0, count - 1)) for count in forest.leaf_counts]
+                    for _ in range(n)], dtype=np.int32)
+    return forest, ts, X, ids, draw(st.integers(1, 3))
+
+
+def leaf_nodes(forest, t) -> list[int]:
+    """The forest positions of tree ``t``'s leaves, by a scan of its nodes."""
+    return [i for i in range(forest.roots[t], forest.roots[t + 1]) if forest.attr[i] < 0]
+
+
+def reached_node(forest, t, x) -> int:
+    """The forest position of the leaf ``x`` reaches in tree ``t``, by a plain walk."""
+    tree = forest.trees[t]
+    true_child = true_children(tree.attr)
+    i = 0
+    while tree.attr[i] >= 0:
+        i = true_child[i] if x[tree.attr[i]] >= tree.param[i] else i + 1
+    return int(forest.roots[t]) + i
+
+
+class TestLeafMaps:
+    """The leaf maps each walk derives, against a count of the leaf flags."""
+
+    @given(random_forests())
+    @settings(max_examples=200, deadline=None)
+    def test_encode_ordinals_count_the_leaves_before(self, problem):
+        forest, ts, X, _, _ = problem
+        want = [[sum(forest.attr[forest.roots[t]:reached_node(forest, t, x)] < 0) for t in ts]
+                for x in X]
+        assert forest_mod.encode(forest, forest.roots[ts], X).tolist() == want
+
+    @given(random_forests())
+    @settings(max_examples=200, deadline=None)
+    def test_decode_walks_to_the_leaf_each_ordinal_counts(self, problem):
+        forest, ts, _, ids, per_walk = problem
+        reached = []
+
+        def recording(forest, roots, n, go_true):
+            reached.append(forest_mod.descend(forest, roots, n, go_true))
+            return reached[-1]
+
+        matrix = EncodingMatrix(ids, forest_hex_id(forest))
+        with mock.patch.object(codec, "descend", recording), \
+                mock.patch.object(codec, "_STEP_PAIRS", per_walk * len(ids)):
+            try:
+                next(decode_masks(forest, matrix, [TreeMask(ts)]))
+            except EmptyMCRError:
+                pass  # the ordinals are drawn at random, so the regions may not meet
+        want = [[leaf_nodes(forest, t)[row[t]] for t in ts] for row in ids]
+        assert np.concatenate(reached, axis=1).tolist() == want
 
 
 class TestPaths:
@@ -505,6 +580,17 @@ class TestForest:
     def test_refuses_attributes_that_are_not_int32(self, attr):
         with pytest.raises(InvalidModelError, match="tree attributes"):
             forest_of([(np.array(attr), np.zeros(3))], NUM2)
+
+    def test_stores_four_node_arrays_at_16_bytes_a_node(self):
+        trained = train_forest(
+            random_mixed(5), TrainConfig(mode="unsupervised", n_trees=3, seed=0)
+        )
+        for forest in (forest_of([pair(small_tree()), pair(leaf_only_tree())], NUM2), trained):
+            arrays = {name: getattr(forest, name) for name in Forest.__slots__
+                      if isinstance(getattr(forest, name, None), np.ndarray)}
+            assert sorted(arrays) == ["attr", "param", "roots", "true_child"]
+            kept = sum(a.nbytes for a in arrays.values())
+            assert kept == 16 * len(forest.attr) + forest.roots.nbytes
 
     def test_metadata_is_stored_as_plain_python(self):
         bounds = Bounds(np.zeros(2), np.ones(2))

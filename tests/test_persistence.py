@@ -182,7 +182,7 @@ class TestModelRoundTrip:
             tracemalloc.stop()
         assert peak < 120 * len(forest.attr)
         assert forest_hex_id(loaded) == written
-        for name in ("attr", "param", "roots", "true_child", "leaf_pos", "leaf_rank"):
+        for name in ("attr", "param", "roots", "true_child"):
             assert np.array_equal(getattr(loaded, name), getattr(forest, name)), name
 
     def test_hash_is_cached_and_matches(self, tmp_path):

@@ -1101,6 +1101,43 @@ class TestLockstep:
                                                 threads=threads))
         assert tree_arrays(parallel.trees) == tree_arrays(serial.trees)
 
+    def test_workers_grow_lockstep_groups_of_compact_arrays(self, monkeypatch):
+        # the trees are cut into groups once, by rows and into at least one
+        # group per worker; each group comes back as arrays of its trees'
+        # own lengths, not views that keep the padded group buffers alive
+        mapped = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                mapped.extend(items)
+                return map(fn, items)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 64)
+        ds = dataset_numeric(seed=1, n=50)
+        serial = tree_arrays(train_forest(ds, TrainConfig(mode="unsupervised", n_trees=9)).trees)
+        cfg = TrainConfig(mode="unsupervised", n_trees=9, threads=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_GROUP_ROWS", 120)  # groups of 150, 100, 150 and 50 rows
+            assert tree_arrays(train_forest(ds, cfg).trees) == serial
+        assert mapped == [range(0, 3), range(3, 5), range(5, 8), range(8, 9)]
+        mapped.clear()
+        train_forest(ds, TrainConfig(mode="unsupervised", n_trees=9, threads=4))
+        assert mapped == [range(a, a + 2) for a in (0, 2, 4, 6)] + [range(8, 9)]
+        grown = _grow(_splitter(ds, cfg), ds.n, cfg, range(3))
+        for attr, param in grown:
+            assert attr.base is None and param.base is None
+        assert [(a.tolist(), p.tolist()) for a, p in grown] == serial[:3]
+
 
 class TestSplitMemory:
     @staticmethod
