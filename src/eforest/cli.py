@@ -24,10 +24,6 @@ from .rules import STRATEGIES
 MODE_NAMES = {mode.removesuffix("ervised"): mode for mode in MODES}  # sup, unsup
 
 
-def _log(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 def _emit(**summary) -> None:
     print(json.dumps(summary, sort_keys=True))
 
@@ -311,7 +307,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except EForestError as exc:
-        _log(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

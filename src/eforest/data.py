@@ -19,7 +19,7 @@ import math
 import os
 import struct
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
@@ -32,9 +32,6 @@ from .errors import EForestError, FormatError, ParseError
 @dataclass(frozen=True)
 class Numeric:
     """Marker for a real-valued attribute."""
-
-    def __repr__(self) -> str:
-        return "Numeric()"
 
 
 @dataclass(frozen=True)

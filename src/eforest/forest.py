@@ -100,10 +100,10 @@ def _true_children(leaf: np.ndarray, roots: np.ndarray) -> np.ndarray:
     (at most a tree's depth plus one, so a narrow integer sorted by radix)
     puts each internal node right before it.
     """
-    step = np.where(leaf, -1, 1)
-    run = np.cumsum(step)
+    step = np.where(leaf, np.int32(-1), np.int32(1))
     first, last = roots[:-1], roots[1:] - 1
-    after = 1 + run - np.repeat(run[first] - step[first], np.diff(roots))
+    after = np.cumsum(step, dtype=np.int32)
+    after -= np.repeat(after[first] - step[first] - 1, np.diff(roots))
     bad = after <= 0
     bad[last] = after[last] != 0  # and positive, unless an earlier node was bad
     _refuse_in(roots, bad, lambda i: f"{after[i]} subtrees are missing after it" if after[i] > 0
@@ -111,10 +111,9 @@ def _true_children(leaf: np.ndarray, roots: np.ndarray) -> np.ndarray:
     key = after - step
     key = key.astype(np.min_scalar_type(key.max()))
     order = np.argsort(key, kind="stable")  # by count, then by position
-    same = key[order[1:]] == key[order[:-1]]
+    pairs = np.flatnonzero((key[order[1:]] == key[order[:-1]]) & ~leaf[order[:-1]])
     true_child = np.full(len(leaf), -1, dtype=np.int32)
-    true_child[order[:-1][same]] = order[1:][same]
-    true_child[leaf] = -1
+    true_child[order[pairs]] = order[pairs + 1]
     return true_child
 
 
@@ -130,10 +129,9 @@ def node_test(values: np.ndarray, attr: np.ndarray, param: np.ndarray,
 
 
 def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenated ranges [starts[i], starts[i] + lengths[i])."""
+    """The concatenated ranges [starts[i], starts[i] + lengths[i]); every
+    caller passes at least one range."""
     ends = lengths.cumsum()
-    if not len(ends):
-        return ends
     out = (starts - ends + lengths).repeat(lengths)
     out += np.arange(ends[-1])
     return out
@@ -244,10 +242,13 @@ class Forest:
         self.param = param = np.concatenate([param for _, param in trees], dtype=np.float64)
         _refuse_in(roots, (attr < -1) | (attr >= schema.d), lambda i: "attribute out of range")
         leaf = attr < 0
-        n_cat = np.append(schema.category_sizes, 0)[attr]  # categories tested, 0 on leaves
-        bad_category = (n_cat > 0) & ((param != np.floor(param)) | (param < 0) | (param >= n_cat))
+        cat = np.append(schema.category_sizes > 0, False)[attr]  # categorical tests
+        tests = np.flatnonzero(cat)
+        p, n_cat = param[tests], schema.category_sizes[attr[tests]]
+        bad_category = np.zeros_like(cat)
+        bad_category[tests] = (p != np.floor(p)) | (p < 0) | (p >= n_cat)
         _refuse_in(roots, bad_category, lambda i: "category out of range")
-        numeric = (n_cat == 0) & ~leaf
+        numeric = ~(cat | leaf)
         _refuse_in(roots, numeric & ~np.isfinite(param), lambda i: "threshold is not finite")
         self.true_child = _true_children(leaf, roots)
         _refuse_in(roots, leaf & (param != 0.0), lambda i: "a leaf must hold param 0.0")

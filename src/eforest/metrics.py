@@ -86,7 +86,7 @@ class ReconReport:
             "config": self.config,
         }
         if include_values:
-            out["values"] = [float(v) for v in self.values]
+            out["values"] = self.values.tolist()
         return out
 
     def to_csv_text(self) -> str:

@@ -48,21 +48,8 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _FNV_CHUNK = 1 << 16  # a multiple of 8, so chunks split into uint64 words
 _BYTE_LANES = np.uint64(0x0101010101010101)
-
-
-def _chunk_powers(m: int) -> np.ndarray:
-    """``P**(m - j)`` mod 2**64 for j in [0, m), built by repeated doubling."""
-    powers = np.ones(m + 1, dtype=np.uint64)
-    powers[1] = _FNV_PRIME
-    done = 1
-    while done < m:
-        step = min(done, m - done)
-        powers[done + 1:done + 1 + step] = powers[1:1 + step] * powers[done]
-        done += step
-    return powers[:0:-1].copy()
-
-
-_FNV_POWERS = _chunk_powers(_FNV_CHUNK)
+# P**(m - j) mod 2**64 for j in [0, m), m = _FNV_CHUNK: uint64 products wrap
+_FNV_POWERS = np.cumprod(np.full(_FNV_CHUNK, _FNV_PRIME, dtype=np.uint64))[::-1].copy()
 
 
 def _prefix_xor(x: np.ndarray) -> np.ndarray:
@@ -167,8 +154,8 @@ def forest_record(forest: Forest) -> dict:
         "seed": forest.seed,
         "schema": _schema_record(forest.schema),
         "bounds": {
-            "lo": [float(v) for v in forest.bounds.lo],
-            "hi": [float(v) for v in forest.bounds.hi],
+            "lo": forest.bounds.lo.tolist(),
+            "hi": forest.bounds.hi.tolist(),
         },
         "config": forest.config,
         "trees": [{"nodes": t.node_records()} for t in forest.trees],

@@ -37,7 +37,7 @@ import numpy as np
 from .data import Dataset, Schema, compute_bounds
 from .errors import ConfigError, FormatError
 from .forest import MODES, Forest, budget_runs, node_test, ranges
-from .rng import GOLDEN, SplitMix64, peek_words, skip_words, tree_stream
+from .rng import SplitMix64, peek_words, skip_words, tree_stream
 
 
 @dataclass
@@ -110,8 +110,8 @@ def _numeric_threshold(lo, hi):
 # alone would. It returns (attr, param, goes_true): attr is -1 where the node
 # is a leaf, and goes_true flags the rows of split nodes that take the true
 # branch. A node that ``draws`` no words is a leaf decided without a draw.
-# Kernels read each node's words ahead of use (``peek_words``) and then skip
-# every stream past the words its node used.
+# Kernels read every word as arrays ahead of use (``peek_words``), rare
+# redraws too, and then skip every stream past the words its node used.
 
 _REJECT_ROUNDS = 16
 _THRESHOLD_ROUNDS = 8
@@ -177,23 +177,28 @@ class _RandomSplits(_Kernel):
         cat = split & self.is_cat[attr]
         if cat.any():
             param[cat] = _pick_present(col, offsets, cat.nonzero()[0], spare)
-        off = (split > cat) & ((t <= lo) | (t >= hi))
-        if off.any():
-            for i in off.nonzero()[0]:
-                stream = _stream_at(states[i], int(used[i]))
-                param[i], drawn = _redraw_threshold(float(lo[i]), float(hi[i]), stream)
-                used[i] += drawn
+        off = ((split > cat) & ((t <= lo) | (t >= hi))).nonzero()[0]
+        if len(off):
+            a, b = lo[off, None], hi[off, None]
+            words = peek_words(skip_words(states[off], used[off]), _THRESHOLD_ROUNDS - 1)
+            redraw = a + ((words >> np.uint64(11)) * 2.0**-53) * (b - a)
+            inside = (a < redraw) & (redraw < b)
+            pick = np.arange(len(off)), inside.argmax(axis=1)
+            hit = inside[pick]
+            param[off] = np.where(hit, redraw[pick], np.nextafter(lo[off], hi[off]))
+            used[off] += np.where(hit, pick[1] + 1, _THRESHOLD_ROUNDS - 1)
         states[:] = skip_words(states, used)
         return attr, param, self._route(col, size, attr, param)
 
     def _more_rounds(self, rows, offsets, nodes, states, attr, lo, hi, col, spare, used):
         """The other rejection rounds of nodes whose first candidate was
         constant, drawn at once with the word after each round; an exact
-        scan of the node follows the last miss."""
+        scan of the node follows the last miss, its pick and spare the two
+        words after the last round's."""
         size = offsets[nodes + 1] - offsets[nodes]
         cells = ranges(offsets[nodes], size)
-        words = peek_words(skip_words(states[nodes], 1), _REJECT_ROUNDS)
-        cand = (words[:, :-1] % np.uint64(self.d)).astype(np.int64)
+        words = peek_words(skip_words(states[nodes], 1), _REJECT_ROUNDS + 1)
+        cand = (words[:, :_REJECT_ROUNDS - 1] % np.uint64(self.d)).astype(np.int64)
         values = self.flat[(cand * self.n).repeat(size, axis=0) + rows[cells, None]]
         starts = size.cumsum() - size
         low = np.minimum.reduceat(values, starts)
@@ -207,21 +212,15 @@ class _RandomSplits(_Kernel):
         col[cells] = values[np.arange(len(cells)), first.repeat(size)]
         spare[nodes] = words[pick[0], first + 1]
         used[nodes] = np.where(found, first + 3, _REJECT_ROUNDS)
-        for i in nodes[~found]:
+        for i, (word, after) in zip(nodes[~found], words[~found, -2:]):
             sub = self.XT[:, rows[offsets[i]:offsets[i + 1]]]
             varying = (sub.min(axis=1) < sub.max(axis=1)).nonzero()[0]
             if len(varying):
-                stream = _stream_at(states[i], _REJECT_ROUNDS)
-                attr[i] = j = varying[stream.below(len(varying))]
-                spare[i] = stream.u64()
+                attr[i] = j = varying[int(word) % len(varying)]
+                spare[i] = after
                 used[i] = _REJECT_ROUNDS + 2
                 col[offsets[i]:offsets[i + 1]] = sub[j]
                 lo[i], hi[i] = sub[j].min(), sub[j].max()
-
-
-def _stream_at(state, skipped: int) -> SplitMix64:
-    """The stream whose state is ``state``, past its next ``skipped`` words."""
-    return SplitMix64(int(state) + skipped * GOLDEN)
 
 
 def _pick_present(col, offsets, nodes, words):
@@ -236,16 +235,6 @@ def _pick_present(col, offsets, nodes, words):
     count = np.bincount(seg[new], minlength=len(nodes))
     pick = words[nodes] % count.astype(np.uint64)
     return values[new][count.cumsum() - count + pick.astype(np.int64)]
-
-
-def _redraw_threshold(lo: float, hi: float, stream: SplitMix64) -> tuple[float, int]:
-    """The threshold draws after a first one landed on an end, and how many
-    words they took."""
-    for drawn in range(1, _THRESHOLD_ROUNDS):
-        t = lo + stream.f01() * (hi - lo)
-        if lo < t < hi:
-            return t, drawn
-    return math.nextafter(lo, hi), _THRESHOLD_ROUNDS - 1
 
 
 def _sample_attributes(words: np.ndarray, d: int) -> np.ndarray:

@@ -1,6 +1,8 @@
-"""The public API: the exact set of names the package exports, and which
-checkout of the package the test suite imports."""
+"""The public API: the exact set of names the package exports, which
+checkout of the package the test suite imports, and the package source's
+hygiene: no unused import, no private name nothing refers to."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -95,3 +97,42 @@ def test_pythonpath_checkout_wins(tmp_path):
     subprocess.run(collect, cwd=root, env={**env, "PYTHONPATH": str(tmp_path)},
                    capture_output=True, timeout=300)
     assert (fake / "imported").exists()
+
+
+def test_source_has_no_unused_import_or_unreferenced_private_name():
+    """Each ``src/eforest`` module uses every name it imports, and some
+    ``src/eforest`` file refers to every private top-level function, class
+    and constant. ``__init__.py`` imports to re-export, and ``from __future__``
+    binds no name."""
+    package = Path(eforest.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    referenced = set()
+    problems = []
+    for name, tree in trees.items():
+        nodes = list(ast.walk(tree))
+        loaded = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        referenced |= loaded | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+            if name == "__init__.py" or not isinstance(node, ast.Import | ast.ImportFrom):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in loaded:
+                    problems.append(f"{name}:{node.lineno}: unused import {bound}")
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef | ast.ClassDef):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign | ast.AnnAssign):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            problems += [f"{name}:{node.lineno}: nothing refers to {private}" for private in defined
+                         if private.startswith("_") and not private.startswith("__")
+                         and private not in referenced]
+    assert problems == []

@@ -2,6 +2,7 @@
 paths, path extraction, and depth statistics."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from synthdata import (
     decode,
     forest_of,
     leaf_depths,
+    mnist_like,
     random_mixed,
     tree_from_path,
     true_children,
@@ -591,6 +593,20 @@ class TestForest:
             assert sorted(arrays) == ["attr", "param", "roots", "true_child"]
             kept = sum(a.nbytes for a in arrays.values())
             assert kept == 16 * len(forest.attr) + forest.roots.nbytes
+
+    def test_construction_peak_stays_within_64_bytes_a_node(self):
+        # the checks and the true-child sort of a paper-style forest, built
+        # from compact per-tree pairs, hold a bounded multiple of its nodes
+        trained = train_forest(mnist_like(640), TrainConfig(mode="unsupervised", n_trees=50))
+        pairs = [(tree.attr.copy(), tree.param.copy()) for tree in trained.trees]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            forest = Forest(pairs, trained.schema, trained.bounds, "unsupervised", 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * len(forest.attr)
 
     def test_metadata_is_stored_as_plain_python(self):
         bounds = Bounds(np.zeros(2), np.ones(2))

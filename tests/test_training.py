@@ -688,7 +688,8 @@ def reference_gain_split(XT, rows, y, stream, is_cat, n_classes, min_node_size):
 def forest_problems(draw):
     """(dataset, config) for a small forest over a random mixed schema: columns
     of few integers, reals, constants, adjacent doubles (every threshold draw
-    lands on an end) or categories, and up to four classes."""
+    lands on an end), doubles 4 ulps apart (a draw that lands on an end is
+    mostly redrawn inside) or categories, and up to four classes."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 6))
 
@@ -697,7 +698,7 @@ def forest_problems(draw):
 
     cols, kinds = [], []
     for _ in range(d):
-        style = draw(st.sampled_from(["ints", "reals", "const", "adjacent", "cat"]))
+        style = draw(st.sampled_from(["ints", "reals", "const", "adjacent", "near", "cat"]))
         kind = Numeric()
         if style == "ints":
             col = column(st.integers(0, 3))
@@ -707,6 +708,8 @@ def forest_problems(draw):
             col = np.full(n, 2.5)
         elif style == "adjacent":
             col = column(st.sampled_from([1.0, math.nextafter(1.0, 2.0)]))
+        elif style == "near":
+            col = column(st.sampled_from([1.0, 1.0 + 4 * math.ulp(1.0)]))
         else:
             size = draw(st.integers(1, 4))
             kind = Categorical(tuple(f"c{i}" for i in range(size)))
